@@ -9,7 +9,8 @@ Subcommands:
 * ``conjugate <in> <out> --dual-grid lo:hi:n`` -- file-level Legendre-Fenchel
   transform of a ``x,value`` CSV.
 * ``reproduce <name>``       -- run a packaged scenario (``ge-ex`` or
-  ``dem-zei``) and diff the report against the committed golden.
+  ``dem-zei``) and diff the report against the committed golden; output
+  files are written only with ``--out-dir``.
 """
 
 from __future__ import annotations
@@ -100,11 +101,10 @@ def _cmd_reproduce(args) -> int:
     scenario_path = _packaged_path("scenarios", f"{name}.cfg")
     with resources.as_file(scenario_path) as p:
         scenario = load_scenario(p)
-    out_dir = args.out_dir or "."
-    report, _ = run_scenario(scenario, out_dir=out_dir, threads=args.threads)
+    report, _ = run_scenario(scenario, out_dir=args.out_dir, threads=args.threads)
 
     if name not in GOLDEN_NAMES:
-        print(f"scenario {name!r} has no committed golden; report written")
+        print(f"scenario {name!r} has no committed golden")
         return 0
     golden_path = _packaged_path("goldens", f"{name}.json")
     if args.update_golden:

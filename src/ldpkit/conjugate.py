@@ -29,7 +29,7 @@ from .free_energy import (
     lambda_family_table,
 )
 from .measures import ScaledMeasureNet
-from .tilts import TiltFamily, two_slope_param_arrays
+from .tilts import TiltFamily
 
 DEFAULT_STABILITY_TOL = 1e-3
 DEFAULT_GROWTH_CAP = 1e6
@@ -67,20 +67,6 @@ def evaluate_family(
     return FamilyEvaluation(family, tuple(estimates))
 
 
-def _tilt_matrix(family: TiltFamily, xs: np.ndarray) -> np.ndarray:
-    """h(x) for every member (rows) and grid point (columns)."""
-    if family.kind in ("linear", "two_slope"):
-        if family.kind == "linear":
-            lam = np.array([m.lam for m in family.members], dtype=float)
-            nu = lam
-        else:
-            lam, nu = two_slope_param_arrays(family)
-        return np.where(xs[None, :] <= 0.0, lam[:, None] * xs, nu[:, None] * xs)
-    if family.kind == "union":
-        return np.vstack([_tilt_matrix(p, xs) for p in family.parts])
-    return np.vstack([m.eval_array(xs) for m in family.members])
-
-
 def abstract_lf(fe: FamilyEvaluation, x_grid: Sequence[float]) -> GridFunction:
     """Raw abstract conjugate ``sup_h (h(x) - F(h))`` over the family.
 
@@ -91,7 +77,7 @@ def abstract_lf(fe: FamilyEvaluation, x_grid: Sequence[float]) -> GridFunction:
         bad = sum(1 for e in fe.lambdas if not e.converged)
         raise ValueError(f"{bad} family member(s) have no converged free energy")
     xs = np.asarray(x_grid, dtype=float)
-    H = _tilt_matrix(fe.family, xs)
+    H = fe.family.values_at(xs)
     F = fe.values
     vals = np.full(xs.shape, NEG_INF)
 
@@ -116,12 +102,11 @@ def linear_restriction_conjugate(
     diverged) and applies :func:`lf_transform`; this is the cross-check
     path against :func:`abstract_lf` on the same family.
     """
-    family = fe.family
-    if family.kind != "linear":
-        raise ValueError("linear_restriction_conjugate needs a linear family")
+    lambdas, nus = fe.family.slope_pairs()
+    if not np.array_equal(lambdas, nus):
+        raise ValueError("linear_restriction_conjugate needs a family of linear tilts")
     if not fe.all_exist:
         raise ValueError("family has members with no converged free energy")
-    lambdas = np.array([m.lam for m in family.members], dtype=float)
     L = GridFunction(lambdas, fe.values, label="L")
     return lf_transform(L, x_grid).with_label("linear-restriction-conjugate")
 

@@ -70,9 +70,6 @@ class GridFunction:
     def index_nearest(self, x: float) -> int:
         return int(np.argmin(np.abs(self.xs - x)))
 
-    def value_near(self, x: float) -> float:
-        return float(self.values[self.index_nearest(x)])
-
     def restrict_open(self, lo: float, hi: float, label: str = "") -> "GridFunction":
         """Sub-grid of the points strictly inside (lo, hi)."""
         mask = (self.xs > lo) & (self.xs < hi)

@@ -1,53 +1,17 @@
 """Extended-real conventions used throughout the package.
 
-Values live in [-inf, +inf] represented as Python/NumPy floats.  The
-conventions below make the operations we need total:
-
-* ``sup`` over an empty collection is ``-inf``; ``inf`` over an empty
-  collection is ``+inf``.
-* ``-log 0 = +inf`` (``neg_log``).
-* two values "agree" when both are the same infinity, or both are finite
-  and within an absolute tolerance (``agree``).
+Values live in [-inf, +inf] represented as Python/NumPy floats.  Two values
+are at distance 0 when both are the same infinity, at distance +inf when
+exactly one is infinite, and at their absolute difference otherwise
+(``ext_abs_diff``).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable
 
 INF = float("inf")
 NEG_INF = float("-inf")
-
-
-def is_finite(x: float) -> bool:
-    return math.isfinite(x)
-
-
-def neg_log(p: float) -> float:
-    """-log(p) with -log(0) = +inf.  Requires p >= 0."""
-    if p < 0.0:
-        raise ValueError(f"neg_log requires a nonnegative argument, got {p}")
-    if p == 0.0:
-        return INF
-    return -math.log(p)
-
-
-def sup(values: Iterable[float], default: float = NEG_INF) -> float:
-    """Supremum with sup(empty) = -inf."""
-    best = default
-    for v in values:
-        if v > best:
-            best = v
-    return best
-
-
-def inf_(values: Iterable[float], default: float = INF) -> float:
-    """Infimum with inf(empty) = +inf."""
-    best = default
-    for v in values:
-        if v < best:
-            best = v
-    return best
 
 
 def ext_abs_diff(a: float, b: float) -> float:
@@ -58,8 +22,3 @@ def ext_abs_diff(a: float, b: float) -> float:
     if not math.isfinite(a) or not math.isfinite(b):
         return INF
     return abs(a - b)
-
-
-def agree(a: float, b: float, tol: float) -> bool:
-    """True when both are the same infinity or finite within ``tol``."""
-    return ext_abs_diff(a, b) <= tol

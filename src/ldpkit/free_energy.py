@@ -14,6 +14,11 @@ net:
 
 The estimators never average: a window whose min/max bracket is wider than
 the requested tolerance is flagged as not converged.
+
+One kernel evaluates every tilt: a member with slopes ``(lam, nu)`` (a
+linear tilt has ``lam == nu``) gives ``t * logaddexp(A(lam), B(nu))``, with
+``A`` and ``B`` the log-sums over the atoms at ``x <= 0`` and ``x > 0``,
+each taken once per distinct slope.  Custom members are summed row by row.
 """
 
 from __future__ import annotations
@@ -22,17 +27,16 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .convex import GridFunction
 from .extreal import INF, NEG_INF
-from .measures import ScaledMeasureNet, exp_power_integral
-from .tilts import TiltFamily, TiltFunction, linear_family, two_slope_param_arrays
+from .measures import ScaledMeasureNet
+from .tilts import TiltFamily, TiltFunction, explicit_family, linear_family
 
 DEFAULT_TOL = 1e-6
 DEFAULT_DIVERGENCE_THRESHOLD = 1e12
 DIVERGENCE_RUN = 5
-_MEMBER_CHUNK = 512
+_BLOCK_TERMS = 1 << 18  # slope x atom terms per logsumexp block
 
 
 @dataclass(frozen=True)
@@ -136,47 +140,75 @@ def lambda_of(
     divergence_threshold: float = DEFAULT_DIVERGENCE_THRESHOLD,
 ) -> LimitEstimate:
     """Estimate the free energy of a single tilt along the net."""
-    ks = window.indices(net)
-    ts = [net.t(int(k)) for k in ks]
-    vals = [exp_power_integral(net.measure(int(k)), tilt, t) for k, t in zip(ks, ts)]
-    return estimate_limit(ts, vals, tol, divergence_threshold)
+    family = explicit_family([tilt])
+    return lambda_family_table(net, family, window, tol, divergence_threshold)[0]
 
 
-def _family_sample_matrix(
-    family: TiltFamily, locs: np.ndarray, logm: np.ndarray, t: float
+def _log_sum_exp_rows(x: np.ndarray) -> np.ndarray:
+    """``log sum exp`` of every row, by the algorithm of scipy's ``logsumexp``.
+
+    The largest term stays out of the sum and returns through ``log1p``, so
+    terms far below it keep their digits.  scipy's fixed cost per call (about
+    0.1 ms) would dominate the few-atom sums made once per window sample.
+    """
+    if x.shape[1] == 0:
+        return np.full(x.shape[0], NEG_INF)
+    rows = np.arange(x.shape[0])
+    top = x.argmax(axis=1)
+    peak = x[rows, top]
+    with np.errstate(invalid="ignore"):
+        terms = np.exp(x - np.where(np.isfinite(peak), peak, 0.0)[:, None])
+    terms[rows, top] = 0.0
+    return peak + np.log1p(terms.sum(axis=1))
+
+
+def _slope_log_sums(
+    slopes: np.ndarray, locs: np.ndarray, logm: np.ndarray, t: float
 ) -> np.ndarray:
-    """Values of the scaled log-integral for every member at one net index."""
-    members = family.members
-    out = np.empty(len(members), dtype=float)
-
-    if family.kind in ("linear", "two_slope"):
-        if family.kind == "linear":
-            lam = np.array([m.lam for m in members], dtype=float)
-            nu = lam
-        else:
-            lam, nu = two_slope_param_arrays(family)
-        for i0 in range(0, len(members), _MEMBER_CHUNK):
-            i1 = min(i0 + _MEMBER_CHUNK, len(members))
-            h = np.where(
-                locs[None, :] <= 0.0,
-                lam[i0:i1, None] * locs[None, :],
-                nu[i0:i1, None] * locs[None, :],
-            )
-            expo = logm[None, :] + h / t
-            out[i0:i1] = t * logsumexp(expo, axis=1)
-        return out
-
-    if family.kind == "union":
-        pieces = [
-            _family_sample_matrix(part, locs, logm, t) for part in family.parts
-        ]
-        return np.concatenate(pieces) if pieces else out
-
-    for i, member in enumerate(members):
-        expo = logm + member.eval_array(locs) / t
-        v = float(logsumexp(expo))
-        out[i] = NEG_INF if v == NEG_INF else t * v
+    """``log sum_i exp(logm_i + s * locs_i / t)`` for every slope ``s``."""
+    out = np.empty(slopes.size)
+    step = max(1, _BLOCK_TERMS // max(1, locs.size))
+    for i in range(0, slopes.size, step):
+        s = slopes[i : i + step, None]
+        out[i : i + step] = _log_sum_exp_rows(logm + s * locs / t)
     return out
+
+
+def _classify_limits(
+    ts: np.ndarray, rows: np.ndarray, tol: float, divergence_threshold: float
+) -> list[LimitEstimate]:
+    """:func:`estimate_limit` on every column of a samples x members table."""
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    last = rows[-1]
+    tail = rows[-min(DIVERGENCE_RUN, len(rows)) :]
+    with np.errstate(invalid="ignore"):
+        steps = np.diff(tail, axis=0)
+        lo = rows.min(axis=0)
+        hi = rows.max(axis=0)
+        spread = hi - lo
+    # an all -inf column is caught by ``down``
+    up = (last > divergence_threshold) & (
+        np.all(steps > 0, axis=0) | np.all(np.isposinf(tail), axis=0)
+    )
+    down = (last < -divergence_threshold) & (
+        np.all(steps < 0, axis=0) | np.all(np.isneginf(tail), axis=0)
+    )
+    diverged = up | down
+    converged = diverged | (np.isfinite(lo) & np.isfinite(hi) & (spread <= tol))
+    limit = np.where(up, INF, NEG_INF)
+    ts_list = ts.tolist()
+    return [
+        LimitEstimate(a, b, v, c, s, tuple(zip(ts_list, col)))
+        for a, b, v, c, s, col in zip(
+            np.where(diverged, limit, lo).tolist(),
+            np.where(diverged, limit, hi).tolist(),
+            np.where(diverged, limit, last).tolist(),
+            converged.tolist(),
+            np.where(diverged, 0.0, spread).tolist(),
+            rows.T.tolist(),
+        )
+    ]
 
 
 def lambda_family_table(
@@ -188,20 +220,29 @@ def lambda_family_table(
 ) -> list[LimitEstimate]:
     """Free-energy estimates for every member of a family.
 
-    Equivalent to calling :func:`lambda_of` member by member, but the
-    built-in parametric kinds are evaluated as vectorized blocks.
+    Agrees with :func:`~ldpkit.measures.exp_power_integral` and
+    :func:`estimate_limit` applied member by member, up to the rounding of
+    the split log-sum (see the module docstring).
     """
     ks = window.indices(net)
     ts = np.array([net.t(int(k)) for k in ks])
-    per_sample = []
-    for k, t in zip(ks, ts):
+    lam, nu = family.slope_pairs()
+    sloped = ~np.isnan(lam)
+    lam_axis, lam_at = np.unique(lam[sloped], return_inverse=True)
+    nu_axis, nu_at = np.unique(nu[sloped], return_inverse=True)
+    custom = [family.members[i] for i in np.flatnonzero(~sloped)]
+    rows = np.empty((ks.size, lam.size))
+    for row, k, t in zip(rows, ks, ts):
         m = net.measure(int(k))
-        per_sample.append(_family_sample_matrix(family, m.locations, m.log_masses, t))
-    value_rows = np.vstack(per_sample)  # samples x members
-    return [
-        estimate_limit(ts, value_rows[:, j], tol, divergence_threshold)
-        for j in range(len(family.members))
-    ]
+        locs, logm = m.locations, m.log_masses
+        left = locs <= 0.0
+        a = _slope_log_sums(lam_axis, locs[left], logm[left], t)
+        b = _slope_log_sums(nu_axis, locs[~left], logm[~left], t)
+        row[sloped] = t * np.logaddexp(a[lam_at], b[nu_at])
+        if custom:
+            h = np.array([member.eval_array(locs) for member in custom])
+            row[~sloped] = t * _log_sum_exp_rows(logm + h / t)
+    return _classify_limits(ts, rows, tol, divergence_threshold)
 
 
 def L_grid(

@@ -16,6 +16,7 @@ are the standard test beds for free-energy and rate-function estimation.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -226,10 +227,6 @@ class RegionSet:
         return cls((Interval(x, x, False, False),))
 
     @classmethod
-    def open_ball(cls, center: float, radius: float) -> "RegionSet":
-        return cls.open(center - radius, center + radius)
-
-    @classmethod
     def complement_of_closed(cls, lo: float, hi: float) -> "RegionSet":
         """The two open rays around the closed interval [lo, hi]."""
         return cls(
@@ -312,6 +309,8 @@ class ScaledMeasureNet:
 
     ``t_of`` must be strictly decreasing in ``k``; this is spot-checked at
     construction and otherwise trusted.  Measures are built lazily and cached.
+    Cache misses are built one at a time under a lock, because a builder may
+    keep state between indices (the iid net's rolling convolution does).
     """
 
     def __init__(
@@ -331,6 +330,7 @@ class ScaledMeasureNet:
         self._t_of = t_of
         self._measure_of = measure_of
         self._cache: dict[int, FiniteSupportMeasure] = {}
+        self._build_lock = threading.Lock()
         self.max_index = max_index
         self.label = label
 
@@ -342,8 +342,11 @@ class ScaledMeasureNet:
         self._check_index(k)
         m = self._cache.get(k)
         if m is None:
-            m = self._measure_of(k)
-            self._cache[k] = m
+            with self._build_lock:
+                m = self._cache.get(k)
+                if m is None:
+                    m = self._measure_of(k)
+                    self._cache[k] = m
         return m
 
     def at(self, k: int) -> tuple[FiniteSupportMeasure, float]:

@@ -123,6 +123,28 @@ class TiltFamily:
         # explicit families cannot grow; doubling is the identity
         return self
 
+    def slope_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Slopes ``(lam, nu)`` of every member on ``x <= 0`` and ``x > 0``.
+
+        A linear member has ``lam == nu``; a custom member has NaN in both.
+        """
+        pairs = [
+            (np.nan, np.nan) if m.kind == "custom"
+            else (m.lam, m.lam if m.nu is None else m.nu)
+            for m in self.members
+        ]
+        lam, nu = np.array(pairs, dtype=float).reshape(-1, 2).T
+        return lam, nu
+
+    def values_at(self, xs) -> np.ndarray:
+        """``h(x)`` for every member (rows) and point of ``xs`` (columns)."""
+        xs = np.asarray(xs, dtype=float)
+        lam, nu = self.slope_pairs()
+        out = np.where(xs <= 0.0, lam[:, None] * xs, nu[:, None] * xs)
+        for i in np.flatnonzero(np.isnan(lam)):
+            out[i] = self.members[i].eval_array(xs)
+        return out
+
     def linear_part(self) -> "TiltFamily | None":
         """The linear sub-family, if one exists."""
         if self.kind == "linear":
@@ -206,10 +228,3 @@ def family_union(*families: TiltFamily) -> TiltFamily:
 
 def explicit_family(members) -> TiltFamily:
     return TiltFamily(kind="explicit", members=tuple(members))
-
-
-def two_slope_param_arrays(family: TiltFamily) -> tuple[np.ndarray, np.ndarray]:
-    """(lam, nu) arrays aligned with family.members, for vectorized paths."""
-    lam = np.array([m.lam for m in family.members], dtype=float)
-    nu = np.array([m.nu for m in family.members], dtype=float)
-    return lam, nu

@@ -45,7 +45,6 @@ from .free_energy import (
 from .measures import RegionSet, ScaledMeasureNet
 from .tilts import TiltFunction
 
-DEFAULT_DELTAS = tuple(2.0 ** (-k) for k in range(1, 11))
 DEFAULT_FILTER_TOL = 1e-9
 
 

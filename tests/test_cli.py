@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -55,6 +56,46 @@ varadhan_tilts = linear:1
 
 [output]
 prefix = mini
+"""
+
+
+# 512 iid Bernoulli draws: the net's measure builder keeps a rolling
+# convolution between indices, which concurrent family evaluations share
+IID_SCENARIO = """
+[net]
+kind = iid-bernoulli
+max_n = 512
+p = 0.5
+
+[window]
+t_max = 3.90625e-3
+t_min = 1.953125e-3
+samples = 2
+
+[lambda-grid]
+lo = -2.0
+hi = 2.0
+resolution = 21
+
+[family]
+kind = two-slope
+lo = -2.0
+hi = 2.0
+resolution = 9
+
+[x-grid]
+lo = 0.05
+hi = 0.95
+points = 19
+
+[tolerances]
+convergence = 1e-2
+
+[checks]
+run = conjugate-consistency
+
+[output]
+prefix = iid
 """
 
 
@@ -136,12 +177,23 @@ class TestRunScenario:
         b = (tmp_path / "b" / "mini_report.json").read_bytes()
         assert a == b
 
-    def test_threads_do_not_change_report(self, mini_scenario, tmp_path):
-        sc = load_scenario(mini_scenario)
-        r1, _ = run_scenario(sc, out_dir=str(tmp_path / "a"), threads=1)
-        r2, _ = run_scenario(sc, out_dir=str(tmp_path / "b"), threads=4)
-        assert (tmp_path / "a" / "mini_report.json").read_bytes() == (
-            tmp_path / "b" / "mini_report.json"
+    @pytest.mark.parametrize(
+        "text", [MINI_SCENARIO, IID_SCENARIO], ids=["mini", "iid"]
+    )
+    def test_threads_do_not_change_report(self, text, tmp_path):
+        path = tmp_path / "scenario.cfg"
+        path.write_text(text)
+        sc = load_scenario(path)
+        run_scenario(sc, out_dir=str(tmp_path / "a"), threads=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the worker threads finely
+        try:
+            run_scenario(sc, out_dir=str(tmp_path / "b"), threads=4)
+        finally:
+            sys.setswitchinterval(interval)
+        name = f"{sc.output_prefix}_report.json"
+        assert (tmp_path / "a" / name).read_bytes() == (
+            tmp_path / "b" / name
         ).read_bytes()
 
     def test_empty_check_list_reports_tables_only(self, tmp_path):
@@ -239,6 +291,11 @@ class TestCliCommands:
         rc = main(["run", str(tmp_path / "bad.cfg")])
         assert rc == 2
         assert "missing required section" in capsys.readouterr().err
+
+    def test_reproduce_without_out_dir_writes_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["reproduce", "ge-ex"]) == 0
+        assert list(tmp_path.iterdir()) == []
 
     def test_reproduce_unknown_name(self, capsys):
         with pytest.raises(SystemExit):

@@ -1,20 +1,32 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 import ldpkit
+from ldpkit import free_energy
 from ldpkit.extreal import INF, NEG_INF
 from ldpkit.free_energy import (
     L_grid,
     WindowSpec,
+    _classify_limits,
+    _log_sum_exp_rows,
     estimate_limit,
     lambda_family_table,
     lambda_of,
     window_for_t_range,
 )
-from ldpkit.measures import FiniteSupportMeasure, ScaledMeasureNet
+from ldpkit.measures import (
+    FiniteSupportMeasure,
+    ScaledMeasureNet,
+    exp_power_integral,
+)
 from ldpkit.tilts import (
     TiltFunction,
     explicit_family,
+    family_union,
+    linear_family,
     qn_family,
     two_slope_family,
 )
@@ -176,3 +188,159 @@ class TestFamilyTable:
         estimates = lambda_family_table(coin_net, diag, main_window, TOL)
         worst = max(abs(e.value - v) for e, v in zip(estimates, L.values))
         assert worst <= 1e-9
+
+
+def assert_kernel_matches_oracle(net, family, window):
+    """Every sampled kernel value equals exp_power_integral, member by member.
+
+    The kernel sums the atoms on each side of 0 separately, so its rounding
+    differs from the one-pass log-sum-exp.  Besides rtol 1e-12 the check
+    allows an absolute 1e-12 of ``t`` times the largest exponent, the scale
+    of a log-sum-exp's rounding.
+    """
+    estimates = lambda_family_table(net, family, window, tol=1.0)
+    for j, k in enumerate(window.indices(net)):
+        m = net.measure(int(k))
+        for member, est in zip(family.members, estimates):
+            t, got = est.samples[j]
+            want = exp_power_integral(m, member, t)
+            if not np.isfinite(want):
+                assert got == want, member.label
+                continue
+            expo = m.log_masses + member.eval_array(m.locations) / t
+            slack = 1e-12 * t * (1.0 + np.max(np.abs(expo[np.isfinite(expo)])))
+            assert got == pytest.approx(want, rel=1e-12, abs=slack), (member.label, k)
+
+
+SLOPES = st.one_of(
+    st.sampled_from([-3.0, -1.0, -0.5, 0.0, 0.5, 2.0]),  # duplicates likely
+    st.floats(-4.0, 4.0),
+)
+
+
+@st.composite
+def finite_measures(draw):
+    """A sub-probability measure on up to 11 atoms, on one or both sides of 0."""
+    locs = draw(st.lists(st.floats(0.01, 5.0), min_size=1, max_size=10, unique=True))
+    side = draw(st.sampled_from(["both", "negative", "positive"]))
+    if side == "negative":
+        locs = [-x for x in locs]
+    elif side == "both":
+        locs = [x if draw(st.booleans()) else -x for x in locs]
+    if draw(st.booleans()):
+        locs.append(0.0)  # an atom exactly at the split
+    locs = sorted(set(locs))
+    logm = np.array(draw(st.lists(
+        st.floats(-60.0, 0.0), min_size=len(locs), max_size=len(locs)
+    )))
+    total = logsumexp(logm)
+    if total > 0.0:
+        logm = logm - total
+    return FiniteSupportMeasure(np.array(locs), logm)
+
+
+class TestKernelOracle:
+    @given(
+        measures=st.lists(finite_measures(), min_size=2, max_size=2),
+        pairs=st.lists(st.tuples(SLOPES, SLOPES), min_size=1, max_size=12),
+        scale=st.floats(1e-3, 1.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_rows_match_exp_power_integral(self, measures, pairs, scale):
+        net = ScaledMeasureNet(
+            t_of=lambda k: scale / k,
+            measure_of=lambda k: measures[k - 1],
+            max_index=4,
+        )
+        family = family_union(
+            explicit_family([TiltFunction.two_slope(l, n) for l, n in pairs]),
+            explicit_family([TiltFunction.linear(l) for l, _ in pairs]),
+            qn_family(3),
+            explicit_family([
+                TiltFunction.custom("dead", lambda xs: np.full(xs.shape, NEG_INF)),
+                TiltFunction.custom("right", lambda xs: np.where(xs > 0, xs, NEG_INF)),
+            ]),
+        )
+        assert_kernel_matches_oracle(net, family, WindowSpec(1, 2, 2))
+
+    def test_row_sums_match_scipy(self):
+        # a term e^-50 below the largest one must survive: log1p, not log(1 + s)
+        x = np.array([
+            [0.0, -50.0],
+            [-1e4, -0.0001],
+            [NEG_INF, NEG_INF],
+            [NEG_INF, 3.0],
+            [700.0, 700.0],
+        ])
+        got = _log_sum_exp_rows(x)
+        np.testing.assert_allclose(got, logsumexp(x, axis=1), rtol=1e-15, atol=0)
+        assert got[0] > 0.0
+        assert _log_sum_exp_rows(np.empty((2, 0))).tolist() == [NEG_INF, NEG_INF]
+
+    def test_demzei_tiny_outer_masses(self, demzei_net, main_window, monkeypatch):
+        # log-masses -k^2 beside log1p(-2 e^{-k^2}) at the centre atom; tiny
+        # blocks make every side sum span several of them
+        monkeypatch.setattr(free_energy, "_BLOCK_TERMS", 4)
+        family = family_union(
+            two_slope_family((-2, 2), (-2, 2), 5),
+            linear_family(-3, 3, 7),
+            qn_family(3),
+        )
+        assert_kernel_matches_oracle(demzei_net, family, main_window)
+
+
+def assert_same_estimates(got, want):
+    # repr compares floats exactly, NaN and signed zeros included
+    assert repr(got) == repr(want)
+
+
+CLASSIFIER_COLUMNS = {
+    "all -inf": [NEG_INF] * 6,
+    "runs to +inf": [1.0, 1e3, 1e6, 1e9, 1e12, 1e13],
+    "runs to -inf": [-1.0, -1e3, -1e6, -1e9, -1e12, -1e13],
+    "rises to the threshold": [1.0, 1e3, 1e6, 1e9, 1e11, 1e12],
+    "falls to minus the threshold": [-1.0, -1e3, -1e6, -1e9, -1e11, -1e12],
+    "+inf tail": [1.0, 2.0, INF, INF, INF, INF],
+    "-inf tail": [0.0, NEG_INF, NEG_INF, NEG_INF, NEG_INF, NEG_INF],
+    "+inf last, not monotone": [1.0, INF, 2.0, INF, 3.0, INF],
+    "large, not monotone": [1e13, 1e14, 9e13, 1e14, 2e14, 3e14],
+    "finite, not converged": [0.0, 1.0, 0.0, 1.0, 0.0, 1.0],
+    "finite, converged": [0.5, 0.5 + 1e-9, 0.5, 0.5 - 1e-9, 0.5, 0.5],
+    "spread equal to tol": [0.25, 0.5, 0.0, 0.5, 0.25, 0.5],
+    "nan last": [1.0, 2.0, 3.0, 4.0, 5.0, np.nan],
+}
+
+
+class TestClassifierOracle:
+    TS = [1.0 / k for k in (10, 20, 40, 80, 160, 320)]
+
+    def test_named_columns(self):
+        rows = np.array(list(CLASSIFIER_COLUMNS.values())).T
+        got = _classify_limits(np.array(self.TS), rows, 0.5, 1e12)
+        for est, col in zip(got, CLASSIFIER_COLUMNS.values()):
+            assert_same_estimates(est, estimate_limit(self.TS, col, 0.5, 1e12))
+
+    @given(
+        st.integers(1, 7).flatmap(
+            lambda n: st.lists(
+                st.lists(
+                    st.one_of(
+                        st.sampled_from([INF, NEG_INF, 0.0, 1.0, 1e12, -1e12, 2e12]),
+                        st.floats(-1e13, 1e13),
+                    ),
+                    min_size=n,
+                    max_size=n,
+                ),
+                min_size=1,
+                max_size=6,
+            )
+        ),
+        st.sampled_from([1e-6, 1.0]),
+        st.sampled_from([10.0, 1e12]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_random_columns(self, columns, tol, threshold):
+        ts = [1.0 / (k + 1) for k in range(len(columns[0]))]
+        got = _classify_limits(np.array(ts), np.array(columns).T, tol, threshold)
+        for est, col in zip(got, columns):
+            assert_same_estimates(est, estimate_limit(ts, col, tol, threshold))
