@@ -107,13 +107,6 @@ def _cmd_reproduce(args) -> int:
         print(f"scenario {name!r} has no committed golden")
         return 0
     golden_path = _packaged_path("goldens", f"{name}.json")
-    if args.update_golden:
-        with resources.as_file(golden_path) as p:
-            with open(p, "w", encoding="utf-8") as fh:
-                json.dump(report, fh, indent=1, sort_keys=False)
-                fh.write("\n")
-        print(f"golden for {name} updated")
-        return 0
     with resources.as_file(golden_path) as p:
         with open(p, "r", encoding="utf-8") as fh:
             golden = json.load(fh)
@@ -166,8 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="one of: " + ", ".join(REPRODUCE_NAMES))
     p_rep.add_argument("--out-dir", default=None)
     p_rep.add_argument("--threads", type=int, default=1)
-    p_rep.add_argument("--update-golden", action="store_true",
-                       help="rewrite the committed golden from this run")
     p_rep.set_defaults(fn=_cmd_reproduce)
     return parser
 

@@ -140,19 +140,35 @@ class FiniteSupportMeasure:
 
     # -- mass queries --------------------------------------------------------
 
-    def log_mass_in_open_interval(self, lo: float, hi: float) -> float:
-        """log of the mass carried by the open interval (lo, hi)."""
-        i0 = int(np.searchsorted(self.locations, lo, side="right"))
-        i1 = int(np.searchsorted(self.locations, hi, side="left"))
-        if i1 <= i0:
-            return NEG_INF
-        return float(logsumexp(self.log_masses[i0:i1]))
+    def log_masses_in(self, lo, hi, lo_open=True, hi_open=True) -> np.ndarray:
+        """log of the mass of every interval from ``lo`` to ``hi``.
+
+        All four arguments broadcast; the flags say which ends are open.
+        Each interval holds one run of consecutive atoms, found by
+        ``searchsorted``, and every run is summed exactly by a single
+        ``np.logaddexp.reduceat`` over the log-masses padded with ``-inf``
+        (so a run may start at index n).  Empty runs give ``-inf``.  Prefix
+        sums are not used: ``log(S_hi - S_lo)`` cancels tiny atoms that sit
+        beside a heavy one, e.g. ``exp(-k**2)`` next to ``1 - 2 exp(-k**2)``.
+        """
+        lo, hi, lo_open, hi_open = np.broadcast_arrays(
+            np.asarray(lo, dtype=float), np.asarray(hi, dtype=float), lo_open, hi_open
+        )
+        find = lambda x, side: np.searchsorted(self.locations, x, side)
+        i0 = np.where(lo_open, find(lo, "right"), find(lo, "left"))
+        i1 = np.where(hi_open, find(hi, "left"), find(hi, "right"))
+        padded = np.append(self.log_masses, NEG_INF)
+        runs = np.logaddexp.reduceat(padded, np.stack([i0, i1], axis=-1).ravel())[::2]
+        return np.where(i1 > i0, runs.reshape(lo.shape), NEG_INF)
 
     def log_mass_in(self, region: "RegionSet") -> float:
-        mask = region.mask(self.locations)
-        if not mask.any():
-            return NEG_INF
-        return float(logsumexp(self.log_masses[mask]))
+        ivs = region.intervals
+        logm = self.log_masses_in(
+            [iv.lo for iv in ivs], [iv.hi for iv in ivs],
+            [iv.lo_open for iv in ivs], [iv.hi_open for iv in ivs],
+        )
+        # an empty region reduces to logaddexp's identity, -inf
+        return float(np.logaddexp.reduce(logm))
 
 
 # ---------------------------------------------------------------------------
@@ -497,21 +513,15 @@ def tail_condition_check(net, family, M: float, eps: float, window) -> tuple[boo
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    indices = window.indices(net)
-    samples = [net.at(k) for k in indices]
+    best = np.full(len(family), NEG_INF)
+    for k in window.indices(net):
+        m, t = net.at(k)
+        h = family.values_at(m.locations)
+        expo = np.where(h > M, m.log_masses + h / t, NEG_INF)
+        best = np.maximum(best, t * logsumexp(expo, axis=1))
     witnesses = []
-    for tilt in family.members:
-        best = NEG_INF
-        for m, t in samples:
-            h = tilt.eval_array(m.locations)
-            mask = h > M
-            if not mask.any():
-                continue
-            expo = m.log_masses[mask] + h[mask] / t
-            val = t * float(logsumexp(expo))
-            if val > best:
-                best = val
-        estimate = float(np.exp(best)) if best != NEG_INF else 0.0
+    for tilt, val in zip(family.members, best.tolist()):
+        estimate = float(np.exp(val)) if val != NEG_INF else 0.0
         if not estimate < eps:
             witnesses.append((tilt, estimate))
     return (len(witnesses) == 0), witnesses

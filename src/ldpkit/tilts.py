@@ -6,7 +6,7 @@ A tilt is the test function ``h`` inside the powered exponential integral
 * ``linear``    -- ``h(x) = lam * x``;
 * ``two_slope`` -- slope ``lam`` on ``x <= 0`` and ``nu`` on ``x >= 0``
   (both give 0 at the origin, so the function is well defined);
-* ``custom``    -- a registered vectorized callable, never returning +inf.
+* ``custom``    -- a vectorized callable, never returning +inf.
 
 Families are finite, deterministic collections of tilts, either explicit or
 expanded from a parametric descriptor (grid of slopes, index range of the
@@ -75,24 +75,6 @@ def q_bump_tilt(n: int) -> TiltFunction:
         return n * a * np.exp(-a) - xs
 
     return TiltFunction.custom(f"qn:{n}", fn)
-
-
-# registry for custom tilts referenced by label in scenario files
-_CUSTOM_REGISTRY: dict[str, Callable[[str], TiltFunction]] = {}
-
-
-def register_custom_tilt(prefix: str, factory: Callable[[str], TiltFunction]) -> None:
-    _CUSTOM_REGISTRY[prefix] = factory
-
-
-def custom_tilt_from_label(label: str) -> TiltFunction:
-    prefix = label.split(":", 1)[0]
-    if prefix not in _CUSTOM_REGISTRY:
-        raise KeyError(f"no custom tilt registered under {prefix!r}")
-    return _CUSTOM_REGISTRY[prefix](label)
-
-
-register_custom_tilt("qn", lambda label: q_bump_tilt(int(label.split(":", 1)[1])))
 
 
 @dataclass(frozen=True)

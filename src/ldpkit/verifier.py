@@ -57,13 +57,24 @@ def default_delta_schedule(num: int = 10) -> tuple[float, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _ball_log_masses(net: ScaledMeasureNet, indices, x: float, delta: float):
-    """(t_k, log mu_k(B(x, delta))) over the window sample."""
-    out = []
-    for k in indices:
+def _local_rates(net: ScaledMeasureNet, xs, deltas, window: WindowSpec):
+    """``(l0, l1)`` at every point of ``xs``.
+
+    One table of powered ball masses ``t_k * log mu_k(B(x, delta))``
+    (samples x points x radii) is reduced over the samples (max for the
+    limsup of ``l0``, min for the liminf of ``l1``) and then, as
+    ``-log estimate``, over the radii.
+    """
+    xs = np.asarray(xs, dtype=float)[:, None]
+    d = np.asarray(deltas, dtype=float)
+    powered = []
+    for k in window.indices(net):
         m, t = net.at(int(k))
-        out.append((t, m.log_mass_in_open_interval(x - delta, x + delta)))
-    return out
+        powered.append(t * m.log_masses_in(xs - d, xs + d))
+    powered = np.array(powered)
+    # -(-inf) = +inf: an empty ball in every sample gives an infinite rate
+    rate = lambda est: np.max(-est + 0.0, axis=-1, initial=NEG_INF)
+    return rate(powered.max(axis=0)), rate(powered.min(axis=0))
 
 
 def local_rate(
@@ -84,17 +95,8 @@ def local_rate(
     dl = list(deltas)
     if not dl or any(d <= 0 for d in dl) or any(b >= a for a, b in zip(dl, dl[1:])):
         raise ValueError("deltas must be strictly decreasing and positive")
-    indices = window.indices(net)
-    best = NEG_INF
-    for delta in dl:
-        powered = [
-            t * logm for t, logm in _ball_log_masses(net, indices, x, delta)
-        ]
-        est = max(powered) if mode == "lower" else min(powered)
-        val = INF if est == NEG_INF else -est + 0.0
-        if val > best:
-            best = val
-    return best
+    l0, l1 = _local_rates(net, [x], dl, window)
+    return float((l0 if mode == "lower" else l1)[0])
 
 
 @dataclass(frozen=True)
@@ -124,25 +126,7 @@ def rate_grid(
     """Estimate both local rate functions on a grid of points."""
     xs = np.asarray(grid, dtype=float)
     dl = tuple(deltas)
-    indices = window.indices(net)
-    samples = [net.at(int(k)) for k in indices]
-    l0 = np.full(xs.shape, NEG_INF)
-    l1 = np.full(xs.shape, NEG_INF)
-    for i, x in enumerate(xs):
-        best0 = best1 = NEG_INF
-        for delta in dl:
-            powered = [
-                t * m.log_mass_in_open_interval(x - delta, x + delta)
-                for m, t in samples
-            ]
-            hi = max(powered)
-            lo = min(powered)
-            v0 = INF if hi == NEG_INF else -hi + 0.0
-            v1 = INF if lo == NEG_INF else -lo + 0.0
-            best0 = max(best0, v0)
-            best1 = max(best1, v1)
-        l0[i] = best0
-        l1[i] = best1
+    l0, l1 = _local_rates(net, xs, dl, window)
     return RateFunctionEstimate(
         grid=xs,
         l0=GridFunction(xs, l0, label="l0"),

@@ -297,6 +297,14 @@ class TestCliCommands:
         assert main(["reproduce", "ge-ex"]) == 0
         assert list(tmp_path.iterdir()) == []
 
+    def test_reproduce_out_dir_report_is_the_golden(self, tmp_path):
+        # regenerating a golden means copying <out-dir>/<name>_report.json
+        from importlib import resources
+
+        assert main(["reproduce", "ge-ex", "--out-dir", str(tmp_path)]) == 0
+        golden = resources.files("ldpkit").joinpath("data/goldens/ge-ex.json")
+        assert (tmp_path / "ge-ex_report.json").read_bytes() == golden.read_bytes()
+
     def test_reproduce_unknown_name(self, capsys):
         with pytest.raises(SystemExit):
             main(["reproduce", "unknown-example"])

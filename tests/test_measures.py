@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 import ldpkit
 from ldpkit.extreal import NEG_INF
 from ldpkit.measures import (
     FiniteSupportMeasure,
+    Interval,
     MeasureFormatError,
     RegionSet,
     ScaledMeasureNet,
@@ -18,7 +20,7 @@ from ldpkit.measures import (
     save_measure,
     tail_condition_check,
 )
-from ldpkit.tilts import TiltFunction, explicit_family
+from ldpkit.tilts import TiltFunction, explicit_family, family_union, linear_family, qn_family
 
 COIN = FiniteSupportMeasure.from_atoms([(-1.0, 0.5), (1.0, 0.5)])
 H1 = TiltFunction.linear(1.0)
@@ -147,14 +149,102 @@ class TestRegionPowerMass:
         assert region_power_mass(COIN, small, t) <= region_power_mass(COIN, large, t) + 1e-15
 
 
+def mask_log_mass(m, region):
+    """Oracle: the mask + logsumexp sum that ``log_masses_in`` replaced."""
+    mask = region.mask(m.locations)
+    return float(logsumexp(m.log_masses[mask])) if mask.any() else NEG_INF
+
+
+def assert_log_close(got, want):
+    # rtol 1e-12; log masses near 0 (nearly all the mass) get 1e-14 absolute
+    assert got == want or abs(got - want) <= 1e-12 * abs(want) + 1e-14, (got, want)
+
+
+@st.composite
+def measures(draw):
+    """Up to 12 atoms on a half-integer lattice, normalized to total mass 1."""
+    locs = draw(st.lists(st.integers(-12, 12), min_size=1, max_size=12, unique=True))
+    logm = draw(st.lists(st.floats(-800, 0), min_size=len(locs), max_size=len(locs)))
+    logm = np.array(logm) - logsumexp(logm)
+    return FiniteSupportMeasure.from_log_atoms(zip(np.array(locs) / 2.0, logm))
+
+
+# interval ends: on atoms, between atoms, past every atom, and +-inf
+ENDS = st.one_of(
+    st.integers(-14, 14).map(lambda i: i / 2.0),
+    st.floats(-8, 8),
+    st.sampled_from([-math.inf, math.inf]),
+)
+
+
+class TestLogMassesIn:
+    @given(measures(), st.lists(st.tuples(ENDS, ENDS, st.booleans(), st.booleans()),
+                                min_size=1, max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_mask_oracle(self, m, ends):
+        rows = []
+        for a, b, lo_open, hi_open in ends:
+            lo, hi = min(a, b), max(a, b)
+            if lo == hi:  # degenerate [x, x]
+                lo_open = hi_open = False
+            rows.append((lo, hi, lo_open, hi_open))
+        got = m.log_masses_in(*map(np.array, zip(*rows)))
+        assert got.shape == (len(rows),)
+        for value, row in zip(got, rows):
+            assert_log_close(float(value), mask_log_mass(m, RegionSet((Interval(*row),))))
+
+    @given(measures(), st.lists(ENDS, min_size=2, max_size=8, unique=True),
+           st.lists(st.booleans(), min_size=8, max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_region_mass_matches_mask_oracle(self, m, cuts, flags):
+        cuts = sorted(cuts)
+        ivs = tuple(
+            Interval(lo, hi, flags[2 * i], flags[2 * i + 1])
+            for i, (lo, hi) in enumerate(zip(cuts[0::2], cuts[1::2]))
+        )
+        region = RegionSet(ivs)
+        assert_log_close(m.log_mass_in(region), mask_log_mass(m, region))
+
+    def test_empty_degenerate_and_reversed_intervals(self):
+        zero = FiniteSupportMeasure.from_atoms([])
+        assert np.all(zero.log_masses_in([-math.inf, 0.0], [math.inf, 1.0]) == NEG_INF)
+        got = COIN.log_masses_in([1.0, 0.0, 2.0, 3.0], [-1.0, 0.5, 2.0, math.inf])
+        assert np.all(got == NEG_INF)
+        # [x, x] holds the atom at x only when both ends are closed
+        assert COIN.log_masses_in(1.0, 1.0, False, False) == math.log(0.5)
+        assert COIN.log_masses_in(1.0, 1.0) == NEG_INF
+        assert COIN.log_mass_in(RegionSet.empty()) == NEG_INF
+
+    def test_run_past_last_atom(self):
+        # (1, 2] starts its run at index n = 2, the padding slot
+        got = COIN.log_masses_in([1.0, 0.5], [2.0, 2.0], lo_open=True, hi_open=False)
+        assert got.tolist() == [NEG_INF, math.log(0.5)]
+
+    def test_broadcasts(self):
+        d = np.array([0.5, 2.0, 4.0])
+        got = COIN.log_masses_in(np.array([[-1.0], [0.0]]) - d, np.array([[-1.0], [0.0]]) + d)
+        assert got.shape == (2, 3)
+        assert got[0].tolist() == [math.log(0.5), math.log(0.5), 0.0]
+        assert got[1].tolist() == [NEG_INF, 0.0, 0.0]
+
+    def test_demzei_tiny_outer_atoms_survive(self):
+        # k = 30: outer masses exp(-900) beside a centre of mass 1 - 2 exp(-900);
+        # prefix sums would give log(S(30.5) - S(29.5)) = log(1 - 1) = -inf
+        k = 30
+        m = ldpkit.demzei_example_net().measure(k)
+        assert m.log_masses.tolist() == [-k**2, math.log1p(-2 * math.exp(-k**2)), -k**2]
+        got = m.log_masses_in([k - 0.5, -k - 0.5, -0.5], [k + 0.5, -k + 0.5, k + 0.5])
+        assert got.tolist() == [-k**2, -k**2, 0.0]
+        outside = RegionSet.complement_of_closed(-1.0, 1.0)
+        assert m.log_mass_in(outside) == -k**2 + math.log(2.0)
+
+
 class TestRegionSet:
     def test_open_excludes_endpoint(self):
         r = RegionSet.open(-1.0, 1.0)
         assert not r.contains(1.0) and r.contains(0.999)
 
     def test_rejects_overlapping(self):
-        from ldpkit.measures import Interval
-
         with pytest.raises(ValueError):
             RegionSet((Interval(0, 2), Interval(1, 3)))
 
@@ -251,6 +341,29 @@ class TestTailCondition:
         holds, witnesses = tail_condition_check(coin_net, fam, M=0.0, eps=1.0, window=main_window)
         assert not holds
         assert witnesses[0][1] > 2.69
+
+    @pytest.mark.parametrize("M", [-1.0, 0.0, 0.5, 2.0])
+    def test_matches_per_tilt_loop(self, iid_small_net, M):
+        # oracle: one masked logsumexp per (tilt, sample); M = 0.5 equals
+        # h(0.5) for the slope-one tilts, and h == M is excluded
+        window = ldpkit.WindowSpec(100, 500, 6)
+        fam = family_union(linear_family(-3.0, 3.0, 5), qn_family(3), explicit_family([H1]))
+        eps = 1e-300
+        expected = []
+        for tilt in fam.members:
+            best = NEG_INF
+            for k in window.indices(iid_small_net):
+                m, t = iid_small_net.at(k)
+                h = tilt.eval_array(m.locations)
+                if (h > M).any():
+                    best = max(best, t * float(logsumexp(m.log_masses[h > M] + h[h > M] / t)))
+            if best != NEG_INF and math.exp(best) >= eps:
+                expected.append((tilt, math.exp(best)))
+        holds, witnesses = tail_condition_check(iid_small_net, fam, M=M, eps=eps, window=window)
+        assert holds == (expected == [])
+        assert [w[0] for w in witnesses] == [e[0] for e in expected]
+        for (_, got), (_, want) in zip(witnesses, expected):
+            assert got == pytest.approx(want, rel=1e-12)
 
     def test_empty_family_vacuous(self, coin_net, main_window):
         holds, witnesses = tail_condition_check(

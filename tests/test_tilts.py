@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ldpkit.scenario import ScenarioError, parse_tilt_labels
 from ldpkit.tilts import (
     TiltFunction,
-    custom_tilt_from_label,
     explicit_family,
     family_union,
     linear_family,
@@ -66,11 +66,12 @@ def test_qn_family_members():
     assert [m.label for m in fam.members] == ["qn:1", "qn:2", "qn:3", "qn:4"]
 
 
-def test_custom_registry_round_trip():
-    tilt = custom_tilt_from_label("qn:7")
-    assert tilt(0.0) == 0.0
-    with pytest.raises(KeyError):
-        custom_tilt_from_label("nope:1")
+def test_parse_tilt_labels_qn_and_unknown():
+    xs = np.linspace(-6.0, 6.0, 49)
+    (tilt,) = parse_tilt_labels("qn:7")
+    assert np.array_equal(tilt.eval_array(xs), q_bump_tilt(7).eval_array(xs))
+    with pytest.raises(ScenarioError):
+        parse_tilt_labels("nope:1")
 
 
 def test_custom_tilt_must_not_return_plus_inf():

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -90,11 +88,21 @@ class TestLocalRate:
         x = 0.5
         for k in w.indices(iid_small_net):
             m, t = iid_small_net.at(int(k))
-            masses = [
-                math.exp(t * m.log_mass_in_open_interval(x - d, x + d))
-                for d in DELTAS
-            ]
-            assert all(a >= b - 1e-15 for a, b in zip(masses, masses[1:]))
+            d = np.array(DELTAS)
+            masses = np.exp(t * m.log_masses_in(x - d, x + d))
+            assert np.all(masses[:-1] >= masses[1:] - 1e-15)
+
+    @pytest.mark.parametrize(
+        "net_name, xs",
+        [("coin_net", np.linspace(-2, 2, 41)), ("demzei_net", np.linspace(-3, 3, 61))],
+        ids=["coin", "dem-zei"],
+    )
+    def test_equals_rate_grid_at_every_point(self, request, rate_window, net_name, xs):
+        net = request.getfixturevalue(net_name)
+        rfe = rate_grid(net, xs, DELTAS, rate_window)
+        for x, l0, l1 in zip(xs, rfe.l0.values, rfe.l1.values):
+            assert local_rate(net, x, DELTAS, rate_window, "lower") == l0
+            assert local_rate(net, x, DELTAS, rate_window, "upper") == l1
 
 
 class TestRateGrid:
