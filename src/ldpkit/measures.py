@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
-from scipy.special import logsumexp
+from scipy.special import gammaln, logsumexp
 
 from .extreal import INF, NEG_INF
 
@@ -325,8 +325,9 @@ class ScaledMeasureNet:
 
     ``t_of`` must be strictly decreasing in ``k``; this is spot-checked at
     construction and otherwise trusted.  Measures are built lazily and cached.
-    Cache misses are built one at a time under a lock, because a builder may
-    keep state between indices (the iid net's rolling convolution does).
+    Cache misses are built one at a time under a lock, because ``measure_of``
+    may be any callable, and one that keeps state between indices is not
+    safe to call from two threads at once.  The built-in nets are pure.
     """
 
     def __init__(
@@ -338,7 +339,8 @@ class ScaledMeasureNet:
     ):
         if max_index < 2:
             raise ValueError("max_index must be at least 2")
-        probe = [t_of(k) for k in (1, 2, max(3, max_index // 2), max_index)]
+        ks = sorted(k for k in {1, 2, max(3, max_index // 2), max_index} if k <= max_index)
+        probe = [t_of(k) for k in ks]
         if any(t <= 0 for t in probe):
             raise ValueError("t(k) must be positive")
         if any(b >= a for a, b in zip(probe, probe[1:])):
@@ -451,43 +453,65 @@ def demzei_example_net(
     )
 
 
-class _IidMeanBuilder:
-    """Exact law of the empirical mean of n iid draws from a base measure.
+# pair terms per block of a convolution; bounds its memory
+_CONV_BLOCK = 1 << 20
 
-    Keeps a rolling n-fold convolution of the unscaled sum law; colliding
-    locations are combined in log scale, so masses as small as exp(-n) stay
-    exact.  Support growth is linear for lattice bases and combinatorial in
-    general.
+
+def _convolve(x, y):
+    """Law of the sum of independent draws from ``x`` and ``y``.
+
+    Each argument is a ``(locations, log_masses)`` pair.  The outer sums are
+    built in blocks of rows of ``x`` and merged block by block, so memory
+    stays near ``_CONV_BLOCK`` terms plus the result even when both laws
+    hold thousands of atoms.
     """
+    (xl, xm), (yl, ym) = x, y
+    rows = max(1, _CONV_BLOCK // yl.size)
+    parts = [
+        _merge_atoms((xl[i:i + rows, None] + yl).ravel(), (xm[i:i + rows, None] + ym).ravel())
+        for i in range(0, xl.size, rows)
+    ]
+    locs, logm = zip(*parts)
+    return _merge_atoms(np.concatenate(locs), np.concatenate(logm))
 
-    def __init__(self, base: FiniteSupportMeasure):
-        if not base.is_probability():
-            raise ValueError("iid mean net requires a probability base measure")
-        self.base = base.normalized()
-        self._n = 1
-        self._sum_locs = self.base.locations.copy()
-        self._sum_logm = self.base.log_masses.copy()
 
-    def __call__(self, n: int) -> FiniteSupportMeasure:
-        if n < self._n:
-            # restart; accesses are normally monotone in n
-            self._n = 1
-            self._sum_locs = self.base.locations.copy()
-            self._sum_logm = self.base.log_masses.copy()
-        while self._n < n:
-            locs = (self._sum_locs[:, None] + self.base.locations[None, :]).ravel()
-            logm = (self._sum_logm[:, None] + self.base.log_masses[None, :]).ravel()
-            self._sum_locs, self._sum_logm = _merge_atoms(locs, logm)
-            self._n += 1
-        return FiniteSupportMeasure(self._sum_locs / n, self._sum_logm).normalized()
+def _iid_mean_law(base: FiniteSupportMeasure, n: int) -> FiniteSupportMeasure:
+    """Exact law of the empirical mean of ``n`` iid draws from ``base``.
+
+    A two-atom base ``{a < b}`` takes the closed-form binomial law: mass
+    ``C(n, k) m_b**k m_a**(n-k)``, in log scale through ``gammaln``, at
+    ``((n-k) a + k b)/n``.  Any other base takes the n-th convolution power
+    of the sum law by binary powering (square and multiply); colliding
+    locations are combined in log scale, so masses as small as exp(-n) stay
+    exact.  The result depends on ``base`` and ``n`` alone and is
+    normalized to mass 1.
+    """
+    if base.locations.size == 2:
+        a, b = base.locations
+        log_ma, log_mb = base.log_masses
+        k = np.arange(n + 1)
+        log_binom = gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
+        logm = log_binom + k * log_mb + (n - k) * log_ma
+        return FiniteSupportMeasure(((n - k) * a + k * b) / n, logm).normalized()
+    acc, power, m = None, (base.locations, base.log_masses), n
+    while True:
+        if m & 1:
+            acc = power if acc is None else _convolve(acc, power)
+        m >>= 1
+        if not m:
+            break
+        power = _convolve(power, power)
+    return FiniteSupportMeasure(acc[0] / n, acc[1]).normalized()
 
 
 def iid_mean_example_net(base: FiniteSupportMeasure, max_n: int) -> ScaledMeasureNet:
     """Empirical-mean net: mu_n = law of (X_1 + ... + X_n)/n, t_n = 1/n."""
-    builder = _IidMeanBuilder(base)
+    if not base.is_probability():
+        raise ValueError("iid mean net requires a probability base measure")
+    base = base.normalized()
     return ScaledMeasureNet(
         t_of=lambda n: 1.0 / n,
-        measure_of=builder,
+        measure_of=lambda n: _iid_mean_law(base, n),
         max_index=max_n,
         label="iid-mean",
     )

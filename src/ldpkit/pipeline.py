@@ -12,6 +12,7 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
+from functools import cached_property
 
 import numpy as np
 
@@ -152,7 +153,12 @@ def _scenario_echo(s: Scenario) -> dict:
 
 
 class PipelineState:
-    """Everything the checks need, computed once per scenario."""
+    """Everything the checks need, each piece computed once per scenario.
+
+    The free energies that every command reports are evaluated up front;
+    the conjugates, the rate grid and what depends on them are built on
+    first use, so ``free-energy`` never pays for them.
+    """
 
     def __init__(self, scenario: Scenario, threads: int = 1):
         self.scenario = scenario
@@ -180,8 +186,7 @@ class PipelineState:
         def eval_fam(f):
             return evaluate_family(self.net, f, self.window, conv, div)
 
-        jobs = {"linear": self.linear_fam, "family": self.family,
-                "doubled": self.family.doubled()}
+        jobs = {"linear": self.linear_fam, "family": self.family}
         if scenario.wide_lambda_grid:
             w = scenario.wide_lambda_grid
             jobs["wide"] = linear_family(w.lo, w.hi, w.resolution)
@@ -194,7 +199,6 @@ class PipelineState:
 
         self.fe_linear = evals["linear"]
         self.fe_family = evals["family"]
-        self.fe_doubled = evals["doubled"]
 
         lam_xs = np.array([m.lam for m in self.linear_fam.members])
         self.L = GridFunction(
@@ -213,33 +217,62 @@ class PipelineState:
                 meta={"converged": [e.converged for e in fe_w.lambdas]},
             )
 
-        xs = np.linspace(scenario.x_lo, scenario.x_hi, scenario.x_points)
-        if scenario.include_l_slopes:
+    @cached_property
+    def x_grid(self) -> np.ndarray:
+        s = self.scenario
+        xs = np.linspace(s.x_lo, s.x_hi, s.x_points)
+        if s.include_l_slopes:
             slopes = chord_slopes(self.L)
-            inside = slopes[(slopes > scenario.x_lo) & (slopes < scenario.x_hi)]
+            inside = slopes[(slopes > s.x_lo) & (slopes < s.x_hi)]
             xs = np.unique(np.concatenate([xs, inside]))
-        self.x_grid = xs
+        return xs
 
-        self.L_star = lf_transform(self.L, xs).with_label("L_star")
-        self.stable = stable_abstract_lf(
+    @cached_property
+    def L_star(self) -> GridFunction:
+        return lf_transform(self.L, self.x_grid).with_label("L_star")
+
+    @cached_property
+    def abstract_star(self) -> GridFunction:
+        tol = self.scenario.tolerances
+        stable = stable_abstract_lf(
             self.net,
             self.family,
-            xs,
+            self.x_grid,
             self.window,
-            conv,
-            div,
+            tol.convergence,
+            tol.divergence_threshold,
             stability_tol=tol.stability,
             fe=self.fe_family,
-            fe_doubled=self.fe_doubled,
         )
-        self.abstract_star = self.stable.grid.with_label("abstract_star")
+        return stable.grid.with_label("abstract_star")
 
-        self.rfe = rate_grid(self.net, xs, self.deltas, self.rate_window)
-        self.ldp_holds, self.J = vague_ldp_check(self.rfe, tol.ldp)
-        self.lambda_bar_zero = lambda_of(
-            self.net, TiltFunction.linear(0.0), self.window, conv, div
+    @cached_property
+    def rfe(self):
+        return rate_grid(self.net, self.x_grid, self.deltas, self.rate_window)
+
+    @cached_property
+    def _vague_ldp(self) -> tuple[bool, GridFunction]:
+        return vague_ldp_check(self.rfe, self.scenario.tolerances.ldp)
+
+    @property
+    def ldp_holds(self) -> bool:
+        return self._vague_ldp[0]
+
+    @property
+    def J(self) -> GridFunction:
+        return self._vague_ldp[1]
+
+    @cached_property
+    def lambda_bar_zero(self) -> float:
+        tol = self.scenario.tolerances
+        return lambda_of(
+            self.net, TiltFunction.linear(0.0), self.window,
+            tol.convergence, tol.divergence_threshold,
         ).value
-        self.targets = RangeTargets(
+
+    @cached_property
+    def targets(self) -> RangeTargets:
+        return RangeTargets(
             rfe=self.rfe,
             abstract_star=self.abstract_star,
             linear_star=self.L_star,

@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a verdict line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
-The iid empirical-mean net is built once per module (a few seconds of exact
-convolution up to n = 16384) and shared across criteria 5-8.
+The iid empirical-mean net is built once per module (closed-form binomial
+laws up to n = 16384) and shared across criteria 5-8.
 """
 
 import math

@@ -6,7 +6,7 @@ import pytest
 
 from ldpkit.cli import main
 from ldpkit.convex import load_grid_csv, save_grid_csv, GridFunction
-from ldpkit.pipeline import golden_diff, run_scenario
+from ldpkit.pipeline import golden_diff, run_free_energy, run_scenario
 from ldpkit.scenario import ScenarioError, load_scenario
 
 MINI_SCENARIO = """
@@ -59,8 +59,8 @@ prefix = mini
 """
 
 
-# 512 iid Bernoulli draws: the net's measure builder keeps a rolling
-# convolution between indices, which concurrent family evaluations share
+# 512 iid Bernoulli draws: concurrent family evaluations share the net's
+# measure cache and miss on the same indices
 IID_SCENARIO = """
 [net]
 kind = iid-bernoulli
@@ -195,6 +195,17 @@ class TestRunScenario:
         assert (tmp_path / "a" / name).read_bytes() == (
             tmp_path / "b" / name
         ).read_bytes()
+
+    def test_free_energy_builds_no_conjugate_or_rate(self, mini_scenario, monkeypatch):
+        sc = load_scenario(mini_scenario)
+        want = run_free_energy(sc)
+
+        def unused(*args, **kwargs):
+            raise AssertionError("free-energy does not report this")
+
+        for name in ("rate_grid", "stable_abstract_lf", "lf_transform", "lambda_of"):
+            monkeypatch.setattr(f"ldpkit.pipeline.{name}", unused)
+        assert run_free_energy(sc) == want
 
     def test_empty_check_list_reports_tables_only(self, tmp_path):
         cfg = MINI_SCENARIO.replace(

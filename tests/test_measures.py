@@ -14,6 +14,8 @@ from ldpkit.measures import (
     MeasureFormatError,
     RegionSet,
     ScaledMeasureNet,
+    _iid_mean_law,
+    _merge_atoms,
     exp_power_integral,
     load_measure,
     region_power_mass,
@@ -327,6 +329,112 @@ class TestExampleNets:
     def test_net_requires_decreasing_t(self):
         with pytest.raises(ValueError, match="decreasing"):
             ScaledMeasureNet(lambda k: 1.0, lambda k: COIN, max_index=10)
+
+    @pytest.mark.parametrize("max_index", [2, 3])
+    def test_smallest_nets_require_decreasing_t(self, max_index):
+        with pytest.raises(ValueError, match="decreasing"):
+            ScaledMeasureNet(lambda k: 1.0, lambda k: COIN, max_index=max_index)
+        # decreasing up to max_index - 1, flat at the last index
+        flat_end = lambda k: 1.0 / min(k, max_index - 1)
+        with pytest.raises(ValueError, match="decreasing"):
+            ScaledMeasureNet(flat_end, lambda k: COIN, max_index=max_index)
+
+    @pytest.mark.parametrize("max_index", [2, 3])
+    def test_smallest_nets_build(self, max_index):
+        for net in (
+            ldpkit.coin_example_net(max_index),
+            ldpkit.iid_mean_example_net(ldpkit.bernoulli_half_base(), max_index),
+        ):
+            assert net.t(max_index) == 1.0 / max_index
+            assert net.measure(max_index).locations.size in (2, max_index + 1)
+            with pytest.raises(IndexError):
+                net.t(max_index + 1)
+
+
+class RollingIidMeanBuilder:
+    """Reference law of the empirical mean: one base convolution per step.
+
+    The rolling n-fold convolution that the iid net used before its law
+    became a pure function of n; kept as the oracle for ``_iid_mean_law``.
+    """
+
+    def __init__(self, base: FiniteSupportMeasure):
+        self.base = base.normalized()
+        self._n = 1
+        self._sum_locs = self.base.locations.copy()
+        self._sum_logm = self.base.log_masses.copy()
+
+    def __call__(self, n: int) -> FiniteSupportMeasure:
+        if n < self._n:
+            self._n = 1
+            self._sum_locs = self.base.locations.copy()
+            self._sum_logm = self.base.log_masses.copy()
+        while self._n < n:
+            locs = (self._sum_locs[:, None] + self.base.locations[None, :]).ravel()
+            logm = (self._sum_logm[:, None] + self.base.log_masses[None, :]).ravel()
+            self._sum_locs, self._sum_logm = _merge_atoms(locs, logm)
+            self._n += 1
+        return FiniteSupportMeasure(self._sum_locs / n, self._sum_logm).normalized()
+
+
+ORACLE_NS = [1, 2, 3, 7, 16, 33, 100]
+THREE_ATOM = FiniteSupportMeasure.from_atoms([(-1.0, 0.2), (0.0, 0.5), (2.0, 0.3)])
+OFF_LATTICE_PAIR = FiniteSupportMeasure.from_atoms([(-0.3, 0.4), (0.7, 0.6)])
+
+
+def _assert_same_law(got: FiniteSupportMeasure, want: FiniteSupportMeasure):
+    assert got.locations.shape == want.locations.shape
+    np.testing.assert_allclose(got.locations, want.locations, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got.log_masses, want.log_masses, rtol=1e-12, atol=1e-12)
+
+
+class TestIidMeanLaw:
+    @pytest.mark.parametrize("p", [0.5, 0.3, 1e-3])
+    @pytest.mark.parametrize("n", [1, 2, 7, 600, 8192, 16384])
+    def test_closed_form_is_the_binomial_law(self, n, p):
+        base = FiniteSupportMeasure.from_atoms([(0.0, 1.0 - p), (1.0, p)])
+        m = _iid_mean_law(base, n)
+        lp, lq = math.log(p), math.log1p(-p)
+        want, comb = [], 1
+        for k in range(n + 1):
+            want.append(math.log(comb) + k * lp + (n - k) * lq)
+            comb = comb * (n - k) // (k + 1)
+        assert np.array_equal(m.locations, np.arange(n + 1) / n)
+        assert np.max(np.abs(m.log_masses - np.array(want))) <= 1e-9
+
+    @pytest.mark.parametrize("n", ORACLE_NS)
+    def test_binary_powering_matches_rolling_oracle(self, n):
+        oracle = RollingIidMeanBuilder(THREE_ATOM)
+        _assert_same_law(_iid_mean_law(THREE_ATOM, n), oracle(n))
+
+    @pytest.mark.parametrize("n", [7, 33, 100])
+    def test_blocked_convolution_matches_oracle(self, n, monkeypatch):
+        # blocks of a few rows, so every product merges many partial laws
+        monkeypatch.setattr("ldpkit.measures._CONV_BLOCK", 7)
+        oracle = RollingIidMeanBuilder(THREE_ATOM)
+        _assert_same_law(_iid_mean_law(THREE_ATOM, n), oracle(n))
+
+    @pytest.mark.parametrize("n", ORACLE_NS)
+    def test_two_atom_off_lattice_matches_rolling_oracle(self, n):
+        oracle = RollingIidMeanBuilder(OFF_LATTICE_PAIR)
+        _assert_same_law(_iid_mean_law(OFF_LATTICE_PAIR, n), oracle(n))
+
+    def test_dirac_base(self):
+        m = _iid_mean_law(FiniteSupportMeasure.dirac(0.25), 5)
+        assert m.locations.tolist() == [0.25] and m.log_masses.tolist() == [0.0]
+
+    def test_pure_in_n(self):
+        base = ldpkit.bernoulli_half_base()
+        first = _iid_mean_law(base, 8192)
+        _iid_mean_law(base, 4096)
+        again = _iid_mean_law(base, 8192)
+        assert first.locations.tobytes() == again.locations.tobytes()
+        assert first.log_masses.tobytes() == again.log_masses.tobytes()
+        net = ldpkit.iid_mean_example_net(base, 8192)
+        for n in (8192, 4096):
+            net.measure(n)
+        fresh = ldpkit.iid_mean_example_net(base, 8192).measure(8192)
+        assert net.measure(8192).log_masses.tobytes() == fresh.log_masses.tobytes()
 
 
 class TestTailCondition:
