@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable
 
 import numpy as np
@@ -140,14 +141,41 @@ class FiniteSupportMeasure:
 
     # -- mass queries --------------------------------------------------------
 
+    @cached_property
+    def _run_table(self) -> np.ndarray:
+        """Log-space disjoint sparse table over the atoms, built once.
+
+        Row 0 holds the log-masses.  Row ``l + 1`` cuts the atoms into
+        blocks of ``2**(l + 1)`` and holds, left of each block's midpoint,
+        the log-mass of the atoms from there up to the midpoint, and right
+        of it, the log-mass from the midpoint up to there: one
+        ``np.logaddexp.accumulate`` per level over the left halves reversed.
+        Column n is ``-inf``.  Entries only ever add positive terms.
+        """
+        n = self.log_masses.size
+        levels = max(n - 1, 0).bit_length()
+        table = np.full((levels + 1, n + 1), NEG_INF)
+        table[0, :n] = self.log_masses
+        for level in range(levels):
+            half = 1 << level
+            padded = np.full(-(-n // (2 * half)) * 2 * half, NEG_INF)
+            padded[:n] = self.log_masses
+            blocks = padded.reshape(-1, 2, half)
+            blocks[:, 0] = blocks[:, 0, ::-1].copy()
+            blocks = np.logaddexp.accumulate(blocks, axis=-1)
+            blocks[:, 0] = blocks[:, 0, ::-1].copy()
+            table[level + 1, :n] = blocks.reshape(-1)[:n]
+        return table
+
     def log_masses_in(self, lo, hi, lo_open=True, hi_open=True) -> np.ndarray:
         """log of the mass of every interval from ``lo`` to ``hi``.
 
         All four arguments broadcast; the flags say which ends are open.
-        Each interval holds one run of consecutive atoms, found by
-        ``searchsorted``, and every run is summed exactly by a single
-        ``np.logaddexp.reduceat`` over the log-masses padded with ``-inf``
-        (so a run may start at index n).  Empty runs give ``-inf``.  Prefix
+        Each interval holds one run ``[i0, i1)`` of consecutive atoms, found
+        by ``searchsorted``.  A run of two or more atoms straddles exactly
+        one block midpoint of the table (at level ``bit_length(i0 ^ (i1-1))
+        - 1``), so its mass is the ``logaddexp`` of two table entries; a run
+        of one atom is that atom's log-mass, an empty run ``-inf``.  Prefix
         sums are not used: ``log(S_hi - S_lo)`` cancels tiny atoms that sit
         beside a heavy one, e.g. ``exp(-k**2)`` next to ``1 - 2 exp(-k**2)``.
         """
@@ -157,9 +185,14 @@ class FiniteSupportMeasure:
         find = lambda x, side: np.searchsorted(self.locations, x, side)
         i0 = np.where(lo_open, find(lo, "right"), find(lo, "left"))
         i1 = np.where(hi_open, find(hi, "left"), find(hi, "right"))
-        padded = np.append(self.log_masses, NEG_INF)
-        runs = np.logaddexp.reduceat(padded, np.stack([i0, i1], axis=-1).ravel())[::2]
-        return np.where(i1 > i0, runs.reshape(lo.shape), NEG_INF)
+        n, size = self.log_masses.size, i1 - i0
+        # frexp's exponent is bit_length: the level plus one, and row 0 for a
+        # single atom, which pairs with the -inf column n as does an empty run
+        row = np.frexp(np.where(size > 1, i0 ^ (i1 - 1), 0))[1]
+        table = self._run_table
+        return np.logaddexp(
+            table[row, np.where(size > 0, i0, n)], table[row, np.where(size > 1, i1 - 1, n)]
+        )
 
     def log_mass_in(self, region: "RegionSet") -> float:
         ivs = region.intervals

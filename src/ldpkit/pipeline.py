@@ -251,7 +251,7 @@ class PipelineState:
         return rate_grid(self.net, self.x_grid, self.deltas, self.rate_window)
 
     @cached_property
-    def _vague_ldp(self) -> tuple[bool, GridFunction]:
+    def _vague_ldp(self) -> tuple[bool, GridFunction, float]:
         return vague_ldp_check(self.rfe, self.scenario.tolerances.ldp)
 
     @property
@@ -261,6 +261,10 @@ class PipelineState:
     @property
     def J(self) -> GridFunction:
         return self._vague_ldp[1]
+
+    @property
+    def ldp_max_gap(self) -> float:
+        return self._vague_ldp[2]
 
     @cached_property
     def lambda_bar_zero(self) -> float:
@@ -384,15 +388,10 @@ def _run_check(state: PipelineState, cid: str) -> dict:
     s = state.scenario
     tol = s.tolerances
     if cid == "vague-ldp":
-        diffs = [
-            verifier.ext_abs_diff(a, b)
-            for a, b in zip(state.rfe.l0.values, state.rfe.l1.values)
-        ]
-        finite = [d for d in diffs if math.isfinite(d)]
         return {
             "condition_id": cid,
             "holds": state.ldp_holds,
-            "max_gap": max(finite) if finite else 0.0,
+            "max_gap": state.ldp_max_gap,
             "tol": tol.ldp,
         }
     if cid == "exp-tight":

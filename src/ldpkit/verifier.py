@@ -143,18 +143,21 @@ def rate_grid(
 
 def vague_ldp_check(
     rfe: RateFunctionEstimate, tol: float
-) -> tuple[bool, GridFunction]:
+) -> tuple[bool, GridFunction, float]:
     """Vague-LDP criterion: the two local rate functions agree on the grid.
 
-    Infinities must match exactly; finite values within ``tol``.  When the
-    check holds the lower function is returned as the rate function J.
+    Infinities must match exactly; finite values within ``tol``.  Returns
+    the verdict, the lower function as the rate function J, and the largest
+    finite gap ``|l0 - l1|`` (0 when no gap is finite).
     """
-    diffs = np.array(
-        [ext_abs_diff(a, b) for a, b in zip(rfe.l0.values, rfe.l1.values)]
-    )
-    holds = bool(np.all(diffs <= tol))
-    J = GridFunction(rfe.grid, rfe.l0.values, label="J")
-    return holds, J
+    l0, l1 = rfe.l0.values, rfe.l1.values
+    with np.errstate(invalid="ignore"):
+        # equal infinities are no gap; a NaN gap fails ``<= tol`` like +inf
+        gaps = np.where(l0 == l1, 0.0, np.abs(l0 - l1))
+    finite = gaps[np.isfinite(gaps)]
+    max_gap = float(finite.max()) if finite.size else 0.0
+    J = GridFunction(rfe.grid, l0, label="J")
+    return bool(np.all(gaps <= tol)), J, max_gap
 
 
 def exponential_tightness_check(
@@ -171,29 +174,24 @@ def exponential_tightness_check(
     """
     if any(e <= 0 for e in eps_list):
         raise ValueError("eps_list entries must be positive")
-    indices = window.indices(net)
-    samples = [net.at(int(k)) for k in indices]
+    samples = [net.at(int(k)) for k in window.indices(net)]
+    limsups: list[float] = []  # per R, in schedule order; shared by every eps
+
+    def limsup(i: int) -> float:
+        if i == len(limsups):
+            region = RegionSet.complement_of_closed(-R_schedule[i], R_schedule[i])
+            worst = max((t * m.log_mass_in(region) for m, t in samples), default=NEG_INF)
+            limsups.append(math.exp(worst))
+        return limsups[i]
+
     table = []
-    ok = True
     for eps in eps_list:
-        found = None
-        for R in R_schedule:
-            region = RegionSet.complement_of_closed(-R, R)
-            worst = NEG_INF
-            for m, t in samples:
-                logm = m.log_mass_in(region)
-                powered = t * logm if logm != NEG_INF else NEG_INF
-                worst = max(worst, powered)
-            estimate = math.exp(worst) if worst != NEG_INF else 0.0
-            if estimate < eps:
-                found = {"eps": eps, "R": R, "estimate": estimate}
-                break
-        if found is None:
-            ok = False
+        i = next((i for i in range(len(R_schedule)) if limsup(i) < eps), None)
+        if i is None:
             table.append({"eps": eps, "R": None, "estimate": None})
         else:
-            table.append(found)
-    return ok, table
+            table.append({"eps": eps, "R": R_schedule[i], "estimate": limsups[i]})
+    return all(row["R"] is not None for row in table), table
 
 
 def ldp_bounds_check(

@@ -179,7 +179,7 @@ def test_criterion_3_coin_reproduction(coin_net, main_window, rate_window):
     )
 
     rfe = rate_grid(coin_net, xs, default_delta_schedule(10), rate_window)
-    ldp_ok, J = vague_ldp_check(rfe, 1e-3)
+    ldp_ok, J, _ = vague_ldp_check(rfe, 1e-3)
 
     L_star = lf_transform(L, xs)
     targets = RangeTargets(
@@ -243,7 +243,7 @@ def test_criterion_4_escaping_example(demzei_net, main_window, rate_window):
         np.all(np.isposinf(sc.values[~origin]))
     )
     rfe = rate_grid(demzei_net, xs, default_delta_schedule(10), rate_window)
-    ldp_ok, J = vague_ldp_check(rfe, 1e-3)
+    ldp_ok, J, _ = vague_ldp_check(rfe, 1e-3)
     j_matches = abs(J.values[origin][0]) <= 1e-3 and bool(
         np.all(np.isposinf(J.values[~origin]))
     )
@@ -451,7 +451,7 @@ def test_criterion_8_cramer_cross_check(iid_net, iid_window, iid_L, iid_rfe_slop
 
     smooth_ok, diag = essential_smoothness_check(iid_L)
 
-    _, J = vague_ldp_check(iid_rfe_slopes, 5e-3)
+    _, J, _ = vague_ldp_check(iid_rfe_slopes, 5e-3)
     L_star_rate = lf_transform(iid_L, iid_rfe_slopes.grid)
     targets = RangeTargets(
         rfe=iid_rfe_slopes,

@@ -241,6 +241,101 @@ class TestLogMassesIn:
         assert m.log_mass_in(outside) == -k**2 + math.log(2.0)
 
 
+def reduceat_log_masses_in(m, lo, hi, lo_open=True, hi_open=True):
+    """Oracle: the per-atom ``reduceat`` sum that the sparse table replaced."""
+    lo, hi, lo_open, hi_open = np.broadcast_arrays(
+        np.asarray(lo, dtype=float), np.asarray(hi, dtype=float), lo_open, hi_open
+    )
+    find = lambda x, side: np.searchsorted(m.locations, x, side)
+    i0 = np.where(lo_open, find(lo, "right"), find(lo, "left"))
+    i1 = np.where(hi_open, find(hi, "left"), find(hi, "right"))
+    padded = np.append(m.log_masses, NEG_INF)
+    runs = np.logaddexp.reduceat(padded, np.stack([i0, i1], axis=-1).ravel())[::2]
+    return np.where(i1 > i0, runs.reshape(lo.shape), NEG_INF)
+
+
+def lattice_measure(n, seed=0):
+    """``n`` atoms at 0, 1, ..., n-1 with log-masses spread over [-700, 0]."""
+    rng = np.random.default_rng(seed)
+    logm = rng.uniform(-700.0, 0.0, n) * rng.uniform(0.0, 1.0, n) ** 4
+    return FiniteSupportMeasure(np.arange(float(n)), logm - logsumexp(logm))
+
+
+def run_bounds(i0, i1):
+    """Open interval ends holding exactly the lattice atoms ``i0 .. i1-1``."""
+    return np.asarray(i0) - 0.5, np.asarray(i1) - 0.5
+
+
+def assert_matches_reduceat(m, lo, hi, lo_open=True, hi_open=True):
+    got = m.log_masses_in(lo, hi, lo_open, hi_open)
+    want = reduceat_log_masses_in(m, lo, hi, lo_open, hi_open)
+    assert got.shape == want.shape
+    for g, w in zip(got.ravel().tolist(), want.ravel().tolist()):
+        assert_log_close(g, w)
+
+
+class TestSparseTable:
+    @given(st.integers(1, 300), st.integers(0, 2**32 - 1),
+           st.lists(st.tuples(st.integers(-4, 604), st.integers(-4, 604),
+                              st.booleans(), st.booleans()), min_size=1, max_size=40))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reduceat_oracle(self, n, seed, ends):
+        # half-integer ends sit on atoms or between them, so the flags matter
+        m = lattice_measure(n, seed)
+        lo, hi, lo_open, hi_open = map(np.array, zip(*(
+            (min(a, b) / 2.0, max(a, b) / 2.0, fa, fb) for a, b, fa, fb in ends
+        )))
+        assert_matches_reduceat(m, lo, hi, lo_open, hi_open)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 77])
+    def test_single_atom_runs_are_the_atoms(self, n):
+        m = lattice_measure(n)
+        x = m.locations
+        assert m.log_masses_in(x, x, False, False).tolist() == m.log_masses.tolist()
+        assert m.log_masses_in(*run_bounds(np.arange(n), np.arange(1, n + 1))).tolist() \
+            == m.log_masses.tolist()
+
+    @pytest.mark.parametrize("n", [2, 37, 300])
+    def test_runs_from_index_zero_and_to_n(self, n):
+        m = lattice_measure(n, seed=n)
+        k = np.arange(n + 1)
+        assert_matches_reduceat(m, *run_bounds(np.zeros_like(k), k))
+        assert_matches_reduceat(m, *run_bounds(k, np.full_like(k, n)))
+        # the same runs written with infinite ends
+        assert_matches_reduceat(m, -math.inf, k - 0.5)
+        assert_matches_reduceat(m, k - 0.5, math.inf)
+
+    def test_runs_across_power_of_two_boundaries(self):
+        m = lattice_measure(300, seed=1)
+        i0, i1 = [], []
+        for b in (1, 2, 4, 8, 16, 32, 64, 128, 256):
+            for left in (1, 2, 3, b - 1, b):
+                for right in (1, 2, 3, b, 44):
+                    if 0 <= b - left and b + right <= 300:
+                        i0.append(b - left)
+                        i1.append(b + right)
+        assert_matches_reduceat(m, *run_bounds(i0, i1))
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 64, 256])
+    def test_power_of_two_size_every_run(self, n):
+        m = lattice_measure(n, seed=n)
+        i0, i1 = np.triu_indices(n + 1)
+        assert_matches_reduceat(m, *run_bounds(i0, i1))
+
+    @pytest.mark.parametrize("n", range(0, 20))
+    def test_every_run_of_small_measures(self, n):
+        m = lattice_measure(n, seed=n)
+        i0, i1 = np.meshgrid(np.arange(n + 1), np.arange(n + 1))
+        assert_matches_reduceat(m, *run_bounds(i0, i1))
+
+    def test_table_is_built_once_per_measure(self):
+        m = lattice_measure(40)
+        table = m._run_table
+        m.log_masses_in([0.0, 3.0], [39.0, 7.0])
+        assert m._run_table is table
+        assert table.shape == (1 + (40 - 1).bit_length(), 41)
+
+
 class TestRegionSet:
     def test_open_excludes_endpoint(self):
         r = RegionSet.open(-1.0, 1.0)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ import ldpkit
 from ldpkit.conjugate import evaluate_family, stable_abstract_lf
 from ldpkit.convex import GridFunction, lf_transform
 from ldpkit.extreal import INF
-from ldpkit.measures import FiniteSupportMeasure, RegionSet, ScaledMeasureNet
+from ldpkit.measures import FiniteSupportMeasure, RegionSet, ScaledMeasureNet, region_power_mass
 from ldpkit.tilts import TiltFunction, linear_family, q_bump_tilt, two_slope_family
 from ldpkit.verifier import (
     RangeTargets,
@@ -60,7 +62,7 @@ def coin_state(coin_net, main_window, rate_window):
         coin_net, two_slope_family((-4, 4), (-4, 4), 41), xs, main_window, TOL
     )
     rfe = rate_grid(coin_net, xs, DELTAS, rate_window)
-    holds, J = vague_ldp_check(rfe, 1e-3)
+    holds, J, _ = vague_ldp_check(rfe, 1e-3)
     assert holds
     return dict(net=coin_net, xs=xs, L=L, L_star=L_star, sc=sc, rfe=rfe, J=J)
 
@@ -140,7 +142,7 @@ class TestRateGrid:
 
 class TestVagueLdp:
     def test_coin_holds_with_indicator_rate(self, coin_state):
-        holds, J = vague_ldp_check(coin_state["rfe"], 1e-3)
+        holds, J, _ = vague_ldp_check(coin_state["rfe"], 1e-3)
         assert holds
         at_atoms = np.isclose(np.abs(J.xs), 1.0)
         assert np.max(J.values[at_atoms]) <= 1e-3
@@ -160,8 +162,28 @@ class TestVagueLdp:
             deltas=rfe.deltas,
             window=rfe.window,
         )
-        holds, _ = vague_ldp_check(fake, 1e-3)
+        holds, _, _ = vague_ldp_check(fake, 1e-3)
         assert not holds
+
+    def test_max_gap_is_the_largest_finite_gap(self):
+        from ldpkit.verifier import RateFunctionEstimate
+
+        grid = np.arange(6.0)
+        l0 = np.array([0.0, 1.0, INF, 2.0, INF, 3.0])
+        l1 = np.array([0.0, 1.25, INF, INF, INF, 3.5])
+        rfe = RateFunctionEstimate(
+            grid, GridFunction(grid, l0), GridFunction(grid, l1), DELTAS, None
+        )
+        # equal infinities are no gap; the finite-vs-infinite one fails the check
+        assert vague_ldp_check(rfe, 1.0)[0::2] == (False, 0.5)
+        rfe.l1.values[3] = 2.0
+        assert vague_ldp_check(rfe, 1.0)[0::2] == (True, 0.5)
+        assert vague_ldp_check(rfe, 0.25)[0::2] == (False, 0.5)
+        all_inf = RateFunctionEstimate(
+            grid, GridFunction(grid, np.full(6, INF)), GridFunction(grid, np.full(6, INF)),
+            DELTAS, None,
+        )
+        assert vague_ldp_check(all_inf, 0.0)[0::2] == (True, 0.0)
 
 
 class TestExponentialTightness:
@@ -182,6 +204,47 @@ class TestExponentialTightness:
         w = ldpkit.window_for_t_range(net, 1e-2, 1e-4, 16)
         ok, table = exponential_tightness_check(net, [0.5], [1.0, 4.0, 16.0], w)
         assert not ok and table[0]["R"] is None
+
+    def test_each_radius_is_measured_once(self, monkeypatch):
+        net = escaping_net()
+        w = ldpkit.window_for_t_range(net, 1e-2, 1e-4, 16)
+        calls = []
+        original = FiniteSupportMeasure.log_mass_in
+
+        def counted(self, region):
+            calls.append(region)
+            return original(self, region)
+
+        monkeypatch.setattr(FiniteSupportMeasure, "log_mass_in", counted)
+        ok, _ = exponential_tightness_check(net, [0.5, 0.1, 0.01], [1.0, 4.0, 16.0], w)
+        assert not ok
+        assert len(calls) == 3 * len(w.indices(net))
+
+    def test_table_matches_per_eps_scan(self):
+        # escaping masses exp(-k) at 3 and exp(-3k) at 10: each eps stops at its own R
+        net = ScaledMeasureNet(
+            t_of=lambda k: 1.0 / k,
+            measure_of=lambda k: FiniteSupportMeasure.from_log_atoms(
+                [(0.0, math.log1p(-math.exp(-k) - math.exp(-3 * k))), (3.0, -k), (10.0, -3 * k)]
+            ),
+            max_index=10_000,
+        )
+        w = ldpkit.window_for_t_range(net, 1e-1, 1e-3, 12)
+        eps_list, schedule = [0.5, 0.01, 0.1, 1e-6], [1.0, 4.0, 16.0]
+        ok, table = exponential_tightness_check(net, eps_list, schedule, w)
+        samples = [net.at(int(k)) for k in w.indices(net)]
+        want = []
+        for eps in eps_list:
+            row = {"eps": eps, "R": None, "estimate": None}
+            for R in schedule:
+                region = RegionSet.complement_of_closed(-R, R)
+                est = max(region_power_mass(m, region, t) for m, t in samples)
+                if est < eps:
+                    row = {"eps": eps, "R": R, "estimate": est}
+                    break
+            want.append(row)
+        assert ok and table == want
+        assert [row["R"] for row in table] == [1.0, 16.0, 4.0, 16.0]
 
 
 class TestLdpBounds:
@@ -351,7 +414,7 @@ class TestRangeConditions:
         L = GridFunction(np.array([m.lam for m in fe.family.members]), fe.values)
         xs = np.arange(16, 113) / 128.0  # atoms of every window index
         rfe = rate_grid(iid_small_net, xs, default_delta_schedule(8), w)
-        _, J = vague_ldp_check(rfe, 0.05)
+        _, J, _ = vague_ldp_check(rfe, 0.05)
         star = lf_transform(L, xs)
         targets = RangeTargets(
             rfe=rfe, abstract_star=star, linear_star=star, J=J, lambda_bar_zero=0.0
@@ -401,7 +464,7 @@ class TestRateComparison:
             xs, main_window, TOL, divergence_threshold=1e3,
         )
         rfe = rate_grid(demzei_net, xs, DELTAS, rate_window)
-        _, J = vague_ldp_check(rfe, 1e-3)
+        _, J, _ = vague_ldp_check(rfe, 1e-3)
         dom = np.isfinite(J.values)
         out = rate_comparison(J, L_star, sc.grid, {"dom_J": dom}, 1e-3)
         assert out["holds"]  # J == L* == abstract on dom(J) = {0}
