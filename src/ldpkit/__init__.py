@@ -31,6 +31,7 @@ from .convex import (
     save_grid_csv,
 )
 from .free_energy import (
+    FamilyTable,
     L_grid,
     LimitEstimate,
     WindowSpec,

@@ -15,6 +15,7 @@ stability layer re-evaluates the sup over a doubled family and declares
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -24,6 +25,7 @@ from .extreal import INF, NEG_INF
 from .free_energy import (
     DEFAULT_DIVERGENCE_THRESHOLD,
     DEFAULT_TOL,
+    FamilyTable,
     LimitEstimate,
     WindowSpec,
     lambda_family_table,
@@ -37,23 +39,28 @@ DEFAULT_GROWTH_CAP = 1e6
 
 @dataclass(frozen=True)
 class FamilyEvaluation:
-    """A tilt family together with its free-energy estimates."""
+    """A tilt family together with its table of free-energy estimates."""
 
     family: TiltFamily
-    lambdas: tuple[LimitEstimate, ...]
+    table: FamilyTable
 
     def __post_init__(self):
-        if len(self.family.members) != len(self.lambdas):
+        if len(self.family) != len(self.table):
             raise ValueError("family and estimates must have matching lengths")
 
     @property
     def all_exist(self) -> bool:
         """Every member converged (possibly to +-inf)."""
-        return all(e.converged for e in self.lambdas)
+        return bool(self.table.converged.all())
 
     @property
     def values(self) -> np.ndarray:
-        return np.array([e.value for e in self.lambdas], dtype=float)
+        return self.table.value
+
+    @cached_property
+    def lambdas(self) -> tuple[LimitEstimate, ...]:
+        """Every member's estimate, built on first use."""
+        return tuple(self.table.estimate(i) for i in range(len(self.table)))
 
 
 def evaluate_family(
@@ -63,8 +70,8 @@ def evaluate_family(
     tol: float = DEFAULT_TOL,
     divergence_threshold: float = DEFAULT_DIVERGENCE_THRESHOLD,
 ) -> FamilyEvaluation:
-    estimates = lambda_family_table(net, family, window, tol, divergence_threshold)
-    return FamilyEvaluation(family, tuple(estimates))
+    table = lambda_family_table(net, family, window, tol, divergence_threshold)
+    return FamilyEvaluation(family, table)
 
 
 def abstract_lf(fe: FamilyEvaluation, x_grid: Sequence[float]) -> GridFunction:
@@ -74,7 +81,7 @@ def abstract_lf(fe: FamilyEvaluation, x_grid: Sequence[float]) -> GridFunction:
     raw definition is returned with no truncation-stability correction.
     """
     if not fe.all_exist:
-        bad = sum(1 for e in fe.lambdas if not e.converged)
+        bad = int(np.count_nonzero(~fe.table.converged))
         raise ValueError(f"{bad} family member(s) have no converged free energy")
     xs = np.asarray(x_grid, dtype=float)
     H = fe.family.values_at(xs)

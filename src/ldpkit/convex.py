@@ -67,9 +67,6 @@ class GridFunction:
             np.any(np.isneginf(self.values))
         )
 
-    def index_nearest(self, x: float) -> int:
-        return int(np.argmin(np.abs(self.xs - x)))
-
     def restrict_open(self, lo: float, hi: float, label: str = "") -> "GridFunction":
         """Sub-grid of the points strictly inside (lo, hi)."""
         mask = (self.xs > lo) & (self.xs < hi)

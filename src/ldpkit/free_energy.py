@@ -19,6 +19,8 @@ One kernel evaluates every tilt: a member with slopes ``(lam, nu)`` (a
 linear tilt has ``lam == nu``) gives ``t * logaddexp(A(lam), B(nu))``, with
 ``A`` and ``B`` the log-sums over the atoms at ``x <= 0`` and ``x > 0``,
 each taken once per distinct slope.  Custom members are summed row by row.
+A family's estimates come back as one :class:`FamilyTable` of arrays; a
+per-member :class:`LimitEstimate` is built only on request.
 """
 
 from __future__ import annotations
@@ -132,6 +134,59 @@ def estimate_limit(
     return LimitEstimate(lo, hi, vals[-1], converged, spread, samples)
 
 
+@dataclass(frozen=True)
+class FamilyTable:
+    """Free-energy estimates of every member of a family, as arrays.
+
+    ``rows[j, i]`` is member ``i``'s scaled log-integral at the window scale
+    ``ts[j]``.  ``value``, ``liminf``, ``limsup``, ``converged`` and
+    ``spread`` hold, one entry per member, the fields of its
+    :class:`LimitEstimate`, which :meth:`estimate` builds on request.  The
+    arrays are made read-only.
+    """
+
+    ts: np.ndarray
+    rows: np.ndarray
+    value: np.ndarray
+    liminf: np.ndarray
+    limsup: np.ndarray
+    converged: np.ndarray
+    spread: np.ndarray
+
+    def __post_init__(self):
+        if np.any(self.liminf > self.limsup):
+            raise ValueError("liminf_est must not exceed limsup_est")
+        for arr in vars(self).values():
+            arr.flags.writeable = False
+
+    def __len__(self) -> int:
+        return self.value.size
+
+    def estimate(self, i: int) -> LimitEstimate:
+        """Member ``i``'s estimate, samples included."""
+        return LimitEstimate(
+            self.liminf[i].item(),
+            self.limsup[i].item(),
+            self.value[i].item(),
+            bool(self.converged[i]),
+            self.spread[i].item(),
+            tuple(zip(self.ts.tolist(), self.rows[:, i].tolist())),
+        )
+
+    @classmethod
+    def from_estimates(cls, estimates: Sequence[LimitEstimate]) -> "FamilyTable":
+        """The table of ``estimates``, which must be sampled at the same scales."""
+        samples = np.array([e.samples for e in estimates], dtype=float)
+        if samples.ndim != 3 or np.any(samples[:, :, 0] != samples[:1, :, 0]):
+            raise ValueError("estimates must share their sample scales")
+        fields = ("value", "liminf_est", "limsup_est", "converged", "spread")
+        return cls(
+            samples[0, :, 0],
+            samples[:, :, 1].T,
+            *(np.array([getattr(e, f) for e in estimates]) for f in fields),
+        )
+
+
 def lambda_of(
     net: ScaledMeasureNet,
     tilt: TiltFunction,
@@ -141,7 +196,7 @@ def lambda_of(
 ) -> LimitEstimate:
     """Estimate the free energy of a single tilt along the net."""
     family = explicit_family([tilt])
-    return lambda_family_table(net, family, window, tol, divergence_threshold)[0]
+    return lambda_family_table(net, family, window, tol, divergence_threshold).estimate(0)
 
 
 def _log_sum_exp_rows(x: np.ndarray) -> np.ndarray:
@@ -176,7 +231,7 @@ def _slope_log_sums(
 
 def _classify_limits(
     ts: np.ndarray, rows: np.ndarray, tol: float, divergence_threshold: float
-) -> list[LimitEstimate]:
+) -> FamilyTable:
     """:func:`estimate_limit` on every column of a samples x members table."""
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -197,18 +252,15 @@ def _classify_limits(
     diverged = up | down
     converged = diverged | (np.isfinite(lo) & np.isfinite(hi) & (spread <= tol))
     limit = np.where(up, INF, NEG_INF)
-    ts_list = ts.tolist()
-    return [
-        LimitEstimate(a, b, v, c, s, tuple(zip(ts_list, col)))
-        for a, b, v, c, s, col in zip(
-            np.where(diverged, limit, lo).tolist(),
-            np.where(diverged, limit, hi).tolist(),
-            np.where(diverged, limit, last).tolist(),
-            converged.tolist(),
-            np.where(diverged, 0.0, spread).tolist(),
-            rows.T.tolist(),
-        )
-    ]
+    return FamilyTable(
+        ts=ts,
+        rows=rows,
+        value=np.where(diverged, limit, last),
+        liminf=np.where(diverged, limit, lo),
+        limsup=np.where(diverged, limit, hi),
+        converged=converged,
+        spread=np.where(diverged, 0.0, spread),
+    )
 
 
 def lambda_family_table(
@@ -217,7 +269,7 @@ def lambda_family_table(
     window: WindowSpec,
     tol: float = DEFAULT_TOL,
     divergence_threshold: float = DEFAULT_DIVERGENCE_THRESHOLD,
-) -> list[LimitEstimate]:
+) -> FamilyTable:
     """Free-energy estimates for every member of a family.
 
     Agrees with :func:`~ldpkit.measures.exp_power_integral` and
@@ -230,7 +282,7 @@ def lambda_family_table(
     sloped = ~np.isnan(lam)
     lam_axis, lam_at = np.unique(lam[sloped], return_inverse=True)
     nu_axis, nu_at = np.unique(nu[sloped], return_inverse=True)
-    custom = [family.members[i] for i in np.flatnonzero(~sloped)]
+    custom = family.custom
     rows = np.empty((ks.size, lam.size))
     for row, k, t in zip(rows, ks, ts):
         m = net.measure(int(k))
@@ -261,14 +313,12 @@ def L_grid(
     Diverging entries are recorded as ``+inf``.
     """
     family = linear_family(G[0], G[1], resolution)
-    estimates = lambda_family_table(net, family, window, tol, divergence_threshold)
-    xs = np.array([m.lam for m in family.members], dtype=float)
-    values = np.array([e.value for e in estimates], dtype=float)
+    table = lambda_family_table(net, family, window, tol, divergence_threshold)
     meta = {
-        "converged": [e.converged for e in estimates],
-        "liminf": [e.liminf_est for e in estimates],
-        "limsup": [e.limsup_est for e in estimates],
+        "converged": table.converged.tolist(),
+        "liminf": table.liminf.tolist(),
+        "limsup": table.limsup.tolist(),
         "window": (window.start_index, window.end_index, window.max_samples),
         "tol": tol,
     }
-    return GridFunction(xs, values, label=label, meta=meta)
+    return GridFunction(family.lam, table.value, label=label, meta=meta)

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import convex, verifier
 from .conjugate import (
+    FamilyEvaluation,
     abstract_lf,
     evaluate_family,
     linear_restriction_conjugate,
@@ -25,7 +26,7 @@ from .conjugate import (
 )
 from .convex import GridFunction, chord_slopes, essential_smoothness_check, lf_transform, save_grid_csv
 from .extreal import INF
-from .free_energy import lambda_of, window_for_t_range
+from .free_energy import FamilyTable, lambda_family_table, window_for_t_range
 from .measures import (
     ScaledMeasureNet,
     FiniteSupportMeasure,
@@ -37,6 +38,7 @@ from .scenario import Scenario, parse_region_specs, parse_tilt_labels
 from .tilts import (
     TiltFamily,
     TiltFunction,
+    explicit_family,
     family_union,
     linear_family,
     qn_family,
@@ -128,6 +130,22 @@ def _jsonify(obj):
     return obj
 
 
+def _free_energy_grid(fe: FamilyEvaluation, label: str) -> GridFunction:
+    """``lam -> F(h_lam)`` of a linear family, with per-point convergence flags."""
+    meta = {"converged": fe.table.converged.tolist()}
+    return GridFunction(fe.family.lam, fe.values, label=label, meta=meta)
+
+
+def _family_table(state: "PipelineState") -> dict:
+    table = state.fe_family.table
+    return {
+        "kind": state.family.kind,
+        "members": state.family.labels(),
+        "values": table.value.tolist(),
+        "converged": table.converged.tolist(),
+    }
+
+
 def _scenario_echo(s: Scenario) -> dict:
     return {
         "name": s.name,
@@ -200,22 +218,8 @@ class PipelineState:
         self.fe_linear = evals["linear"]
         self.fe_family = evals["family"]
 
-        lam_xs = np.array([m.lam for m in self.linear_fam.members])
-        self.L = GridFunction(
-            lam_xs,
-            self.fe_linear.values,
-            label="L",
-            meta={"converged": [e.converged for e in self.fe_linear.lambdas]},
-        )
-        self.L_wide = None
-        if "wide" in evals:
-            fe_w = evals["wide"]
-            self.L_wide = GridFunction(
-                np.array([m.lam for m in fe_w.family.members]),
-                fe_w.values,
-                label="L_wide",
-                meta={"converged": [e.converged for e in fe_w.lambdas]},
-            )
+        self.L = _free_energy_grid(self.fe_linear, "L")
+        self.L_wide = _free_energy_grid(evals["wide"], "L_wide") if "wide" in evals else None
 
     @cached_property
     def x_grid(self) -> np.ndarray:
@@ -267,12 +271,22 @@ class PipelineState:
         return self._vague_ldp[2]
 
     @cached_property
+    def single_tilts(self) -> tuple[list[TiltFunction], FamilyTable]:
+        """The requested ``varadhan`` tilts, then ``linear:0``, in one table."""
+        s = self.scenario
+        tilts = []
+        if "varadhan" in s.all_checks():
+            tilts = parse_tilt_labels(s.check_params.get("varadhan_tilts", ""))
+        tilts.append(TiltFunction.linear(0.0))
+        table = lambda_family_table(
+            self.net, explicit_family(tilts), self.window,
+            s.tolerances.convergence, s.tolerances.divergence_threshold,
+        )
+        return tilts, table
+
+    @cached_property
     def lambda_bar_zero(self) -> float:
-        tol = self.scenario.tolerances
-        return lambda_of(
-            self.net, TiltFunction.linear(0.0), self.window,
-            tol.convergence, tol.divergence_threshold,
-        ).value
+        return self.single_tilts[1].value[-1].item()
 
     @cached_property
     def targets(self) -> RangeTargets:
@@ -408,13 +422,13 @@ def _run_check(state: PipelineState, cid: str) -> dict:
         )
         return {"condition_id": cid, "holds": result["holds"], "regions": result["regions"]}
     if cid == "varadhan":
-        tilts = parse_tilt_labels(s.check_params.get("varadhan_tilts", ""))
+        tilts, table = state.single_tilts
         entries = []
         ok = True
-        for tilt in tilts:
+        for i, tilt in enumerate(tilts[:-1]):
             holds, lhs, rhs = verifier.varadhan_identity_check(
                 state.net, tilt, state.rfe, state.window, tol.value,
-                tol.convergence, tol.divergence_threshold,
+                est=table.estimate(i),
             )
             ok = ok and holds
             entries.append(
@@ -522,12 +536,7 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None, threads: int = 
     }
     if state.L_wide is not None:
         tables["L_wide"] = _grid_function_table(state.L_wide)
-    family_table = {
-        "kind": state.family.kind,
-        "members": [m.label for m in state.family.members],
-        "values": [e.value for e in state.fe_family.lambdas],
-        "converged": [e.converged for e in state.fe_family.lambdas],
-    }
+    family_table = _family_table(state)
 
     verdict = _verdict(state, checks, informational)
     report = {
@@ -582,14 +591,9 @@ def run_free_energy(scenario: Scenario, out_dir: str | None = None, threads: int
     tables = {"L": _grid_function_table(state.L)}
     if state.L_wide is not None:
         tables["L_wide"] = _grid_function_table(state.L_wide)
-    family_table = {
-        "kind": state.family.kind,
-        "members": [m.label for m in state.family.members],
-        "values": [e.value for e in state.fe_family.lambdas],
-        "converged": [e.converged for e in state.fe_family.lambdas],
-        "liminf": [e.liminf_est for e in state.fe_family.lambdas],
-        "limsup": [e.limsup_est for e in state.fe_family.lambdas],
-    }
+    family_table = _family_table(state)
+    family_table["liminf"] = state.fe_family.table.liminf.tolist()
+    family_table["limsup"] = state.fe_family.table.limsup.tolist()
     report = _jsonify(
         {
             "schema_version": SCHEMA_VERSION,

@@ -10,19 +10,28 @@ A tilt is the test function ``h`` inside the powered exponential integral
 
 Families are finite, deterministic collections of tilts, either explicit or
 expanded from a parametric descriptor (grid of slopes, index range of the
-built-in bump family).  ``doubled()`` returns a strictly larger family used
-by the stability check of the abstract conjugate: every member of the
-original family is kept, so suprema over the doubled family can only grow.
+built-in bump family).  A family is two read-only slope arrays (NaN for
+custom tilts) plus, for ``qn`` and explicit families, the member objects it
+was built from; ``members`` and ``labels()`` are built only when asked.
+``doubled()`` returns a strictly larger family used by the stability check
+of the abstract conjugate: every member of the original family is kept, so
+suprema over the doubled family can only grow.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from .extreal import INF
+
+
+def _label(lam, nu=None) -> str:
+    # ``!r`` of a numpy scalar reads ``np.float64(...)``; the goldens pin it
+    return f"linear:{lam!r}" if nu is None else f"two_slope:{lam!r}:{nu!r}"
 
 
 @dataclass(frozen=True)
@@ -37,13 +46,12 @@ class TiltFunction:
 
     @classmethod
     def linear(cls, lam: float) -> "TiltFunction":
-        return cls(kind="linear", lam=float(lam), label=f"linear:{lam!r}")
+        return cls(kind="linear", lam=float(lam), label=_label(lam))
 
     @classmethod
     def two_slope(cls, lam: float, nu: float) -> "TiltFunction":
         return cls(
-            kind="two_slope", lam=float(lam), nu=float(nu),
-            label=f"two_slope:{lam!r}:{nu!r}",
+            kind="two_slope", lam=float(lam), nu=float(nu), label=_label(lam, nu)
         )
 
     @classmethod
@@ -77,17 +85,58 @@ def q_bump_tilt(n: int) -> TiltFunction:
     return TiltFunction.custom(f"qn:{n}", fn)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TiltFamily:
-    """Finite family of tilts plus the descriptor it was expanded from."""
+    """Finite family of tilts plus the descriptor it was expanded from.
+
+    Member ``i`` has slope ``lam[i]`` on ``x <= 0`` and ``nu[i]`` on
+    ``x > 0``; both are NaN for a custom member.  ``given`` holds the member
+    objects of ``qn`` and explicit families.
+    """
 
     kind: str  # "linear" | "two_slope" | "qn" | "explicit" | "union"
-    members: tuple[TiltFunction, ...]
-    params: dict = field(default_factory=dict, compare=False)
+    lam: np.ndarray
+    nu: np.ndarray
+    params: dict = field(default_factory=dict)
     parts: tuple["TiltFamily", ...] = ()
+    given: tuple[TiltFunction, ...] = ()
+
+    def __post_init__(self):
+        for name in ("lam", "nu"):
+            arr = np.array(getattr(self, name), dtype=float)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     def __len__(self) -> int:
-        return len(self.members)
+        return self.lam.size
+
+    @cached_property
+    def members(self) -> tuple[TiltFunction, ...]:
+        """Every member as a :class:`TiltFunction`, built on first use."""
+        if self.kind == "linear":
+            return tuple(TiltFunction.linear(l) for l in self.lam)
+        if self.kind == "two_slope":
+            return tuple(TiltFunction.two_slope(l, n) for l, n in zip(self.lam, self.nu))
+        if self.kind == "union":
+            return tuple(m for p in self.parts for m in p.members)
+        return self.given
+
+    @cached_property
+    def custom(self) -> tuple[TiltFunction, ...]:
+        """The members with NaN slopes, in member order."""
+        if self.kind == "union":
+            return tuple(m for p in self.parts for m in p.custom)
+        return tuple(self.given[i] for i in np.flatnonzero(np.isnan(self.lam)))
+
+    def labels(self) -> list[str]:
+        """``[m.label for m in self.members]``, without building the members."""
+        if self.kind == "linear":
+            return [_label(l) for l in self.lam]
+        if self.kind == "two_slope":
+            return [_label(l, n) for l, n in zip(self.lam, self.nu)]
+        if self.kind == "union":
+            return [s for p in self.parts for s in p.labels()]
+        return [m.label for m in self.given]
 
     def doubled(self) -> "TiltFamily":
         if self.kind == "linear":
@@ -110,21 +159,14 @@ class TiltFamily:
 
         A linear member has ``lam == nu``; a custom member has NaN in both.
         """
-        pairs = [
-            (np.nan, np.nan) if m.kind == "custom"
-            else (m.lam, m.lam if m.nu is None else m.nu)
-            for m in self.members
-        ]
-        lam, nu = np.array(pairs, dtype=float).reshape(-1, 2).T
-        return lam, nu
+        return self.lam, self.nu
 
     def values_at(self, xs) -> np.ndarray:
         """``h(x)`` for every member (rows) and point of ``xs`` (columns)."""
         xs = np.asarray(xs, dtype=float)
-        lam, nu = self.slope_pairs()
-        out = np.where(xs <= 0.0, lam[:, None] * xs, nu[:, None] * xs)
-        for i in np.flatnonzero(np.isnan(lam)):
-            out[i] = self.members[i].eval_array(xs)
+        out = np.where(xs <= 0.0, self.lam[:, None] * xs, self.nu[:, None] * xs)
+        for i, member in zip(np.flatnonzero(np.isnan(self.lam)), self.custom):
+            out[i] = member.eval_array(xs)
         return out
 
     def linear_part(self) -> "TiltFamily | None":
@@ -151,10 +193,10 @@ def linear_family(lo: float, hi: float, resolution: int) -> TiltFamily:
         raise ValueError("resolution must be at least 2")
     steps = np.arange(1, resolution + 1, dtype=float) / (resolution + 1)
     lambdas = lo + (hi - lo) * steps
-    members = tuple(TiltFunction.linear(l) for l in lambdas)
     return TiltFamily(
         kind="linear",
-        members=members,
+        lam=lambdas,
+        nu=lambdas,
         params={"lo": lo, "hi": hi, "resolution": resolution},
     )
 
@@ -166,12 +208,11 @@ def _doubled_axis(lo: float, hi: float, resolution: int) -> np.ndarray:
 
 
 def _two_slope_from_axes(lam_axis, nu_axis, base_params, doubled=False) -> TiltFamily:
-    members = tuple(
-        TiltFunction.two_slope(l, n) for l in lam_axis for n in nu_axis
-    )
+    # member order: lam outer, nu inner
+    lam, nu = np.meshgrid(lam_axis, nu_axis, indexing="ij")
     params = dict(base_params)
     params["doubled"] = doubled
-    return TiltFamily(kind="two_slope", members=members, params=params)
+    return TiltFamily(kind="two_slope", lam=lam.ravel(), nu=nu.ravel(), params=params)
 
 
 def two_slope_family(
@@ -195,18 +236,33 @@ def two_slope_family(
     )
 
 
+def _family_of_members(kind: str, members, params: dict | None = None) -> TiltFamily:
+    members = tuple(members)
+    pairs = [
+        (np.nan, np.nan) if m.kind == "custom"
+        else (m.lam, m.lam if m.nu is None else m.nu)
+        for m in members
+    ]
+    lam, nu = np.array(pairs, dtype=float).reshape(-1, 2).T
+    return TiltFamily(kind=kind, lam=lam, nu=nu, params=params or {}, given=members)
+
+
 def qn_family(n_max: int) -> TiltFamily:
     """The bump tilts Q_1 .. Q_{n_max}."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    members = tuple(q_bump_tilt(n) for n in range(1, n_max + 1))
-    return TiltFamily(kind="qn", members=members, params={"n_max": n_max})
+    members = [q_bump_tilt(n) for n in range(1, n_max + 1)]
+    return _family_of_members("qn", members, {"n_max": n_max})
 
 
 def family_union(*families: TiltFamily) -> TiltFamily:
-    members = tuple(m for f in families for m in f.members)
-    return TiltFamily(kind="union", members=members, parts=tuple(families))
+    return TiltFamily(
+        kind="union",
+        lam=np.concatenate([np.empty(0), *(f.lam for f in families)]),
+        nu=np.concatenate([np.empty(0), *(f.nu for f in families)]),
+        parts=tuple(families),
+    )
 
 
 def explicit_family(members) -> TiltFamily:
-    return TiltFamily(kind="explicit", members=tuple(members))
+    return _family_of_members("explicit", members)

@@ -39,6 +39,7 @@ from .extreal import INF, NEG_INF, ext_abs_diff
 from .free_energy import (
     DEFAULT_DIVERGENCE_THRESHOLD,
     DEFAULT_TOL,
+    LimitEstimate,
     WindowSpec,
     lambda_of,
 )
@@ -253,9 +254,14 @@ def varadhan_identity_check(
     tol: float,
     free_energy_tol: float = DEFAULT_TOL,
     divergence_threshold: float = DEFAULT_DIVERGENCE_THRESHOLD,
+    est: LimitEstimate | None = None,
 ) -> tuple[bool, float, float]:
-    """Compare F(h) against ``sup_x ( h(x) - l1(x) )`` on the rate grid."""
-    est = lambda_of(net, tilt, window, free_energy_tol, divergence_threshold)
+    """Compare F(h) against ``sup_x ( h(x) - l1(x) )`` on the rate grid.
+
+    A pre-computed free-energy estimate of ``tilt`` may be passed as ``est``.
+    """
+    if est is None:
+        est = lambda_of(net, tilt, window, free_energy_tol, divergence_threshold)
     if not est.converged:
         raise ValueError("free energy of the tilt did not converge")
     h = tilt.eval_array(rfe.grid)
@@ -512,7 +518,6 @@ def rate_comparison(
     for mask in masks.values():
         union |= mask
     for pair_name, A, B in pairs:
-        _, worst, witnesses = equality_on_mask(A, B, ~union, INF)
         diffs = [
             float(x)
             for x, a, b, m in zip(A.xs, A.values, B.values, ~union)

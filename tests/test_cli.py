@@ -4,10 +4,21 @@ import sys
 import numpy as np
 import pytest
 
+from importlib import resources
+
 from ldpkit.cli import main
 from ldpkit.convex import load_grid_csv, save_grid_csv, GridFunction
-from ldpkit.pipeline import golden_diff, run_free_energy, run_scenario
-from ldpkit.scenario import ScenarioError, load_scenario
+from ldpkit.free_energy import lambda_of
+from ldpkit.pipeline import PipelineState, golden_diff, run_free_energy, run_scenario
+from ldpkit.scenario import ScenarioError, load_scenario, parse_tilt_labels
+from ldpkit.tilts import TiltFunction
+
+
+def packaged_scenario(name):
+    with resources.as_file(
+        resources.files("ldpkit").joinpath(f"data/scenarios/{name}.cfg")
+    ) as path:
+        return load_scenario(path)
 
 MINI_SCENARIO = """
 [net]
@@ -203,9 +214,45 @@ class TestRunScenario:
         def unused(*args, **kwargs):
             raise AssertionError("free-energy does not report this")
 
-        for name in ("rate_grid", "stable_abstract_lf", "lf_transform", "lambda_of"):
+        # pipeline's own lambda_family_table evaluates only the single tilts
+        # (varadhan and linear:0); the reported families go through conjugate
+        for name in ("rate_grid", "stable_abstract_lf", "lf_transform", "lambda_family_table"):
             monkeypatch.setattr(f"ldpkit.pipeline.{name}", unused)
         assert run_free_energy(sc) == want
+
+    def test_run_builds_no_tilt_object_per_member(self, monkeypatch):
+        # ge-ex evaluates 61 + 1,681 + 4,900 slope-array members; only the
+        # varadhan tilts and linear:0 become TiltFunction objects
+        sc = packaged_scenario("ge-ex")
+        varadhan = parse_tilt_labels(sc.check_params["varadhan_tilts"])
+        built = []
+        init = TiltFunction.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("label"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(TiltFunction, "__init__", counting_init)
+        run_scenario(sc)
+        assert len(built) <= len(varadhan) + 1
+
+    @pytest.mark.parametrize("name", ["ge-ex", "dem-zei", "cramer"])
+    def test_single_tilt_table_equals_lambda_of(self, name):
+        # one table for the varadhan tilts and linear:0, bit for bit the
+        # estimates of one lambda_of call per tilt
+        state = PipelineState(packaged_scenario(name))
+        tol = state.scenario.tolerances
+        tilts, table = state.single_tilts
+        assert [t.label for t in tilts[:-1]] == [
+            t.label for t in parse_tilt_labels(state.scenario.check_params["varadhan_tilts"])
+        ]
+        assert tilts[-1].label == "linear:0.0"
+        for i, tilt in enumerate(tilts):
+            want = lambda_of(
+                state.net, tilt, state.window, tol.convergence, tol.divergence_threshold
+            )
+            assert repr(table.estimate(i)) == repr(want), tilt.label
+        assert state.lambda_bar_zero == table.estimate(len(tilts) - 1).value
 
     def test_empty_check_list_reports_tables_only(self, tmp_path):
         cfg = MINI_SCENARIO.replace(
@@ -310,8 +357,6 @@ class TestCliCommands:
 
     def test_reproduce_out_dir_report_is_the_golden(self, tmp_path):
         # regenerating a golden means copying <out-dir>/<name>_report.json
-        from importlib import resources
-
         assert main(["reproduce", "ge-ex", "--out-dir", str(tmp_path)]) == 0
         golden = resources.files("ldpkit").joinpath("data/goldens/ge-ex.json")
         assert (tmp_path / "ge-ex_report.json").read_bytes() == golden.read_bytes()

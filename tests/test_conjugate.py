@@ -10,7 +10,7 @@ from ldpkit.conjugate import (
     stable_abstract_lf,
 )
 from ldpkit.extreal import INF, NEG_INF
-from ldpkit.free_energy import LimitEstimate
+from ldpkit.free_energy import FamilyTable, LimitEstimate
 from ldpkit.tilts import (
     TiltFunction,
     explicit_family,
@@ -28,6 +28,10 @@ def fake_estimate(value):
     return LimitEstimate(value, value, value, True, 0.0, ((1.0, value),))
 
 
+def evaluation(fam, *estimates):
+    return FamilyEvaluation(fam, FamilyTable.from_estimates(estimates))
+
+
 class TestFamilyEvaluation:
     def test_all_exist(self, coin_net, main_window):
         fe = evaluate_family(coin_net, linear_family(-2, 2, 9), main_window, TOL)
@@ -36,38 +40,54 @@ class TestFamilyEvaluation:
     def test_mismatched_lengths_rejected(self):
         fam = linear_family(-1, 1, 3)
         with pytest.raises(ValueError):
-            FamilyEvaluation(fam, (fake_estimate(0.0),))
+            evaluation(fam, fake_estimate(0.0))
 
     def test_non_converged_blocks_abstract_lf(self):
         fam = explicit_family([TiltFunction.linear(1.0)])
         bad = LimitEstimate(0.0, 1.0, 1.0, False, 1.0, ((1.0, 0.0), (0.5, 1.0)))
-        fe = FamilyEvaluation(fam, (bad,))
+        fe = evaluation(fam, bad)
         with pytest.raises(ValueError, match="converged"):
+            abstract_lf(fe, np.linspace(-1, 1, 5))
+
+
+class TestFamilyEvaluationTable:
+    def test_lambdas_are_the_table_estimates(self, coin_net, main_window):
+        fe = evaluate_family(coin_net, two_slope_family((-2, 2), (-2, 2), 3), main_window, TOL)
+        assert fe.lambdas == tuple(fe.table.estimate(i) for i in range(9))
+        assert fe.values is fe.table.value
+        assert fe.all_exist is True
+
+    def test_abstract_lf_counts_unconverged_members(self):
+        fam = explicit_family([TiltFunction.linear(s) for s in (0.0, 1.0, 2.0)])
+        bad = LimitEstimate(0.0, 1.0, 1.0, False, 1.0, ((1.0, 0.0),))
+        fe = evaluation(fam, bad, fake_estimate(0.0), bad)
+        assert fe.all_exist is False
+        with pytest.raises(ValueError, match="^2 family member"):
             abstract_lf(fe, np.linspace(-1, 1, 5))
 
 
 class TestAbstractLf:
     def test_zero_tilt_family_gives_zero(self):
         fam = explicit_family([TiltFunction.linear(0.0)])
-        fe = FamilyEvaluation(fam, (fake_estimate(0.0),))
+        fe = evaluation(fam, fake_estimate(0.0))
         out = abstract_lf(fe, np.linspace(-2, 2, 9))
         assert np.array_equal(out.values, np.zeros(9))
 
     def test_plus_inf_members_drop_out(self):
         fam = explicit_family([TiltFunction.linear(0.0), TiltFunction.linear(5.0)])
-        fe = FamilyEvaluation(fam, (fake_estimate(0.0), fake_estimate(INF)))
+        fe = evaluation(fam, fake_estimate(0.0), fake_estimate(INF))
         out = abstract_lf(fe, np.linspace(-1, 1, 5))
         assert np.array_equal(out.values, np.zeros(5))
 
     def test_all_members_infinite_gives_minus_inf(self):
         fam = explicit_family([TiltFunction.linear(1.0)])
-        fe = FamilyEvaluation(fam, (fake_estimate(INF),))
+        fe = evaluation(fam, fake_estimate(INF))
         out = abstract_lf(fe, np.linspace(-1, 1, 5))
         assert np.all(np.isneginf(out.values))
 
     def test_minus_inf_member_forces_plus_inf(self):
         fam = explicit_family([TiltFunction.linear(1.0)])
-        fe = FamilyEvaluation(fam, (fake_estimate(NEG_INF),))
+        fe = evaluation(fam, fake_estimate(NEG_INF))
         out = abstract_lf(fe, np.linspace(-1, 1, 5))
         assert np.all(np.isposinf(out.values))
 

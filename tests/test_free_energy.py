@@ -8,6 +8,7 @@ import ldpkit
 from ldpkit import free_energy
 from ldpkit.extreal import INF, NEG_INF
 from ldpkit.free_energy import (
+    FamilyTable,
     L_grid,
     WindowSpec,
     _classify_limits,
@@ -161,23 +162,20 @@ class TestLGrid:
 class TestFamilyTable:
     def test_coin_two_slope_surface(self, coin_net, main_window):
         fam = two_slope_family((-4, 4), (-4, 4), 21)
-        estimates = lambda_family_table(coin_net, fam, main_window, TOL)
-        worst = max(
-            abs(e.value - max(-m.lam, m.nu))
-            for m, e in zip(fam.members, estimates)
-        )
+        table = lambda_family_table(coin_net, fam, main_window, TOL)
+        worst = np.max(np.abs(table.value - np.maximum(-fam.lam, fam.nu)))
         assert worst <= 1e-3
 
     def test_demzei_q_tilts_vanish(self, demzei_net, main_window):
-        estimates = lambda_family_table(demzei_net, qn_family(10), main_window, TOL)
-        assert all(e.converged for e in estimates)
-        assert max(abs(e.value) for e in estimates) <= 1e-3
+        table = lambda_family_table(demzei_net, qn_family(10), main_window, TOL)
+        assert table.converged.all()
+        assert np.max(np.abs(table.value)) <= 1e-3
 
     def test_zero_tilt_family(self, coin_net, main_window):
-        estimates = lambda_family_table(
+        table = lambda_family_table(
             coin_net, explicit_family([TiltFunction.linear(0.0)]), main_window, TOL
         )
-        assert estimates[0].value == 0.0
+        assert table.value[0] == 0.0
 
     def test_diagonal_matches_L_grid_bitwise(self, coin_net, main_window):
         # same computation through the linear-family and two-slope paths
@@ -185,9 +183,44 @@ class TestFamilyTable:
         diag = explicit_family(
             [TiltFunction.two_slope(lam, lam) for lam in L.xs]
         )
-        estimates = lambda_family_table(coin_net, diag, main_window, TOL)
-        worst = max(abs(e.value - v) for e, v in zip(estimates, L.values))
+        table = lambda_family_table(coin_net, diag, main_window, TOL)
+        worst = np.max(np.abs(table.value - L.values))
         assert worst <= 1e-9
+
+
+class TestFamilyTableArrays:
+    def test_round_trips_through_estimates(self, demzei_net, main_window):
+        family = family_union(linear_family(-3, 3, 5), qn_family(2))
+        table = lambda_family_table(demzei_net, family, main_window, TOL)
+        estimates = [table.estimate(i) for i in range(len(table))]
+        again = FamilyTable.from_estimates(estimates)
+        for name in ("ts", "rows", "value", "liminf", "limsup", "converged", "spread"):
+            np.testing.assert_array_equal(getattr(again, name), getattr(table, name))
+        assert repr(lambda_of(demzei_net, qn_family(2).members[1], main_window, TOL)) == (
+            repr(estimates[-1])
+        )
+
+    def test_from_estimates_needs_shared_scales(self):
+        a = estimate_limit([1.0, 0.5], [0.0, 0.0])
+        b = estimate_limit([1.0, 0.25], [0.0, 0.0])
+        with pytest.raises(ValueError, match="scales"):
+            FamilyTable.from_estimates([a, b])
+        with pytest.raises(ValueError):
+            FamilyTable.from_estimates([a, estimate_limit([1.0], [0.0])])
+
+    def test_liminf_above_limsup_rejected(self):
+        with pytest.raises(ValueError, match="liminf"):
+            FamilyTable(
+                ts=np.array([1.0]), rows=np.array([[0.0, 1.0]]),
+                value=np.array([0.0, 1.0]), liminf=np.array([0.0, 2.0]),
+                limsup=np.array([0.0, 1.0]), converged=np.array([True, True]),
+                spread=np.array([0.0, 0.0]),
+            )
+
+    def test_arrays_are_read_only(self, coin_net, main_window):
+        table = lambda_family_table(coin_net, linear_family(-1, 1, 3), main_window, TOL)
+        with pytest.raises(ValueError):
+            table.value[0] = 1.0
 
 
 def assert_kernel_matches_oracle(net, family, window):
@@ -198,11 +231,11 @@ def assert_kernel_matches_oracle(net, family, window):
     allows an absolute 1e-12 of ``t`` times the largest exponent, the scale
     of a log-sum-exp's rounding.
     """
-    estimates = lambda_family_table(net, family, window, tol=1.0)
+    table = lambda_family_table(net, family, window, tol=1.0)
     for j, k in enumerate(window.indices(net)):
         m = net.measure(int(k))
-        for member, est in zip(family.members, estimates):
-            t, got = est.samples[j]
+        for i, member in enumerate(family.members):
+            t, got = table.ts[j], table.rows[j, i]
             want = exp_power_integral(m, member, t)
             if not np.isfinite(want):
                 assert got == want, member.label
@@ -317,8 +350,9 @@ class TestClassifierOracle:
     def test_named_columns(self):
         rows = np.array(list(CLASSIFIER_COLUMNS.values())).T
         got = _classify_limits(np.array(self.TS), rows, 0.5, 1e12)
-        for est, col in zip(got, CLASSIFIER_COLUMNS.values()):
-            assert_same_estimates(est, estimate_limit(self.TS, col, 0.5, 1e12))
+        assert len(got) == len(CLASSIFIER_COLUMNS)
+        for i, col in enumerate(CLASSIFIER_COLUMNS.values()):
+            assert_same_estimates(got.estimate(i), estimate_limit(self.TS, col, 0.5, 1e12))
 
     @given(
         st.integers(1, 7).flatmap(
@@ -342,5 +376,6 @@ class TestClassifierOracle:
     def test_random_columns(self, columns, tol, threshold):
         ts = [1.0 / (k + 1) for k in range(len(columns[0]))]
         got = _classify_limits(np.array(ts), np.array(columns).T, tol, threshold)
-        for est, col in zip(got, columns):
-            assert_same_estimates(est, estimate_limit(ts, col, tol, threshold))
+        assert len(got) == len(columns)
+        for i, col in enumerate(columns):
+            assert_same_estimates(got.estimate(i), estimate_limit(ts, col, tol, threshold))

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from ldpkit.scenario import ScenarioError, parse_tilt_labels
 from ldpkit.tilts import (
+    TiltFamily,
     TiltFunction,
     explicit_family,
     family_union,
@@ -140,3 +141,65 @@ class TestDoubling:
         fam = family_union(qn_family(2), lin)
         assert fam.linear_part() is lin
         assert explicit_family([TiltFunction.linear(1.0)]).linear_part() is None
+
+
+LABELLED_FAMILIES = {
+    "linear": linear_family(-4.0, 4.0, 7),
+    "two-slope": two_slope_family((-4.0, 4.0), (-1.0, 3.0), 5),
+    "linear doubled": linear_family(-2.0, 2.0, 4).doubled(),
+    "two-slope doubled": two_slope_family((-2.0, 2.0), (-2.0, 2.0), 5).doubled(),
+    "qn": qn_family(3),
+    "union": family_union(qn_family(2), linear_family(-1.0, 1.0, 3)),
+    "union doubled": family_union(
+        qn_family(2), two_slope_family((-1.0, 1.0), (0.0, 2.0), 3)
+    ).doubled(),
+    "explicit": explicit_family([
+        TiltFunction.linear(0.5),
+        TiltFunction.two_slope(-1.0, 2.0),
+        q_bump_tilt(4),
+        TiltFunction.linear(np.float64(-4.0)),
+    ]),
+}
+
+
+class TestSlopeArrays:
+    @pytest.mark.parametrize("name", LABELLED_FAMILIES)
+    def test_labels_equal_member_labels(self, name):
+        family = LABELLED_FAMILIES[name]
+        assert family.labels() == [m.label for m in family.members]
+        assert len(family) == len(family.members)
+
+    @pytest.mark.parametrize("name", LABELLED_FAMILIES)
+    def test_slopes_equal_member_slopes(self, name):
+        family = LABELLED_FAMILIES[name]
+        want = [
+            (np.nan, np.nan) if m.kind == "custom"
+            else (m.lam, m.lam if m.nu is None else m.nu)
+            for m in family.members
+        ]
+        lam, nu = family.slope_pairs()
+        np.testing.assert_array_equal(lam, [p[0] for p in want])
+        np.testing.assert_array_equal(nu, [p[1] for p in want])
+        assert family.custom == tuple(m for m in family.members if m.kind == "custom")
+
+    def test_labels_keep_the_numpy_scalar_repr(self):
+        # the committed goldens pin numpy 2's scalar repr in family labels
+        assert linear_family(-5.0, 3.0, 3).labels()[0] == "linear:np.float64(-3.0)"
+        assert two_slope_family((-4, 4), (-4, 4), 2).labels()[1] == (
+            "two_slope:np.float64(-4.0):np.float64(4.0)"
+        )
+
+    def test_two_slope_member_order_is_lam_outer(self):
+        fam = two_slope_family((-1.0, 1.0), (0.0, 4.0), 3)
+        lam_axis, nu_axis = np.linspace(-1.0, 1.0, 3), np.linspace(0.0, 4.0, 3)
+        assert [(m.lam, m.nu) for m in fam.members] == [
+            (l, n) for l in lam_axis for n in nu_axis
+        ]
+
+    def test_slope_arrays_are_read_only(self):
+        lambdas = np.array([0.0, 1.0])
+        fam = TiltFamily("linear", lambdas, lambdas)
+        with pytest.raises(ValueError):
+            fam.lam[0] = 5.0
+        lambdas[0] = 5.0  # the family keeps its own copy
+        assert fam.lam[0] == 0.0
