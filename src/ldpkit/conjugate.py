@@ -6,6 +6,12 @@ free energy is ``+inf`` contribute ``-inf`` and drop out of the sup;
 members with free energy ``-inf`` make the sup ``+inf`` unless the tilt is
 itself ``-inf`` at ``x``.
 
+No members x points matrix is built: on ``x <= 0`` a member with slopes
+``(lam, nu)`` is ``lam * x``, so the sup there is the max over the distinct
+``lam`` of ``lam * x - min F`` (likewise with ``nu`` on ``x > 0``).  Rounding
+is monotone, so this equals the max over members; an ``n x n`` two-slope
+grid costs ``2n`` rows, and custom members keep one row each.
+
 Since families are finite truncations of (usually) infinite ones, a raw
 finite sup may just mean "growing with the truncation bound".  The
 stability layer re-evaluates the sup over a doubled family and declares
@@ -74,30 +80,46 @@ def evaluate_family(
     return FamilyEvaluation(family, table)
 
 
+def _sup_over_rows(H: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``max_i (H[i] - F[i])`` over finite ``F``, and where an ``F = -inf`` row
+    lies above ``-inf`` (those points are forced to ``+inf``).  Overwrites ``H``."""
+    force = np.any(H[np.isneginf(F)] > NEG_INF, axis=0)
+    finite = np.isfinite(F)
+    if not finite.all():
+        H, F = H[finite], F[finite]
+    H -= F[:, None]  # in place: a second matrix this size is page-faulted in afresh
+    return np.max(H, axis=0, initial=NEG_INF), force
+
+
 def abstract_lf(fe: FamilyEvaluation, x_grid: Sequence[float]) -> GridFunction:
     """Raw abstract conjugate ``sup_h (h(x) - F(h))`` over the family.
 
     Requires every member's free energy to exist (``fe.all_exist``); the
     raw definition is returned with no truncation-stability correction.
+    Sloped members are grouped by their slope on each side of the origin
+    (see the module docstring); custom members are evaluated row by row.
     """
     if not fe.all_exist:
         bad = int(np.count_nonzero(~fe.table.converged))
         raise ValueError(f"{bad} family member(s) have no converged free energy")
     xs = np.asarray(x_grid, dtype=float)
-    H = fe.family.values_at(xs)
     F = fe.values
-    vals = np.full(xs.shape, NEG_INF)
-
-    finite = np.isfinite(F)
-    if finite.any():
-        vals = np.max(H[finite, :] - F[finite, None], axis=0, initial=NEG_INF)
-    # F = +inf members contribute -inf: skip.  F = -inf members force +inf
-    # unless the tilt itself is -inf at x.
-    neg = np.isneginf(F)
-    if neg.any():
-        force = np.any(H[neg, :] > NEG_INF, axis=0)
-        vals = np.where(force, INF, vals)
-    return GridFunction(xs, vals, label="abstract-conjugate")
+    lam, nu = fe.family.slope_pairs()
+    sloped = ~np.isnan(lam)
+    left = xs <= 0.0
+    vals = np.empty(xs.shape)
+    force = np.empty(xs.shape, dtype=bool)
+    for slopes, cols in ((lam[sloped], left), (nu[sloped], ~left)):
+        axis, at = np.unique(slopes, return_inverse=True)
+        best = np.full(axis.size, INF)  # min F per slope; NaN never wins
+        np.fmin.at(best, at, F[sloped])
+        vals[cols], force[cols] = _sup_over_rows(axis[:, None] * xs[cols], best)
+    if fe.family.custom:
+        H = np.array([member.eval_array(xs) for member in fe.family.custom])
+        sup, neg = _sup_over_rows(H, F[~sloped])
+        vals = np.maximum(vals, sup)
+        force |= neg
+    return GridFunction(xs, np.where(force, INF, vals), label="abstract-conjugate")
 
 
 def linear_restriction_conjugate(

@@ -105,7 +105,7 @@ def build_family(scenario: Scenario) -> TiltFamily:
 
 
 def _grid_function_table(gf: GridFunction) -> dict:
-    table = {"xs": [float(x) for x in gf.xs], "values": [float(v) for v in gf.values]}
+    table = {"xs": gf.xs, "values": gf.values}
     for key in ("converged", "flagged", "off_slope_range"):
         if key in gf.meta:
             table[key] = list(gf.meta[key])
@@ -114,6 +114,12 @@ def _grid_function_table(gf: GridFunction) -> dict:
 
 def _jsonify(obj):
     """Recursively convert to JSON-safe types; +-inf become strings."""
+    if isinstance(obj, np.ndarray):  # 1-D arrays only
+        out = obj.tolist()
+        if obj.dtype.kind == "f":
+            for i in np.flatnonzero(np.isinf(obj)):
+                out[i] = "inf" if out[i] > 0 else "-inf"
+        return out
     if isinstance(obj, dict):
         return {str(k): _jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -141,8 +147,8 @@ def _family_table(state: "PipelineState") -> dict:
     return {
         "kind": state.family.kind,
         "members": state.family.labels(),
-        "values": table.value.tolist(),
-        "converged": table.converged.tolist(),
+        "values": table.value,
+        "converged": table.converged,
     }
 
 
@@ -592,8 +598,8 @@ def run_free_energy(scenario: Scenario, out_dir: str | None = None, threads: int
     if state.L_wide is not None:
         tables["L_wide"] = _grid_function_table(state.L_wide)
     family_table = _family_table(state)
-    family_table["liminf"] = state.fe_family.table.liminf.tolist()
-    family_table["limsup"] = state.fe_family.table.limsup.tolist()
+    family_table["liminf"] = state.fe_family.table.liminf
+    family_table["limsup"] = state.fe_family.table.limsup
     report = _jsonify(
         {
             "schema_version": SCHEMA_VERSION,

@@ -471,21 +471,27 @@ def range_condition_check(
 # ---------------------------------------------------------------------------
 
 
+def _ext_abs_diffs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """:func:`~ldpkit.extreal.ext_abs_diff` of every pair of entries."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        d = np.where(np.isfinite(a) & np.isfinite(b), np.abs(a - b), INF)
+    return np.where(a == b, 0.0, d)
+
+
+def _masked_equality(
+    xs: np.ndarray, gaps: np.ndarray, mask: np.ndarray, tol: float
+) -> tuple[bool, float, list[float]]:
+    mask = np.asarray(mask, dtype=bool)
+    worst = float(np.max(gaps[mask], initial=0.0))
+    return worst <= tol, worst, xs[mask & (gaps > tol)].tolist()
+
+
 def equality_on_mask(
     A: GridFunction, B: GridFunction, mask: np.ndarray, tol: float
 ) -> tuple[bool, float, list[float]]:
-    """Max extended-real deviation |A - B| over masked grid points."""
-    worst = 0.0
-    witnesses = []
-    for x, a, b, m in zip(A.xs, A.values, B.values, mask):
-        if not m:
-            continue
-        d = ext_abs_diff(float(a), float(b))
-        if d > worst:
-            worst = d
-        if d > tol:
-            witnesses.append(float(x))
-    return worst <= tol, worst, witnesses
+    """Max extended-real deviation |A - B| over masked grid points, and the
+    masked points farther apart than ``tol``, in grid order."""
+    return _masked_equality(A.xs, _ext_abs_diffs(A.values, B.values), mask, tol)
 
 
 def rate_comparison(
@@ -501,10 +507,13 @@ def rate_comparison(
     theorem-allowed and reported informationally.
     """
     out: dict = {"tol": tol, "checks": [], "allowed_differences": []}
-    pairs = [("J_vs_abstract", J, abstract_star), ("J_vs_linear", J, Lstar)]
+    gaps = {
+        "J_vs_abstract": _ext_abs_diffs(J.values, abstract_star.values),
+        "J_vs_linear": _ext_abs_diffs(J.values, Lstar.values),
+    }
     for mask_name, mask in masks.items():
-        for pair_name, A, B in pairs:
-            holds, worst, witnesses = equality_on_mask(A, B, mask, tol)
+        for pair_name, gap in gaps.items():
+            holds, worst, witnesses = _masked_equality(J.xs, gap, mask, tol)
             out["checks"].append(
                 {
                     "comparison": pair_name,
@@ -517,14 +526,10 @@ def rate_comparison(
     union = np.zeros(J.xs.shape, dtype=bool)
     for mask in masks.values():
         union |= mask
-    for pair_name, A, B in pairs:
-        diffs = [
-            float(x)
-            for x, a, b, m in zip(A.xs, A.values, B.values, ~union)
-            if m and ext_abs_diff(float(a), float(b)) > tol
-        ]
+    for pair_name, gap in gaps.items():
+        diffs = J.xs[~union & (gap > tol)]
         out["allowed_differences"].append(
-            {"comparison": pair_name, "outside_masks": diffs[:8], "count": len(diffs)}
+            {"comparison": pair_name, "outside_masks": diffs[:8].tolist(), "count": diffs.size}
         )
     out["holds"] = all(c["holds"] for c in out["checks"])
     return out
@@ -549,15 +554,14 @@ def sandwich_check(
     ]
     worst = {"violation": 0.0, "link": None, "x": None}
     for name, lo_vals, hi_vals in chain:
-        for x, a, b in zip(rfe.grid, lo_vals, hi_vals):
-            if np.isposinf(b) or np.isneginf(a):
-                continue
-            if np.isposinf(a) and np.isposinf(b):
-                continue
-            if np.isposinf(a):  # finite b but infinite a: hard violation
-                viol = INF
-            else:
-                viol = float(a) - float(b)
-            if viol > worst["violation"]:
-                worst = {"violation": viol, "link": name, "x": float(x)}
+        # lo = +inf under a finite hi is a hard violation; points with
+        # hi = +inf or lo = -inf are skipped
+        with np.errstate(invalid="ignore", over="ignore"):
+            viol = np.where(np.isposinf(lo_vals), INF, lo_vals - hi_vals)
+        skip = np.isposinf(hi_vals) | np.isneginf(lo_vals)
+        viol = np.where(skip, NEG_INF, viol)
+        # the first strict maximum wins, across links and then points
+        if viol.size and viol.max() > worst["violation"]:
+            i = int(np.argmax(viol))
+            worst = {"violation": float(viol[i]), "link": name, "x": float(rfe.grid[i])}
     return worst["violation"] <= slack, worst

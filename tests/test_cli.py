@@ -9,7 +9,14 @@ from importlib import resources
 from ldpkit.cli import main
 from ldpkit.convex import load_grid_csv, save_grid_csv, GridFunction
 from ldpkit.free_energy import lambda_of
-from ldpkit.pipeline import PipelineState, golden_diff, run_free_energy, run_scenario
+from ldpkit.extreal import INF, NEG_INF
+from ldpkit.pipeline import (
+    PipelineState,
+    _jsonify,
+    golden_diff,
+    run_free_energy,
+    run_scenario,
+)
 from ldpkit.scenario import ScenarioError, load_scenario, parse_tilt_labels
 from ldpkit.tilts import TiltFunction
 
@@ -270,6 +277,16 @@ class TestRunScenario:
         report, _ = run_scenario(sc, out_dir=None)
         vals = report["tables"]["J"]["values"]
         assert "inf" in vals
+
+    @pytest.mark.parametrize("arr", [
+        np.array([1.5, INF, -0.0, NEG_INF, 1e-300, INF]),
+        np.array([True, False]),
+        np.array([3, -4]),
+        np.empty(0),
+    ])
+    def test_array_leaves_serialize_like_scalar_leaves(self, arr):
+        # one tolist per array must write what the per-element path writes
+        assert json.dumps(_jsonify(arr)) == json.dumps(_jsonify(list(arr)))
 
 
 class TestCliCommands:

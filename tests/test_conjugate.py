@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ldpkit
 from ldpkit.conjugate import (
@@ -21,6 +25,32 @@ from ldpkit.tilts import (
 )
 
 TOL = 2e-2
+
+
+def dense_abstract_lf(fe: FamilyEvaluation, x_grid) -> np.ndarray:
+    """Oracle: the sup over one ``h(x) - F(h)`` row per member."""
+    xs = np.asarray(x_grid, dtype=float)
+    H = fe.family.values_at(xs)
+    F = fe.values
+    vals = np.full(xs.shape, NEG_INF)
+    finite = np.isfinite(F)
+    if finite.any():
+        vals = np.max(H[finite, :] - F[finite, None], axis=0, initial=NEG_INF)
+    # F = +inf members contribute -inf: skip.  F = -inf members force +inf
+    # unless the tilt itself is -inf at x.
+    neg = np.isneginf(F)
+    if neg.any():
+        force = np.any(H[neg, :] > NEG_INF, axis=0)
+        vals = np.where(force, INF, vals)
+    return vals
+
+
+def table_of(values) -> FamilyTable:
+    """A converged table with ``values`` as every member's free energy."""
+    v = np.array(values, dtype=float)
+    return FamilyTable(
+        np.ones(1), v[None, :], v, v, v, np.ones(v.size, dtype=bool), np.zeros(v.size)
+    )
 
 
 def fake_estimate(value):
@@ -123,6 +153,63 @@ class TestAbstractLf:
         step = xs[1] - xs[0]
         modulus = 4.0 * step
         assert np.all(np.minimum(v[:-2], v[2:]) <= v[1:-1] + modulus + 1e-9)
+
+
+SPECIAL_F = [INF, NEG_INF, 0.0, -0.0]
+
+
+@st.composite
+def slope_families(draw):
+    """Linear, two-slope (unequal axes), doubled and union families."""
+    ends = st.floats(-4.0, 4.0, allow_subnormal=False)
+    lam = sorted(draw(st.lists(ends, min_size=2, max_size=2, unique=True)))
+    nu = sorted(draw(st.lists(ends, min_size=2, max_size=2, unique=True)))
+    res = draw(st.integers(2, 6))
+    two = two_slope_family(tuple(lam), tuple(nu), res)
+    lin = linear_family(lam[0], lam[1], res)
+    return draw(st.sampled_from([
+        two,
+        two.doubled(),
+        lin,
+        lin.doubled(),
+        family_union(qn_family(draw(st.integers(1, 3))), lin, two),
+        family_union(two, lin).doubled(),
+    ]))
+
+
+class TestDistinctSlopeOracle:
+    @given(
+        fam=slope_families(),
+        data=st.data(),
+        xs=st.lists(st.floats(-5.0, 5.0), min_size=2, max_size=12, unique=True),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_dense_rows(self, fam, data, xs):
+        n = len(fam)
+        F = np.array(data.draw(st.lists(st.floats(-8.0, 8.0), min_size=n, max_size=n)))
+        for i, v in data.draw(st.lists(
+            st.tuples(st.integers(0, n - 1), st.sampled_from(SPECIAL_F)), max_size=4
+        )):
+            F[i] = v
+        fe = FamilyEvaluation(fam, table_of(F))
+        grid = np.unique(xs + [data.draw(st.sampled_from([0.0, -0.0]))])
+        got = abstract_lf(fe, grid).values
+        # values, not sign bits: a zero may come out as -0.0 on one side
+        assert np.array_equal(got, dense_abstract_lf(fe, grid))
+
+    def test_memory_does_not_scale_with_members_times_points(self):
+        fam = two_slope_family((-4.0, 4.0), (-3.0, 5.0), 70)  # 4,900 members
+        fe = FamilyEvaluation(fam, table_of(np.random.default_rng(0).normal(size=4900)))
+        xs = np.linspace(-3.0, 3.0, 2000)
+        fam.custom  # cached on first use, not part of the sup
+        tracemalloc.start()
+        try:
+            abstract_lf(fe, xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one dense members x points float64 matrix alone is 78 MB
+        assert peak < 16 * 2**20
 
 
 class TestLinearRestriction:

@@ -13,6 +13,7 @@ from ldpkit.free_energy import (
     WindowSpec,
     _classify_limits,
     _log_sum_exp_rows,
+    _slope_log_sums,
     estimate_limit,
     lambda_family_table,
     lambda_of,
@@ -320,6 +321,20 @@ class TestKernelOracle:
             qn_family(3),
         )
         assert_kernel_matches_oracle(demzei_net, family, main_window)
+
+
+class TestSlopeLogSumBlocks:
+    @pytest.mark.parametrize("block", [1, 7, 1 << 30])
+    def test_block_size_does_not_change_sums(self, block, monkeypatch):
+        # rows stay whole, so each slope's sum is the same whatever the block
+        rng = np.random.default_rng(7)
+        slopes = rng.uniform(-6.0, 6.0, 40)
+        locs = np.sort(rng.uniform(-3.0, 3.0, 500))
+        logm = rng.uniform(-80.0, 0.0, 500)
+        want = _slope_log_sums(slopes, locs, logm, 0.01)
+        monkeypatch.setattr(free_energy, "_BLOCK_TERMS", block)
+        got = _slope_log_sums(slopes, locs, logm, 0.01)
+        assert got.tobytes() == want.tobytes()
 
 
 def assert_same_estimates(got, want):

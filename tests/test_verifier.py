@@ -1,12 +1,15 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ldpkit
 from ldpkit.conjugate import evaluate_family, stable_abstract_lf
 from ldpkit.convex import GridFunction, lf_transform
-from ldpkit.extreal import INF
+from ldpkit.extreal import INF, NEG_INF, ext_abs_diff
 from ldpkit.measures import FiniteSupportMeasure, RegionSet, ScaledMeasureNet, region_power_mass
 from ldpkit.tilts import TiltFunction, linear_family, q_bump_tilt, two_slope_family
 from ldpkit.verifier import (
@@ -477,6 +480,133 @@ class TestRateComparison:
         B = GridFunction(xs, np.array([0.0, INF, 1.5]))
         holds, worst, witnesses = equality_on_mask(A, B, np.array([True] * 3), 0.1)
         assert not holds and worst == 0.5 and witnesses == [2.0]
+
+
+def loop_equality_on_mask(A, B, mask, tol):
+    """Oracle: :func:`equality_on_mask` point by point."""
+    worst = 0.0
+    witnesses = []
+    for x, a, b, m in zip(A.xs, A.values, B.values, mask):
+        if not m:
+            continue
+        d = ext_abs_diff(float(a), float(b))
+        if d > worst:
+            worst = d
+        if d > tol:
+            witnesses.append(float(x))
+    return worst <= tol, worst, witnesses
+
+
+def loop_rate_comparison(J, Lstar, abstract_star, masks, tol):
+    """Oracle: :func:`rate_comparison` point by point."""
+    out = {"tol": tol, "checks": [], "allowed_differences": []}
+    pairs = [("J_vs_abstract", J, abstract_star), ("J_vs_linear", J, Lstar)]
+    for mask_name, mask in masks.items():
+        for pair_name, A, B in pairs:
+            holds, worst, witnesses = loop_equality_on_mask(A, B, mask, tol)
+            out["checks"].append({
+                "comparison": pair_name,
+                "mask": mask_name,
+                "holds": holds,
+                "max_violation": None if worst == INF else worst,
+                "witnesses": witnesses[:8],
+            })
+    union = np.zeros(J.xs.shape, dtype=bool)
+    for mask in masks.values():
+        union |= mask
+    for pair_name, A, B in pairs:
+        diffs = [
+            float(x)
+            for x, a, b, m in zip(A.xs, A.values, B.values, ~union)
+            if m and ext_abs_diff(float(a), float(b)) > tol
+        ]
+        out["allowed_differences"].append(
+            {"comparison": pair_name, "outside_masks": diffs[:8], "count": len(diffs)}
+        )
+    out["holds"] = all(c["holds"] for c in out["checks"])
+    return out
+
+
+def loop_sandwich_check(linear_star, abstract_star, rfe, slack):
+    """Oracle: :func:`sandwich_check` point by point."""
+    chain = [
+        ("linear_star<=abstract_star", linear_star.values, abstract_star.values),
+        ("abstract_star<=l0", abstract_star.values, rfe.l0.values),
+        ("l0<=l1", rfe.l0.values, rfe.l1.values),
+    ]
+    worst = {"violation": 0.0, "link": None, "x": None}
+    for name, lo_vals, hi_vals in chain:
+        for x, a, b in zip(rfe.grid, lo_vals, hi_vals):
+            if np.isposinf(b) or np.isneginf(a):
+                continue
+            if np.isposinf(a) and np.isposinf(b):
+                continue
+            if np.isposinf(a):  # finite b but infinite a: hard violation
+                viol = INF
+            else:
+                viol = float(a) - float(b)
+            if viol > worst["violation"]:
+                worst = {"violation": viol, "link": name, "x": float(x)}
+    return worst["violation"] <= slack, worst
+
+
+# few distinct values, so ties, equal infinities and overflowing gaps are common
+GRID_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, 1.0, INF, NEG_INF, 1e308, -1e308]),
+    st.floats(-2.0, 2.0),
+)
+
+
+@st.composite
+def grid_functions(draw, count):
+    n = draw(st.integers(2, 30))
+    xs = np.arange(n, dtype=float) / 4.0 - 1.0
+    tables = [
+        np.array(draw(st.lists(GRID_VALUES, min_size=n, max_size=n)))
+        for _ in range(count)
+    ]
+    masks = [np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n))) for _ in range(2)]
+    return xs, tables, masks
+
+
+class TestVectorisedOracles:
+    @given(data=grid_functions(2), tol=st.sampled_from([0.0, 1e-3, 0.5]))
+    @settings(max_examples=150, deadline=None)
+    def test_equality_on_mask(self, data, tol):
+        xs, (a, b), (mask, _) = data
+        A, B = GridFunction(xs, a), GridFunction(xs, b)
+        assert repr(equality_on_mask(A, B, mask, tol)) == repr(
+            loop_equality_on_mask(A, B, mask, tol)
+        )
+
+    @given(data=grid_functions(3), tol=st.sampled_from([0.0, 1e-3, 0.5]))
+    @settings(max_examples=150, deadline=None)
+    def test_rate_comparison(self, data, tol):
+        xs, tables, (m1, m2) = data
+        J, Lstar, A = (GridFunction(xs, v) for v in tables)
+        masks = {"one": m1, "both": m1 & m2}
+        assert repr(rate_comparison(J, Lstar, A, masks, tol)) == repr(
+            loop_rate_comparison(J, Lstar, A, masks, tol)
+        )
+
+    @given(data=grid_functions(4), slack=st.sampled_from([0.0, 1e-6, 1.0]))
+    @settings(max_examples=150, deadline=None)
+    def test_sandwich_check(self, data, slack):
+        xs, (lin, ab, l0, l1), _ = data
+        # duck-typed: a RateFunctionEstimate would reject l0 > l1
+        rfe = SimpleNamespace(grid=xs, l0=GridFunction(xs, l0), l1=GridFunction(xs, l1))
+        args = (GridFunction(xs, lin), GridFunction(xs, ab), rfe, slack)
+        assert repr(sandwich_check(*args)) == repr(loop_sandwich_check(*args))
+
+    def test_sandwich_keeps_first_strict_maximum(self):
+        xs = np.array([0.0, 1.0, 2.0])
+        lin = GridFunction(xs, np.array([0.0, 2.0, 2.0]))
+        ab = GridFunction(xs, np.array([0.0, 1.0, 1.0]))  # violation 1 at x = 1 and 2
+        l0 = GridFunction(xs, np.array([-1.0, 1.0, 1.0]))  # ties 1 at x = 0 in a later link
+        rfe = SimpleNamespace(grid=xs, l0=l0, l1=GridFunction(xs, np.array([INF] * 3)))
+        ok, worst = sandwich_check(lin, ab, rfe, 0.5)
+        assert not ok
+        assert worst == {"violation": 1.0, "link": "linear_star<=abstract_star", "x": 1.0}
 
 
 class TestSandwich:
