@@ -32,6 +32,7 @@ from .convex import (
 )
 from .free_energy import (
     FamilyTable,
+    L_from_table,
     L_grid,
     LimitEstimate,
     WindowSpec,
@@ -48,10 +49,7 @@ from .measures import (
     demzei_example_net,
     exp_power_integral,
     iid_mean_example_net,
-    load_measure,
     region_power_mass,
-    save_measure,
-    tail_condition_check,
 )
 from .scenario import Scenario, load_scenario
 from .pipeline import run_free_energy, run_scenario

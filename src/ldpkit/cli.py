@@ -23,7 +23,6 @@ from importlib import resources
 import numpy as np
 
 from .convex import GridFormatError, lf_transform, load_grid_csv, save_grid_csv
-from .measures import MeasureFormatError
 from .pipeline import golden_diff, run_free_energy, run_scenario
 from .scenario import Scenario, ScenarioError, WindowConfig, load_scenario
 
@@ -39,12 +38,8 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
     from dataclasses import replace
 
     if getattr(args, "tol", None) is not None:
-        scenario = replace(
-            scenario,
-            tolerances=type(scenario.tolerances)(
-                **{**vars(scenario.tolerances), "convergence": args.tol}
-            ),
-        )
+        tolerances = replace(scenario.tolerances, convergence=args.tol)
+        scenario = replace(scenario, tolerances=tolerances)
     if getattr(args, "window", None) is not None:
         parts = args.window.split(":")
         if len(parts) != 3:
@@ -58,7 +53,7 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
 
 def _cmd_run(args) -> int:
     scenario = _apply_overrides(load_scenario(args.scenario), args)
-    report, ok = run_scenario(scenario, out_dir=args.out_dir, threads=args.threads)
+    report, ok = run_scenario(scenario, out_dir=args.out_dir)
     for entry in report["checks"]:
         flag = "PASS" if entry["holds"] else "FAIL"
         note = " (informational)" if entry.get("informational") else ""
@@ -70,7 +65,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_free_energy(args) -> int:
     scenario = _apply_overrides(load_scenario(args.scenario), args)
-    report = run_free_energy(scenario, out_dir=args.out_dir, threads=args.threads)
+    report = run_free_energy(scenario, out_dir=args.out_dir)
     n = len(report["tables"]["L"]["xs"])
     print(f"L table with {n} grid points written for scenario {scenario.name!r}")
     return 0
@@ -101,7 +96,7 @@ def _cmd_reproduce(args) -> int:
     scenario_path = _packaged_path("scenarios", f"{name}.cfg")
     with resources.as_file(scenario_path) as p:
         scenario = load_scenario(p)
-    report, _ = run_scenario(scenario, out_dir=args.out_dir, threads=args.threads)
+    report, _ = run_scenario(scenario, out_dir=args.out_dir)
 
     if name not in GOLDEN_NAMES:
         print(f"scenario {name!r} has no committed golden")
@@ -132,7 +127,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--out-dir", default=None, help="directory for CSV/JSON output")
-        p.add_argument("--threads", type=int, default=1, help="worker threads")
+        p.add_argument("--threads", type=int, choices=(1,), default=1,
+                       help="accepted only as 1: ldpkit runs serially")
         p.add_argument("--tol", type=float, default=None,
                        help="override the convergence tolerance")
         p.add_argument("--window", default=None,
@@ -158,7 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("name", choices=REPRODUCE_NAMES,
                        help="one of: " + ", ".join(REPRODUCE_NAMES))
     p_rep.add_argument("--out-dir", default=None)
-    p_rep.add_argument("--threads", type=int, default=1)
     p_rep.set_defaults(fn=_cmd_reproduce)
     return parser
 
@@ -168,10 +163,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ScenarioError, GridFormatError, MeasureFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ScenarioError, GridFormatError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -32,14 +32,16 @@ from .free_energy import (
     DEFAULT_DIVERGENCE_THRESHOLD,
     DEFAULT_TOL,
     FamilyTable,
+    L_from_table,
     LimitEstimate,
     WindowSpec,
     lambda_family_table,
 )
 from .measures import ScaledMeasureNet
+from .scenario import Tolerances
 from .tilts import TiltFamily
 
-DEFAULT_STABILITY_TOL = 1e-3
+DEFAULT_STABILITY_TOL = Tolerances.stability
 DEFAULT_GROWTH_CAP = 1e6
 
 
@@ -104,7 +106,7 @@ def abstract_lf(fe: FamilyEvaluation, x_grid: Sequence[float]) -> GridFunction:
         raise ValueError(f"{bad} family member(s) have no converged free energy")
     xs = np.asarray(x_grid, dtype=float)
     F = fe.values
-    lam, nu = fe.family.slope_pairs()
+    lam, nu = fe.family.lam, fe.family.nu
     sloped = ~np.isnan(lam)
     left = xs <= 0.0
     vals = np.empty(xs.shape)
@@ -131,12 +133,9 @@ def linear_restriction_conjugate(
     diverged) and applies :func:`lf_transform`; this is the cross-check
     path against :func:`abstract_lf` on the same family.
     """
-    lambdas, nus = fe.family.slope_pairs()
-    if not np.array_equal(lambdas, nus):
-        raise ValueError("linear_restriction_conjugate needs a family of linear tilts")
+    L = L_from_table(fe.family, fe.table)
     if not fe.all_exist:
         raise ValueError("family has members with no converged free energy")
-    L = GridFunction(lambdas, fe.values, label="L")
     return lf_transform(L, x_grid).with_label("linear-restriction-conjugate")
 
 

@@ -33,10 +33,11 @@ import numpy as np
 from .convex import GridFunction
 from .extreal import INF, NEG_INF
 from .measures import ScaledMeasureNet
+from .scenario import Tolerances
 from .tilts import TiltFamily, TiltFunction, explicit_family, linear_family
 
-DEFAULT_TOL = 1e-6
-DEFAULT_DIVERGENCE_THRESHOLD = 1e12
+DEFAULT_TOL = Tolerances.convergence
+DEFAULT_DIVERGENCE_THRESHOLD = Tolerances.divergence_threshold
 DIVERGENCE_RUN = 5
 # Slope x atom terms per logsumexp block; rows stay whole, so the sums do
 # not depend on it.  From 2^17 up, a block's float64 temporaries (1 MB and
@@ -285,7 +286,7 @@ def lambda_family_table(
     """
     ks = window.indices(net)
     ts = np.array([net.t(int(k)) for k in ks])
-    lam, nu = family.slope_pairs()
+    lam, nu = family.lam, family.nu
     sloped = ~np.isnan(lam)
     lam_axis, lam_at = np.unique(lam[sloped], return_inverse=True)
     nu_axis, nu_at = np.unique(nu[sloped], return_inverse=True)
@@ -304,6 +305,23 @@ def lambda_family_table(
     return _classify_limits(ts, rows, tol, divergence_threshold)
 
 
+def L_from_table(family: TiltFamily, table: FamilyTable, label: str = "L") -> GridFunction:
+    """``lam -> F(h_lam)`` of a linear family from its table of estimates.
+
+    The grid function carries the representative values, ``+inf`` where an
+    entry diverged; per-point convergence flags and the liminf/limsup
+    brackets are stored in ``meta``.
+    """
+    if not np.array_equal(family.lam, family.nu):
+        raise ValueError("L needs a family of linear tilts")
+    meta = {
+        "converged": table.converged.tolist(),
+        "liminf": table.liminf.tolist(),
+        "limsup": table.limsup.tolist(),
+    }
+    return GridFunction(family.lam, table.value, label=label, meta=meta)
+
+
 def L_grid(
     net: ScaledMeasureNet,
     G: tuple[float, float],
@@ -315,17 +333,8 @@ def L_grid(
 ) -> GridFunction:
     """Sample the free energy of linear tilts on a grid inside open G.
 
-    The returned grid function carries the representative values; per-point
-    convergence flags and the liminf/limsup brackets are stored in ``meta``.
-    Diverging entries are recorded as ``+inf``.
+    See :func:`L_from_table` for the values and ``meta`` returned.
     """
     family = linear_family(G[0], G[1], resolution)
     table = lambda_family_table(net, family, window, tol, divergence_threshold)
-    meta = {
-        "converged": table.converged.tolist(),
-        "liminf": table.liminf.tolist(),
-        "limsup": table.limsup.tolist(),
-        "window": (window.start_index, window.end_index, window.max_samples),
-        "tol": tol,
-    }
-    return GridFunction(family.lam, table.value, label=label, meta=meta)
+    return L_from_table(family, table, label)

@@ -30,10 +30,6 @@ ATOM_MERGE_TOL = 1e-12
 MASS_SLACK = 1e-9
 
 
-class MeasureFormatError(ValueError):
-    """Raised when a measure file cannot be parsed."""
-
-
 def _merge_atoms(locations: np.ndarray, log_masses: np.ndarray):
     """Sort atoms and merge locations closer than ATOM_MERGE_TOL."""
     order = np.argsort(locations, kind="stable")
@@ -358,9 +354,11 @@ class ScaledMeasureNet:
 
     ``t_of`` must be strictly decreasing in ``k``; this is spot-checked at
     construction and otherwise trusted.  Measures are built lazily and cached.
-    Cache misses are built one at a time under a lock, because ``measure_of``
-    may be any callable, and one that keeps state between indices is not
-    safe to call from two threads at once.  The built-in nets are pure.
+    ldpkit's pipeline is serial, but a caller may share a net across its own
+    threads, so cache misses are built one at a time under a lock: a
+    ``measure_of`` that keeps state between indices is not safe to call from
+    two threads at once, and each index is built only once.  The built-in
+    nets are pure.
     """
 
     def __init__(
@@ -552,71 +550,3 @@ def iid_mean_example_net(base: FiniteSupportMeasure, max_n: int) -> ScaledMeasur
 
 def bernoulli_half_base() -> FiniteSupportMeasure:
     return FiniteSupportMeasure.from_atoms([(0.0, 0.5), (1.0, 0.5)])
-
-
-# ---------------------------------------------------------------------------
-# tail condition
-# ---------------------------------------------------------------------------
-
-
-def tail_condition_check(net, family, M: float, eps: float, window) -> tuple[bool, list]:
-    """Uniform tail check over a tilt family.
-
-    For each tilt ``h`` estimates ``limsup mu^t(exp(h/t) 1_{h > M})`` by the
-    maximum of the restricted scaled log-integral over the window, then
-    compares ``exp(estimate)`` against ``eps``.  Returns the overall flag and
-    the list of failing ``(tilt, estimate)`` witnesses; an empty family holds
-    vacuously.
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    best = np.full(len(family), NEG_INF)
-    for k in window.indices(net):
-        m, t = net.at(k)
-        h = family.values_at(m.locations)
-        expo = np.where(h > M, m.log_masses + h / t, NEG_INF)
-        best = np.maximum(best, t * logsumexp(expo, axis=1))
-    witnesses = []
-    for tilt, val in zip(family.members, best.tolist()):
-        estimate = float(np.exp(val)) if val != NEG_INF else 0.0
-        if not estimate < eps:
-            witnesses.append((tilt, estimate))
-    return (len(witnesses) == 0), witnesses
-
-
-# ---------------------------------------------------------------------------
-# measure files
-# ---------------------------------------------------------------------------
-
-
-def load_measure(path) -> FiniteSupportMeasure:
-    """Read a ``location,mass`` text file ('#' comments, blank lines ok)."""
-    atoms: list[tuple[float, float]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise MeasureFormatError(
-                    f"{path}:{lineno}: expected 'location,mass', got {raw.strip()!r}"
-                )
-            try:
-                loc, mass = float(parts[0]), float(parts[1])
-            except ValueError as exc:
-                raise MeasureFormatError(f"{path}:{lineno}: {exc}") from exc
-            if atoms and loc <= atoms[-1][0]:
-                raise MeasureFormatError(
-                    f"{path}:{lineno}: locations must be strictly increasing"
-                )
-            atoms.append((loc, mass))
-    if not atoms:
-        raise MeasureFormatError(f"{path}: no atoms found")
-    return FiniteSupportMeasure.from_atoms(atoms)
-
-
-def save_measure(measure: FiniteSupportMeasure, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for loc, mass in measure.atoms:
-            fh.write(f"{loc!r},{mass!r}\n")

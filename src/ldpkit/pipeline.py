@@ -11,14 +11,13 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict
 from functools import cached_property
 
 import numpy as np
 
 from . import convex, verifier
 from .conjugate import (
-    FamilyEvaluation,
     abstract_lf,
     evaluate_family,
     linear_restriction_conjugate,
@@ -26,7 +25,7 @@ from .conjugate import (
 )
 from .convex import GridFunction, chord_slopes, essential_smoothness_check, lf_transform, save_grid_csv
 from .extreal import INF
-from .free_energy import FamilyTable, lambda_family_table, window_for_t_range
+from .free_energy import FamilyTable, L_from_table, lambda_family_table, window_for_t_range
 from .measures import (
     ScaledMeasureNet,
     FiniteSupportMeasure,
@@ -34,7 +33,7 @@ from .measures import (
     demzei_example_net,
     iid_mean_example_net,
 )
-from .scenario import Scenario, parse_region_specs, parse_tilt_labels
+from .scenario import Scenario, Tolerances, parse_region_specs, parse_tilt_labels
 from .tilts import (
     TiltFamily,
     TiltFunction,
@@ -59,18 +58,7 @@ SCHEMA_VERSION = 1
 DEFAULTS = {
     "window": {"t_max": 1e-2, "t_min": 1e-6, "samples": 48},
     "delta_schedule": "2^-1 .. 2^-count, count=10",
-    "tolerances": {
-        "convergence": 1e-6,
-        "value": 1e-3,
-        "ldp": 1e-3,
-        "equality": 1e-3,
-        "bounds": 1e-6,
-        "sandwich_slack": 1e-6,
-        "stability": 1e-3,
-        "filter": 1e-9,
-        "divergence_threshold": 1e12,
-        "derivative_bound": 1e-3,
-    },
+    "tolerances": asdict(Tolerances()),
     "range_merge_factor": convex.RANGE_MERGE_FACTOR,
     "coverage_slack": "one local grid cell + slope merge gap",
 }
@@ -136,12 +124,6 @@ def _jsonify(obj):
     return obj
 
 
-def _free_energy_grid(fe: FamilyEvaluation, label: str) -> GridFunction:
-    """``lam -> F(h_lam)`` of a linear family, with per-point convergence flags."""
-    meta = {"converged": fe.table.converged.tolist()}
-    return GridFunction(fe.family.lam, fe.values, label=label, meta=meta)
-
-
 def _family_table(state: "PipelineState") -> dict:
     table = state.fe_family.table
     return {
@@ -184,7 +166,7 @@ class PipelineState:
     first use, so ``free-energy`` never pays for them.
     """
 
-    def __init__(self, scenario: Scenario, threads: int = 1):
+    def __init__(self, scenario: Scenario):
         self.scenario = scenario
         tol = scenario.tolerances
         self.net = build_net(scenario)
@@ -204,28 +186,19 @@ class PipelineState:
         self.linear_fam = linear_family(g.lo, g.hi, g.resolution)
         self.family = build_family(scenario)
 
-        conv = tol.convergence
-        div = tol.divergence_threshold
-
         def eval_fam(f):
-            return evaluate_family(self.net, f, self.window, conv, div)
+            return evaluate_family(
+                self.net, f, self.window, tol.convergence, tol.divergence_threshold
+            )
 
-        jobs = {"linear": self.linear_fam, "family": self.family}
+        self.fe_linear = eval_fam(self.linear_fam)
+        self.fe_family = eval_fam(self.family)
+        self.L = L_from_table(self.linear_fam, self.fe_linear.table)
+        self.L_wide = None
         if scenario.wide_lambda_grid:
             w = scenario.wide_lambda_grid
-            jobs["wide"] = linear_family(w.lo, w.hi, w.resolution)
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                futures = {k: pool.submit(eval_fam, f) for k, f in jobs.items()}
-                evals = {k: fut.result() for k, fut in futures.items()}
-        else:
-            evals = {k: eval_fam(f) for k, f in jobs.items()}
-
-        self.fe_linear = evals["linear"]
-        self.fe_family = evals["family"]
-
-        self.L = _free_energy_grid(self.fe_linear, "L")
-        self.L_wide = _free_energy_grid(evals["wide"], "L_wide") if "wide" in evals else None
+            wide = linear_family(w.lo, w.hi, w.resolution)
+            self.L_wide = L_from_table(wide, eval_fam(wide).table, "L_wide")
 
     @cached_property
     def x_grid(self) -> np.ndarray:
@@ -522,9 +495,9 @@ def _verdict(state: PipelineState, checks: list[dict], informational: set[str]) 
     }
 
 
-def run_scenario(scenario: Scenario, out_dir: str | None = None, threads: int = 1):
+def run_scenario(scenario: Scenario, out_dir: str | None = None):
     """Execute the full pipeline; returns (report, all_requested_hold)."""
-    state = PipelineState(scenario, threads=threads)
+    state = PipelineState(scenario)
     checks = [_run_check(state, cid) for cid in scenario.all_checks()]
     informational = {
         c for c in scenario.informational_checks if c not in scenario.run_checks
@@ -591,9 +564,9 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None, threads: int = 
     return report, verdict["all_requested_hold"]
 
 
-def run_free_energy(scenario: Scenario, out_dir: str | None = None, threads: int = 1):
+def run_free_energy(scenario: Scenario, out_dir: str | None = None):
     """Free energies only: the L table(s) and the family table, no checks."""
-    state = PipelineState(scenario, threads=threads)
+    state = PipelineState(scenario)
     tables = {"L": _grid_function_table(state.L)}
     if state.L_wide is not None:
         tables["L_wide"] = _grid_function_table(state.L_wide)

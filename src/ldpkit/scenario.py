@@ -40,43 +40,6 @@ KNOWN_CHECKS = (
     "ellis-two-slope",
 )
 
-_ALLOWED_KEYS = {
-    "net": {"kind", "max_index", "max_n", "p"},
-    "window": {"t_max", "t_min", "samples"},
-    "rate-window": {"t_max", "t_min", "samples"},
-    "lambda-grid": {"lo", "hi", "resolution"},
-    "wide-lambda-grid": {"lo", "hi", "resolution"},
-    "family": {"kind", "lo", "hi", "resolution", "n_max"},
-    "x-grid": {"lo", "hi", "points", "include_l_slopes"},
-    "deltas": {"count"},
-    "tolerances": {
-        "convergence",
-        "value",
-        "ldp",
-        "equality",
-        "bounds",
-        "sandwich_slack",
-        "stability",
-        "filter",
-        "divergence_threshold",
-        "derivative_bound",
-    },
-    "checks": {
-        "run",
-        "informational",
-        "sub_lo",
-        "sub_hi",
-        "eps_list",
-        "r_schedule",
-        "regions",
-        "varadhan_tilts",
-        "two_slope_lo",
-        "two_slope_hi",
-        "two_slope_resolution",
-    },
-    "output": {"prefix"},
-}
-
 
 class ScenarioError(ValueError):
     """Raised for malformed scenario files, with section/key context."""
@@ -113,6 +76,33 @@ class Tolerances:
         for name in self.__dataclass_fields__:
             if getattr(self, name) <= 0:
                 raise ScenarioError(f"tolerance {name} must be positive")
+
+
+_ALLOWED_KEYS = {
+    "net": {"kind", "max_index", "max_n", "p"},
+    "window": {"t_max", "t_min", "samples"},
+    "rate-window": {"t_max", "t_min", "samples"},
+    "lambda-grid": {"lo", "hi", "resolution"},
+    "wide-lambda-grid": {"lo", "hi", "resolution"},
+    "family": {"kind", "lo", "hi", "resolution", "n_max"},
+    "x-grid": {"lo", "hi", "points", "include_l_slopes"},
+    "deltas": {"count"},
+    "tolerances": set(Tolerances.__dataclass_fields__),
+    "checks": {
+        "run",
+        "informational",
+        "sub_lo",
+        "sub_hi",
+        "eps_list",
+        "r_schedule",
+        "regions",
+        "varadhan_tilts",
+        "two_slope_lo",
+        "two_slope_hi",
+        "two_slope_resolution",
+    },
+    "output": {"prefix"},
+}
 
 
 @dataclass(frozen=True)

@@ -154,13 +154,6 @@ class TiltFamily:
         # explicit families cannot grow; doubling is the identity
         return self
 
-    def slope_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Slopes ``(lam, nu)`` of every member on ``x <= 0`` and ``x > 0``.
-
-        A linear member has ``lam == nu``; a custom member has NaN in both.
-        """
-        return self.lam, self.nu
-
     def values_at(self, xs) -> np.ndarray:
         """``h(x)`` for every member (rows) and point of ``xs`` (columns)."""
         xs = np.asarray(xs, dtype=float)
@@ -168,17 +161,6 @@ class TiltFamily:
         for i, member in zip(np.flatnonzero(np.isnan(self.lam)), self.custom):
             out[i] = member.eval_array(xs)
         return out
-
-    def linear_part(self) -> "TiltFamily | None":
-        """The linear sub-family, if one exists."""
-        if self.kind == "linear":
-            return self
-        if self.kind == "union":
-            for p in self.parts:
-                found = p.linear_part()
-                if found is not None:
-                    return found
-        return None
 
 
 def linear_family(lo: float, hi: float, resolution: int) -> TiltFamily:

@@ -44,9 +44,10 @@ from .free_energy import (
     lambda_of,
 )
 from .measures import RegionSet, ScaledMeasureNet
+from .scenario import Tolerances
 from .tilts import TiltFunction
 
-DEFAULT_FILTER_TOL = 1e-9
+DEFAULT_FILTER_TOL = Tolerances.filter
 
 
 def default_delta_schedule(num: int = 10) -> tuple[float, ...]:

@@ -1,5 +1,4 @@
 import json
-import sys
 
 import numpy as np
 import pytest
@@ -74,46 +73,6 @@ varadhan_tilts = linear:1
 
 [output]
 prefix = mini
-"""
-
-
-# 512 iid Bernoulli draws: concurrent family evaluations share the net's
-# measure cache and miss on the same indices
-IID_SCENARIO = """
-[net]
-kind = iid-bernoulli
-max_n = 512
-p = 0.5
-
-[window]
-t_max = 3.90625e-3
-t_min = 1.953125e-3
-samples = 2
-
-[lambda-grid]
-lo = -2.0
-hi = 2.0
-resolution = 21
-
-[family]
-kind = two-slope
-lo = -2.0
-hi = 2.0
-resolution = 9
-
-[x-grid]
-lo = 0.05
-hi = 0.95
-points = 19
-
-[tolerances]
-convergence = 1e-2
-
-[checks]
-run = conjugate-consistency
-
-[output]
-prefix = iid
 """
 
 
@@ -194,25 +153,6 @@ class TestRunScenario:
         a = (tmp_path / "a" / "mini_report.json").read_bytes()
         b = (tmp_path / "b" / "mini_report.json").read_bytes()
         assert a == b
-
-    @pytest.mark.parametrize(
-        "text", [MINI_SCENARIO, IID_SCENARIO], ids=["mini", "iid"]
-    )
-    def test_threads_do_not_change_report(self, text, tmp_path):
-        path = tmp_path / "scenario.cfg"
-        path.write_text(text)
-        sc = load_scenario(path)
-        run_scenario(sc, out_dir=str(tmp_path / "a"), threads=1)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)  # interleave the worker threads finely
-        try:
-            run_scenario(sc, out_dir=str(tmp_path / "b"), threads=4)
-        finally:
-            sys.setswitchinterval(interval)
-        name = f"{sc.output_prefix}_report.json"
-        assert (tmp_path / "a" / name).read_bytes() == (
-            tmp_path / "b" / name
-        ).read_bytes()
 
     def test_free_energy_builds_no_conjugate_or_rate(self, mini_scenario, monkeypatch):
         sc = load_scenario(mini_scenario)
@@ -382,6 +322,28 @@ class TestCliCommands:
         with pytest.raises(SystemExit):
             main(["reproduce", "unknown-example"])
         assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, threads", [("run", "4"), ("free-energy", "2")])
+    def test_threads_above_one_rejected(self, mini_scenario, command, threads, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(mini_scenario), "--threads", threads])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, name", [("run", "mini_report.json"), ("free-energy", "mini_free_energy.json")]
+    )
+    def test_threads_one_is_accepted(self, mini_scenario, tmp_path, command, name):
+        # the benchmark harness's command line
+        argv = [command, str(mini_scenario), "--out-dir", str(tmp_path), "--threads", "1"]
+        assert main(argv) == 0
+        assert (tmp_path / name).exists()
+
+    def test_reproduce_rejects_threads(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["reproduce", "ge-ex", "--threads", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threads" in capsys.readouterr().err
 
 
 class TestGoldenDiff:

@@ -9,6 +9,7 @@ from ldpkit import free_energy
 from ldpkit.extreal import INF, NEG_INF
 from ldpkit.free_energy import (
     FamilyTable,
+    L_from_table,
     L_grid,
     WindowSpec,
     _classify_limits,
@@ -158,6 +159,22 @@ class TestLGrid:
         w = WindowSpec(100, 500, 8)
         L = L_grid(iid_small_net, (-1, 1), 5, w, 1e-6)
         assert L.values[2] == pytest.approx(0.0, abs=1e-12)
+
+    def test_meta_carries_the_table_brackets(self, demzei_net, main_window):
+        fam = linear_family(-2, 2, 39)
+        table = lambda_family_table(demzei_net, fam, main_window, TOL, 1e3)
+        L = L_from_table(fam, table, "L_wide")
+        assert L.label == "L_wide"
+        assert L.xs.tobytes() == fam.lam.tobytes()
+        assert L.values.tobytes() == table.value.tobytes()
+        for key in ("converged", "liminf", "limsup"):
+            assert L.meta[key] == getattr(table, key).tolist()
+
+    def test_L_from_table_needs_linear_tilts(self, coin_net, main_window):
+        fam = two_slope_family((-1, 1), (-1, 1), 3)
+        table = lambda_family_table(coin_net, fam, main_window, TOL)
+        with pytest.raises(ValueError, match="linear tilts"):
+            L_from_table(fam, table)
 
 
 class TestFamilyTable:

@@ -1,4 +1,6 @@
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -11,18 +13,14 @@ from ldpkit.extreal import NEG_INF
 from ldpkit.measures import (
     FiniteSupportMeasure,
     Interval,
-    MeasureFormatError,
     RegionSet,
     ScaledMeasureNet,
     _iid_mean_law,
     _merge_atoms,
     exp_power_integral,
-    load_measure,
     region_power_mass,
-    save_measure,
-    tail_condition_check,
 )
-from ldpkit.tilts import TiltFunction, explicit_family, family_union, linear_family, qn_family
+from ldpkit.tilts import TiltFunction
 
 COIN = FiniteSupportMeasure.from_atoms([(-1.0, 0.5), (1.0, 0.5)])
 H1 = TiltFunction.linear(1.0)
@@ -532,71 +530,43 @@ class TestIidMeanLaw:
         assert net.measure(8192).log_masses.tobytes() == fresh.log_masses.tobytes()
 
 
-class TestTailCondition:
-    def test_coin_above_support_holds(self, coin_net, main_window):
-        fam = explicit_family([H1])
-        holds, witnesses = tail_condition_check(coin_net, fam, M=2.0, eps=0.1, window=main_window)
-        assert holds and witnesses == []
+class TestBuildLock:
+    def test_shared_net_builds_each_index_once(self):
+        # four threads released together miss on the same indices in the same
+        # order; the lock must let exactly one of them build each index
+        guard = threading.Lock()
+        building, builds, overlaps = [], [], []
 
-    def test_coin_m_zero_fails(self, coin_net, main_window):
-        # limsup (e/2^t) -> e > 1; the window estimate is already above 1
-        fam = explicit_family([H1])
-        holds, witnesses = tail_condition_check(coin_net, fam, M=0.0, eps=1.0, window=main_window)
-        assert not holds
-        assert witnesses[0][1] > 2.69
+        def measure_of(k):
+            with guard:
+                if building:
+                    overlaps.append((tuple(building), k))
+                building.append(k)
+                builds.append(k)
+            time.sleep(1e-3)  # keep the build open long enough for others to meet it
+            with guard:
+                building.remove(k)
+            return COIN
 
-    @pytest.mark.parametrize("M", [-1.0, 0.0, 0.5, 2.0])
-    def test_matches_per_tilt_loop(self, iid_small_net, M):
-        # oracle: one masked logsumexp per (tilt, sample); M = 0.5 equals
-        # h(0.5) for the slope-one tilts, and h == M is excluded
-        window = ldpkit.WindowSpec(100, 500, 6)
-        fam = family_union(linear_family(-3.0, 3.0, 5), qn_family(3), explicit_family([H1]))
-        eps = 1e-300
-        expected = []
-        for tilt in fam.members:
-            best = NEG_INF
-            for k in window.indices(iid_small_net):
-                m, t = iid_small_net.at(k)
-                h = tilt.eval_array(m.locations)
-                if (h > M).any():
-                    best = max(best, t * float(logsumexp(m.log_masses[h > M] + h[h > M] / t)))
-            if best != NEG_INF and math.exp(best) >= eps:
-                expected.append((tilt, math.exp(best)))
-        holds, witnesses = tail_condition_check(iid_small_net, fam, M=M, eps=eps, window=window)
-        assert holds == (expected == [])
-        assert [w[0] for w in witnesses] == [e[0] for e in expected]
-        for (_, got), (_, want) in zip(witnesses, expected):
-            assert got == pytest.approx(want, rel=1e-12)
+        net = ScaledMeasureNet(lambda k: 1.0 / k, measure_of, max_index=100)
+        indices = list(range(1, 21))
+        barrier = threading.Barrier(4, timeout=30)
+        results, errors = [], []
 
-    def test_empty_family_vacuous(self, coin_net, main_window):
-        holds, witnesses = tail_condition_check(
-            coin_net, explicit_family([]), M=0.0, eps=1e-9, window=main_window
-        )
-        assert holds
+        def worker():
+            try:
+                barrier.wait()
+                results.append([net.measure(k) for k in indices])
+            except Exception as exc:  # reported by the assert below
+                errors.append(exc)
 
-
-class TestMeasureFiles:
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "m.txt"
-        save_measure(COIN, path)
-        again = load_measure(path)
-        assert np.array_equal(again.locations, COIN.locations)
-        assert np.array_equal(again.log_masses, COIN.log_masses)
-
-    def test_comments_and_blank_lines(self, tmp_path):
-        path = tmp_path / "m.txt"
-        path.write_text("# a comment\n\n-1.0,0.5  # trailing\n1.0,0.5\n")
-        m = load_measure(path)
-        assert m.total_mass == pytest.approx(1.0)
-
-    def test_error_names_line(self, tmp_path):
-        path = tmp_path / "m.txt"
-        path.write_text("-1.0,0.5\noops\n")
-        with pytest.raises(MeasureFormatError, match=":2"):
-            load_measure(path)
-
-    def test_decreasing_locations_rejected(self, tmp_path):
-        path = tmp_path / "m.txt"
-        path.write_text("1.0,0.25\n-1.0,0.25\n")
-        with pytest.raises(MeasureFormatError, match="increasing"):
-            load_measure(path)
+        threads = [threading.Thread(target=worker) for _ in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join()
+        assert errors == []
+        assert sorted(builds) == indices
+        assert overlaps == []
+        assert len(results) == 4
+        assert all(m is COIN for ms in results for m in ms)

@@ -136,12 +136,6 @@ class TestDoubling:
         wide = fam.doubled()
         assert len(wide) == 4 + 7
 
-    def test_union_linear_part(self):
-        lin = linear_family(-1, 1, 3)
-        fam = family_union(qn_family(2), lin)
-        assert fam.linear_part() is lin
-        assert explicit_family([TiltFunction.linear(1.0)]).linear_part() is None
-
 
 LABELLED_FAMILIES = {
     "linear": linear_family(-4.0, 4.0, 7),
@@ -177,9 +171,8 @@ class TestSlopeArrays:
             else (m.lam, m.lam if m.nu is None else m.nu)
             for m in family.members
         ]
-        lam, nu = family.slope_pairs()
-        np.testing.assert_array_equal(lam, [p[0] for p in want])
-        np.testing.assert_array_equal(nu, [p[1] for p in want])
+        np.testing.assert_array_equal(family.lam, [p[0] for p in want])
+        np.testing.assert_array_equal(family.nu, [p[1] for p in want])
         assert family.custom == tuple(m for m in family.members if m.kind == "custom")
 
     def test_labels_keep_the_numpy_scalar_repr(self):
