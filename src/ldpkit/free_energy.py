@@ -17,14 +17,22 @@ the requested tolerance is flagged as not converged.
 
 One kernel evaluates every tilt: a member with slopes ``(lam, nu)`` (a
 linear tilt has ``lam == nu``) gives ``t * logaddexp(A(lam), B(nu))``, with
-``A`` and ``B`` the log-sums over the atoms at ``x <= 0`` and ``x > 0``,
-each taken once per distinct slope.  Custom members are summed row by row.
-A family's estimates come back as one :class:`FamilyTable` of arrays; a
-per-member :class:`LimitEstimate` is built only on request.
+``A`` and ``B`` the log-sums over the atoms at ``x <= 0`` and ``x > 0``.
+Each net keeps, per window, one store of these sums that lives as long as
+the net: a slope is summed once per side, and every later table over the
+window (a family, its doubling, the linear grids, single tilts) reads it.
+Window samples with the same atom count on a side are summed together, in
+blocks of whole ``slopes x samples`` rows.  A custom member is evaluated
+once per table, on the atoms of all window samples together, so its
+callable must be elementwise.  A family's estimates come back as one
+:class:`FamilyTable` of arrays; a per-member :class:`LimitEstimate` is
+built only on request.
 """
 
 from __future__ import annotations
 
+import threading
+import weakref
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -33,7 +41,7 @@ import numpy as np
 from .convex import GridFunction
 from .extreal import INF, NEG_INF
 from .measures import ScaledMeasureNet
-from .scenario import Tolerances
+from .scenario import WINDOW_SAMPLES, Tolerances
 from .tilts import TiltFamily, TiltFunction, explicit_family, linear_family
 
 DEFAULT_TOL = Tolerances.convergence
@@ -53,7 +61,7 @@ class WindowSpec:
 
     start_index: int
     end_index: int
-    max_samples: int = 48
+    max_samples: int = WINDOW_SAMPLES
 
     def __post_init__(self):
         if self.start_index < 1:
@@ -75,7 +83,7 @@ class WindowSpec:
 
 
 def window_for_t_range(
-    net: ScaledMeasureNet, t_max: float, t_min: float, max_samples: int = 48
+    net: ScaledMeasureNet, t_max: float, t_min: float, max_samples: int = WINDOW_SAMPLES
 ) -> WindowSpec:
     """Window covering the indices with t in [t_min, t_max]."""
     start, end = net.index_range_for_t(t_max, t_min)
@@ -212,7 +220,7 @@ def _log_sum_exp_rows(x: np.ndarray) -> np.ndarray:
 
     The largest term stays out of the sum and returns through ``log1p``, so
     terms far below it keep their digits.  scipy's fixed cost per call (about
-    0.1 ms) would dominate the few-atom sums made once per window sample.
+    0.1 ms) would dominate the sums over few-atom measures.
     """
     if x.shape[1] == 0:
         return np.full(x.shape[0], NEG_INF)
@@ -228,13 +236,126 @@ def _log_sum_exp_rows(x: np.ndarray) -> np.ndarray:
 def _slope_log_sums(
     slopes: np.ndarray, locs: np.ndarray, logm: np.ndarray, t: float
 ) -> np.ndarray:
-    """``log sum_i exp(logm_i + s * locs_i / t)`` for every slope ``s``."""
+    """``log sum_i exp(logm_i + s * locs_i / t)`` for every slope ``s``.
+
+    One sample at a time; the test oracle of :class:`_WindowSums`.
+    """
     out = np.empty(slopes.size)
     step = max(1, _BLOCK_TERMS // max(1, locs.size))
     for i in range(0, slopes.size, step):
         s = slopes[i : i + step, None]
         out[i : i + step] = _log_sum_exp_rows(logm + s * locs / t)
     return out
+
+
+def _group_log_sums(count, ts, logm, tilt) -> np.ndarray:
+    """``log sum_i exp(logm[j, i] + h / ts[j])`` for ``count`` tilts, ``(count, samples)``.
+
+    ``logm`` is ``(samples, atoms)`` and ``tilt(ii, jj)`` gives the tilt
+    values ``h`` of tilts ``ii`` at the atoms of samples ``jj``, shape
+    ``(tilts, samples, atoms)``.  Each block sums whole rows of about
+    ``_BLOCK_TERMS`` terms, so every sum equals its one-sample kernel's.
+    """
+    samples, atoms = logm.shape
+    out = np.full((count, samples), NEG_INF)
+    if atoms == 0:
+        return out
+    per = max(1, _BLOCK_TERMS // atoms)  # samples per block
+    for j in range(0, samples, per):
+        jj = slice(j, j + per)
+        width = logm[jj].shape[0]
+        step = max(1, per // width)  # tilts per block
+        for i in range(0, count, step):
+            ii = slice(i, i + step)
+            x = logm[jj] + tilt(ii, jj) / ts[jj, None]
+            out[ii, jj] = _log_sum_exp_rows(x.reshape(-1, atoms)).reshape(-1, width)
+    return out
+
+
+def _groups(parts: list[tuple[np.ndarray, np.ndarray]]) -> list[tuple]:
+    """The samples of equal atom count, each group ``(indices, locs, logm)``
+    with ``locs``/``logm`` stacked to ``(samples, atoms)``."""
+    by_size: dict[int, list[int]] = {}
+    for j, (locs, _) in enumerate(parts):
+        by_size.setdefault(locs.size, []).append(j)
+    return [
+        (np.array(idx), *(np.stack([parts[j][k] for j in idx]) for k in (0, 1)))
+        for idx in by_size.values()
+    ]
+
+
+class _WindowSums:
+    """The side log-sums ``A``/``B`` of every sample of one net's window.
+
+    Every table over the window reads them: each distinct slope is summed
+    once per side, over all samples in one batch per group of samples with
+    the same atom count (see :func:`_group_log_sums`).  Custom tilts are
+    evaluated once per table on the atoms of all samples together.  Callers
+    of :meth:`slope_sums` hold ``lock``.
+    """
+
+    def __init__(self, net: ScaledMeasureNet, window: WindowSpec):
+        ks = window.indices(net)
+        self.ts = np.array([net.t(int(k)) for k in ks])
+        self.lock = threading.Lock()
+        self._measures = [net.measure(int(k)) for k in ks]
+        cuts = [np.searchsorted(m.locations, 0.0, "right") for m in self._measures]
+        pairs = list(zip(self._measures, cuts))
+        left = [(m.locations[:c], m.log_masses[:c]) for m, c in pairs]
+        right = [(m.locations[c:], m.log_masses[c:]) for m, c in pairs]
+        self._sides = (_groups(left), _groups(right))
+        self._known: tuple[dict[float, np.ndarray], ...] = ({}, {})
+
+    def slope_sums(self, side: int, slopes: np.ndarray) -> np.ndarray:
+        """``(samples, slopes)`` sums over the atoms at ``x <= 0`` (side 0)
+        or ``x > 0`` (side 1), each slope summed on its first request."""
+        known = self._known[side]
+        keys = slopes.tolist()
+        new = [s for s in keys if s not in known]
+        if new:
+            axis = np.array(new)
+            fresh = np.empty((axis.size, self.ts.size))
+            for idx, locs, logm in self._sides[side]:
+                fresh[:, idx] = _group_log_sums(
+                    axis.size, self.ts[idx], logm,
+                    lambda ii, jj: axis[ii, None, None] * locs[jj],
+                )
+            known.update(zip(new, fresh))
+        return np.array([known[s] for s in keys]).reshape(len(keys), self.ts.size).T
+
+    def custom_sums(self, members: Sequence[TiltFunction]) -> np.ndarray:
+        """``(samples, members)`` log-sums of the custom ``members`` over all atoms.
+
+        Each member is evaluated once, on the atoms of every sample together.
+        """
+        groups = _groups([(m.locations, m.log_masses) for m in self._measures])
+        atoms = np.concatenate([locs.ravel() for _, locs, _ in groups])
+        h = np.array([member.eval_array(atoms) for member in members])
+        out = np.empty((self.ts.size, len(members)))
+        start = 0
+        for idx, locs, logm in groups:
+            h_group = h[:, start : start + locs.size].reshape(len(members), *locs.shape)
+            start += locs.size
+            out[idx] = _group_log_sums(
+                len(members), self.ts[idx], logm, lambda ii, jj: h_group[ii, jj]
+            ).T
+        return out
+
+
+# net -> {window -> its sums}; a store lives no longer than its net
+_STORES: "weakref.WeakKeyDictionary[ScaledMeasureNet, dict]" = weakref.WeakKeyDictionary()
+_STORES_LOCK = threading.Lock()
+
+
+def _window_sums(net: ScaledMeasureNet, window: WindowSpec) -> _WindowSums:
+    """The store of ``net`` over ``window``, built on first use."""
+    with _STORES_LOCK:
+        store = _STORES.setdefault(net, {}).get(window)
+    if store is None:
+        built = _WindowSums(net, window)  # outside the lock: it may build measures
+        with _STORES_LOCK:
+            store = _STORES[net].setdefault(window, built)
+    return store
 
 
 def _classify_limits(
@@ -284,24 +405,20 @@ def lambda_family_table(
     :func:`estimate_limit` applied member by member, up to the rounding of
     the split log-sum (see the module docstring).
     """
-    ks = window.indices(net)
-    ts = np.array([net.t(int(k)) for k in ks])
+    store = _window_sums(net, window)
+    ts = store.ts
     lam, nu = family.lam, family.nu
     sloped = ~np.isnan(lam)
     lam_axis, lam_at = np.unique(lam[sloped], return_inverse=True)
     nu_axis, nu_at = np.unique(nu[sloped], return_inverse=True)
-    custom = family.custom
-    rows = np.empty((ks.size, lam.size))
-    for row, k, t in zip(rows, ks, ts):
-        m = net.measure(int(k))
-        locs, logm = m.locations, m.log_masses
-        left = locs <= 0.0
-        a = _slope_log_sums(lam_axis, locs[left], logm[left], t)
-        b = _slope_log_sums(nu_axis, locs[~left], logm[~left], t)
-        row[sloped] = t * np.logaddexp(a[lam_at], b[nu_at])
-        if custom:
-            h = np.array([member.eval_array(locs) for member in custom])
-            row[~sloped] = t * _log_sum_exp_rows(logm + h / t)
+    rows = np.empty((ts.size, lam.size))
+    with store.lock:
+        a = store.slope_sums(0, lam_axis)
+        b = store.slope_sums(1, nu_axis)
+    if family.custom:
+        rows[:, ~sloped] = ts[:, None] * store.custom_sums(family.custom)
+    for row, t, a_j, b_j in zip(rows, ts, a, b):
+        row[sloped] = t * np.logaddexp(a_j[lam_at], b_j[nu_at])
     return _classify_limits(ts, rows, tol, divergence_threshold)
 
 

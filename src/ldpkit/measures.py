@@ -70,7 +70,10 @@ class FiniteSupportMeasure:
             raise ValueError("every atom must carry a positive finite mass")
         if locs.size and np.any(np.diff(locs) <= 0):
             raise ValueError("locations must be strictly increasing")
-        total = logsumexp(logm) if logm.size else NEG_INF
+        # numpy, not scipy's logsumexp: its fixed cost per call was most of
+        # a few-atom measure's build
+        peak = logm.max(initial=NEG_INF)
+        total = peak + math.log(np.exp(logm - peak).sum()) if logm.size else NEG_INF
         if total > math.log1p(MASS_SLACK):
             raise ValueError(f"total mass exp({total}) exceeds 1")
         object.__setattr__(self, "locations", locs)

@@ -33,7 +33,14 @@ from .measures import (
     demzei_example_net,
     iid_mean_example_net,
 )
-from .scenario import Scenario, Tolerances, parse_region_specs, parse_tilt_labels
+from .scenario import (
+    DELTA_COUNT,
+    WINDOW_SAMPLES,
+    Scenario,
+    Tolerances,
+    parse_region_specs,
+    parse_tilt_labels,
+)
 from .tilts import (
     TiltFamily,
     TiltFunction,
@@ -56,8 +63,8 @@ from .verifier import (
 SCHEMA_VERSION = 1
 
 DEFAULTS = {
-    "window": {"t_max": 1e-2, "t_min": 1e-6, "samples": 48},
-    "delta_schedule": "2^-1 .. 2^-count, count=10",
+    "window": {"t_max": 1e-2, "t_min": 1e-6, "samples": WINDOW_SAMPLES},
+    "delta_schedule": f"2^-1 .. 2^-count, count={DELTA_COUNT}",
     "tolerances": asdict(Tolerances()),
     "range_merge_factor": convex.RANGE_MERGE_FACTOR,
     "coverage_slack": "one local grid cell + slope merge gap",

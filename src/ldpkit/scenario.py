@@ -17,6 +17,9 @@ from .tilts import TiltFunction
 NET_KINDS = ("coin", "dem-zei", "iid-bernoulli")
 FAMILY_KINDS = ("two-slope", "linear", "qn-plus-linear")
 
+WINDOW_SAMPLES = 48  # geometric samples per tail window
+DELTA_COUNT = 10  # ball radii 2^-1 .. 2^-DELTA_COUNT
+
 KNOWN_CHECKS = (
     "vague-ldp",
     "exp-tight",
@@ -222,7 +225,7 @@ def _window_from(reader: _SectionReader, defaults: WindowConfig | None = None) -
     cfg = WindowConfig(
         t_max=reader.number("t_max"),
         t_min=reader.number("t_min"),
-        samples=reader.integer("samples", 48),
+        samples=reader.integer("samples", WINDOW_SAMPLES),
     )
     if not (0 < cfg.t_min < cfg.t_max):
         raise ScenarioError(
@@ -301,7 +304,7 @@ def load_scenario(path) -> Scenario:
     include_l_slopes = xg.boolean("include_l_slopes", False)
 
     deltas = _SectionReader(parser, "deltas", path)
-    delta_count = deltas.integer("count", 10) if parser.has_section("deltas") else 10
+    delta_count = deltas.integer("count", DELTA_COUNT)  # also without a [deltas] section
     if delta_count < 1:
         raise ScenarioError(f"{path}: [deltas] count must be >= 1")
 

@@ -6,7 +6,8 @@ A tilt is the test function ``h`` inside the powered exponential integral
 * ``linear``    -- ``h(x) = lam * x``;
 * ``two_slope`` -- slope ``lam`` on ``x <= 0`` and ``nu`` on ``x >= 0``
   (both give 0 at the origin, so the function is well defined);
-* ``custom``    -- a vectorized callable, never returning +inf.
+* ``custom``    -- an elementwise vectorized callable, never returning +inf
+  (it may be called on the atoms of many measures at once).
 
 Families are finite, deterministic collections of tilts, either explicit or
 expanded from a parametric descriptor (grid of slopes, index range of the
@@ -32,6 +33,17 @@ from .extreal import INF
 def _label(lam, nu=None) -> str:
     # ``!r`` of a numpy scalar reads ``np.float64(...)``; the goldens pin it
     return f"linear:{lam!r}" if nu is None else f"two_slope:{lam!r}:{nu!r}"
+
+
+def _reprs(values: np.ndarray) -> list[str]:
+    """``repr`` of every entry, each distinct value formatted once.
+
+    Values are keyed by their bits: ``np.unique`` on the floats would merge
+    ``-0.0`` and ``0.0``, whose reprs differ.
+    """
+    bits, at = np.unique(values.view(np.int64), return_inverse=True)
+    text = [repr(v) for v in bits.view(np.float64)]
+    return [text[i] for i in at.tolist()]
 
 
 @dataclass(frozen=True)
@@ -131,9 +143,11 @@ class TiltFamily:
     def labels(self) -> list[str]:
         """``[m.label for m in self.members]``, without building the members."""
         if self.kind == "linear":
-            return [_label(l) for l in self.lam]
+            return ["linear:" + l for l in _reprs(self.lam)]
         if self.kind == "two_slope":
-            return [_label(l, n) for l, n in zip(self.lam, self.nu)]
+            return [
+                f"two_slope:{l}:{n}" for l, n in zip(_reprs(self.lam), _reprs(self.nu))
+            ]
         if self.kind == "union":
             return [s for p in self.parts for s in p.labels()]
         return [m.label for m in self.given]

@@ -44,13 +44,13 @@ from .free_energy import (
     lambda_of,
 )
 from .measures import RegionSet, ScaledMeasureNet
-from .scenario import Tolerances
+from .scenario import DELTA_COUNT, Tolerances
 from .tilts import TiltFunction
 
 DEFAULT_FILTER_TOL = Tolerances.filter
 
 
-def default_delta_schedule(num: int = 10) -> tuple[float, ...]:
+def default_delta_schedule(num: int = DELTA_COUNT) -> tuple[float, ...]:
     return tuple(2.0 ** (-k) for k in range(1, num + 1))
 
 

@@ -1,3 +1,8 @@
+import gc
+import sys
+import threading
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +11,7 @@ from scipy.special import logsumexp
 
 import ldpkit
 from ldpkit import free_energy
+from ldpkit.conjugate import stable_abstract_lf
 from ldpkit.extreal import INF, NEG_INF
 from ldpkit.free_energy import (
     FamilyTable,
@@ -30,6 +36,7 @@ from ldpkit.tilts import (
     explicit_family,
     family_union,
     linear_family,
+    q_bump_tilt,
     qn_family,
     two_slope_family,
 )
@@ -352,6 +359,168 @@ class TestSlopeLogSumBlocks:
         monkeypatch.setattr(free_energy, "_BLOCK_TERMS", block)
         got = _slope_log_sums(slopes, locs, logm, 0.01)
         assert got.tobytes() == want.tobytes()
+
+
+SIGNED_SLOPES = st.one_of(
+    st.sampled_from([-3.0, -0.5, -0.0, 0.0, 0.5, 2.0]),  # both zeros, repeats likely
+    st.floats(-4.0, 4.0),
+)
+
+
+def count_summed_terms(monkeypatch) -> list[int]:
+    """Patch the row kernel to add up the terms it is given (thread-safe)."""
+    terms, lock = [0], threading.Lock()
+    kernel = free_energy._log_sum_exp_rows
+
+    def counting(x):
+        with lock:
+            terms[0] += x.size
+        return kernel(x)
+
+    monkeypatch.setattr(free_energy, "_log_sum_exp_rows", counting)
+    return terms
+
+
+def all_tables(net, window):
+    """The tables one ``run`` builds: linear grids, a family and its doubling,
+    single tilts with custom ones among them."""
+    family = two_slope_family((-2.0, 2.0), (-2.0, 2.0), 9)
+    families = [
+        linear_family(-2.0, 2.0, 11),
+        family,
+        family.doubled(),
+        linear_family(-4.0, 4.0, 23),
+        explicit_family([TiltFunction.linear(0.5), q_bump_tilt(2), TiltFunction.linear(0.0)]),
+    ]
+    return [lambda_family_table(net, f, window, tol=1.0) for f in families]
+
+
+def small_iid_net():
+    # iid laws differ in atom count from sample to sample; a fresh net has an
+    # empty store
+    return ldpkit.iid_mean_example_net(ldpkit.bernoulli_half_base(), 400)
+
+
+class TestWindowSums:
+    @pytest.mark.parametrize("block", [1, 7, None])
+    @given(
+        measures=st.lists(finite_measures(), min_size=1, max_size=3),
+        order=st.lists(st.integers(0, 2), min_size=2, max_size=7),
+        requests=st.lists(
+            st.tuples(st.sampled_from([0, 1]), st.lists(SIGNED_SLOPES, max_size=9)),
+            min_size=1,
+            max_size=5,
+        ),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_sums_equal_the_one_sample_kernel(self, block, measures, order, requests):
+        # samples repeat measures, so groups of equal atom count form beside
+        # singletons; a side may have no atoms; requests overlap in any order
+        net = ScaledMeasureNet(
+            t_of=lambda k: 0.3 / k,
+            measure_of=lambda k: measures[order[k - 1] % len(measures)],
+            max_index=len(order),
+        )
+        window = WindowSpec(1, len(order), len(order))
+        with pytest.MonkeyPatch.context() as mp:
+            if block is not None:
+                mp.setattr(free_energy, "_BLOCK_TERMS", block)
+            store = free_energy._window_sums(net, window)
+            for side, slopes in requests:
+                slopes = np.array(slopes, dtype=float)
+                got = store.slope_sums(side, slopes)
+                assert got.shape == (len(store.ts), slopes.size)
+                for j, k in enumerate(window.indices(net)):
+                    m = net.measure(int(k))
+                    part = (m.locations <= 0.0) == (side == 0)
+                    want = _slope_log_sums(
+                        slopes, m.locations[part], m.log_masses[part], store.ts[j]
+                    )
+                    assert got[j].tobytes() == want.tobytes()
+
+    def test_store_is_shared_and_dies_with_the_net(self):
+        net = small_iid_net()
+        window = WindowSpec(100, 400, 6)
+        store = free_energy._window_sums(net, window)
+        assert free_energy._window_sums(net, window) is store
+        assert free_energy._window_sums(net, WindowSpec(100, 400, 5)) is not store
+        ref = weakref.ref(net)
+        del net
+        gc.collect()
+        assert ref() is None
+
+    def test_custom_tilt_is_evaluated_once_per_table(self):
+        calls = []
+
+        def fn(xs):
+            calls.append(xs.size)
+            return np.abs(xs)
+
+        net = small_iid_net()
+        window = WindowSpec(100, 400, 6)
+        family = explicit_family([TiltFunction.custom("abs", fn), TiltFunction.linear(1.0)])
+        table = lambda_family_table(net, family, window, tol=1.0)
+        atoms = [net.measure(int(k)).locations.size for k in window.indices(net)]
+        assert calls == [sum(atoms)]
+        np.testing.assert_array_equal(table.rows[:, 0], table.rows[:, 1])  # |x| = x on [0, 1]
+
+    def test_every_slope_is_summed_once_per_op(self, monkeypatch):
+        net = small_iid_net()
+        window = WindowSpec(100, 400, 6)
+        terms = count_summed_terms(monkeypatch)
+        all_tables(net, window)
+        family = two_slope_family((-2.0, 2.0), (-2.0, 2.0), 9)
+        stable_abstract_lf(net, family, np.linspace(0.1, 0.9, 5), window, tol=1.0)
+        # the minimum: each distinct slope once per side and sample, plus
+        # one row per sample for each custom tilt (qn:2 here, in one table)
+        lam, nu = set(), set()
+        for f in (family.doubled(), linear_family(-2.0, 2.0, 11), linear_family(-4.0, 4.0, 23)):
+            lam.update(f.lam.tolist())
+            nu.update(f.nu.tolist())
+        lam.update([0.5, 0.0])
+        nu.update([0.5, 0.0])
+        want = 0
+        for k in window.indices(net):
+            locs = net.measure(int(k)).locations
+            left = int(np.count_nonzero(locs <= 0.0))
+            want += len(lam) * left + len(nu) * (locs.size - left) + locs.size
+        assert terms[0] == want
+
+    def test_shared_net_across_threads(self, monkeypatch):
+        window = WindowSpec(100, 400, 6)
+        terms = count_summed_terms(monkeypatch)
+        serial = all_tables(small_iid_net(), window)
+        serial_terms, terms[0] = terms[0], 0
+        net = small_iid_net()
+        barrier = threading.Barrier(4, timeout=30)
+        results, errors = [], []
+
+        def worker():
+            try:
+                barrier.wait()
+                results.append(all_tables(net, window))
+            except Exception as exc:  # reported by the assert below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert errors == []
+        assert len(results) == 4
+        for tables in results:
+            for got, want in zip(tables, serial):
+                assert got.rows.tobytes() == want.rows.tobytes()
+        # the sloped sums are shared; only the custom qn:2 rows repeat per thread
+        custom = sum(net.measure(int(k)).locations.size for k in window.indices(net))
+        assert terms[0] == serial_terms + 3 * custom
 
 
 def assert_same_estimates(got, want):

@@ -41,6 +41,19 @@ class TestFiniteSupportMeasure:
         with pytest.raises(ValueError, match="total mass"):
             FiniteSupportMeasure.from_atoms([(0.0, 0.7), (1.0, 0.7)])
 
+    @pytest.mark.parametrize("excess, accepted", [(0.5e-9, True), (2e-9, False)])
+    def test_total_mass_slack(self, excess, accepted):
+        # the bound is exp(log1p(MASS_SLACK)); spread over many atoms, the
+        # check must still see the sum
+        n = 1000
+        logm = np.full(n, math.log1p(excess) - math.log(n))
+        locs = np.arange(n, dtype=float)
+        if accepted:
+            FiniteSupportMeasure(locs, logm)
+        else:
+            with pytest.raises(ValueError, match="total mass"):
+                FiniteSupportMeasure(locs, logm)
+
     def test_sub_probability_allowed(self):
         m = FiniteSupportMeasure.from_atoms([(0.0, 0.5)])
         assert m.total_mass == pytest.approx(0.5)

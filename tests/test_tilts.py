@@ -182,6 +182,19 @@ class TestSlopeArrays:
             "two_slope:np.float64(-4.0):np.float64(4.0)"
         )
 
+    def test_signed_zero_slopes_keep_their_reprs(self):
+        # -0.0 == 0.0, but the reprs differ: labels key the slopes by bits
+        zeros = np.array([0.0, -0.0, 1.0, -0.0])
+        fam = TiltFamily("two_slope", zeros, zeros[::-1])
+        assert fam.labels() == [m.label for m in fam.members]
+        assert fam.labels()[:2] == [
+            "two_slope:np.float64(0.0):np.float64(-0.0)",
+            "two_slope:np.float64(-0.0):np.float64(1.0)",
+        ]
+        assert TiltFamily("linear", zeros, zeros).labels() == [
+            f"linear:np.float64({z})" for z in ("0.0", "-0.0", "1.0", "-0.0")
+        ]
+
     def test_two_slope_member_order_is_lam_outer(self):
         fam = two_slope_family((-1.0, 1.0), (0.0, 4.0), 3)
         lam_axis, nu_axis = np.linspace(-1.0, 1.0, 3), np.linspace(0.0, 4.0, 3)
