@@ -216,11 +216,15 @@ def lambda_of(
 
 
 def _log_sum_exp_rows(x: np.ndarray) -> np.ndarray:
-    """``log sum exp`` of every row, by the algorithm of scipy's ``logsumexp``.
+    """``log sum exp`` of every row, with one largest term shifted out.
 
-    The largest term stays out of the sum and returns through ``log1p``, so
-    terms far below it keep their digits.  scipy's fixed cost per call (about
-    0.1 ms) would dominate the sums over few-atom measures.
+    The first largest term of a row stays out of the sum and returns through
+    ``log1p``, so terms far below it keep their digits.  This is not scipy's
+    ``logsumexp`` bit for bit: scipy >= 1.15 takes every tied maximum out of
+    the sum and adds ``log(m)`` for ``m`` ties, and scipy 1.13 shifts by the
+    maximum without ``log1p`` at all, so results can differ in the last bits,
+    most often where maxima tie.  scipy's fixed cost per call (about 0.1 ms)
+    would dominate the sums over few-atom measures.
     """
     if x.shape[1] == 0:
         return np.full(x.shape[0], NEG_INF)

@@ -11,6 +11,9 @@ A :class:`ScaledMeasureNet` is an indexed family ``k -> (measure, t_k)``
 with a strictly decreasing positive scale ``t_k -> 0``.  The three built-in
 nets (fair two-point coin, escaping three-atom family, iid empirical mean)
 are the standard test beds for free-energy and rate-function estimation.
+
+scipy is imported inside the three functions that use it, so importing the
+package loads numpy only.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from functools import cached_property
 from typing import Callable, Iterable
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from .extreal import INF, NEG_INF
 
@@ -122,6 +124,8 @@ class FiniteSupportMeasure:
     def log_total_mass(self) -> float:
         if self.log_masses.size == 0:
             return NEG_INF
+        from scipy.special import logsumexp
+
         return float(logsumexp(self.log_masses))
 
     @property
@@ -329,6 +333,8 @@ def exp_power_integral(measure: FiniteSupportMeasure, tilt, t: float) -> float:
         raise ValueError("t must be positive")
     if measure.locations.size == 0:
         return NEG_INF
+    from scipy.special import logsumexp
+
     h = tilt.eval_array(measure.locations)
     expo = measure.log_masses + h / t
     val = float(logsumexp(expo))
@@ -518,9 +524,12 @@ def _iid_mean_law(base: FiniteSupportMeasure, n: int) -> FiniteSupportMeasure:
     of the sum law by binary powering (square and multiply); colliding
     locations are combined in log scale, so masses as small as exp(-n) stay
     exact.  The result depends on ``base`` and ``n`` alone and is
-    normalized to mass 1.
+    normalized to mass 1.  ``gammaln`` is imported here, on first use, to
+    keep scipy off the package's import path.
     """
     if base.locations.size == 2:
+        from scipy.special import gammaln
+
         a, b = base.locations
         log_ma, log_mb = base.log_masses
         k = np.arange(n + 1)

@@ -118,6 +118,8 @@ def _jsonify(obj):
     if isinstance(obj, dict):
         return {str(k): _jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
+        if {*map(type, obj)} <= {str}:  # labels: already JSON-safe
+            return list(obj)
         return [_jsonify(v) for v in obj]
     if isinstance(obj, (np.bool_, bool)):
         return bool(obj)

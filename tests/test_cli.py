@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from importlib import resources
 
+import ldpkit
 from ldpkit.cli import main
 from ldpkit.convex import load_grid_csv, save_grid_csv, GridFunction
 from ldpkit.free_energy import lambda_of
@@ -228,6 +233,14 @@ class TestRunScenario:
         # one tolist per array must write what the per-element path writes
         assert json.dumps(_jsonify(arr)) == json.dumps(_jsonify(list(arr)))
 
+    def test_mixed_list_leaves(self):
+        mixed = ["linear:-4.0", INF, NEG_INF, np.bool_(True), np.float64(-0.5), np.float64(NEG_INF)]
+        got = _jsonify(mixed)
+        assert got == ["linear:-4.0", "inf", "-inf", True, -0.5, "-inf"]
+        assert [type(v) for v in got] == [str, str, str, bool, float, str]
+        labels = ("linear:0.0", "two_slope:1.0:-1.0")
+        assert _jsonify(labels) == list(labels) and type(_jsonify(labels)) is list
+
 
 class TestCliCommands:
     def test_run_exit_status(self, mini_scenario, tmp_path, capsys):
@@ -344,6 +357,36 @@ class TestCliCommands:
             main(["reproduce", "ge-ex", "--threads", "1"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --threads" in capsys.readouterr().err
+
+
+# ge-ex and dem-zei never reach scipy; only the iid law and measure totals do
+_COLD_START = """
+import sys
+from importlib import resources
+
+import ldpkit, ldpkit.cli
+from ldpkit.scenario import load_scenario
+
+scenarios = resources.files("ldpkit").joinpath("data/scenarios")
+for cfg in sorted(p for p in scenarios.iterdir() if p.name.endswith(".cfg")):
+    with resources.as_file(cfg) as path:
+        load_scenario(path)
+for command, name in (("run", "ge-ex"), ("free-energy", "dem-zei")):
+    with resources.as_file(scenarios.joinpath(name + ".cfg")) as path:
+        ldpkit.cli.main([command, str(path), "--out-dir", sys.argv[1]])
+print("scipy.special" in sys.modules)
+"""
+
+
+def test_cold_start_does_not_import_scipy(tmp_path):
+    src = str(Path(ldpkit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _COLD_START, str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
 
 
 class TestGoldenDiff:
