@@ -237,17 +237,21 @@ class DerivativeRange:
     def is_empty(self) -> bool:
         return len(self.components) == 0
 
-    def distance(self, x: float) -> float:
+    def distance(self, x):
+        """Distance from ``x``, a number or an array, to the nearest component."""
+        x = np.asarray(x, dtype=float)
         if self.is_empty:
-            return INF
-        best = INF
-        for lo, hi in self.components:
-            if lo <= x <= hi:
-                return 0.0
-            best = min(best, abs(x - lo), abs(x - hi))
-        return best
+            return np.full(x.shape, INF)[()]
+        bounds = np.array(self.components).ravel()  # lo_0 <= hi_0 < lo_1 <= ...
+        above = np.searchsorted(bounds, x, side="right")  # bounds <= x
+        near = np.minimum(
+            np.abs(x - bounds[np.maximum(above - 1, 0)]),
+            np.abs(x - bounds[np.minimum(above, bounds.size - 1)]),
+        )
+        return np.where(above % 2 == 1, 0.0, near)[()]  # odd: past a lo, not its hi
 
-    def covers(self, x: float, slack: float = 0.0) -> bool:
+    def covers(self, x, slack=0.0):
+        """Whether ``x`` lies within ``slack`` of the range, elementwise."""
         return self.distance(x) <= slack
 
     @property
@@ -523,9 +527,9 @@ def conv_lemma_check(
 
 def save_grid_csv(f: GridFunction, path) -> None:
     """Write ``x,value`` lines; +-inf as literal ``inf`` / ``-inf``."""
+    lines = [f"{x!r},{v!r}\n" for x, v in zip(f.xs.tolist(), f.values.tolist())]
     with open(path, "w", encoding="utf-8") as fh:
-        for x, v in zip(f.xs, f.values):
-            fh.write(f"{float(x)!r},{float(v)!r}\n")
+        fh.write("".join(lines))
 
 
 def load_grid_csv(path, label: str = "") -> GridFunction:

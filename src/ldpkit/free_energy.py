@@ -22,9 +22,11 @@ Each net keeps, per window, one store of these sums that lives as long as
 the net: a slope is summed once per side, and every later table over the
 window (a family, its doubling, the linear grids, single tilts) reads it.
 Window samples with the same atom count on a side are summed together, in
-blocks of whole ``slopes x samples`` rows.  A custom member is evaluated
-once per table, on the atoms of all window samples together, so its
-callable must be elementwise.  A family's estimates come back as one
+blocks of whole ``slopes x samples`` rows.  At small ``t`` most terms lie
+more than 745 below their row's largest; the row kernel leaves them at the
+exact 0.0 that ``exp`` would return, without calling it.  A custom member
+is evaluated once per table, on the atoms of all window samples together,
+so its callable must be elementwise.  A family's estimates come back as one
 :class:`FamilyTable` of arrays; a per-member :class:`LimitEstimate` is
 built only on request.
 """
@@ -53,6 +55,13 @@ DIVERGENCE_RUN = 5
 # cramer's `run` took about 24,000 minor faults per op and its family tables
 # 0.12 s, against under 750 faults and 0.066-0.074 s at 2^13-2^16.
 _BLOCK_TERMS = 1 << 15
+# Below this shifted exponent ``exp`` returns exactly 0.0, so the kernel does
+# not call it there.  exp(-745.13) = 5e-324 is the last nonzero double, and
+# the subnormal band [-745.13, -708.4] is still computed.  numpy 2.4's exp
+# took about 1 ns per element in range, 110-180 ns in the subnormal band and
+# 5-17 ns below it, where it returns 0.0 (2-vCPU x86-64 VM).  At small t most
+# of cramer's terms lie below the band.
+_EXP_ZERO = -746.0
 
 
 @dataclass(frozen=True)
@@ -219,12 +228,16 @@ def _log_sum_exp_rows(x: np.ndarray) -> np.ndarray:
     """``log sum exp`` of every row, with one largest term shifted out.
 
     The first largest term of a row stays out of the sum and returns through
-    ``log1p``, so terms far below it keep their digits.  This is not scipy's
-    ``logsumexp`` bit for bit: scipy >= 1.15 takes every tied maximum out of
-    the sum and adds ``log(m)`` for ``m`` ties, and scipy 1.13 shifts by the
-    maximum without ``log1p`` at all, so results can differ in the last bits,
-    most often where maxima tie.  scipy's fixed cost per call (about 0.1 ms)
-    would dominate the sums over few-atom measures.
+    ``log1p``, so terms far below it keep their digits.  ``exp`` runs only on
+    the shifted terms not below ``_EXP_ZERO``; the others hold the exact 0.0
+    that ``exp`` would give them, so every sum is bit for bit that of an
+    unmasked ``exp``, without ``exp``'s slow path for such arguments.
+
+    This is not scipy's ``logsumexp`` bit for bit: scipy >= 1.15 takes
+    every tied maximum out of the sum and adds ``log(m)`` for ``m`` ties, and
+    scipy 1.13 shifts by the maximum without ``log1p`` at all, so results can
+    differ in the last bits, most often where maxima tie.  scipy's fixed cost
+    per call (about 0.1 ms) would dominate the sums over few-atom measures.
     """
     if x.shape[1] == 0:
         return np.full(x.shape[0], NEG_INF)
@@ -232,7 +245,10 @@ def _log_sum_exp_rows(x: np.ndarray) -> np.ndarray:
     top = x.argmax(axis=1)
     peak = x[rows, top]
     with np.errstate(invalid="ignore"):
-        terms = np.exp(x - np.where(np.isfinite(peak), peak, 0.0)[:, None])
+        shifted = x - np.where(np.isfinite(peak), peak, 0.0)[:, None]
+        # not >=: NaN terms must still reach exp and give NaN
+        live = ~(shifted < _EXP_ZERO)
+        terms = np.exp(shifted, out=np.zeros_like(shifted), where=live)
     terms[rows, top] = 0.0
     return peak + np.log1p(terms.sum(axis=1))
 

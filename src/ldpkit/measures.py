@@ -275,10 +275,6 @@ class RegionSet:
         return cls((Interval(lo, hi, True, True),))
 
     @classmethod
-    def point(cls, x: float) -> "RegionSet":
-        return cls((Interval(x, x, False, False),))
-
-    @classmethod
     def complement_of_closed(cls, lo: float, hi: float) -> "RegionSet":
         """The two open rays around the closed interval [lo, hi]."""
         return cls(

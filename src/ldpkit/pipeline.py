@@ -133,6 +133,35 @@ def _jsonify(obj):
     return obj
 
 
+_JSON_SCALARS = {str, int, float, bool, type(None)}
+
+
+def _json_pieces(obj, level: int = 0):
+    """The text of ``json.dumps(obj, indent=1)``, byte for byte, in pieces.
+
+    ``indent`` makes ``json`` use its pure-Python encoder throughout.  Here
+    only the nesting is Python: a container of plain scalars is encoded in
+    one C-encoder call whose item separator carries the newline and the
+    indent.  Anything else is encoded item by item; dict keys must be str.
+    A writer that takes the pieces one by one never holds the whole text.
+    """
+    if not isinstance(obj, (dict, list, tuple)) or not obj:
+        yield json.dumps(obj)
+        return
+    pad = "\n" + " " * (level + 1)
+    is_dict = isinstance(obj, dict)
+    opening, closing = "{}" if is_dict else "[]"
+    if {*map(type, obj.values() if is_dict else obj)} <= _JSON_SCALARS:
+        yield opening + pad + json.dumps(obj, separators=("," + pad, ": "))[1:-1]
+    else:
+        sep = opening + pad
+        for key, value in obj.items() if is_dict else ((None, v) for v in obj):
+            yield f"{sep}{json.dumps(key)}: " if is_dict else sep
+            yield from _json_pieces(value, level + 1)
+            sep = "," + pad
+    yield "\n" + " " * level + closing
+
+
 def _family_table(state: "PipelineState") -> dict:
     table = state.fe_family.table
     return {
@@ -557,17 +586,20 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None):
             grids["L_wide"] = state.L_wide
         for name, gf in grids.items():
             save_grid_csv(gf, os.path.join(out_dir, f"{prefix}_{name}.csv"))
+        rows = zip(
+            family_table["members"],
+            family_table["values"].tolist(),
+            family_table["converged"].tolist(),
+        )
+        lines = [f"{label},{value!r},{str(conv).lower()}\n" for label, value, conv in rows]
         with open(
             os.path.join(out_dir, f"{prefix}_family.csv"), "w", encoding="utf-8"
         ) as fh:
-            for label, value, conv in zip(
-                family_table["members"], family_table["values"], family_table["converged"]
-            ):
-                fh.write(f"{label},{float(value)!r},{str(conv).lower()}\n")
+            fh.write("".join(lines))
         with open(
             os.path.join(out_dir, f"{prefix}_report.json"), "w", encoding="utf-8"
         ) as fh:
-            json.dump(report, fh, indent=1, sort_keys=False)
+            fh.writelines(_json_pieces(report))
             fh.write("\n")
 
     return report, verdict["all_requested_hold"]
@@ -599,7 +631,7 @@ def run_free_energy(scenario: Scenario, out_dir: str | None = None):
         with open(
             os.path.join(out_dir, f"{prefix}_free_energy.json"), "w", encoding="utf-8"
         ) as fh:
-            json.dump(report, fh, indent=1, sort_keys=False)
+            fh.writelines(_json_pieces(report))
             fh.write("\n")
     return report
 

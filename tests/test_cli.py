@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from importlib import resources
 
@@ -16,6 +18,7 @@ from ldpkit.free_energy import lambda_of
 from ldpkit.extreal import INF, NEG_INF
 from ldpkit.pipeline import (
     PipelineState,
+    _json_pieces,
     _jsonify,
     golden_diff,
     run_free_energy,
@@ -240,6 +243,41 @@ class TestRunScenario:
         assert [type(v) for v in got] == [str, str, str, bool, float, str]
         labels = ("linear:0.0", "two_slope:1.0:-1.0")
         assert _jsonify(labels) == list(labels) and type(_jsonify(labels)) is list
+
+
+# strings with the C encoder's item separator, newlines, escapes and
+# non-ASCII text; floats with NaN, both infinities and -0.0
+JSON_TEXT = st.one_of(
+    st.text(), st.sampled_from([", ", "\n", ",\n ", 'a"b\\c', "é — ü 𝔼"])
+)
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.sampled_from([-0.0, float("nan"), INF, NEG_INF]),
+    JSON_TEXT,
+)
+JSON_TREES = st.recursive(
+    JSON_SCALARS,
+    lambda kids: st.one_of(
+        st.lists(kids), st.lists(kids).map(tuple), st.dictionaries(JSON_TEXT, kids)
+    ),
+    max_leaves=40,
+)
+
+
+class TestJsonPieces:
+    @given(JSON_TREES)
+    @settings(max_examples=150, deadline=None)
+    def test_equals_json_dumps_indent_1(self, obj):
+        assert "".join(_json_pieces(obj)) == json.dumps(obj, indent=1)
+
+    @pytest.mark.parametrize("name", ["ge-ex", "dem-zei", "cramer"])
+    def test_packaged_reports(self, name):
+        sc = packaged_scenario(name)
+        for report in (run_scenario(sc)[0], run_free_energy(sc)):
+            assert "".join(_json_pieces(report)) == json.dumps(report, indent=1)
 
 
 class TestCliCommands:

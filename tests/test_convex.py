@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ldpkit.convex import (
+    DerivativeRange,
     GridFormatError,
     GridFunction,
     brute_force_conjugate,
@@ -223,7 +224,34 @@ class TestDerivatives:
             assert r1 <= l2 + 1e-12
 
 
+def loop_distance(rng: DerivativeRange, x: float) -> float:
+    """Oracle: :meth:`DerivativeRange.distance` component by component."""
+    best = INF
+    for lo, hi in rng.components:
+        if lo <= x <= hi:
+            return 0.0
+        best = min(best, abs(x - lo), abs(x - hi))
+    return best
+
+
 class TestDerivativeRange:
+    def test_array_queries_equal_the_component_loop(self):
+        # bounds and queries on a 1/8 lattice, so queries hit bounds, ties
+        # between two bounds are exact, and single-point components occur
+        gen = np.random.default_rng(5)
+        for _ in range(3000):
+            ends = np.sort(gen.choice(np.arange(-40, 41), 2 * gen.integers(0, 6), replace=False))
+            pairs = ends.reshape(-1, 2) / 4.0
+            points = gen.random(len(pairs)) < 0.3
+            pairs[points, 1] = pairs[points, 0]
+            rng = DerivativeRange(tuple(map(tuple, pairs.tolist())), 0.0)
+            xs = np.concatenate([gen.integers(-96, 97, 20) / 8.0, [INF, NEG_INF], pairs.ravel()])
+            slack = gen.choice([0.0, 0.125, 0.25, 1.0], xs.size)
+            want = [loop_distance(rng, x) for x in xs.tolist()]
+            assert rng.distance(xs).tolist() == want
+            assert rng.covers(xs, slack).tolist() == [d <= c for d, c in zip(want, slack)]
+            assert [rng.distance(x) for x in xs.tolist()] == want
+
     def test_abs_two_points(self):
         rng = derivative_range(abs_grid(), (-2, 2))
         assert len(rng.components) == 2

@@ -1,6 +1,7 @@
 import gc
 import sys
 import threading
+import warnings
 import weakref
 
 import numpy as np
@@ -359,6 +360,78 @@ class TestSlopeLogSumBlocks:
         monkeypatch.setattr(free_energy, "_BLOCK_TERMS", block)
         got = _slope_log_sums(slopes, locs, logm, 0.01)
         assert got.tobytes() == want.tobytes()
+
+
+def unmasked_log_sum_exp_rows(x: np.ndarray) -> np.ndarray:
+    """Oracle: :func:`_log_sum_exp_rows` with ``exp`` run on every term."""
+    if x.shape[1] == 0:
+        return np.full(x.shape[0], NEG_INF)
+    rows = np.arange(x.shape[0])
+    top = x.argmax(axis=1)
+    peak = x[rows, top]
+    with np.errstate(invalid="ignore"):
+        terms = np.exp(x - np.where(np.isfinite(peak), peak, 0.0)[:, None])
+    terms[rows, top] = 0.0
+    return peak + np.log1p(terms.sum(axis=1))
+
+
+# offsets from a row's peak: where exp is 0.0, its subnormal band, its normal
+# range, the band's edges and the special values
+OFFSETS = st.one_of(
+    st.floats(-5000.0, -746.0),
+    st.floats(-745.2, -708.0),
+    st.floats(-60.0, 0.0),
+    st.sampled_from([-746.0, -745.14, -745.13, -708.4, -0.0, NEG_INF, INF, np.nan]),
+)
+PEAKS = st.one_of(st.sampled_from([0.0, NEG_INF]), st.floats(-1e6, 1e6))
+
+
+def bits_and_warnings(kernel, x):
+    """``kernel(x)``'s bytes and the messages of the warnings it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = kernel(x).tobytes()
+    return out, [str(w.message) for w in caught]
+
+
+class TestMaskedExp:
+    @given(
+        peaks=st.lists(PEAKS, min_size=1, max_size=6),
+        width=st.integers(1, 12),
+        data=st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_unmasked_kernel(self, peaks, width, data):
+        offsets = np.array(
+            [data.draw(st.lists(OFFSETS, min_size=width, max_size=width)) for _ in peaks]
+        )
+        with np.errstate(invalid="ignore"):  # -inf + inf
+            x = np.array(peaks)[:, None] + offsets
+        # a +inf peak leaves the row unshifted: exp may overflow there, as before
+        want = bits_and_warnings(unmasked_log_sum_exp_rows, x)
+        assert bits_and_warnings(_log_sum_exp_rows, x) == want
+
+    def test_special_rows(self):
+        x = np.array([
+            [0.0, -708.5, -745.0, -745.13],  # peak 0.0, every other term subnormal
+            [0.0, -745.14, -746.0, -1e4],  # every other term 0.0
+            [1e5, 1e5 - 745.0, 1e5 - 746.0, 1e5 - 700.0],
+            [NEG_INF] * 4,
+            [np.nan, 1.0, -800.0, NEG_INF],
+            [INF, 1.0, -800.0, NEG_INF],
+            [INF, INF, NEG_INF, NEG_INF],
+        ])
+        got = _log_sum_exp_rows(x)
+        assert got.tobytes() == unmasked_log_sum_exp_rows(x).tobytes()
+        assert got[0] > 0.0 and got[1] == 0.0
+        assert got[3] == NEG_INF and np.isnan(got[4]) and got[5] == got[6] == INF
+
+    def test_exp_is_zero_exactly_below_the_mask(self):
+        # the mask may skip only terms whose exp is exactly 0.0, and the
+        # subnormal band above it must stay computed
+        assert np.exp(free_energy._EXP_ZERO) == 0.0
+        assert np.exp(-745.14) == 0.0
+        assert np.exp(-745.13) > 0.0
 
 
 SIGNED_SLOPES = st.one_of(

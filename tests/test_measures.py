@@ -101,7 +101,7 @@ class TestExpPowerIntegral:
         st.lists(
             st.tuples(
                 st.floats(-50, 50),
-                st.floats(1e-6, 0.2),
+                st.floats(1e-6, 0.16),  # six atoms stay below total mass 1
             ),
             min_size=1,
             max_size=6,

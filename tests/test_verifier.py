@@ -1,4 +1,5 @@
 import math
+from importlib import resources
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,6 +12,8 @@ from ldpkit.conjugate import evaluate_family, stable_abstract_lf
 from ldpkit.convex import GridFunction, lf_transform
 from ldpkit.extreal import INF, NEG_INF, ext_abs_diff
 from ldpkit.measures import FiniteSupportMeasure, RegionSet, ScaledMeasureNet, region_power_mass
+from ldpkit.pipeline import PipelineState
+from ldpkit.scenario import load_scenario
 from ldpkit.tilts import TiltFunction, linear_family, q_bump_tilt, two_slope_family
 from ldpkit.verifier import (
     RangeTargets,
@@ -550,6 +553,35 @@ def loop_sandwich_check(linear_star, abstract_star, rfe, slack):
     return worst["violation"] <= slack, worst
 
 
+def loop_derivative_bound_scan(L, rfe, tol):
+    """Oracle: :func:`derivative_bound_scan` point by point."""
+    reports = []
+    ok = True
+    for i in range(L.xs.size):
+        if not np.isfinite(L.values[i]):
+            continue
+        holds, details = derivative_bound_check(L, rfe, i, tol)
+        ok = ok and holds
+        if not holds:
+            reports.append(details)
+    return ok, reports
+
+
+def outcome(fn, *args):
+    """``fn(*args)``'s result, or the message of the ValueError it raised."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@pytest.fixture(scope="module", params=["ge-ex", "dem-zei", "cramer"])
+def packaged_state(request):
+    path = resources.files("ldpkit").joinpath(f"data/scenarios/{request.param}.cfg")
+    with resources.as_file(path) as cfg:
+        return PipelineState(load_scenario(cfg))
+
+
 # few distinct values, so ties, equal infinities and overflowing gaps are common
 GRID_VALUES = st.one_of(
     st.sampled_from([0.0, -0.0, 0.5, 1.0, INF, NEG_INF, 1e308, -1e308]),
@@ -607,6 +639,44 @@ class TestVectorisedOracles:
         ok, worst = sandwich_check(lin, ab, rfe, 0.5)
         assert not ok
         assert worst == {"violation": 1.0, "link": "linear_star<=abstract_star", "x": 1.0}
+
+
+# L values 1/32 apart give chord slopes 1/8 apart: half-way between rate-grid
+# points 1/4 apart, so nearest-point ties are common
+L_VALUES = st.one_of(
+    st.sampled_from([INF, NEG_INF]),
+    st.integers(-64, 64).map(lambda k: k / 32),
+    st.floats(-2.0, 2.0),
+)
+
+
+class TestDerivativeBoundScan:
+    @given(
+        values=st.lists(L_VALUES, min_size=2, max_size=30),
+        l1=st.lists(
+            st.sampled_from([NEG_INF, -1.0, 0.0, 0.25, 3.0, INF]), min_size=129, max_size=129
+        ),
+        half_span=st.integers(4, 64),
+        tol=st.sampled_from([1e-3, 0.0, -0.05, -1.0]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_point_by_point_scan(self, values, l1, half_span, tol):
+        # a narrow rate grid leaves some slopes outside it: both must raise
+        xs = np.arange(len(values)) / 4.0
+        grid = np.arange(-half_span, half_span + 1) / 4.0
+        L = GridFunction(xs, np.array(values))
+        rfe = SimpleNamespace(grid=grid, l1=GridFunction(grid, np.array(l1[: grid.size])))
+        assert repr(outcome(derivative_bound_scan, L, rfe, tol)) == repr(
+            outcome(loop_derivative_bound_scan, L, rfe, tol)
+        )
+
+    @pytest.mark.parametrize("tol", [1e-3, 0.0, -0.05, -1.0])
+    def test_packaged_scenarios(self, packaged_state, tol):
+        # at negative tolerances most points fail, so the details are compared too
+        L, rfe = packaged_state.L, packaged_state.rfe
+        assert repr(derivative_bound_scan(L, rfe, tol)) == repr(
+            loop_derivative_bound_scan(L, rfe, tol)
+        )
 
 
 class TestSandwich:
