@@ -525,11 +525,15 @@ def conv_lemma_check(
 # ---------------------------------------------------------------------------
 
 
+def _write_rows(path, *columns: Sequence[str]) -> None:
+    """Write text columns side by side, one comma-separated line per row."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("".join([",".join(row) + "\n" for row in zip(*columns)]))
+
+
 def save_grid_csv(f: GridFunction, path) -> None:
     """Write ``x,value`` lines; +-inf as literal ``inf`` / ``-inf``."""
-    lines = [f"{x!r},{v!r}\n" for x, v in zip(f.xs.tolist(), f.values.tolist())]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("".join(lines))
+    _write_rows(path, map(repr, f.xs.tolist()), map(repr, f.values.tolist()))
 
 
 def load_grid_csv(path, label: str = "") -> GridFunction:

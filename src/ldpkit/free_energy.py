@@ -24,7 +24,8 @@ window (a family, its doubling, the linear grids, single tilts) reads it.
 Window samples with the same atom count on a side are summed together, in
 blocks of whole ``slopes x samples`` rows.  At small ``t`` most terms lie
 more than 745 below their row's largest; the row kernel leaves them at the
-exact 0.0 that ``exp`` would return, without calling it.  A custom member
+exact 0.0 that ``exp`` would return, without calling it, as the per-sample
+``logaddexp(A, B)`` does with pairs more than 746 apart.  A custom member
 is evaluated once per table, on the atoms of all window samples together,
 so its callable must be elementwise.  A family's estimates come back as one
 :class:`FamilyTable` of arrays; a per-member :class:`LimitEstimate` is
@@ -253,6 +254,15 @@ def _log_sum_exp_rows(x: np.ndarray) -> np.ndarray:
     return peak + np.log1p(terms.sum(axis=1))
 
 
+def _logaddexp(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.logaddexp(a, b)`` bit for bit, without its warnings.  Where
+    ``|a - b| > -_EXP_ZERO`` the smaller side's ``exp`` is exactly 0.0, so the
+    sum is the larger side plus 0.0; ``np.logaddexp`` runs on the other pairs."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        near = ~(np.abs(a - b) > -_EXP_ZERO)  # not <=: NaN gaps are near
+        return np.logaddexp(a, b, out=np.maximum(a, b) + 0.0, where=near)
+
+
 def _slope_log_sums(
     slopes: np.ndarray, locs: np.ndarray, logm: np.ndarray, t: float
 ) -> np.ndarray:
@@ -438,7 +448,7 @@ def lambda_family_table(
     if family.custom:
         rows[:, ~sloped] = ts[:, None] * store.custom_sums(family.custom)
     for row, t, a_j, b_j in zip(rows, ts, a, b):
-        row[sloped] = t * np.logaddexp(a_j[lam_at], b_j[nu_at])
+        row[sloped] = t * _logaddexp(a_j[lam_at], b_j[nu_at])
     return _classify_limits(ts, rows, tol, divergence_threshold)
 
 

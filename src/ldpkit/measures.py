@@ -22,7 +22,7 @@ import math
 import threading
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -198,13 +198,18 @@ class FiniteSupportMeasure:
         )
 
     def log_mass_in(self, region: "RegionSet") -> float:
-        ivs = region.intervals
+        return float(self.log_masses_of([region])[0])
+
+    def log_masses_of(self, regions: Sequence["RegionSet"]) -> np.ndarray:
+        """log of the mass of each region: one :meth:`log_masses_in` call, then
+        ``np.logaddexp.reduce`` over each region's intervals, in order."""
+        ivs = [iv for region in regions for iv in region.intervals]
         logm = self.log_masses_in(
-            [iv.lo for iv in ivs], [iv.hi for iv in ivs],
-            [iv.lo_open for iv in ivs], [iv.hi_open for iv in ivs],
+            *([getattr(iv, f) for iv in ivs] for f in ("lo", "hi", "lo_open", "hi_open"))
         )
+        ends = np.cumsum([0] + [len(region.intervals) for region in regions]).tolist()
         # an empty region reduces to logaddexp's identity, -inf
-        return float(np.logaddexp.reduce(logm))
+        return np.array([np.logaddexp.reduce(logm[a:b]) for a, b in zip(ends, ends[1:])])
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from .conjugate import (
     linear_restriction_conjugate,
     stable_abstract_lf,
 )
-from .convex import GridFunction, chord_slopes, essential_smoothness_check, lf_transform, save_grid_csv
+from .convex import GridFunction, _write_rows, chord_slopes, essential_smoothness_check, lf_transform
 from .extreal import INF
 from .free_energy import FamilyTable, L_from_table, lambda_family_table, window_for_t_range
 from .measures import (
@@ -107,20 +107,22 @@ def _grid_function_table(gf: GridFunction) -> dict:
     return table
 
 
-def _jsonify(obj):
-    """Recursively convert to JSON-safe types; +-inf become strings."""
+def _jsonify(obj, text: "_ArrayText | None" = None):
+    """JSON-safe copy, +-inf as strings; ``text`` notes lists of float arrays."""
     if isinstance(obj, np.ndarray):  # 1-D arrays only
         out = obj.tolist()
         if obj.dtype.kind == "f":
             for i in np.flatnonzero(np.isinf(obj)):
                 out[i] = "inf" if out[i] > 0 else "-inf"
+            if text is not None:
+                text.sources[id(out)] = (out, obj)
         return out
     if isinstance(obj, dict):
-        return {str(k): _jsonify(v) for k, v in obj.items()}
+        return {str(k): _jsonify(v, text) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         if {*map(type, obj)} <= {str}:  # labels: already JSON-safe
             return list(obj)
-        return [_jsonify(v) for v in obj]
+        return [_jsonify(v, text) for v in obj]
     if isinstance(obj, (np.bool_, bool)):
         return bool(obj)
     if isinstance(obj, (np.integer, int)):
@@ -133,17 +135,42 @@ def _jsonify(obj):
     return obj
 
 
+class _ArrayText:
+    """One write's float arrays as text: ``reprs`` formats every entry of an
+    array once, for the CSV files and the JSON report alike.  ``sources``
+    maps each list that :func:`_jsonify` made from a float array to it."""
+
+    def __init__(self):
+        self._reprs, self.sources = {}, {}
+
+    def reprs(self, arr: np.ndarray) -> list[str]:
+        if id(arr) not in self._reprs:
+            self._reprs[id(arr)] = (arr, list(map(repr, arr.tolist())))
+        return self._reprs[id(arr)][1]
+
+    def json_items(self, obj) -> list[str] | None:
+        """The JSON text of each item of ``obj``, if a float array made it."""
+        out, arr = self.sources.get(id(obj), (None, None))
+        if out is not obj:
+            return None
+        items = self.reprs(arr).copy()
+        for i in np.flatnonzero(~np.isfinite(arr)).tolist():
+            items[i] = json.dumps(obj[i])  # "inf" / "-inf" strings, NaN
+        return items
+
+
 _JSON_SCALARS = {str, int, float, bool, type(None)}
 
 
-def _json_pieces(obj, level: int = 0):
+def _json_pieces(obj, level: int = 0, text: _ArrayText | None = None):
     """The text of ``json.dumps(obj, indent=1)``, byte for byte, in pieces.
 
     ``indent`` makes ``json`` use its pure-Python encoder throughout.  Here
     only the nesting is Python: a container of plain scalars is encoded in
     one C-encoder call whose item separator carries the newline and the
-    indent.  Anything else is encoded item by item; dict keys must be str.
-    A writer that takes the pieces one by one never holds the whole text.
+    indent, or joined from ``text`` if a float array made it.  Anything else
+    is encoded item by item; dict keys must be str.  A writer that takes the
+    pieces one by one never holds the whole text.
     """
     if not isinstance(obj, (dict, list, tuple)) or not obj:
         yield json.dumps(obj)
@@ -151,15 +178,29 @@ def _json_pieces(obj, level: int = 0):
     pad = "\n" + " " * (level + 1)
     is_dict = isinstance(obj, dict)
     opening, closing = "{}" if is_dict else "[]"
-    if {*map(type, obj.values() if is_dict else obj)} <= _JSON_SCALARS:
+    items = text.json_items(obj) if text is not None else None
+    if items is not None:
+        yield opening + pad + ("," + pad).join(items)
+    elif {*map(type, obj.values() if is_dict else obj)} <= _JSON_SCALARS:
         yield opening + pad + json.dumps(obj, separators=("," + pad, ": "))[1:-1]
     else:
         sep = opening + pad
         for key, value in obj.items() if is_dict else ((None, v) for v in obj):
             yield f"{sep}{json.dumps(key)}: " if is_dict else sep
-            yield from _json_pieces(value, level + 1)
+            yield from _json_pieces(value, level + 1, text)
             sep = "," + pad
     yield "\n" + " " * level + closing
+
+
+def _write_outputs(out_dir, prefix, grids: dict, report: dict, name, text: _ArrayText):
+    """Write each grid as ``<prefix>_<key>.csv`` and ``report`` as JSON."""
+    os.makedirs(out_dir, exist_ok=True)
+    for key, gf in grids.items():
+        _write_rows(os.path.join(out_dir, f"{prefix}_{key}.csv"),
+                    text.reprs(gf.xs), text.reprs(gf.values))
+    with open(os.path.join(out_dir, f"{prefix}_{name}.json"), "w", encoding="utf-8") as fh:
+        fh.writelines(_json_pieces(report, text=text))
+        fh.write("\n")
 
 
 def _family_table(state: "PipelineState") -> dict:
@@ -543,16 +584,10 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None):
     for entry in checks:
         entry["informational"] = entry["condition_id"] in informational
 
-    tables = {
-        "L": _grid_function_table(state.L),
-        "L_star": _grid_function_table(state.L_star),
-        "abstract_star": _grid_function_table(state.abstract_star),
-        "l0": _grid_function_table(state.rfe.l0),
-        "l1": _grid_function_table(state.rfe.l1),
-        "J": _grid_function_table(state.J),
-    }
-    if state.L_wide is not None:
-        tables["L_wide"] = _grid_function_table(state.L_wide)
+    grids = {"L": state.L, "L_star": state.L_star, "abstract_star": state.abstract_star,
+             "l0": state.rfe.l0, "l1": state.rfe.l1, "J": state.J, "L_wide": state.L_wide}
+    grids = {name: gf for name, gf in grids.items() if gf is not None}
+    tables = {name: _grid_function_table(gf) for name, gf in grids.items()}
     family_table = _family_table(state)
 
     verdict = _verdict(state, checks, informational)
@@ -569,70 +604,39 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None):
         "checks": checks,
         "verdict": verdict,
     }
-    report = _jsonify(report)
-
+    text = _ArrayText()
+    report = _jsonify(report, text)
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        prefix = scenario.output_prefix
-        grids = {
-            "L": state.L,
-            "L_star": state.L_star,
-            "abstract_star": state.abstract_star,
-            "l0": state.rfe.l0,
-            "l1": state.rfe.l1,
-            "J": state.J,
-        }
-        if state.L_wide is not None:
-            grids["L_wide"] = state.L_wide
-        for name, gf in grids.items():
-            save_grid_csv(gf, os.path.join(out_dir, f"{prefix}_{name}.csv"))
-        rows = zip(
+        _write_outputs(out_dir, scenario.output_prefix, grids, report, "report", text)
+        _write_rows(
+            os.path.join(out_dir, f"{scenario.output_prefix}_family.csv"),
             family_table["members"],
-            family_table["values"].tolist(),
-            family_table["converged"].tolist(),
+            text.reprs(family_table["values"]),
+            np.where(family_table["converged"], "true", "false").tolist(),
         )
-        lines = [f"{label},{value!r},{str(conv).lower()}\n" for label, value, conv in rows]
-        with open(
-            os.path.join(out_dir, f"{prefix}_family.csv"), "w", encoding="utf-8"
-        ) as fh:
-            fh.write("".join(lines))
-        with open(
-            os.path.join(out_dir, f"{prefix}_report.json"), "w", encoding="utf-8"
-        ) as fh:
-            fh.writelines(_json_pieces(report))
-            fh.write("\n")
-
     return report, verdict["all_requested_hold"]
 
 
 def run_free_energy(scenario: Scenario, out_dir: str | None = None):
     """Free energies only: the L table(s) and the family table, no checks."""
     state = PipelineState(scenario)
-    tables = {"L": _grid_function_table(state.L)}
-    if state.L_wide is not None:
-        tables["L_wide"] = _grid_function_table(state.L_wide)
+    grids = {name: gf for name, gf in (("L", state.L), ("L_wide", state.L_wide)) if gf is not None}
+    tables = {name: _grid_function_table(gf) for name, gf in grids.items()}
     family_table = _family_table(state)
     family_table["liminf"] = state.fe_family.table.liminf
     family_table["limsup"] = state.fe_family.table.limsup
+    text = _ArrayText()
     report = _jsonify(
         {
             "schema_version": SCHEMA_VERSION,
             "scenario": _scenario_echo(scenario),
             "tables": tables,
             "family": family_table,
-        }
+        },
+        text,
     )
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        prefix = scenario.output_prefix
-        save_grid_csv(state.L, os.path.join(out_dir, f"{prefix}_L.csv"))
-        if state.L_wide is not None:
-            save_grid_csv(state.L_wide, os.path.join(out_dir, f"{prefix}_L_wide.csv"))
-        with open(
-            os.path.join(out_dir, f"{prefix}_free_energy.json"), "w", encoding="utf-8"
-        ) as fh:
-            fh.writelines(_json_pieces(report))
-            fh.write("\n")
+        _write_outputs(out_dir, scenario.output_prefix, grids, report, "free_energy", text)
     return report
 
 

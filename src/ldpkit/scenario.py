@@ -201,6 +201,17 @@ class _SectionReader:
         except (TypeError, ValueError) as exc:
             raise ScenarioError(f"{self._ctx(key)}: not a number: {raw!r}") from exc
 
+    def positive_numbers(self, key: str) -> list[float]:
+        """A comma-separated list of finite numbers > 0."""
+        toks = [tok.strip() for tok in self.text(key).split(",") if tok.strip()]
+        try:
+            values = [float(tok) for tok in toks]
+        except ValueError as exc:
+            raise ScenarioError(f"{self._ctx(key)}: not a number: {exc}") from exc
+        if not all(0 < x < float("inf") for x in values):
+            raise ScenarioError(f"{self._ctx(key)}: entries must be finite and > 0, got {toks}")
+        return values
+
     def integer(self, key: str, default: int | None = None) -> int:
         raw = self.raw(key, default)
         try:
@@ -340,14 +351,9 @@ def load_scenario(path) -> Scenario:
         informational = check_list("informational")
         if ch.has("sub_lo") or ch.has("sub_hi"):
             check_params["sub_G"] = (ch.number("sub_lo"), ch.number("sub_hi"))
-        if ch.has("eps_list"):
-            check_params["eps_list"] = [
-                float(tok) for tok in ch.text("eps_list").split(",") if tok.strip()
-            ]
-        if ch.has("r_schedule"):
-            check_params["r_schedule"] = [
-                float(tok) for tok in ch.text("r_schedule").split(",") if tok.strip()
-            ]
+        for key in ("eps_list", "r_schedule"):
+            if ch.has(key):
+                check_params[key] = ch.positive_numbers(key)
         if ch.has("regions"):
             check_params["regions"] = ch.text("regions")
         if ch.has("varadhan_tilts"):

@@ -16,8 +16,10 @@ those conditions guarantee.
 
 All liminf/limsup estimates follow the same window convention as the
 free-energy module (min/max over a geometric tail sample).  The ball radii
-walk a fixed decreasing schedule; for finite-support measures the infimum
-over neighborhoods is attained once the radius separates atoms.
+walk a fixed decreasing schedule.  A ball's mass only grows with its radius,
+so the sup over radii is attained at the smallest one, and only that radius
+is measured.  Every set-wise query over a window calls ``log_masses_in`` once
+per distinct measure object, with all of its intervals in that one call.
 """
 
 from __future__ import annotations
@@ -59,24 +61,32 @@ def default_delta_schedule(num: int = DELTA_COUNT) -> tuple[float, ...]:
 # ---------------------------------------------------------------------------
 
 
+def _powered_log_masses(net: ScaledMeasureNet, window: WindowSpec, log_masses) -> np.ndarray:
+    """``t_k * log_masses(mu_k)``, one row per sample of ``window``;
+    ``log_masses`` runs once per distinct measure object."""
+    samples = [net.at(int(k)) for k in window.indices(net)]
+    found = {}
+    for m, _ in samples:
+        if id(m) not in found:
+            found[id(m)] = log_masses(m)
+    return np.array([t * found[id(m)] for m, t in samples])
+
+
 def _local_rates(net: ScaledMeasureNet, xs, deltas, window: WindowSpec):
     """``(l0, l1)`` at every point of ``xs``.
 
-    One table of powered ball masses ``t_k * log mu_k(B(x, delta))``
-    (samples x points x radii) is reduced over the samples (max for the
-    limsup of ``l0``, min for the liminf of ``l1``) and then, as
-    ``-log estimate``, over the radii.
+    A larger ball holds at least as much mass, so the sup over radii of
+    ``-log estimate`` is attained at the smallest radius ``r``.  The powered
+    masses ``t_k * log mu_k(B(x, r))`` are reduced over the samples: max for
+    the limsup of ``l0``, min for the liminf of ``l1``.
     """
-    xs = np.asarray(xs, dtype=float)[:, None]
-    d = np.asarray(deltas, dtype=float)
-    powered = []
-    for k in window.indices(net):
-        m, t = net.at(int(k))
-        powered.append(t * m.log_masses_in(xs - d, xs + d))
-    powered = np.array(powered)
+    dl = list(deltas)
+    if not dl or not (dl[-1] > 0 and all(a > b for a, b in zip(dl, dl[1:]))):
+        raise ValueError("deltas must be strictly decreasing and positive")
+    xs, r = np.asarray(xs, dtype=float), dl[-1]
+    powered = _powered_log_masses(net, window, lambda m: m.log_masses_in(xs - r, xs + r))
     # -(-inf) = +inf: an empty ball in every sample gives an infinite rate
-    rate = lambda est: np.max(-est + 0.0, axis=-1, initial=NEG_INF)
-    return rate(powered.max(axis=0)), rate(powered.min(axis=0))
+    return -powered.max(axis=0) + 0.0, -powered.min(axis=0) + 0.0
 
 
 def local_rate(
@@ -94,10 +104,7 @@ def local_rate(
     """
     if mode not in ("lower", "upper"):
         raise ValueError("mode must be 'lower' or 'upper'")
-    dl = list(deltas)
-    if not dl or any(d <= 0 for d in dl) or any(b >= a for a, b in zip(dl, dl[1:])):
-        raise ValueError("deltas must be strictly decreasing and positive")
-    l0, l1 = _local_rates(net, [x], dl, window)
+    l0, l1 = _local_rates(net, [x], deltas, window)
     return float((l0 if mode == "lower" else l1)[0])
 
 
@@ -176,19 +183,13 @@ def exponential_tightness_check(
     """
     if any(e <= 0 for e in eps_list):
         raise ValueError("eps_list entries must be positive")
-    samples = [net.at(int(k)) for k in window.indices(net)]
-    limsups: list[float] = []  # per R, in schedule order; shared by every eps
-
-    def limsup(i: int) -> float:
-        if i == len(limsups):
-            region = RegionSet.complement_of_closed(-R_schedule[i], R_schedule[i])
-            worst = max((t * m.log_mass_in(region) for m, t in samples), default=NEG_INF)
-            limsups.append(math.exp(worst))
-        return limsups[i]
-
+    regions = [RegionSet.complement_of_closed(-R, R) for R in R_schedule]
+    powered = _powered_log_masses(net, window, lambda m: m.log_masses_of(regions))
+    # per R, in schedule order; shared by every eps
+    limsups = [math.exp(max(col, default=NEG_INF)) for col in powered.T.tolist()]
     table = []
     for eps in eps_list:
-        i = next((i for i in range(len(R_schedule)) if limsup(i) < eps), None)
+        i = next((i for i, est in enumerate(limsups) if est < eps), None)
         if i is None:
             table.append({"eps": eps, "R": None, "estimate": None})
         else:
@@ -209,24 +210,22 @@ def ldp_bounds_check(
     points of exp(-J) (+ tol).  Open regions: the same sup <= powered-mass
     liminf estimate (+ tol).
     """
-    indices = window.indices(net)
-    samples = [net.at(int(k)) for k in indices]
+    if any(kind not in ("open", "closed") for _, kind in regions):
+        raise ValueError("region tag must be 'open' or 'closed'")
+    sets = [region for region, _ in regions]
+    powered = _powered_log_masses(net, window, lambda m: m.log_masses_of(sets))
     entries = []
     holds = True
-    for region, kind in regions:
-        if kind not in ("open", "closed"):
-            raise ValueError("region tag must be 'open' or 'closed'")
-        powered = []
-        for m, t in samples:
-            logm = m.log_mass_in(region)
-            powered.append(math.exp(t * logm) if logm != NEG_INF else 0.0)
+    for (region, kind), col in zip(regions, powered.T.tolist()):
+        # math.exp, not np.exp: numpy's SIMD exp may differ in the last bit
+        powered_masses = [math.exp(p) for p in col]
         mask = region.mask(J.xs)
         cap = float(np.exp(-J.values[mask]).max()) if mask.any() else 0.0
         if kind == "closed":
-            estimate = max(powered)
+            estimate = max(powered_masses)
             violation = estimate - cap
         else:
-            estimate = min(powered)
+            estimate = min(powered_masses)
             violation = cap - estimate
         entry_holds = violation <= tol
         holds = holds and entry_holds

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from importlib import resources
 
 import ldpkit
+from ldpkit import pipeline
 from ldpkit.cli import main
 from ldpkit.convex import load_grid_csv, save_grid_csv, GridFunction
 from ldpkit.free_energy import lambda_of
@@ -121,6 +122,23 @@ class TestScenarioParsing:
         path.write_text(MINI_SCENARIO.replace("t_max = 1e-2", "t_max = soup"))
         with pytest.raises(ScenarioError, match=r"\[window\] t_max"):
             load_scenario(path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("r_schedule", "1, -2"),  # once passed: the bad radius was never reached
+        ("r_schedule", "-2, 1"),
+        ("r_schedule", "nan, 1"),
+        ("r_schedule", "1, inf"),
+        ("eps_list", "0"),
+        ("eps_list", "0.1, soup"),
+    ])
+    def test_check_lists_must_be_finite_and_positive(self, tmp_path, capsys, key, value):
+        path = tmp_path / "bad.cfg"
+        old = {"r_schedule": "r_schedule = 1, 2", "eps_list": "eps_list = 0.1"}[key]
+        path.write_text(MINI_SCENARIO.replace(old, f"{key} = {value}"))
+        with pytest.raises(ScenarioError, match=rf"\[checks\] {key}"):
+            load_scenario(path)
+        assert main(["run", str(path)]) == 2
+        assert f"[checks] {key}" in capsys.readouterr().err
 
     def test_missing_section(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -278,6 +296,56 @@ class TestJsonPieces:
         sc = packaged_scenario(name)
         for report in (run_scenario(sc)[0], run_free_energy(sc)):
             assert "".join(_json_pieces(report)) == json.dumps(report, indent=1)
+
+
+class TestWrittenFiles:
+    """Each float array is formatted once per write; the files must read as
+    ``json.dumps(indent=1)`` and ``repr`` lines of the returned report."""
+
+    @staticmethod
+    def csv_lines(*columns):
+        return "".join(",".join(row) + "\n" for row in zip(*columns))
+
+    @staticmethod
+    def reprs(values):
+        return [repr(float(v)) for v in values]  # "inf" strings back to floats
+
+    @pytest.mark.parametrize("name", ["ge-ex", "dem-zei", "cramer"])
+    def test_packaged_outputs(self, name, tmp_path):
+        sc = packaged_scenario(name)
+        report, _ = run_scenario(sc, out_dir=str(tmp_path / "run"))
+        free = run_free_energy(sc, out_dir=str(tmp_path / "fe"))
+        for out_dir, rep, json_name in (
+            ("run", report, "report"), ("fe", free, "free_energy")
+        ):
+            read = lambda f: (tmp_path / out_dir / f"{name}_{f}").read_text(encoding="utf-8")
+            assert read(f"{json_name}.json") == json.dumps(rep, indent=1) + "\n"
+            for table, grid in rep["tables"].items():
+                want = self.csv_lines(self.reprs(grid["xs"]), self.reprs(grid["values"]))
+                assert read(f"{table}.csv") == want, table
+        family = report["family"]
+        want = self.csv_lines(
+            family["members"],
+            self.reprs(family["values"]),
+            [str(c).lower() for c in family["converged"]],
+        )
+        assert (tmp_path / "run" / f"{name}_family.csv").read_text(encoding="utf-8") == want
+
+    def test_each_array_is_formatted_once(self, monkeypatch, tmp_path):
+        # ge-ex's x grid backs five tables, and l0 and J share their values
+        requests, sizes, formatted = [], {}, []
+        original = pipeline._ArrayText.reprs
+
+        def recorded(self, arr):
+            requests.append(id(arr))
+            sizes[id(arr)] = arr.size
+            return original(self, arr)
+
+        monkeypatch.setattr(pipeline._ArrayText, "reprs", recorded)
+        monkeypatch.setattr(pipeline, "repr", lambda x: formatted.append(x) or repr(x), raising=False)
+        run_scenario(packaged_scenario("ge-ex"), out_dir=str(tmp_path))
+        assert len(requests) >= len(sizes) + 5
+        assert len(formatted) == sum(sizes.values())
 
 
 class TestCliCommands:

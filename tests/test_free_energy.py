@@ -21,6 +21,7 @@ from ldpkit.free_energy import (
     WindowSpec,
     _classify_limits,
     _log_sum_exp_rows,
+    _logaddexp,
     _slope_log_sums,
     estimate_limit,
     lambda_family_table,
@@ -432,6 +433,44 @@ class TestMaskedExp:
         assert np.exp(free_energy._EXP_ZERO) == 0.0
         assert np.exp(-745.14) == 0.0
         assert np.exp(-745.13) > 0.0
+
+
+# a first term and the gap to the second: both infinities, NaN, both zeros,
+# ties, gaps of exactly 746 and the subnormal band of exp(-gap)
+FIRST_TERMS = st.one_of(
+    st.sampled_from([0.0, -0.0, INF, NEG_INF, np.nan, 1e308, -1e308, 5e-324]),
+    st.floats(-1e6, 1e6),
+)
+GAPS = st.one_of(
+    st.sampled_from([0.0, -0.0, 746.0, -746.0, 745.14, -745.13, 708.4, INF, NEG_INF, np.nan]),
+    st.floats(-800.0, 800.0),
+    st.floats(-745.2, -708.0),
+    st.floats(708.0, 745.2),
+    st.floats(),
+)
+
+
+class TestMaskedLogaddexp:
+    @given(st.lists(st.tuples(FIRST_TERMS, GAPS, st.booleans()), min_size=1, max_size=24))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_np_logaddexp(self, pairs):
+        with np.errstate(all="ignore"):
+            a = np.array([p[0] for p in pairs])
+            b = a - np.array([p[1] for p in pairs])
+        swap = np.array([p[2] for p in pairs])
+        a, b = np.where(swap, b, a), np.where(swap, a, b)
+        with np.errstate(all="ignore"):  # np.logaddexp warns on NaN and overflow
+            want = np.logaddexp(a, b).tobytes()
+        assert bits_and_warnings(lambda x: _logaddexp(*x), (a, b)) == (want, [])
+
+    def test_special_pairs(self):
+        a = np.array([-0.0, -0.0, 0.0, INF, NEG_INF, INF, -746.0, 1e308, np.nan])
+        b = np.array([-0.0, -746.0, -746.0000000000001, INF, NEG_INF, NEG_INF, 0.0, -1e308, 1.0])
+        got = _logaddexp(a, b)
+        with np.errstate(all="ignore"):
+            assert got.tobytes() == np.logaddexp(a, b).tobytes()
+        # exp(-746) is exactly 0.0, and -0.0 + 0.0 is +0.0
+        assert got[1] == 0.0 and not np.signbit(got[1]) and got[2] == 0.0
 
 
 SIGNED_SLOPES = st.one_of(

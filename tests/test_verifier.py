@@ -11,12 +11,19 @@ import ldpkit
 from ldpkit.conjugate import evaluate_family, stable_abstract_lf
 from ldpkit.convex import GridFunction, lf_transform
 from ldpkit.extreal import INF, NEG_INF, ext_abs_diff
-from ldpkit.measures import FiniteSupportMeasure, RegionSet, ScaledMeasureNet, region_power_mass
+from ldpkit.measures import (
+    FiniteSupportMeasure,
+    Interval,
+    RegionSet,
+    ScaledMeasureNet,
+    region_power_mass,
+)
 from ldpkit.pipeline import PipelineState
-from ldpkit.scenario import load_scenario
+from ldpkit.scenario import load_scenario, parse_region_specs
 from ldpkit.tilts import TiltFunction, linear_family, q_bump_tilt, two_slope_family
 from ldpkit.verifier import (
     RangeTargets,
+    _local_rates,
     default_delta_schedule,
     derivative_bound_check,
     derivative_bound_scan,
@@ -89,6 +96,12 @@ class TestLocalRate:
             local_rate(coin_net, 0.0, DELTAS, rate_window, "sideways")
         with pytest.raises(ValueError):
             local_rate(coin_net, 0.0, [0.1, 0.2], rate_window, "upper")
+
+    @pytest.mark.parametrize("deltas", [(), (0.1, 0.5), (-0.1,), (0.5, 0.5), (float("nan"),)])
+    def test_rate_grid_rejects_bad_radii(self, coin_net, rate_window, deltas):
+        # an empty schedule once gave l0 = l1 = -inf, a negative rate function
+        with pytest.raises(ValueError, match="strictly decreasing and positive"):
+            rate_grid(coin_net, [0.0, 1.0], deltas, rate_window)
 
     def test_ball_masses_monotone_in_delta(self, iid_small_net):
         # smaller neighborhoods cannot carry more mass, per window index
@@ -211,20 +224,28 @@ class TestExponentialTightness:
         ok, table = exponential_tightness_check(net, [0.5], [1.0, 4.0, 16.0], w)
         assert not ok and table[0]["R"] is None
 
-    def test_each_radius_is_measured_once(self, monkeypatch):
-        net = escaping_net()
-        w = ldpkit.window_for_t_range(net, 1e-2, 1e-4, 16)
+    def test_each_radius_is_measured_once(self, monkeypatch, coin_net):
+        # one log_masses_in call per distinct measure, with every R in it once
         calls = []
-        original = FiniteSupportMeasure.log_mass_in
+        original = FiniteSupportMeasure.log_masses_in
 
-        def counted(self, region):
-            calls.append(region)
-            return original(self, region)
+        def counted(self, lo, *args):
+            calls.append(np.asarray(lo))
+            return original(self, lo, *args)
 
-        monkeypatch.setattr(FiniteSupportMeasure, "log_mass_in", counted)
-        ok, _ = exponential_tightness_check(net, [0.5, 0.1, 0.01], [1.0, 4.0, 16.0], w)
+        monkeypatch.setattr(FiniteSupportMeasure, "log_masses_in", counted)
+        schedule = [1.0, 4.0, 16.0]
+        net = escaping_net()  # a new Dirac at every index
+        w = ldpkit.window_for_t_range(net, 1e-2, 1e-4, 16)
+        ok, _ = exponential_tightness_check(net, [0.5, 0.1, 0.01], schedule, w)
         assert not ok
-        assert len(calls) == 3 * len(w.indices(net))
+        assert len(calls) == len(w.indices(net)) > 1
+        # (-inf, -R) and (R, inf) per R, in schedule order
+        assert all(lo[1::2].tolist() == schedule for lo in calls)
+        calls.clear()
+        w = ldpkit.window_for_t_range(coin_net, 1e-2, 1e-4, 16)
+        exponential_tightness_check(coin_net, [0.5], schedule, w)
+        assert len(calls) == 1  # every sample holds the same coin
 
     def test_table_matches_per_eps_scan(self):
         # escaping masses exp(-k) at 3 and exp(-3k) at 10: each eps stops at its own R
@@ -567,6 +588,77 @@ def loop_derivative_bound_scan(L, rfe, tol):
     return ok, reports
 
 
+def full_schedule_local_rates(net, xs, deltas, window):
+    """Oracle: :func:`_local_rates` over a samples x points x radii table,
+    reduced over the samples and then over every radius."""
+    xs = np.asarray(xs, dtype=float)[:, None]
+    d = np.asarray(deltas, dtype=float)
+    powered = []
+    for k in window.indices(net):
+        m, t = net.at(int(k))
+        powered.append(t * m.log_masses_in(xs - d, xs + d))
+    powered = np.array(powered)
+    rate = lambda est: np.max(-est + 0.0, axis=-1, initial=NEG_INF)
+    return rate(powered.max(axis=0)), rate(powered.min(axis=0))
+
+
+def loop_exponential_tightness_check(net, eps_list, R_schedule, window):
+    """Oracle: :func:`exponential_tightness_check` with one query per sample
+    and radius, each radius measured on its first use."""
+    if any(e <= 0 for e in eps_list):
+        raise ValueError("eps_list entries must be positive")
+    samples = [net.at(int(k)) for k in window.indices(net)]
+    limsups = []
+
+    def limsup(i):
+        if i == len(limsups):
+            region = RegionSet.complement_of_closed(-R_schedule[i], R_schedule[i])
+            worst = max((t * m.log_mass_in(region) for m, t in samples), default=NEG_INF)
+            limsups.append(math.exp(worst))
+        return limsups[i]
+
+    table = []
+    for eps in eps_list:
+        i = next((i for i in range(len(R_schedule)) if limsup(i) < eps), None)
+        if i is None:
+            table.append({"eps": eps, "R": None, "estimate": None})
+        else:
+            table.append({"eps": eps, "R": R_schedule[i], "estimate": limsups[i]})
+    return all(row["R"] is not None for row in table), table
+
+
+def loop_ldp_bounds_check(net, J, regions, window, tol):
+    """Oracle: :func:`ldp_bounds_check` with one query per region and sample."""
+    samples = [net.at(int(k)) for k in window.indices(net)]
+    entries = []
+    holds = True
+    for region, kind in regions:
+        if kind not in ("open", "closed"):
+            raise ValueError("region tag must be 'open' or 'closed'")
+        powered = []
+        for m, t in samples:
+            logm = m.log_mass_in(region)
+            powered.append(math.exp(t * logm) if logm != NEG_INF else 0.0)
+        mask = region.mask(J.xs)
+        cap = float(np.exp(-J.values[mask]).max()) if mask.any() else 0.0
+        if kind == "closed":
+            estimate = max(powered)
+            violation = estimate - cap
+        else:
+            estimate = min(powered)
+            violation = cap - estimate
+        entry_holds = violation <= tol
+        holds = holds and entry_holds
+        entries.append({
+            "kind": kind,
+            "estimate": estimate,
+            "capacity": cap,
+            "violation": max(violation, 0.0),
+            "holds": entry_holds,
+        })
+    return {"holds": holds, "regions": entries, "tol": tol}
+
+
 def outcome(fn, *args):
     """``fn(*args)``'s result, or the message of the ValueError it raised."""
     try:
@@ -648,6 +740,103 @@ L_VALUES = st.one_of(
     st.integers(-64, 64).map(lambda k: k / 32),
     st.floats(-2.0, 2.0),
 )
+
+
+@st.composite
+def pooled_nets(draw):
+    """A net cycling through up to three drawn measures (atoms on a quarter
+    lattice), so that several window samples share one measure object."""
+    pool = []
+    for _ in range(draw(st.integers(1, 3))):
+        locs = draw(st.lists(st.integers(-24, 24), min_size=1, max_size=10, unique=True))
+        logm = np.array(draw(st.lists(st.floats(-800, 0), min_size=len(locs), max_size=len(locs))))
+        logm = logm - np.logaddexp.reduce(logm)
+        pool.append(FiniteSupportMeasure.from_log_atoms(zip(np.array(locs) / 4.0, logm)))
+    return ScaledMeasureNet(
+        t_of=lambda k: 1.0 / k, measure_of=lambda k: pool[k % len(pool)], max_index=1000
+    )
+
+
+# on atoms, a radius or two away from them, between them and far outside
+POINTS = st.one_of(
+    st.integers(-28, 28).map(lambda i: i / 4.0),
+    st.tuples(st.integers(-24, 24), st.integers(1, 10), st.sampled_from([-1, 1])).map(
+        lambda a: a[0] / 4.0 + a[2] * 2.0 ** -a[1]
+    ),
+    st.floats(-8, 8),
+)
+CUTS = st.one_of(st.integers(-28, 28).map(lambda i: i / 4.0), st.sampled_from([NEG_INF, INF]))
+SCHEDULES = st.lists(
+    st.one_of(st.floats(1e-3, 8.0), st.integers(1, 24).map(lambda i: i / 4.0)),
+    min_size=1, max_size=5,
+)
+EPS_LISTS = st.lists(
+    st.one_of(st.sampled_from([1e-300, 0.5, 1.0, 2.0]), st.floats(1e-12, 1.0)), max_size=4
+)
+WINDOW = ldpkit.WindowSpec(10, 400, 12)
+
+
+@st.composite
+def tagged_regions(draw):
+    cuts = sorted(draw(st.lists(CUTS, max_size=6, unique=True)))
+    ivs = []
+    for lo, hi in zip(cuts[::2], cuts[1::2]):
+        ivs.append(Interval(lo, hi, draw(st.booleans()) or lo == NEG_INF, draw(st.booleans()) or hi == INF))
+    return RegionSet(tuple(ivs)), draw(st.sampled_from(["open", "closed"]))
+
+
+class TestBatchedMassQueries:
+    """The one-radius rates and the batched set-wise queries against the
+    loops they replaced."""
+
+    def test_packaged_rate_grids(self, packaged_state):
+        s = packaged_state
+        l0, l1 = full_schedule_local_rates(s.net, s.x_grid, s.deltas, s.rate_window)
+        assert s.rfe.l0.values.tobytes() == l0.tobytes()
+        assert s.rfe.l1.values.tobytes() == l1.tobytes()
+
+    @given(net=pooled_nets(), xs=st.lists(POINTS, min_size=1, max_size=12),
+           count=st.integers(1, 10))
+    @settings(max_examples=150, deadline=None)
+    def test_one_radius_equals_the_full_schedule(self, net, xs, count):
+        deltas = default_delta_schedule(count)
+        got = _local_rates(net, xs, deltas, WINDOW)
+        want = full_schedule_local_rates(net, xs, deltas, WINDOW)
+        # wherever every sample's ball masses shrink with the radius
+        x, d = np.array(xs)[:, None], np.array(deltas)
+        monotone = np.ones(len(xs), dtype=bool)
+        for k in WINDOW.indices(net):
+            logm = net.measure(int(k)).log_masses_in(x - d, x + d)
+            monotone &= np.all(logm[:, 1:] <= logm[:, :-1], axis=1)
+        for g, w in zip(got, want):
+            assert g[monotone].tobytes() == w[monotone].tobytes()
+
+    def test_packaged_set_wise_checks(self, packaged_state):
+        s = packaged_state
+        params = s.scenario.check_params
+        for eps in (params.get("eps_list", [0.1, 0.01]), [1e-300, 0.5, 1.0]):
+            args = (s.net, eps, params.get("r_schedule", [1.0, 2.0, 4.0, 8.0]), s.rate_window)
+            assert repr(exponential_tightness_check(*args)) == repr(
+                loop_exponential_tightness_check(*args)
+            )
+        regions = parse_region_specs(params.get("regions", "")) + [
+            (RegionSet.complement_of_closed(-0.5, 0.5), "open"),
+            (RegionSet.empty(), "closed"),
+        ]
+        args = (s.net, s.J, regions, s.rate_window, s.scenario.tolerances.bounds)
+        assert repr(ldp_bounds_check(*args)) == repr(loop_ldp_bounds_check(*args))
+
+    @given(net=pooled_nets(), eps_list=EPS_LISTS, schedule=SCHEDULES,
+           regions=st.lists(tagged_regions(), max_size=4))
+    @settings(max_examples=150, deadline=None)
+    def test_set_wise_checks_equal_the_loops(self, net, eps_list, schedule, regions):
+        args = (net, eps_list, schedule, WINDOW)
+        assert repr(exponential_tightness_check(*args)) == repr(
+            loop_exponential_tightness_check(*args)
+        )
+        J = GridFunction(np.linspace(-7, 7, 29), np.abs(np.linspace(-7, 7, 29)) - 1.0)
+        args = (net, J, regions, WINDOW, 1e-6)
+        assert repr(ldp_bounds_check(*args)) == repr(loop_ldp_bounds_check(*args))
 
 
 class TestDerivativeBoundScan:
