@@ -21,10 +21,8 @@ from .convex import (
     convex_lsc_hull,
     conv_lemma_check,
     derivative_range,
-    effective_domain,
     essential_smoothness_check,
     inf_over_open,
-    interior_effective_domain,
     lf_transform,
     load_grid_csv,
     one_sided_derivatives,
@@ -47,9 +45,7 @@ from .measures import (
     bernoulli_half_base,
     coin_example_net,
     demzei_example_net,
-    exp_power_integral,
     iid_mean_example_net,
-    region_power_mass,
 )
 from .scenario import Scenario, load_scenario
 from .pipeline import run_free_energy, run_scenario
@@ -71,7 +67,6 @@ from .verifier import (
     derivative_bound_scan,
     exponential_tightness_check,
     ldp_bounds_check,
-    local_rate,
     range_condition_check,
     rate_comparison,
     rate_grid,

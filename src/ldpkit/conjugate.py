@@ -21,7 +21,6 @@ stability layer re-evaluates the sup over a doubled family and declares
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -33,7 +32,6 @@ from .free_energy import (
     DEFAULT_TOL,
     FamilyTable,
     L_from_table,
-    LimitEstimate,
     WindowSpec,
     lambda_family_table,
 )
@@ -42,7 +40,7 @@ from .scenario import Tolerances
 from .tilts import TiltFamily
 
 DEFAULT_STABILITY_TOL = Tolerances.stability
-DEFAULT_GROWTH_CAP = 1e6
+GROWTH_CAP = 1e6
 
 
 @dataclass(frozen=True)
@@ -64,11 +62,6 @@ class FamilyEvaluation:
     @property
     def values(self) -> np.ndarray:
         return self.table.value
-
-    @cached_property
-    def lambdas(self) -> tuple[LimitEstimate, ...]:
-        """Every member's estimate, built on first use."""
-        return tuple(self.table.estimate(i) for i in range(len(self.table)))
 
 
 def evaluate_family(
@@ -166,29 +159,25 @@ def stable_abstract_lf(
     tol: float = DEFAULT_TOL,
     divergence_threshold: float = DEFAULT_DIVERGENCE_THRESHOLD,
     stability_tol: float = DEFAULT_STABILITY_TOL,
-    growth_cap: float = DEFAULT_GROWTH_CAP,
     fe: FamilyEvaluation | None = None,
-    fe_doubled: FamilyEvaluation | None = None,
 ) -> StableConjugate:
     """Abstract conjugate with the family-doubling stability check.
 
     Evaluates the raw conjugate over the family and over ``family.doubled()``
     (a superset, so the sup can only grow).  Entries that grow by more than
-    ``stability_tol`` or exceed ``growth_cap`` are flagged and reported as
+    ``stability_tol`` or exceed ``GROWTH_CAP`` are flagged and reported as
     ``+inf``; entries that stabilize keep the requested family's value.
-    Pre-computed family evaluations may be passed to avoid recomputation.
+    The family's evaluation may be passed as ``fe`` to avoid recomputation.
     """
     xs = np.asarray(x_grid, dtype=float)
     fe1 = fe or evaluate_family(net, family, window, tol, divergence_threshold)
-    fe2 = fe_doubled or evaluate_family(
-        net, family.doubled(), window, tol, divergence_threshold
-    )
+    fe2 = evaluate_family(net, family.doubled(), window, tol, divergence_threshold)
     raw = abstract_lf(fe1, xs).values
     wide = abstract_lf(fe2, xs).values
     with np.errstate(invalid="ignore"):
         growth = wide - raw
     growth = np.where(wide == raw, 0.0, growth)  # covers equal infinities
-    flagged = (growth > stability_tol) | (raw > growth_cap) | np.isposinf(raw)
+    flagged = (growth > stability_tol) | (raw > GROWTH_CAP) | np.isposinf(raw)
     vals = np.where(flagged, INF, raw)
     grid = GridFunction(
         xs,
@@ -196,7 +185,7 @@ def stable_abstract_lf(
         label="abstract-conjugate",
         meta={
             "stability_tol": stability_tol,
-            "growth_cap": growth_cap,
+            "growth_cap": GROWTH_CAP,
             "flagged": flagged.tolist(),
         },
     )

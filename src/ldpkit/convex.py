@@ -9,7 +9,7 @@ reproducible and oracle-checkable.
 The operations: Legendre-Fenchel transform (hull + slope scan, with an
 O(n*m) brute-force twin kept as the testing oracle), greatest convex
 lower-semicontinuous minorant, one-sided derivatives and their merged
-range, effective domains, an essential-smoothness diagnostic, and infima
+range, an essential-smoothness diagnostic, and infima
 over open regions (the proper-convex-lsc restriction lemma check).
 """
 
@@ -23,10 +23,11 @@ import numpy as np
 from .extreal import INF, NEG_INF, ext_abs_diff
 from .measures import RegionSet
 
-DEFAULT_KINK_FLOOR = 1e-6
-DEFAULT_KINK_FACTOR = 8.0
+KINK_FLOOR = 1e-6
+KINK_FACTOR = 8.0
 DEFAULT_SLOPE_DIVERGENCE = 1e6
 RANGE_MERGE_FACTOR = 8.0
+_BRUTE_CHUNK = 256  # dual points per block of brute_force_conjugate
 
 
 class GridFormatError(ValueError):
@@ -166,9 +167,7 @@ def lf_transform(f: GridFunction, dual_grid: Sequence[float]) -> GridFunction:
     return GridFunction(dual, vals, label=label, meta={"off_slope_range": off.tolist()})
 
 
-def brute_force_conjugate(
-    f: GridFunction, dual_grid: Sequence[float], chunk: int = 256
-) -> GridFunction:
+def brute_force_conjugate(f: GridFunction, dual_grid: Sequence[float]) -> GridFunction:
     """O(n*m) conjugate oracle: direct sup over grid points per dual point."""
     _require_proper(f)
     dual = np.asarray(dual_grid, dtype=float)
@@ -176,8 +175,8 @@ def brute_force_conjugate(
         raise ValueError("dual_grid must be strictly increasing with >= 2 points")
     xs, vs = _finite_points(f)
     vals = np.empty(dual.shape, dtype=float)
-    for i0 in range(0, dual.size, chunk):
-        i1 = min(i0 + chunk, dual.size)
+    for i0 in range(0, dual.size, _BRUTE_CHUNK):
+        i1 = min(i0 + _BRUTE_CHUNK, dual.size)
         block = dual[i0:i1, None] * xs[None, :] - vs[None, :]
         vals[i0:i1] = block.max(axis=1)
     label = f"{f.label}* (brute)" if f.label else "conjugate (brute)"
@@ -254,23 +253,13 @@ class DerivativeRange:
         """Whether ``x`` lies within ``slack`` of the range, elementwise."""
         return self.distance(x) <= slack
 
-    @property
-    def span(self) -> tuple[float, float]:
-        if self.is_empty:
-            raise ValueError("empty derivative range has no span")
-        return self.components[0][0], self.components[-1][1]
 
-
-def derivative_range(
-    f: GridFunction,
-    G: tuple[float, float],
-    merge_gap: float | None = None,
-) -> DerivativeRange:
+def derivative_range(f: GridFunction, G: tuple[float, float]) -> DerivativeRange:
     """Range of one-sided slopes of the restriction of ``f`` to open ``G``.
 
     Collects the chord slopes between consecutive finite grid points inside
-    ``G`` and merges slopes whose gap is below ``merge_gap`` into closed
-    intervals.  The default gap is ``8 * median(slope gaps)``: for a smooth
+    ``G`` and merges slopes whose gap is below the merge gap, ``8 *
+    median(slope gaps)``, into closed intervals: for a smooth
     sample the gaps are all of the same O(h) order, so the range fuses into
     one interval, while a kink contributes an O(1) jump far above the median
     (which stays 0 or O(h)) and survives as a component boundary.  The
@@ -288,15 +277,14 @@ def derivative_range(
     slopes = np.sort(slopes[np.isfinite(slopes)])
     if slopes.size == 0:
         return DerivativeRange((), 0.0)
-    if merge_gap is None:
-        gaps = np.diff(slopes)
-        span = float(abs(slopes[-1] - slopes[0]))
-        floor = 1e-12 * max(1.0, span)
-        merge_gap = (
-            max(RANGE_MERGE_FACTOR * float(np.median(gaps)), floor)
-            if gaps.size
-            else 0.0
-        )
+    gaps = np.diff(slopes)
+    span = float(abs(slopes[-1] - slopes[0]))
+    floor = 1e-12 * max(1.0, span)
+    merge_gap = (
+        max(RANGE_MERGE_FACTOR * float(np.median(gaps)), floor)
+        if gaps.size
+        else 0.0
+    )
     components: list[tuple[float, float]] = []
     start = prev = float(slopes[0])
     for s in slopes[1:]:
@@ -314,68 +302,22 @@ def derivative_range(
 # ---------------------------------------------------------------------------
 
 
-def _finite_runs(f: GridFunction) -> list[tuple[int, int]]:
-    """Maximal runs [i, j] of consecutive finite values (inclusive)."""
-    mask = f.finite_mask
-    runs = []
-    i = 0
-    n = mask.size
-    while i < n:
-        if mask[i]:
-            j = i
-            while j + 1 < n and mask[j + 1]:
-                j += 1
-            runs.append((i, j))
-            i = j + 1
-        else:
-            i += 1
-    return runs
-
-
-def effective_domain(f: GridFunction) -> RegionSet:
-    """Grid cells with finite values, merged into closed intervals."""
-    from .measures import Interval
-
-    runs = _finite_runs(f)
-    return RegionSet(
-        tuple(Interval(float(f.xs[i]), float(f.xs[j])) for i, j in runs)
-    )
-
-
-def interior_effective_domain(f: GridFunction) -> RegionSet:
-    """Effective domain with one boundary grid cell dropped on each side."""
-    from .measures import Interval
-
-    runs = _finite_runs(f)
-    pieces = []
-    for i, j in runs:
-        if j - i >= 2:
-            pieces.append(Interval(float(f.xs[i + 1]), float(f.xs[j - 1])))
-    return RegionSet(tuple(pieces))
+def _runs(mask: np.ndarray) -> np.ndarray:
+    """``[first, last]`` index of every maximal run of True in ``mask``, one row each."""
+    edges = np.flatnonzero(np.diff(mask, prepend=False, append=False))
+    return edges.reshape(-1, 2) - [0, 1]
 
 
 def interior_mask(mask: np.ndarray) -> np.ndarray:
     """Drop the first and last index of every True-run."""
     out = mask.copy()
-    n = mask.size
-    i = 0
-    while i < n:
-        if mask[i]:
-            j = i
-            while j + 1 < n and mask[j + 1]:
-                j += 1
-            out[i] = False
-            out[j] = False
-            i = j + 1
-        else:
-            i += 1
+    out[_runs(mask).ravel()] = False
     return out
 
 
 def is_convex_table(f: GridFunction, tol: float = 1e-9) -> bool:
     """Numerically convex: contiguous finite part with nondecreasing slopes."""
-    runs = _finite_runs(f)
-    if len(runs) != 1:
+    if len(_runs(f.finite_mask)) != 1:
         return False
     s = chord_slopes(f)
     if s.size < 2:
@@ -389,10 +331,7 @@ def is_convex_table(f: GridFunction, tol: float = 1e-9) -> bool:
 
 
 def essential_smoothness_check(
-    f: GridFunction,
-    kink_floor: float = DEFAULT_KINK_FLOOR,
-    kink_factor: float = DEFAULT_KINK_FACTOR,
-    divergence_threshold: float = DEFAULT_SLOPE_DIVERGENCE,
+    f: GridFunction, divergence_threshold: float = DEFAULT_SLOPE_DIVERGENCE
 ) -> tuple[bool, dict]:
     """Essential-smoothness diagnostic for a convex grid function.
 
@@ -400,7 +339,7 @@ def essential_smoothness_check(
 
     1. the effective domain is an interval with nonempty interior;
     2. no interior kink: the one-sided slope jump at each interior point
-       must not exceed ``max(kink_floor * (1+|l|+|r|), kink_factor * median
+       must not exceed ``max(KINK_FLOOR * (1+|l|+|r|), KINK_FACTOR * median
        jump)`` -- the median term separates genuine kinks from the O(h)
        slope increments of a smooth sample, the floor absorbs window noise;
     3. at each *witnessed* finite domain boundary (an explicit +inf cell
@@ -409,7 +348,7 @@ def essential_smoothness_check(
        leaves no witnessed boundary: the function may well continue, so no
        divergence is required there.
     """
-    runs = _finite_runs(f)
+    runs = _runs(f.finite_mask)
     diag: dict = {
         "domain_is_interval": len(runs) == 1,
         "nonempty_interior": False,
@@ -419,7 +358,7 @@ def essential_smoothness_check(
     }
     if len(runs) != 1:
         return False, diag
-    i0, j0 = runs[0]
+    i0, j0 = runs[0].tolist()
     diag["nonempty_interior"] = j0 > i0
     if j0 == i0:
         return False, diag
@@ -433,7 +372,7 @@ def essential_smoothness_check(
         for k, jump in enumerate(jumps):
             left, right = float(slopes[k]), float(slopes[k + 1])
             threshold = max(
-                kink_floor * (1.0 + abs(left) + abs(right)), kink_factor * med
+                KINK_FLOOR * (1.0 + abs(left) + abs(right)), KINK_FACTOR * med
             )
             if jump > threshold:
                 diag["kink_points"].append(
@@ -507,9 +446,8 @@ def conv_lemma_check(
     Valid for proper convex lsc grid functions whose domain has nonempty
     interior and open regions G; both infima are returned.
     """
-    runs = _finite_runs(f)
     pieces = []
-    for i, j in runs:
+    for i, j in _runs(f.finite_mask).tolist():
         if j > i:
             pieces.append(
                 RegionSet.open(float(f.xs[i]), float(f.xs[j])).intervals[0]

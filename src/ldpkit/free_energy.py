@@ -122,44 +122,6 @@ class LimitEstimate:
             raise ValueError("liminf_est must not exceed limsup_est")
 
 
-def estimate_limit(
-    ts: Sequence[float],
-    values: Sequence[float],
-    tol: float = DEFAULT_TOL,
-    divergence_threshold: float = DEFAULT_DIVERGENCE_THRESHOLD,
-    divergence_run: int = DIVERGENCE_RUN,
-) -> LimitEstimate:
-    """Classify a sampled tail of a scalar net (see module docstring)."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    vals = [float(v) for v in values]
-    samples = tuple(zip([float(t) for t in ts], vals))
-    arr = np.array(vals, dtype=float)
-
-    def _diverges(sign: float) -> bool:
-        v = sign * arr
-        if v[-1] <= divergence_threshold and not np.isposinf(v[-1]):
-            return False
-        run = min(divergence_run, len(v))
-        tail = v[-run:]
-        with np.errstate(invalid="ignore"):  # inf - inf steps, as in _classify_limits
-            steps = np.diff(tail)
-        return bool(np.all(steps > 0)) or bool(np.all(np.isposinf(tail)))
-
-    if np.all(np.isneginf(arr)):
-        return LimitEstimate(NEG_INF, NEG_INF, NEG_INF, True, 0.0, samples)
-    if _diverges(+1.0):
-        return LimitEstimate(INF, INF, INF, True, 0.0, samples)
-    if _diverges(-1.0):
-        return LimitEstimate(NEG_INF, NEG_INF, NEG_INF, True, 0.0, samples)
-
-    lo = float(arr.min())
-    hi = float(arr.max())
-    spread = hi - lo
-    converged = bool(np.isfinite(lo) and np.isfinite(hi) and spread <= tol)
-    return LimitEstimate(lo, hi, vals[-1], converged, spread, samples)
-
-
 @dataclass(frozen=True)
 class FamilyTable:
     """Free-energy estimates of every member of a family, as arrays.
@@ -197,19 +159,6 @@ class FamilyTable:
             bool(self.converged[i]),
             self.spread[i].item(),
             tuple(zip(self.ts.tolist(), self.rows[:, i].tolist())),
-        )
-
-    @classmethod
-    def from_estimates(cls, estimates: Sequence[LimitEstimate]) -> "FamilyTable":
-        """The table of ``estimates``, which must be sampled at the same scales."""
-        samples = np.array([e.samples for e in estimates], dtype=float)
-        if samples.ndim != 3 or np.any(samples[:, :, 0] != samples[:1, :, 0]):
-            raise ValueError("estimates must share their sample scales")
-        fields = ("value", "liminf_est", "limsup_est", "converged", "spread")
-        return cls(
-            samples[0, :, 0],
-            samples[:, :, 1].T,
-            *(np.array([getattr(e, f) for e in estimates]) for f in fields),
         )
 
 
@@ -261,21 +210,6 @@ def _logaddexp(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     with np.errstate(invalid="ignore", over="ignore"):
         near = ~(np.abs(a - b) > -_EXP_ZERO)  # not <=: NaN gaps are near
         return np.logaddexp(a, b, out=np.maximum(a, b) + 0.0, where=near)
-
-
-def _slope_log_sums(
-    slopes: np.ndarray, locs: np.ndarray, logm: np.ndarray, t: float
-) -> np.ndarray:
-    """``log sum_i exp(logm_i + s * locs_i / t)`` for every slope ``s``.
-
-    One sample at a time; the test oracle of :class:`_WindowSums`.
-    """
-    out = np.empty(slopes.size)
-    step = max(1, _BLOCK_TERMS // max(1, locs.size))
-    for i in range(0, slopes.size, step):
-        s = slopes[i : i + step, None]
-        out[i : i + step] = _log_sum_exp_rows(logm + s * locs / t)
-    return out
 
 
 def _group_log_sums(count, ts, logm, tilt) -> np.ndarray:
@@ -391,7 +325,7 @@ def _window_sums(net: ScaledMeasureNet, window: WindowSpec) -> _WindowSums:
 def _classify_limits(
     ts: np.ndarray, rows: np.ndarray, tol: float, divergence_threshold: float
 ) -> FamilyTable:
-    """:func:`estimate_limit` on every column of a samples x members table."""
+    """The limit estimates of every column of a samples x members table."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     last = rows[-1]
@@ -431,9 +365,9 @@ def lambda_family_table(
 ) -> FamilyTable:
     """Free-energy estimates for every member of a family.
 
-    Agrees with :func:`~ldpkit.measures.exp_power_integral` and
-    :func:`estimate_limit` applied member by member, up to the rounding of
-    the split log-sum (see the module docstring).
+    Agrees, member by member, with a one-pass log-sum-exp over each
+    sample's atoms, up to the rounding of the split log-sum (see the module
+    docstring); ``tests/oracles.py`` keeps that one-pass form.
     """
     store = _window_sums(net, window)
     ts = store.ts

@@ -12,7 +12,7 @@ with a strictly decreasing positive scale ``t_k -> 0``.  The three built-in
 nets (fair two-point coin, escaping three-atom family, iid empirical mean)
 are the standard test beds for free-energy and rate-function estimation.
 
-scipy is imported inside the three functions that use it, so importing the
+scipy is imported inside the two functions that use it, so importing the
 package loads numpy only.
 """
 
@@ -117,10 +117,6 @@ class FiniteSupportMeasure:
         return np.exp(self.log_masses)
 
     @property
-    def atoms(self) -> list[tuple[float, float]]:
-        return list(zip(self.locations.tolist(), self.masses.tolist()))
-
-    @property
     def log_total_mass(self) -> float:
         if self.log_masses.size == 0:
             return NEG_INF
@@ -196,9 +192,6 @@ class FiniteSupportMeasure:
         return np.logaddexp(
             table[row, np.where(size > 0, i0, n)], table[row, np.where(size > 1, i1 - 1, n)]
         )
-
-    def log_mass_in(self, region: "RegionSet") -> float:
-        return float(self.log_masses_of([region])[0])
 
     def log_masses_of(self, regions: Sequence["RegionSet"]) -> np.ndarray:
         """log of the mass of each region: one :meth:`log_masses_in` call, then
@@ -307,51 +300,6 @@ class RegionSet:
                 if c is not None:
                     pieces.append(c)
         return RegionSet(tuple(pieces))
-
-
-# ---------------------------------------------------------------------------
-# the two basic powered quantities
-# ---------------------------------------------------------------------------
-
-
-def exp_power_integral(measure: FiniteSupportMeasure, tilt, t: float) -> float:
-    """Scaled log-integral ``t * log( sum_i m_i exp(h(x_i)/t) )``.
-
-    Evaluated by shifting out the maximal exponent (log-sum-exp), so the
-    result never overflows even for exponents of size 1e8.  Returns ``-inf``
-    for the zero measure or when the tilt is -inf on the whole support.
-
-    Parameters
-    ----------
-    measure : FiniteSupportMeasure
-    tilt : TiltFunction
-        Any object with an ``eval_array`` method mapping locations to
-        values in [-inf, +inf).
-    t : float
-        Scale, must be positive.
-    """
-    if t <= 0:
-        raise ValueError("t must be positive")
-    if measure.locations.size == 0:
-        return NEG_INF
-    from scipy.special import logsumexp
-
-    h = tilt.eval_array(measure.locations)
-    expo = measure.log_masses + h / t
-    val = float(logsumexp(expo))
-    if val == NEG_INF:
-        return NEG_INF
-    return t * val
-
-
-def region_power_mass(measure: FiniteSupportMeasure, region: RegionSet, t: float) -> float:
-    """Powered region mass ``mu(region) ** t`` with ``0 ** t = 0``."""
-    if t <= 0:
-        raise ValueError("t must be positive")
-    logm = measure.log_mass_in(region)
-    if logm == NEG_INF:
-        return 0.0
-    return float(np.exp(t * logm))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from functools import cached_property
 
 import numpy as np
@@ -51,7 +51,6 @@ from .tilts import (
     two_slope_family,
 )
 from .verifier import (
-    ConditionReport,
     RangeTargets,
     range_condition_check,
     rate_comparison,
@@ -366,21 +365,15 @@ def _range_condition_entry(state: PipelineState, cid: str) -> dict:
         lo, hi = s.check_params["sub_G"]
         L_sub = state.L.restrict_open(lo, hi, label="L_sub")
         L_star_sub = lf_transform(L_sub, state.x_grid).with_label("L_star_sub")
-        targets = RangeTargets(
-            rfe=state.rfe,
-            abstract_star=state.abstract_star,
-            linear_star=L_star_sub,
-            J=state.J,
-            lambda_bar_zero=state.lambda_bar_zero,
-        )
+        targets = replace(state.targets, linear_star=L_star_sub)
         rep = range_condition_check(
             L_sub, (lo, hi), targets, ["gartner-ellis-b"], tol.filter
         )[0]
         zero_in = lo < 0.0 < hi
-        rep = ConditionReport(
+        rep = replace(
+            rep,
             condition_id=cid,
             hypothesis_holds=rep.hypothesis_holds and zero_in,
-            witnesses=rep.witnesses,
             notes={**rep.notes, "sub_G": [lo, hi], "zero_in_G": zero_in},
         )
     elif cid == "ellis-two-slope" and state.family.kind != "two_slope":
@@ -395,13 +388,7 @@ def _range_condition_entry(state: PipelineState, cid: str) -> dict:
             tol.divergence_threshold,
             stability_tol=tol.stability,
         ).grid
-        targets = RangeTargets(
-            rfe=state.rfe,
-            abstract_star=aux_star,
-            linear_star=state.L_star,
-            J=state.J,
-            lambda_bar_zero=state.lambda_bar_zero,
-        )
+        targets = replace(state.targets, abstract_star=aux_star)
         rep = range_condition_check(
             state.L, state.G, targets, ["ellis-two-slope"], tol.filter
         )[0]
@@ -414,37 +401,29 @@ def _range_condition_entry(state: PipelineState, cid: str) -> dict:
     notes = dict(rep.notes)
     if cid == "gartner-ellis-b" and not (state.G[0] < 0.0 < state.G[1]):
         notes["zero_in_G"] = False
-        rep = ConditionReport(cid, False, rep.witnesses, rep.conclusions_checked, notes)
+        rep = replace(rep, hypothesis_holds=False, notes=notes)
     if cid == "gartner-ellis-a":
         notes["essentially_smooth"] = essential_smoothness_check(state.L)[0]
     if cid == "ellis-two-slope":
         notes["premise_all_exist"] = True  # enforced by stable_abstract_lf
     conclusions = []
     if rep.hypothesis_holds and state.ldp_holds:
-        eq = s.tolerances.equality
         dom_J = np.isfinite(state.J.values)
+        everywhere = np.ones_like(dom_J)
         if cid in ("gartner-ellis-a", "gartner-ellis-b", "gartner-ellis-b-sub"):
-            holds, worst, _ = verifier.equality_on_mask(
-                state.J, state.targets.linear_star, np.ones_like(dom_J), eq
-            )
-            conclusions.append(
-                {"claim": "J == linear conjugate everywhere", "holds": holds,
-                 "max_violation": None if worst == INF else worst}
-            )
+            claims = [("J == linear conjugate everywhere", state.L_star, everywhere)]
         else:
+            claims = [
+                ("J == abstract conjugate everywhere", state.abstract_star, everywhere),
+                ("J == linear conjugate on dom(J)", state.L_star, dom_J),
+            ]
+        for claim, target, mask in claims:
             holds, worst, _ = verifier.equality_on_mask(
-                state.J, state.abstract_star, np.ones_like(dom_J), eq
+                state.J, target, mask, s.tolerances.equality
             )
             conclusions.append(
-                {"claim": "J == abstract conjugate everywhere", "holds": holds,
+                {"claim": claim, "holds": holds,
                  "max_violation": None if worst == INF else worst}
-            )
-            holds2, worst2, _ = verifier.equality_on_mask(
-                state.J, state.targets.linear_star, dom_J, eq
-            )
-            conclusions.append(
-                {"claim": "J == linear conjugate on dom(J)", "holds": holds2,
-                 "max_violation": None if worst2 == INF else worst2}
             )
     return {
         "condition_id": cid,

@@ -248,11 +248,15 @@ def _window_from(reader: _SectionReader, defaults: WindowConfig | None = None) -
 
 
 def load_scenario(path) -> Scenario:
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    read = parser.read(str(path))
+    # no interpolation: a '%' in a value is a plain character
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
+    path = str(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:  # repeated section or key, no header
+        raise ScenarioError(f"{path}: {exc}") from exc
     if not read:
         raise ScenarioError(f"cannot read scenario file {path}")
-    path = str(path)
 
     for required in ("net", "window", "lambda-grid", "family", "x-grid", "output"):
         if not parser.has_section(required):

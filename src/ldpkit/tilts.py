@@ -168,14 +168,6 @@ class TiltFamily:
         # explicit families cannot grow; doubling is the identity
         return self
 
-    def values_at(self, xs) -> np.ndarray:
-        """``h(x)`` for every member (rows) and point of ``xs`` (columns)."""
-        xs = np.asarray(xs, dtype=float)
-        out = np.where(xs <= 0.0, self.lam[:, None] * xs, self.nu[:, None] * xs)
-        for i, member in zip(np.flatnonzero(np.isnan(self.lam)), self.custom):
-            out[i] = member.eval_array(xs)
-        return out
-
 
 def linear_family(lo: float, hi: float, resolution: int) -> TiltFamily:
     """Evenly spaced linear tilts strictly inside the open interval (lo, hi).

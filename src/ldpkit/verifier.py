@@ -50,6 +50,7 @@ from .scenario import DELTA_COUNT, Tolerances
 from .tilts import TiltFunction
 
 DEFAULT_FILTER_TOL = Tolerances.filter
+CONVEXITY_TOL = 1e-6  # slope decrease a range-int premise forgives
 
 
 def default_delta_schedule(num: int = DELTA_COUNT) -> tuple[float, ...]:
@@ -87,25 +88,6 @@ def _local_rates(net: ScaledMeasureNet, xs, deltas, window: WindowSpec):
     powered = _powered_log_masses(net, window, lambda m: m.log_masses_in(xs - r, xs + r))
     # -(-inf) = +inf: an empty ball in every sample gives an infinite rate
     return -powered.max(axis=0) + 0.0, -powered.min(axis=0) + 0.0
-
-
-def local_rate(
-    net: ScaledMeasureNet,
-    x: float,
-    deltas: Sequence[float],
-    window: WindowSpec,
-    mode: str,
-) -> float:
-    """One value of the lower (``mode='lower'``) or upper rate function.
-
-    For each ball radius the powered-mass limit is estimated over the
-    window (max for the limsup of the lower function, min for the liminf of
-    the upper one); the result is the sup over radii of ``-log estimate``.
-    """
-    if mode not in ("lower", "upper"):
-        raise ValueError("mode must be 'lower' or 'upper'")
-    l0, l1 = _local_rates(net, [x], deltas, window)
-    return float((l0 if mode == "lower" else l1)[0])
 
 
 @dataclass(frozen=True)
@@ -357,7 +339,6 @@ class ConditionReport:
     condition_id: str
     hypothesis_holds: bool
     witnesses: tuple = ()
-    conclusions_checked: tuple = ()
     notes: dict = field(default_factory=dict)
 
 
@@ -409,8 +390,6 @@ def range_condition_check(
     targets: RangeTargets,
     condition_ids: Sequence[str],
     filter_tol: float = DEFAULT_FILTER_TOL,
-    merge_gap: float | None = None,
-    convexity_tol: float = 1e-6,
 ) -> list[ConditionReport]:
     """Test derivative-range coverage conditions.
 
@@ -424,7 +403,7 @@ def range_condition_check(
     verify their properness-and-convexity premise numerically and fold it
     into ``hypothesis_holds``.
     """
-    rng = derivative_range(L_on_G, G, merge_gap)
+    rng = derivative_range(L_on_G, G)
     grid = targets.rfe.grid
     cell = np.empty(grid.shape)
     gaps = np.diff(grid)
@@ -454,7 +433,7 @@ def range_condition_check(
         mask = np.isfinite(source.values)
         if use_interior and cid.startswith("range-int"):
             # premise: the base function is proper convex (lsc on the grid)
-            premise_ok = source.is_proper and is_convex_table(source, convexity_tol)
+            premise_ok = source.is_proper and is_convex_table(source, CONVEXITY_TOL)
             notes["proper_convex_premise"] = premise_ok
         if use_interior:
             mask = interior_mask(mask)

@@ -140,6 +140,26 @@ class TestScenarioParsing:
         assert main(["run", str(path)]) == 2
         assert f"[checks] {key}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", [
+        MINI_SCENARIO + "\n[checks]\nrun = vague-ldp\n",
+        MINI_SCENARIO.replace("kind = coin", "kind = coin\nkind = coin"),
+        "samples = 3\n" + MINI_SCENARIO,
+    ], ids=["repeated-section", "repeated-key", "line-before-header"])
+    def test_malformed_file_exits_2(self, tmp_path, capsys, text):
+        # configparser's own errors once escaped as a traceback and exit 1
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        with pytest.raises(ScenarioError, match="bad.cfg"):
+            load_scenario(path)
+        assert main(["run", str(path)]) == 2
+        assert str(path) in capsys.readouterr().err
+
+    def test_percent_is_a_plain_character(self, tmp_path):
+        # interpolation once made '%b' a configparser error at exit 1
+        path = tmp_path / "pct.cfg"
+        path.write_text(MINI_SCENARIO.replace("prefix = mini", "prefix = mini%b"))
+        assert load_scenario(path).output_prefix == "mini%b"
+
     def test_missing_section(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text(MINI_SCENARIO.replace("[net]", "[deltas]").replace(

@@ -24,13 +24,15 @@ from ldpkit.tilts import (
     two_slope_family,
 )
 
+from oracles import table_from_estimates, values_at
+
 TOL = 2e-2
 
 
 def dense_abstract_lf(fe: FamilyEvaluation, x_grid) -> np.ndarray:
     """Oracle: the sup over one ``h(x) - F(h)`` row per member."""
     xs = np.asarray(x_grid, dtype=float)
-    H = fe.family.values_at(xs)
+    H = values_at(fe.family, xs)
     F = fe.values
     vals = np.full(xs.shape, NEG_INF)
     finite = np.isfinite(F)
@@ -59,7 +61,7 @@ def fake_estimate(value):
 
 
 def evaluation(fam, *estimates):
-    return FamilyEvaluation(fam, FamilyTable.from_estimates(estimates))
+    return FamilyEvaluation(fam, table_from_estimates(estimates))
 
 
 class TestFamilyEvaluation:
@@ -81,9 +83,8 @@ class TestFamilyEvaluation:
 
 
 class TestFamilyEvaluationTable:
-    def test_lambdas_are_the_table_estimates(self, coin_net, main_window):
+    def test_values_are_the_table_values(self, coin_net, main_window):
         fe = evaluate_family(coin_net, two_slope_family((-2, 2), (-2, 2), 3), main_window, TOL)
-        assert fe.lambdas == tuple(fe.table.estimate(i) for i in range(9))
         assert fe.values is fe.table.value
         assert fe.all_exist is True
 
@@ -239,7 +240,7 @@ class TestLinearRestriction:
         )
         # a one-member linear family is handled by abstract_lf directly
         out = abstract_lf(fe, xs)
-        expected = lam0 * xs - fe.lambdas[0].value
+        expected = lam0 * xs - fe.table.estimate(0).value
         assert np.allclose(out.values, expected)
 
     def test_requires_linear_family(self, coin_net, main_window):

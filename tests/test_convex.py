@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ldpkit.convex import (
@@ -12,18 +12,19 @@ from ldpkit.convex import (
     conv_lemma_check,
     convex_lsc_hull,
     derivative_range,
-    effective_domain,
     essential_smoothness_check,
     inf_over_open,
-    interior_effective_domain,
+    interior_mask,
     lf_transform,
     load_grid_csv,
     one_sided_derivatives,
     save_grid_csv,
 )
+from ldpkit.convex import _runs
 from ldpkit.extreal import INF, NEG_INF
 from ldpkit.measures import RegionSet
 
+import oracles
 from conftest import conjugate_dual_grid, random_convex_grid
 
 
@@ -276,7 +277,7 @@ class TestDerivativeRange:
         f = random_convex_grid(rng_src, n=80)
         s = chord_slopes(f)
         dr = derivative_range(f, (f.xs[0], f.xs[-1]))
-        lo, hi = dr.span
+        lo, hi = dr.components[0][0], dr.components[-1][1]
         assert lo >= s.min() - 1e-12 and hi <= s.max() + 1e-12
 
     def test_misses_grid(self):
@@ -287,28 +288,37 @@ class TestDerivativeRange:
 class TestDomains:
     def test_coin_conjugate_style_domains(self):
         xs = np.linspace(-2, 2, 41)
-        vals = np.where(np.isclose(np.abs(xs), 1.0), 0.0, INF)
-        f = GridFunction(xs, vals)
-        dom = effective_domain(f)
-        assert len(dom.intervals) == 2
-        assert dom.contains(-1.0) and dom.contains(1.0) and not dom.contains(0.0)
-        assert interior_effective_domain(f).is_empty
+        f = GridFunction(xs, np.where(np.isclose(np.abs(xs), 1.0), 0.0, INF))
+        runs = _runs(f.finite_mask)
+        assert f.xs[runs].tolist() == [[-1.0, -1.0], [1.0, 1.0]]
+        assert not interior_mask(f.finite_mask).any()
 
     def test_single_point_domain(self):
-        xs = np.linspace(0, 1, 11)
         vals = np.full(11, INF)
         vals[4] = 2.0
-        f = GridFunction(xs, vals)
-        dom = effective_domain(f)
-        assert len(dom.intervals) == 1 and dom.contains(f.xs[4])
-        assert interior_effective_domain(f).is_empty
+        f = GridFunction(np.linspace(0, 1, 11), vals)
+        assert _runs(f.finite_mask).tolist() == [[4, 4]]
+        assert not interior_mask(f.finite_mask).any()
 
     def test_full_grid(self):
         f = parabola_grid(11, 1.0)
-        dom = effective_domain(f)
-        assert dom.intervals[0].lo == -1.0 and dom.intervals[0].hi == 1.0
-        inner = interior_effective_domain(f).intervals[0]
-        assert inner.lo == f.xs[1] and inner.hi == f.xs[-2]
+        assert _runs(f.finite_mask).tolist() == [[0, 10]]
+        inner = interior_mask(f.finite_mask)
+        assert inner.tolist() == [False] + [True] * 9 + [False]
+
+    @given(st.lists(st.booleans(), max_size=40))
+    @example([])
+    @example([False])
+    @example([True])
+    @example([False] * 6)
+    @example([True] * 6)
+    @example([True, False] * 4)
+    @example([False, True] * 4 + [False])
+    @settings(max_examples=300, deadline=None)
+    def test_run_finder_matches_loops(self, mask):
+        mask = np.array(mask, dtype=bool)
+        assert [tuple(r) for r in _runs(mask).tolist()] == oracles.finite_runs(mask)
+        assert interior_mask(mask).tolist() == oracles.interior_mask(mask).tolist()
 
 
 class TestEssentialSmoothness:

@@ -17,10 +17,10 @@ from ldpkit.measures import (
     ScaledMeasureNet,
     _iid_mean_law,
     _merge_atoms,
-    exp_power_integral,
-    region_power_mass,
 )
 from ldpkit.tilts import TiltFunction
+
+from oracles import exp_power_integral, log_mass_in, region_power_mass
 
 COIN = FiniteSupportMeasure.from_atoms([(-1.0, 0.5), (1.0, 0.5)])
 H1 = TiltFunction.linear(1.0)
@@ -216,7 +216,7 @@ class TestLogMassesIn:
             for i, (lo, hi) in enumerate(zip(cuts[0::2], cuts[1::2]))
         )
         region = RegionSet(ivs)
-        assert_log_close(m.log_mass_in(region), mask_log_mass(m, region))
+        assert_log_close(log_mass_in(m, region), mask_log_mass(m, region))
 
     def test_empty_degenerate_and_reversed_intervals(self):
         zero = FiniteSupportMeasure.from_atoms([])
@@ -226,7 +226,7 @@ class TestLogMassesIn:
         # [x, x] holds the atom at x only when both ends are closed
         assert COIN.log_masses_in(1.0, 1.0, False, False) == math.log(0.5)
         assert COIN.log_masses_in(1.0, 1.0) == NEG_INF
-        assert COIN.log_mass_in(RegionSet.empty()) == NEG_INF
+        assert log_mass_in(COIN, RegionSet.empty()) == NEG_INF
 
     def test_run_past_last_atom(self):
         # (1, 2] starts its run at index n = 2, the padding slot
@@ -249,7 +249,7 @@ class TestLogMassesIn:
         got = m.log_masses_in([k - 0.5, -k - 0.5, -0.5], [k + 0.5, -k + 0.5, k + 0.5])
         assert got.tolist() == [-k**2, -k**2, 0.0]
         outside = RegionSet.complement_of_closed(-1.0, 1.0)
-        assert m.log_mass_in(outside) == -k**2 + math.log(2.0)
+        assert log_mass_in(m, outside) == -k**2 + math.log(2.0)
 
 
 def reduceat_log_masses_in(m, lo, hi, lo_open=True, hi_open=True):
@@ -373,7 +373,8 @@ class TestExampleNets:
     def test_coin_at_4(self, coin_net):
         m, t = coin_net.at(4)
         assert t == 0.25
-        assert m.atoms == [(-1.0, 0.5), (1.0, 0.5)]
+        assert m.locations.tolist() == [-1.0, 1.0]
+        assert m.masses.tolist() == [0.5, 0.5]
 
     def test_coin_is_probability(self, coin_net):
         assert coin_net.measure(1).total_mass == pytest.approx(1.0)

@@ -16,7 +16,6 @@ from ldpkit.measures import (
     Interval,
     RegionSet,
     ScaledMeasureNet,
-    region_power_mass,
 )
 from ldpkit.pipeline import PipelineState
 from ldpkit.scenario import load_scenario, parse_region_specs
@@ -30,7 +29,6 @@ from ldpkit.verifier import (
     equality_on_mask,
     exponential_tightness_check,
     ldp_bounds_check,
-    local_rate,
     range_condition_check,
     rate_comparison,
     rate_grid,
@@ -38,6 +36,8 @@ from ldpkit.verifier import (
     vague_ldp_check,
     varadhan_identity_check,
 )
+
+from oracles import log_mass_in, region_power_mass
 
 TOL = 2e-2
 DELTAS = default_delta_schedule(10)
@@ -82,20 +82,16 @@ def coin_state(coin_net, main_window, rate_window):
 
 class TestLocalRate:
     def test_coin_upper_rate_at_atom(self, coin_net, rate_window):
-        v = local_rate(coin_net, 1.0, DELTAS, rate_window, "upper")
-        assert v == pytest.approx(0.0, abs=1e-3)
+        rfe = rate_grid(coin_net, [0.5, 1.0], DELTAS, rate_window)
+        assert rfe.l1.values[1] == pytest.approx(0.0, abs=1e-3)
 
     def test_coin_off_support_infinite(self, coin_net, rate_window):
-        assert local_rate(coin_net, 0.5, DELTAS, rate_window, "upper") == INF
+        rfe = rate_grid(coin_net, [0.5, 1.0], DELTAS, rate_window)
+        assert rfe.l1.values[0] == INF
 
     def test_dirac_net_zero(self, rate_window):
-        assert local_rate(dirac_net(), 0.0, DELTAS, rate_window, "upper") == 0.0
-
-    def test_mode_validation(self, coin_net, rate_window):
-        with pytest.raises(ValueError):
-            local_rate(coin_net, 0.0, DELTAS, rate_window, "sideways")
-        with pytest.raises(ValueError):
-            local_rate(coin_net, 0.0, [0.1, 0.2], rate_window, "upper")
+        rfe = rate_grid(dirac_net(), [0.0, 1.0], DELTAS, rate_window)
+        assert rfe.l1.values.tolist() == [0.0, INF]
 
     @pytest.mark.parametrize("deltas", [(), (0.1, 0.5), (-0.1,), (0.5, 0.5), (float("nan"),)])
     def test_rate_grid_rejects_bad_radii(self, coin_net, rate_window, deltas):
@@ -119,11 +115,12 @@ class TestLocalRate:
         ids=["coin", "dem-zei"],
     )
     def test_equals_rate_grid_at_every_point(self, request, rate_window, net_name, xs):
+        # each point's rates depend on that point alone
         net = request.getfixturevalue(net_name)
         rfe = rate_grid(net, xs, DELTAS, rate_window)
         for x, l0, l1 in zip(xs, rfe.l0.values, rfe.l1.values):
-            assert local_rate(net, x, DELTAS, rate_window, "lower") == l0
-            assert local_rate(net, x, DELTAS, rate_window, "upper") == l1
+            got = _local_rates(net, [x], DELTAS, rate_window)
+            assert (got[0].item(), got[1].item()) == (l0, l1)
 
 
 class TestRateGrid:
@@ -613,7 +610,7 @@ def loop_exponential_tightness_check(net, eps_list, R_schedule, window):
     def limsup(i):
         if i == len(limsups):
             region = RegionSet.complement_of_closed(-R_schedule[i], R_schedule[i])
-            worst = max((t * m.log_mass_in(region) for m, t in samples), default=NEG_INF)
+            worst = max((t * log_mass_in(m, region) for m, t in samples), default=NEG_INF)
             limsups.append(math.exp(worst))
         return limsups[i]
 
@@ -637,7 +634,7 @@ def loop_ldp_bounds_check(net, J, regions, window, tol):
             raise ValueError("region tag must be 'open' or 'closed'")
         powered = []
         for m, t in samples:
-            logm = m.log_mass_in(region)
+            logm = log_mass_in(m, region)
             powered.append(math.exp(t * logm) if logm != NEG_INF else 0.0)
         mask = region.mask(J.xs)
         cap = float(np.exp(-J.values[mask]).max()) if mask.any() else 0.0
