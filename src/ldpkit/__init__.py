@@ -11,7 +11,6 @@ from .conjugate import (
     FamilyEvaluation,
     abstract_lf,
     evaluate_family,
-    linear_restriction_conjugate,
     stable_abstract_lf,
 )
 from .convex import (
@@ -25,7 +24,6 @@ from .convex import (
     inf_over_open,
     lf_transform,
     load_grid_csv,
-    one_sided_derivatives,
     save_grid_csv,
 )
 from .free_energy import (
@@ -63,7 +61,6 @@ from .verifier import (
     ConditionReport,
     RangeTargets,
     RateFunctionEstimate,
-    derivative_bound_check,
     derivative_bound_scan,
     exponential_tightness_check,
     ldp_bounds_check,

@@ -25,21 +25,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .convex import GridFunction, lf_transform
-from .extreal import INF, NEG_INF
-from .free_energy import (
-    DEFAULT_DIVERGENCE_THRESHOLD,
-    DEFAULT_TOL,
-    FamilyTable,
-    L_from_table,
-    WindowSpec,
-    lambda_family_table,
-)
+from .convex import GridFunction
+from .extreal import INF, NEG_INF, ext_sub
+from .free_energy import FamilyTable, WindowSpec, lambda_family_table
 from .measures import ScaledMeasureNet
 from .scenario import Tolerances
 from .tilts import TiltFamily
 
-DEFAULT_STABILITY_TOL = Tolerances.stability
 GROWTH_CAP = 1e6
 
 
@@ -68,8 +60,8 @@ def evaluate_family(
     net: ScaledMeasureNet,
     family: TiltFamily,
     window: WindowSpec,
-    tol: float = DEFAULT_TOL,
-    divergence_threshold: float = DEFAULT_DIVERGENCE_THRESHOLD,
+    tol: float = Tolerances.convergence,
+    divergence_threshold: float = Tolerances.divergence_threshold,
 ) -> FamilyEvaluation:
     table = lambda_family_table(net, family, window, tol, divergence_threshold)
     return FamilyEvaluation(family, table)
@@ -117,21 +109,6 @@ def abstract_lf(fe: FamilyEvaluation, x_grid: Sequence[float]) -> GridFunction:
     return GridFunction(xs, np.where(force, INF, vals), label="abstract-conjugate")
 
 
-def linear_restriction_conjugate(
-    fe: FamilyEvaluation, x_grid: Sequence[float]
-) -> GridFunction:
-    """Classical conjugate of the sampled free energy of a linear family.
-
-    Builds the grid function ``lam -> F(h_lam)`` (+inf where the estimate
-    diverged) and applies :func:`lf_transform`; this is the cross-check
-    path against :func:`abstract_lf` on the same family.
-    """
-    L = L_from_table(fe.family, fe.table)
-    if not fe.all_exist:
-        raise ValueError("family has members with no converged free energy")
-    return lf_transform(L, x_grid).with_label("linear-restriction-conjugate")
-
-
 @dataclass(frozen=True)
 class StableConjugate:
     """Abstract conjugate with truncation-stability flags.
@@ -156,9 +133,9 @@ def stable_abstract_lf(
     family: TiltFamily,
     x_grid: Sequence[float],
     window: WindowSpec,
-    tol: float = DEFAULT_TOL,
-    divergence_threshold: float = DEFAULT_DIVERGENCE_THRESHOLD,
-    stability_tol: float = DEFAULT_STABILITY_TOL,
+    tol: float = Tolerances.convergence,
+    divergence_threshold: float = Tolerances.divergence_threshold,
+    stability_tol: float = Tolerances.stability,
     fe: FamilyEvaluation | None = None,
 ) -> StableConjugate:
     """Abstract conjugate with the family-doubling stability check.
@@ -174,9 +151,7 @@ def stable_abstract_lf(
     fe2 = evaluate_family(net, family.doubled(), window, tol, divergence_threshold)
     raw = abstract_lf(fe1, xs).values
     wide = abstract_lf(fe2, xs).values
-    with np.errstate(invalid="ignore"):
-        growth = wide - raw
-    growth = np.where(wide == raw, 0.0, growth)  # covers equal infinities
+    growth = ext_sub(wide, raw)
     flagged = (growth > stability_tol) | (raw > GROWTH_CAP) | np.isposinf(raw)
     vals = np.where(flagged, INF, raw)
     grid = GridFunction(

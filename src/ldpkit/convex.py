@@ -8,9 +8,9 @@ reproducible and oracle-checkable.
 
 The operations: Legendre-Fenchel transform (hull + slope scan, with an
 O(n*m) brute-force twin kept as the testing oracle), greatest convex
-lower-semicontinuous minorant, one-sided derivatives and their merged
-range, an essential-smoothness diagnostic, and infima
-over open regions (the proper-convex-lsc restriction lemma check).
+lower-semicontinuous minorant, cell slopes and their merged range, an
+essential-smoothness diagnostic, and infima over open regions (the
+proper-convex-lsc restriction lemma check).
 """
 
 from __future__ import annotations
@@ -20,12 +20,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .extreal import INF, NEG_INF, ext_abs_diff
+from .extreal import INF, ext_abs_diff
 from .measures import RegionSet
 
 KINK_FLOOR = 1e-6
 KINK_FACTOR = 8.0
-DEFAULT_SLOPE_DIVERGENCE = 1e6
+SLOPE_DIVERGENCE = 1e6  # boundary slope an essentially smooth table reaches
+CONVEXITY_TOL = 1e-6  # slope decrease a convex table forgives
 RANGE_MERGE_FACTOR = 8.0
 _BRUTE_CHUNK = 256  # dual points per block of brute_force_conjugate
 
@@ -135,10 +136,6 @@ def convex_lsc_hull(f: GridFunction) -> GridFunction:
     return GridFunction(f.xs, out, label=f"hull({f.label})" if f.label else "hull")
 
 
-def _hull_slopes(hx: np.ndarray, hv: np.ndarray) -> np.ndarray:
-    return np.diff(hv) / np.diff(hx)
-
-
 def lf_transform(f: GridFunction, dual_grid: Sequence[float]) -> GridFunction:
     """Legendre-Fenchel transform ``f*(x) = sup_l (l*x - f(l))``.
 
@@ -159,7 +156,7 @@ def lf_transform(f: GridFunction, dual_grid: Sequence[float]) -> GridFunction:
         vals = dual * hx[0] - hv[0]
         off = np.zeros(dual.shape, dtype=bool)
     else:
-        slopes = _hull_slopes(hx, hv)
+        slopes = _chords(GridFunction(hx, hv))
         j = np.searchsorted(slopes, dual, side="left")
         vals = dual * hx[j] - hv[j]
         off = (dual < slopes[0]) | (dual > slopes[-1])
@@ -188,36 +185,20 @@ def brute_force_conjugate(f: GridFunction, dual_grid: Sequence[float]) -> GridFu
 # ---------------------------------------------------------------------------
 
 
-def one_sided_derivatives(f: GridFunction, at: int) -> tuple[float, float]:
-    """Finite-difference one-sided slopes at a grid index with finite value.
+def _chords(f: GridFunction) -> np.ndarray:
+    """Slope of every grid cell, ``(v[i+1] - v[i]) / (x[i+1] - x[i])``.
 
-    The left slope is ``-inf`` at the left edge of the effective domain (the
-    off-grid +inf convention) and symmetrically ``+inf`` on the right.
+    A cell with one infinite end has an infinite slope, one between equal
+    infinities a NaN slope.
     """
-    if not (0 <= at < f.xs.size):
-        raise IndexError(f"index {at} out of range")
-    v = f.values[at]
-    if not np.isfinite(v):
-        raise ValueError(f"value at index {at} is not finite")
-    if at == 0 or np.isposinf(f.values[at - 1]):
-        left = NEG_INF
-    else:
-        left = float((v - f.values[at - 1]) / (f.xs[at] - f.xs[at - 1]))
-    if at == f.xs.size - 1 or np.isposinf(f.values[at + 1]):
-        right = INF
-    else:
-        right = float((f.values[at + 1] - v) / (f.xs[at + 1] - f.xs[at]))
-    return left, right
+    with np.errstate(invalid="ignore"):
+        return np.diff(f.values) / np.diff(f.xs)
 
 
 def chord_slopes(f: GridFunction) -> np.ndarray:
     """Slopes between consecutive grid points where both values are finite."""
     mask = f.finite_mask
-    both = mask[:-1] & mask[1:]
-    dx = np.diff(f.xs)[both]
-    with np.errstate(invalid="ignore"):
-        dv = np.diff(f.values)[both]
-    return dv / dx
+    return _chords(f)[mask[:-1] & mask[1:]]
 
 
 @dataclass(frozen=True)
@@ -270,10 +251,7 @@ def derivative_range(f: GridFunction, G: tuple[float, float]) -> DerivativeRange
     idx = np.flatnonzero(mask)
     if idx.size == 0:
         raise ValueError(f"open interval ({lo}, {hi}) misses the grid")
-    adjacent = idx[:-1][np.diff(idx) == 1]
-    slopes = (f.values[adjacent + 1] - f.values[adjacent]) / (
-        f.xs[adjacent + 1] - f.xs[adjacent]
-    )
+    slopes = _chords(f)[idx[:-1][np.diff(idx) == 1]]
     slopes = np.sort(slopes[np.isfinite(slopes)])
     if slopes.size == 0:
         return DerivativeRange((), 0.0)
@@ -315,14 +293,15 @@ def interior_mask(mask: np.ndarray) -> np.ndarray:
     return out
 
 
-def is_convex_table(f: GridFunction, tol: float = 1e-9) -> bool:
-    """Numerically convex: contiguous finite part with nondecreasing slopes."""
+def is_convex_table(f: GridFunction) -> bool:
+    """Numerically convex: contiguous finite part with slopes that decrease
+    by at most ``CONVEXITY_TOL``."""
     if len(_runs(f.finite_mask)) != 1:
         return False
     s = chord_slopes(f)
     if s.size < 2:
         return True
-    return bool(np.all(np.diff(s) >= -tol))
+    return bool(np.all(np.diff(s) >= -CONVEXITY_TOL))
 
 
 # ---------------------------------------------------------------------------
@@ -330,9 +309,7 @@ def is_convex_table(f: GridFunction, tol: float = 1e-9) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def essential_smoothness_check(
-    f: GridFunction, divergence_threshold: float = DEFAULT_SLOPE_DIVERGENCE
-) -> tuple[bool, dict]:
+def essential_smoothness_check(f: GridFunction) -> tuple[bool, dict]:
     """Essential-smoothness diagnostic for a convex grid function.
 
     Three clauses:
@@ -344,7 +321,7 @@ def essential_smoothness_check(
        slope increments of a smooth sample, the floor absorbs window noise;
     3. at each *witnessed* finite domain boundary (an explicit +inf cell
        beyond it on the grid) the adjacent slope magnitude must reach
-       ``divergence_threshold``.  A domain that runs to the edge of the grid
+       ``SLOPE_DIVERGENCE``.  A domain that runs to the edge of the grid
        leaves no witnessed boundary: the function may well continue, so no
        divergence is required there.
     """
@@ -363,9 +340,7 @@ def essential_smoothness_check(
     if j0 == i0:
         return False, diag
 
-    slopes = (f.values[i0 + 1 : j0 + 1] - f.values[i0:j0]) / (
-        f.xs[i0 + 1 : j0 + 1] - f.xs[i0:j0]
-    )
+    slopes = _chords(f)[i0:j0]
     jumps = np.diff(slopes)
     if jumps.size:
         med = float(np.median(jumps))
@@ -381,13 +356,13 @@ def essential_smoothness_check(
 
     if i0 > 0:  # witnessed left boundary
         diag["witnessed_boundaries"].append(float(f.xs[i0]))
-        if abs(slopes[0]) < divergence_threshold:
+        if abs(slopes[0]) < SLOPE_DIVERGENCE:
             diag["boundary_failures"].append(
                 {"x": float(f.xs[i0]), "slope": float(slopes[0])}
             )
     if j0 < f.xs.size - 1:  # witnessed right boundary
         diag["witnessed_boundaries"].append(float(f.xs[j0]))
-        if abs(slopes[-1]) < divergence_threshold:
+        if abs(slopes[-1]) < SLOPE_DIVERGENCE:
             diag["boundary_failures"].append(
                 {"x": float(f.xs[j0]), "slope": float(slopes[-1])}
             )
@@ -455,7 +430,7 @@ def conv_lemma_check(
     int_dom = RegionSet(tuple(pieces))
     lhs = inf_over_open(f, region)
     rhs = inf_over_open(f, region.intersect(int_dom))
-    return ext_abs_diff(lhs, rhs) <= tol, lhs, rhs
+    return bool(ext_abs_diff(lhs, rhs) <= tol), lhs, rhs
 
 
 # ---------------------------------------------------------------------------

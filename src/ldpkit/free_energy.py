@@ -47,8 +47,6 @@ from .measures import ScaledMeasureNet
 from .scenario import WINDOW_SAMPLES, Tolerances
 from .tilts import TiltFamily, TiltFunction, explicit_family, linear_family
 
-DEFAULT_TOL = Tolerances.convergence
-DEFAULT_DIVERGENCE_THRESHOLD = Tolerances.divergence_threshold
 DIVERGENCE_RUN = 5
 # Slope x atom terms per logsumexp block; rows stay whole, so the sums do
 # not depend on it.  From 2^17 up, a block's float64 temporaries (1 MB and
@@ -166,8 +164,8 @@ def lambda_of(
     net: ScaledMeasureNet,
     tilt: TiltFunction,
     window: WindowSpec,
-    tol: float = DEFAULT_TOL,
-    divergence_threshold: float = DEFAULT_DIVERGENCE_THRESHOLD,
+    tol: float = Tolerances.convergence,
+    divergence_threshold: float = Tolerances.divergence_threshold,
 ) -> LimitEstimate:
     """Estimate the free energy of a single tilt along the net."""
     family = explicit_family([tilt])
@@ -360,8 +358,8 @@ def lambda_family_table(
     net: ScaledMeasureNet,
     family: TiltFamily,
     window: WindowSpec,
-    tol: float = DEFAULT_TOL,
-    divergence_threshold: float = DEFAULT_DIVERGENCE_THRESHOLD,
+    tol: float = Tolerances.convergence,
+    divergence_threshold: float = Tolerances.divergence_threshold,
 ) -> FamilyTable:
     """Free-energy estimates for every member of a family.
 
@@ -408,8 +406,8 @@ def L_grid(
     G: tuple[float, float],
     resolution: int,
     window: WindowSpec,
-    tol: float = DEFAULT_TOL,
-    divergence_threshold: float = DEFAULT_DIVERGENCE_THRESHOLD,
+    tol: float = Tolerances.convergence,
+    divergence_threshold: float = Tolerances.divergence_threshold,
     label: str = "L",
 ) -> GridFunction:
     """Sample the free energy of linear tilts on a grid inside open G.

@@ -18,6 +18,7 @@ package loads numpy only.
 
 from __future__ import annotations
 
+import bisect
 import math
 import threading
 from dataclasses import dataclass
@@ -367,28 +368,10 @@ class ScaledMeasureNet:
         """Smallest index with t <= t_max, largest index with t >= t_min."""
         if not (0 < t_min < t_max):
             raise ValueError("need 0 < t_min < t_max")
-        lo, hi = 1, self.max_index
-        if self._t_of(1) <= t_max:
-            start = 1
-        else:
-            while lo + 1 < hi:  # first k with t(k) <= t_max
-                mid = (lo + hi) // 2
-                if self._t_of(mid) <= t_max:
-                    hi = mid
-                else:
-                    lo = mid
-            start = hi
-        lo, hi = 1, self.max_index
-        if self._t_of(self.max_index) >= t_min:
-            end = self.max_index
-        else:
-            while lo + 1 < hi:  # last k with t(k) >= t_min
-                mid = (lo + hi) // 2
-                if self._t_of(mid) >= t_min:
-                    lo = mid
-                else:
-                    hi = mid
-            end = lo
+        ks = range(1, self.max_index + 1)
+        # t decreases, so each test is False up to an index and True after it
+        start = 1 + bisect.bisect_left(ks, True, key=lambda k: self._t_of(k) <= t_max)
+        end = bisect.bisect_left(ks, True, key=lambda k: self._t_of(k) < t_min)
         if start >= end:
             raise ValueError("t-range selects fewer than two indices")
         return start, end
@@ -405,29 +388,18 @@ def coin_example_net(max_index: int = 1_000_000) -> ScaledMeasureNet:
     )
 
 
-def demzei_example_net(
-    log_p_of: Callable[[float], float] | None = None,
-    eps_of: Callable[[int], float] | None = None,
-    max_index: int = 1_000_000,
-) -> ScaledMeasureNet:
+def demzei_example_net(max_index: int = 1_000_000) -> ScaledMeasureNet:
     """Three-atom family whose outer atoms escape to +-infinity.
 
-    At scale ``eps`` the measure puts mass ``1 - 2 p`` at 0 and mass ``p``
-    at the two locations ``+-(eps * log p)``; the schedule must satisfy
-    ``eps * log p(eps) -> -inf``.  Defaults: ``eps_k = 1/k`` and
-    ``log p(eps) = -1/eps**2``, so the outer atoms sit at ``-+k`` with
+    At scale ``eps_k = 1/k`` the measure puts mass ``1 - 2 p`` at 0 and mass
+    ``p`` at the two locations ``+-(eps * log p)``, with ``log p = -1/eps**2``
+    (so ``eps * log p -> -inf``): the outer atoms sit at ``-+k`` with
     log-mass ``-k**2``.
     """
-    if log_p_of is None:
-        log_p_of = lambda eps: -1.0 / (eps * eps)
-    if eps_of is None:
-        eps_of = lambda k: 1.0 / k
 
     def build(k: int) -> FiniteSupportMeasure:
-        eps = eps_of(k)
-        logp = log_p_of(eps)
-        if logp >= math.log(0.5):
-            raise ValueError(f"schedule gives 2*p(eps) >= 1 at index {k}")
+        eps = 1.0 / k
+        logp = -1.0 / (eps * eps)  # not -k*k: the atoms keep these bits
         p = math.exp(logp)
         log_center = math.log1p(-2.0 * p) if p > 0 else 0.0
         # -0.0 from log1p(-0.0) is normalized to 0.0
@@ -438,7 +410,7 @@ def demzei_example_net(
         )
 
     return ScaledMeasureNet(
-        t_of=eps_of, measure_of=build, max_index=max_index, label="dem-zei"
+        t_of=lambda k: 1.0 / k, measure_of=build, max_index=max_index, label="dem-zei"
     )
 
 

@@ -17,12 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from . import convex, verifier
-from .conjugate import (
-    abstract_lf,
-    evaluate_family,
-    linear_restriction_conjugate,
-    stable_abstract_lf,
-)
+from .conjugate import abstract_lf, evaluate_family, stable_abstract_lf
 from .convex import GridFunction, _write_rows, chord_slopes, essential_smoothness_check, lf_transform
 from .extreal import INF
 from .free_energy import FamilyTable, L_from_table, lambda_family_table, window_for_t_range
@@ -489,9 +484,8 @@ def _run_check(state: PipelineState, cid: str) -> dict:
         return {"condition_id": cid, "holds": ok, "worst": worst, "slack": tol.sandwich_slack}
     if cid == "conjugate-consistency":
         direct = abstract_lf(state.fe_linear, state.x_grid)
-        via_hull = linear_restriction_conjugate(state.fe_linear, state.x_grid)
         _, worst, witnesses = verifier.equality_on_mask(
-            direct, via_hull, np.ones(state.x_grid.shape, dtype=bool), 1e-6
+            direct, state.L_star, np.ones(state.x_grid.shape, dtype=bool), 1e-6
         )
         return {
             "condition_id": cid,
@@ -501,7 +495,7 @@ def _run_check(state: PipelineState, cid: str) -> dict:
         }
     if cid == "rate-compare":
         dom_J = np.isfinite(state.J.values)
-        filt = state.rfe.l1.values > -state.lambda_bar_zero + tol.filter
+        filt = verifier._l1_filter(state.targets, tol.filter)
         masks = {"dom_J": dom_J, "dom_J_filtered": dom_J & filt}
         result = rate_comparison(
             state.J, state.L_star, state.abstract_star, masks, tol.equality

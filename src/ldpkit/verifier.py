@@ -30,27 +30,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .convex import (
-    GridFunction,
-    derivative_range,
-    interior_mask,
-    is_convex_table,
-    one_sided_derivatives,
-)
-from .extreal import INF, NEG_INF, ext_abs_diff
-from .free_energy import (
-    DEFAULT_DIVERGENCE_THRESHOLD,
-    DEFAULT_TOL,
-    LimitEstimate,
-    WindowSpec,
-    lambda_of,
-)
+from .convex import GridFunction, _chords, derivative_range, interior_mask, is_convex_table
+from .extreal import INF, NEG_INF, ext_abs_diff, ext_sub
+from .free_energy import LimitEstimate, WindowSpec, lambda_of
 from .measures import RegionSet, ScaledMeasureNet
 from .scenario import DELTA_COUNT, Tolerances
 from .tilts import TiltFunction
-
-DEFAULT_FILTER_TOL = Tolerances.filter
-CONVEXITY_TOL = 1e-6  # slope decrease a range-int premise forgives
 
 
 def default_delta_schedule(num: int = DELTA_COUNT) -> tuple[float, ...]:
@@ -101,10 +86,7 @@ class RateFunctionEstimate:
     window: WindowSpec
 
     def __post_init__(self):
-        with np.errstate(invalid="ignore"):
-            gap = self.l1.values - self.l0.values
-        gap = np.where(self.l1.values == self.l0.values, 0.0, gap)
-        if np.any(gap < -1e-12):
+        if np.any(ext_sub(self.l1.values, self.l0.values) < -1e-12):
             raise ValueError("lower rate function exceeds the upper one")
 
 
@@ -141,13 +123,10 @@ def vague_ldp_check(
     the verdict, the lower function as the rate function J, and the largest
     finite gap ``|l0 - l1|`` (0 when no gap is finite).
     """
-    l0, l1 = rfe.l0.values, rfe.l1.values
-    with np.errstate(invalid="ignore"):
-        # equal infinities are no gap; a NaN gap fails ``<= tol`` like +inf
-        gaps = np.where(l0 == l1, 0.0, np.abs(l0 - l1))
+    gaps = ext_abs_diff(rfe.l0.values, rfe.l1.values)
     finite = gaps[np.isfinite(gaps)]
     max_gap = float(finite.max()) if finite.size else 0.0
-    J = GridFunction(rfe.grid, l0, label="J")
+    J = GridFunction(rfe.grid, rfe.l0.values, label="J")
     return bool(np.all(gaps <= tol)), J, max_gap
 
 
@@ -234,8 +213,8 @@ def varadhan_identity_check(
     rfe: RateFunctionEstimate,
     window: WindowSpec,
     tol: float,
-    free_energy_tol: float = DEFAULT_TOL,
-    divergence_threshold: float = DEFAULT_DIVERGENCE_THRESHOLD,
+    free_energy_tol: float = Tolerances.convergence,
+    divergence_threshold: float = Tolerances.divergence_threshold,
     est: LimitEstimate | None = None,
 ) -> tuple[bool, float, float]:
     """Compare F(h) against ``sup_x ( h(x) - l1(x) )`` on the rate grid.
@@ -252,81 +231,58 @@ def varadhan_identity_check(
     gaps = np.where(np.isposinf(rfe.l1.values), NEG_INF, gaps)
     rhs = float(np.max(gaps)) if gaps.size else NEG_INF
     lhs = est.value
-    return ext_abs_diff(lhs, rhs) <= tol, lhs, rhs
-
-
-def derivative_bound_check(
-    L: GridFunction,
-    rfe: RateFunctionEstimate,
-    at: int,
-    tol: float,
-) -> tuple[bool, dict]:
-    """One-sided derivative inequality at a grid point of L.
-
-    For each finite one-sided slope ``s`` at index ``at``:
-    ``l1(s) <= lam0 * s - L(lam0) + tol`` with ``l1`` read at the rate-grid
-    point nearest to ``s`` (which must lie inside the rate grid's span).
-    """
-    lam0 = float(L.xs[at])
-    Lval = float(L.values[at])
-    if not np.isfinite(Lval):
-        raise ValueError(f"L is not finite at grid point {lam0}")
-    left, right = one_sided_derivatives(L, at)
-    details = {"lambda0": lam0, "L": Lval, "slopes": []}
-    ok = True
-    for side, s in (("left", left), ("right", right)):
-        if not np.isfinite(s):
-            continue
-        if s < rfe.grid[0] or s > rfe.grid[-1]:
-            raise ValueError(
-                f"slope {s} at lambda0={lam0} lies outside the rate grid span"
-            )
-        j = int(np.argmin(np.abs(rfe.grid - s)))
-        l1 = float(rfe.l1.values[j])
-        bound = lam0 * s - Lval
-        side_ok = l1 <= bound + tol
-        ok = ok and side_ok
-        details["slopes"].append(
-            {
-                "side": side,
-                "slope": s,
-                "snapped_x": float(rfe.grid[j]),
-                "l1": l1,
-                "bound": bound,
-                "holds": side_ok,
-            }
-        )
-    return ok, details
+    return bool(ext_abs_diff(lhs, rhs) <= tol), lhs, rhs
 
 
 def derivative_bound_scan(
     L: GridFunction, rfe: RateFunctionEstimate, tol: float
 ) -> tuple[bool, list[dict]]:
-    """Run the derivative inequality at every finite grid point of L.
+    """One-sided derivative inequality at every finite grid point of L.
 
-    All points at once, as :func:`derivative_bound_check` would one by one:
-    the same slopes, nearest rate-grid points (ties to the lower one) and
-    error for a slope outside the rate grid.  The details of the failing
-    points come from :func:`derivative_bound_check`, in grid order.
+    For each finite one-sided slope ``s`` at ``lam0``: ``l1(s) <= lam0 * s -
+    L(lam0) + tol``, with ``l1`` read at the rate-grid point nearest to ``s``
+    (ties to the lower one), which must lie inside the rate grid's span.  A
+    ``+inf`` neighbour gives the off-grid slope ``-inf`` (left) or ``+inf``
+    (right), which is skipped.  Returns the verdict and the details of each
+    failing point, in grid order.
     """
     at = np.flatnonzero(np.isfinite(L.values))
-    with np.errstate(invalid="ignore"):  # inf - inf beside points not in ``at``
-        chords = np.diff(L.values) / np.diff(L.xs)
-    # a +inf neighbour gives the off-grid slope -inf (left) or +inf (right)
+    chords = _chords(L)
     slopes = np.stack([np.append(NEG_INF, chords)[at], np.append(chords, INF)[at]], 1)
     finite = np.isfinite(slopes)
     grid = rfe.grid
-    outside = finite & ((slopes < grid[0]) | (slopes > grid[-1]))
-    if outside.any():  # the first such point raises, as it would one by one
-        derivative_bound_check(L, rfe, int(at[outside.any(axis=1).argmax()]), tol)
+    outside = np.argwhere(finite & ((slopes < grid[0]) | (slopes > grid[-1])))
+    if outside.size:  # the first in grid order, a point's left slope before its right
+        i, side = outside[0]
+        raise ValueError(
+            f"slope {float(slopes[i, side])} at lambda0={float(L.xs[at[i]])} "
+            "lies outside the rate grid span"
+        )
     s = np.where(finite, slopes, grid[0])
     right = np.searchsorted(grid, s)
     left = np.maximum(right - 1, 0)
     nearest = np.where(np.abs(grid[left] - s) <= np.abs(grid[right] - s), left, right)
+    l1 = rfe.l1.values[nearest]
     bound = L.xs[at, None] * s - L.values[at, None]
-    holds = ~finite | (rfe.l1.values[nearest] <= bound + tol)
-    failing = at[~holds.all(axis=1)].tolist()
-    return not failing, [derivative_bound_check(L, rfe, i, tol)[1] for i in failing]
+    holds = ~finite | (l1 <= bound + tol)
+    fail = ~holds.all(axis=1)
+    columns = (L.xs[at], L.values[at], finite, slopes, grid[nearest], l1, bound, holds)
+    failures = [
+        {
+            "lambda0": lam0,
+            "L": Lval,
+            "slopes": [
+                {"side": side, "slope": slope[k], "snapped_x": snapped[k],
+                 "l1": l1_at[k], "bound": bnd[k], "holds": ok[k]}
+                for k, side in enumerate(("left", "right"))
+                if fin[k]
+            ],
+        }
+        for lam0, Lval, fin, slope, snapped, l1_at, bnd, ok in zip(
+            *(c[fail].tolist() for c in columns)
+        )
+    ]
+    return not failures, failures
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +345,7 @@ def range_condition_check(
     G: tuple[float, float],
     targets: RangeTargets,
     condition_ids: Sequence[str],
-    filter_tol: float = DEFAULT_FILTER_TOL,
+    filter_tol: float = Tolerances.filter,
 ) -> list[ConditionReport]:
     """Test derivative-range coverage conditions.
 
@@ -433,7 +389,7 @@ def range_condition_check(
         mask = np.isfinite(source.values)
         if use_interior and cid.startswith("range-int"):
             # premise: the base function is proper convex (lsc on the grid)
-            premise_ok = source.is_proper and is_convex_table(source, CONVEXITY_TOL)
+            premise_ok = source.is_proper and is_convex_table(source)
             notes["proper_convex_premise"] = premise_ok
         if use_interior:
             mask = interior_mask(mask)
@@ -461,13 +417,6 @@ def range_condition_check(
 # ---------------------------------------------------------------------------
 
 
-def _ext_abs_diffs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """:func:`~ldpkit.extreal.ext_abs_diff` of every pair of entries."""
-    with np.errstate(invalid="ignore", over="ignore"):
-        d = np.where(np.isfinite(a) & np.isfinite(b), np.abs(a - b), INF)
-    return np.where(a == b, 0.0, d)
-
-
 def _masked_equality(
     xs: np.ndarray, gaps: np.ndarray, mask: np.ndarray, tol: float
 ) -> tuple[bool, float, list[float]]:
@@ -481,7 +430,7 @@ def equality_on_mask(
 ) -> tuple[bool, float, list[float]]:
     """Max extended-real deviation |A - B| over masked grid points, and the
     masked points farther apart than ``tol``, in grid order."""
-    return _masked_equality(A.xs, _ext_abs_diffs(A.values, B.values), mask, tol)
+    return _masked_equality(A.xs, ext_abs_diff(A.values, B.values), mask, tol)
 
 
 def rate_comparison(
@@ -498,8 +447,8 @@ def rate_comparison(
     """
     out: dict = {"tol": tol, "checks": [], "allowed_differences": []}
     gaps = {
-        "J_vs_abstract": _ext_abs_diffs(J.values, abstract_star.values),
-        "J_vs_linear": _ext_abs_diffs(J.values, Lstar.values),
+        "J_vs_abstract": ext_abs_diff(J.values, abstract_star.values),
+        "J_vs_linear": ext_abs_diff(J.values, Lstar.values),
     }
     for mask_name, mask in masks.items():
         for pair_name, gap in gaps.items():

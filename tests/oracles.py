@@ -9,22 +9,43 @@ these.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
 from scipy.special import logsumexp
 
 from ldpkit import free_energy
+from ldpkit.conjugate import FamilyEvaluation
+from ldpkit.convex import GridFunction, lf_transform
 from ldpkit.extreal import INF, NEG_INF
-from ldpkit.free_energy import (
-    DEFAULT_DIVERGENCE_THRESHOLD,
-    DEFAULT_TOL,
-    DIVERGENCE_RUN,
-    FamilyTable,
-    LimitEstimate,
-)
-from ldpkit.measures import FiniteSupportMeasure, RegionSet
+from ldpkit.free_energy import DIVERGENCE_RUN, FamilyTable, L_from_table, LimitEstimate
+from ldpkit.measures import FiniteSupportMeasure, RegionSet, ScaledMeasureNet
+from ldpkit.scenario import Tolerances
 from ldpkit.tilts import TiltFamily
+from ldpkit.verifier import RateFunctionEstimate
+
+
+# ---------------------------------------------------------------------------
+# extended reals
+# ---------------------------------------------------------------------------
+
+
+def scalar_ext_abs_diff(a: float, b: float) -> float:
+    """|a - b| treating equal infinities as distance 0, mixed as +inf."""
+    if a == b:
+        # covers inf == inf and -inf == -inf
+        return 0.0
+    if not math.isfinite(a) or not math.isfinite(b):
+        return INF
+    return abs(a - b)
+
+
+def scalar_ext_sub(a: float, b: float) -> float:
+    """``a - b`` with equal infinities at difference 0."""
+    if a == b:
+        return 0.0
+    return a - b  # Python floats: an overflow is +-inf, not an error
 
 
 # ---------------------------------------------------------------------------
@@ -35,8 +56,8 @@ from ldpkit.tilts import TiltFamily
 def estimate_limit(
     ts: Sequence[float],
     values: Sequence[float],
-    tol: float = DEFAULT_TOL,
-    divergence_threshold: float = DEFAULT_DIVERGENCE_THRESHOLD,
+    tol: float = Tolerances.convergence,
+    divergence_threshold: float = Tolerances.divergence_threshold,
     divergence_run: int = DIVERGENCE_RUN,
 ) -> LimitEstimate:
     """Classify a sampled tail of a scalar net, as ``lambda_family_table``
@@ -132,6 +153,139 @@ def values_at(family: TiltFamily, xs) -> np.ndarray:
     for i, member in zip(np.flatnonzero(np.isnan(family.lam)), family.custom):
         out[i] = member.eval_array(xs)
     return out
+
+
+def index_range_for_t(net: ScaledMeasureNet, t_max: float, t_min: float) -> tuple[int, int]:
+    """``ScaledMeasureNet.index_range_for_t`` by two hand-written bisections."""
+    if not (0 < t_min < t_max):
+        raise ValueError("need 0 < t_min < t_max")
+    lo, hi = 1, net.max_index
+    if net.t(1) <= t_max:
+        start = 1
+    else:
+        while lo + 1 < hi:  # first k with t(k) <= t_max
+            mid = (lo + hi) // 2
+            if net.t(mid) <= t_max:
+                hi = mid
+            else:
+                lo = mid
+        start = hi
+    lo, hi = 1, net.max_index
+    if net.t(net.max_index) >= t_min:
+        end = net.max_index
+    else:
+        while lo + 1 < hi:  # last k with t(k) >= t_min
+            mid = (lo + hi) // 2
+            if net.t(mid) >= t_min:
+                lo = mid
+            else:
+                hi = mid
+        end = lo
+    if start >= end:
+        raise ValueError("t-range selects fewer than two indices")
+    return start, end
+
+
+# ---------------------------------------------------------------------------
+# conjugates and derivatives
+# ---------------------------------------------------------------------------
+
+
+def linear_restriction_conjugate(
+    fe: FamilyEvaluation, x_grid: Sequence[float]
+) -> GridFunction:
+    """Classical conjugate of the sampled free energy of a linear family.
+
+    Builds the grid function ``lam -> F(h_lam)`` (+inf where the estimate
+    diverged) and applies ``lf_transform``; the cross-check path against
+    ``abstract_lf`` on the same family.
+    """
+    L = L_from_table(fe.family, fe.table)
+    if not fe.all_exist:
+        raise ValueError("family has members with no converged free energy")
+    return lf_transform(L, x_grid).with_label("linear-restriction-conjugate")
+
+
+def one_sided_derivatives(f: GridFunction, at: int) -> tuple[float, float]:
+    """Finite-difference one-sided slopes at a grid index with finite value.
+
+    The left slope is ``-inf`` at the left edge of the effective domain (the
+    off-grid +inf convention) and symmetrically ``+inf`` on the right.
+    """
+    if not (0 <= at < f.xs.size):
+        raise IndexError(f"index {at} out of range")
+    v = f.values[at]
+    if not np.isfinite(v):
+        raise ValueError(f"value at index {at} is not finite")
+    if at == 0 or np.isposinf(f.values[at - 1]):
+        left = NEG_INF
+    else:
+        left = float((v - f.values[at - 1]) / (f.xs[at] - f.xs[at - 1]))
+    if at == f.xs.size - 1 or np.isposinf(f.values[at + 1]):
+        right = INF
+    else:
+        right = float((f.values[at + 1] - v) / (f.xs[at + 1] - f.xs[at]))
+    return left, right
+
+
+def derivative_bound_check(
+    L: GridFunction,
+    rfe: RateFunctionEstimate,
+    at: int,
+    tol: float,
+) -> tuple[bool, dict]:
+    """One-sided derivative inequality at a grid point of L.
+
+    For each finite one-sided slope ``s`` at index ``at``:
+    ``l1(s) <= lam0 * s - L(lam0) + tol`` with ``l1`` read at the rate-grid
+    point nearest to ``s`` (which must lie inside the rate grid's span).
+    """
+    lam0 = float(L.xs[at])
+    Lval = float(L.values[at])
+    if not np.isfinite(Lval):
+        raise ValueError(f"L is not finite at grid point {lam0}")
+    left, right = one_sided_derivatives(L, at)
+    details = {"lambda0": lam0, "L": Lval, "slopes": []}
+    ok = True
+    for side, s in (("left", left), ("right", right)):
+        if not np.isfinite(s):
+            continue
+        if s < rfe.grid[0] or s > rfe.grid[-1]:
+            raise ValueError(
+                f"slope {s} at lambda0={lam0} lies outside the rate grid span"
+            )
+        j = int(np.argmin(np.abs(rfe.grid - s)))
+        l1 = float(rfe.l1.values[j])
+        bound = lam0 * s - Lval
+        side_ok = l1 <= bound + tol
+        ok = ok and side_ok
+        details["slopes"].append(
+            {
+                "side": side,
+                "slope": s,
+                "snapped_x": float(rfe.grid[j]),
+                "l1": l1,
+                "bound": bound,
+                "holds": side_ok,
+            }
+        )
+    return ok, details
+
+
+def derivative_bound_scan(
+    L: GridFunction, rfe: RateFunctionEstimate, tol: float
+) -> tuple[bool, list[dict]]:
+    """``verifier.derivative_bound_scan`` point by point."""
+    reports = []
+    ok = True
+    for i in range(L.xs.size):
+        if not np.isfinite(L.values[i]):
+            continue
+        holds, details = derivative_bound_check(L, rfe, i, tol)
+        ok = ok and holds
+        if not holds:
+            reports.append(details)
+    return ok, reports
 
 
 # ---------------------------------------------------------------------------

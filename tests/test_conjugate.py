@@ -10,7 +10,6 @@ from ldpkit.conjugate import (
     FamilyEvaluation,
     abstract_lf,
     evaluate_family,
-    linear_restriction_conjugate,
     stable_abstract_lf,
 )
 from ldpkit.extreal import INF, NEG_INF
@@ -24,7 +23,7 @@ from ldpkit.tilts import (
     two_slope_family,
 )
 
-from oracles import table_from_estimates, values_at
+from oracles import linear_restriction_conjugate, table_from_estimates, values_at
 
 TOL = 2e-2
 

@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ldpkit.convex import (
+    SLOPE_DIVERGENCE,
     DerivativeRange,
     GridFormatError,
     GridFunction,
@@ -17,7 +18,6 @@ from ldpkit.convex import (
     interior_mask,
     lf_transform,
     load_grid_csv,
-    one_sided_derivatives,
     save_grid_csv,
 )
 from ldpkit.convex import _runs
@@ -25,6 +25,7 @@ from ldpkit.extreal import INF, NEG_INF
 from ldpkit.measures import RegionSet
 
 import oracles
+from oracles import one_sided_derivatives
 from conftest import conjugate_dual_grid, random_convex_grid
 
 
@@ -338,13 +339,15 @@ class TestEssentialSmoothness:
         assert diag["boundary_failures"]
 
     def test_steep_walls_pass(self):
+        # c x^2 / 2 on [-1, 1]: the boundary chords have slope c (1 - h/2)
         xs = np.linspace(-2, 2, 401)
-        vals = np.where(np.abs(xs) <= 1.0, xs**2 / 2, INF)
-        f = GridFunction(xs, vals)
-        ok1, _ = essential_smoothness_check(f, divergence_threshold=1e6)
-        assert not ok1  # slope ~1 at the walls, far from divergence
-        ok2, _ = essential_smoothness_check(f, divergence_threshold=0.5)
-        assert ok2  # threshold is configurable
+        for scale, smooth in ((1e-6, False), (1.0, False), (2.0, True)):
+            c = scale * SLOPE_DIVERGENCE
+            f = GridFunction(xs, np.where(np.abs(xs) <= 1.0, c * xs**2 / 2, INF))
+            ok, diag = essential_smoothness_check(f)
+            assert ok == smooth
+            assert not diag["kink_points"]
+            assert len(diag["boundary_failures"]) == (0 if smooth else 2)
 
 
 class TestInfOverOpen:

@@ -4,7 +4,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
@@ -20,6 +20,7 @@ from ldpkit.measures import (
 )
 from ldpkit.tilts import TiltFunction
 
+import oracles
 from oracles import exp_power_integral, log_mass_in, region_power_mass
 
 COIN = FiniteSupportMeasure.from_atoms([(-1.0, 0.5), (1.0, 0.5)])
@@ -401,11 +402,6 @@ class TestExampleNets:
             eps = 1.0 / k
             assert eps * (-1.0 / eps**2) == -k
 
-    def test_demzei_rejects_heavy_schedule(self):
-        net = ldpkit.demzei_example_net(log_p_of=lambda eps: math.log(0.6))
-        with pytest.raises(ValueError, match="2\\*p"):
-            net.measure(3)
-
     def test_iid_two_fold_convolution(self, iid_small_net):
         m, t = iid_small_net.at(2)
         assert t == 0.5
@@ -456,6 +452,37 @@ class TestExampleNets:
             assert net.measure(max_index).locations.size in (2, max_index + 1)
             with pytest.raises(IndexError):
                 net.t(max_index + 1)
+
+
+# a window bound: a float, or an index into the schedule (so bounds hit t values)
+T_BOUND = st.one_of(st.floats(1e-4, 2e3), st.integers(0, 39))
+
+
+class TestIndexRangeForT:
+    @given(
+        ts=st.lists(st.floats(1e-3, 1e3), min_size=2, max_size=40, unique=True),
+        bounds=st.tuples(T_BOUND, T_BOUND),
+    )
+    @example(ts=[4.0, 3.0, 2.0, 1.0], bounds=(2.5, 1.5))  # selects k = 3 alone
+    @example(ts=[4.0, 3.0, 2.0, 1.0], bounds=(9.0, 5.0))  # above every t
+    @example(ts=[4.0, 3.0, 2.0, 1.0], bounds=(0.9, 0.5))  # below every t
+    @example(ts=[4.0, 3.0, 2.0, 1.0], bounds=(1, 2))  # ends on t values: k = 2, 3
+    @example(ts=[4.0, 3.0], bounds=(5.0, 0.5))  # the whole net
+    @settings(max_examples=300, deadline=None)
+    def test_bisect_matches_loops(self, ts, bounds):
+        ts = sorted(ts, reverse=True)
+        net = ScaledMeasureNet(lambda k: ts[k - 1], lambda k: COIN, max_index=len(ts))
+        t_max, t_min = (ts[b % len(ts)] if isinstance(b, int) else b for b in bounds)
+
+        def outcome(fn, *args):
+            try:
+                return fn(*args)
+            except ValueError as exc:
+                return f"ValueError: {exc}"
+
+        assert outcome(net.index_range_for_t, t_max, t_min) == outcome(
+            oracles.index_range_for_t, net, t_max, t_min
+        )
 
 
 class RollingIidMeanBuilder:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import ldpkit
 from ldpkit.conjugate import evaluate_family, stable_abstract_lf
 from ldpkit.convex import GridFunction, lf_transform
-from ldpkit.extreal import INF, NEG_INF, ext_abs_diff
+from ldpkit.extreal import INF, NEG_INF
 from ldpkit.measures import (
     FiniteSupportMeasure,
     Interval,
@@ -24,7 +24,6 @@ from ldpkit.verifier import (
     RangeTargets,
     _local_rates,
     default_delta_schedule,
-    derivative_bound_check,
     derivative_bound_scan,
     equality_on_mask,
     exponential_tightness_check,
@@ -37,7 +36,8 @@ from ldpkit.verifier import (
     varadhan_identity_check,
 )
 
-from oracles import log_mass_in, region_power_mass
+import oracles
+from oracles import derivative_bound_check, log_mass_in, region_power_mass, scalar_ext_abs_diff
 
 TOL = 2e-2
 DELTAS = default_delta_schedule(10)
@@ -366,9 +366,15 @@ class TestDerivativeBound:
         assert ok and failures == []
 
     def test_slope_outside_rate_grid_is_error(self, coin_state):
+        # slopes -5 and 5 both leave the rate grid [-2, 2]; the error names
+        # the first in grid order, the right slope of lambda0 = -1
         L = GridFunction(np.array([-1.0, 0.0, 1.0]), np.array([5.0, 0.0, 5.0]))
-        with pytest.raises(ValueError, match="outside the rate grid"):
-            derivative_bound_check(L, coin_state["rfe"], 1, 1e-3)
+        message = "slope -5.0 at lambda0=-1.0 lies outside the rate grid span"
+        with pytest.raises(ValueError) as want:
+            oracles.derivative_bound_scan(L, coin_state["rfe"], 1e-3)
+        with pytest.raises(ValueError) as got:
+            derivative_bound_scan(L, coin_state["rfe"], 1e-3)
+        assert str(got.value) == str(want.value) == message
 
 
 class TestRangeConditions:
@@ -510,7 +516,7 @@ def loop_equality_on_mask(A, B, mask, tol):
     for x, a, b, m in zip(A.xs, A.values, B.values, mask):
         if not m:
             continue
-        d = ext_abs_diff(float(a), float(b))
+        d = scalar_ext_abs_diff(float(a), float(b))
         if d > worst:
             worst = d
         if d > tol:
@@ -539,7 +545,7 @@ def loop_rate_comparison(J, Lstar, abstract_star, masks, tol):
         diffs = [
             float(x)
             for x, a, b, m in zip(A.xs, A.values, B.values, ~union)
-            if m and ext_abs_diff(float(a), float(b)) > tol
+            if m and scalar_ext_abs_diff(float(a), float(b)) > tol
         ]
         out["allowed_differences"].append(
             {"comparison": pair_name, "outside_masks": diffs[:8], "count": len(diffs)}
@@ -569,20 +575,6 @@ def loop_sandwich_check(linear_star, abstract_star, rfe, slack):
             if viol > worst["violation"]:
                 worst = {"violation": viol, "link": name, "x": float(x)}
     return worst["violation"] <= slack, worst
-
-
-def loop_derivative_bound_scan(L, rfe, tol):
-    """Oracle: :func:`derivative_bound_scan` point by point."""
-    reports = []
-    ok = True
-    for i in range(L.xs.size):
-        if not np.isfinite(L.values[i]):
-            continue
-        holds, details = derivative_bound_check(L, rfe, i, tol)
-        ok = ok and holds
-        if not holds:
-            reports.append(details)
-    return ok, reports
 
 
 def full_schedule_local_rates(net, xs, deltas, window):
@@ -853,7 +845,7 @@ class TestDerivativeBoundScan:
         L = GridFunction(xs, np.array(values))
         rfe = SimpleNamespace(grid=grid, l1=GridFunction(grid, np.array(l1[: grid.size])))
         assert repr(outcome(derivative_bound_scan, L, rfe, tol)) == repr(
-            outcome(loop_derivative_bound_scan, L, rfe, tol)
+            outcome(oracles.derivative_bound_scan, L, rfe, tol)
         )
 
     @pytest.mark.parametrize("tol", [1e-3, 0.0, -0.05, -1.0])
@@ -861,7 +853,7 @@ class TestDerivativeBoundScan:
         # at negative tolerances most points fail, so the details are compared too
         L, rfe = packaged_state.L, packaged_state.rfe
         assert repr(derivative_bound_scan(L, rfe, tol)) == repr(
-            loop_derivative_bound_scan(L, rfe, tol)
+            oracles.derivative_bound_scan(L, rfe, tol)
         )
 
 
