@@ -109,25 +109,6 @@ def abstract_lf(fe: FamilyEvaluation, x_grid: Sequence[float]) -> GridFunction:
     return GridFunction(xs, np.where(force, INF, vals), label="abstract-conjugate")
 
 
-@dataclass(frozen=True)
-class StableConjugate:
-    """Abstract conjugate with truncation-stability flags.
-
-    ``values`` equal the requested family's raw conjugate where stable and
-    ``+inf`` where doubling the family kept growing the sup (or the raw
-    value already exceeded the cap).
-    """
-
-    grid: GridFunction
-    raw: np.ndarray
-    doubled: np.ndarray
-    flagged: np.ndarray
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.grid.values
-
-
 def stable_abstract_lf(
     net: ScaledMeasureNet,
     family: TiltFamily,
@@ -137,13 +118,14 @@ def stable_abstract_lf(
     divergence_threshold: float = Tolerances.divergence_threshold,
     stability_tol: float = Tolerances.stability,
     fe: FamilyEvaluation | None = None,
-) -> StableConjugate:
+) -> GridFunction:
     """Abstract conjugate with the family-doubling stability check.
 
     Evaluates the raw conjugate over the family and over ``family.doubled()``
     (a superset, so the sup can only grow).  Entries that grow by more than
-    ``stability_tol`` or exceed ``GROWTH_CAP`` are flagged and reported as
-    ``+inf``; entries that stabilize keep the requested family's value.
+    ``stability_tol`` or exceed ``GROWTH_CAP`` are flagged in
+    ``meta["flagged"]`` and reported as ``+inf``; entries that stabilize keep
+    the requested family's value.
     The family's evaluation may be passed as ``fe`` to avoid recomputation.
     """
     xs = np.asarray(x_grid, dtype=float)
@@ -153,10 +135,9 @@ def stable_abstract_lf(
     wide = abstract_lf(fe2, xs).values
     growth = ext_sub(wide, raw)
     flagged = (growth > stability_tol) | (raw > GROWTH_CAP) | np.isposinf(raw)
-    vals = np.where(flagged, INF, raw)
-    grid = GridFunction(
+    return GridFunction(
         xs,
-        vals,
+        np.where(flagged, INF, raw),
         label="abstract-conjugate",
         meta={
             "stability_tol": stability_tol,
@@ -164,4 +145,3 @@ def stable_abstract_lf(
             "flagged": flagged.tolist(),
         },
     )
-    return StableConjugate(grid=grid, raw=raw, doubled=wide, flagged=flagged)

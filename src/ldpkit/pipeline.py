@@ -252,7 +252,7 @@ class PipelineState:
             scenario.rate_window.t_min,
             scenario.rate_window.samples,
         )
-        self.deltas = verifier.default_delta_schedule(scenario.delta_count)
+        self.radius = 2.0 ** -scenario.delta_count
 
         g = scenario.lambda_grid
         self.G = (g.lo, g.hi)
@@ -290,7 +290,7 @@ class PipelineState:
     @cached_property
     def abstract_star(self) -> GridFunction:
         tol = self.scenario.tolerances
-        stable = stable_abstract_lf(
+        return stable_abstract_lf(
             self.net,
             self.family,
             self.x_grid,
@@ -299,12 +299,11 @@ class PipelineState:
             tol.divergence_threshold,
             stability_tol=tol.stability,
             fe=self.fe_family,
-        )
-        return stable.grid.with_label("abstract_star")
+        ).with_label("abstract_star")
 
     @cached_property
     def rfe(self):
-        return rate_grid(self.net, self.x_grid, self.deltas, self.rate_window)
+        return rate_grid(self.net, self.x_grid, self.radius, self.rate_window)
 
     @cached_property
     def _vague_ldp(self) -> tuple[bool, GridFunction, float]:
@@ -361,9 +360,7 @@ def _range_condition_entry(state: PipelineState, cid: str) -> dict:
         L_sub = state.L.restrict_open(lo, hi, label="L_sub")
         L_star_sub = lf_transform(L_sub, state.x_grid).with_label("L_star_sub")
         targets = replace(state.targets, linear_star=L_star_sub)
-        rep = range_condition_check(
-            L_sub, (lo, hi), targets, ["gartner-ellis-b"], tol.filter
-        )[0]
+        rep = range_condition_check(L_sub, (lo, hi), targets, "gartner-ellis-b", tol.filter)
         zero_in = lo < 0.0 < hi
         rep = replace(
             rep,
@@ -382,16 +379,11 @@ def _range_condition_entry(state: PipelineState, cid: str) -> dict:
             tol.convergence,
             tol.divergence_threshold,
             stability_tol=tol.stability,
-        ).grid
+        )
         targets = replace(state.targets, abstract_star=aux_star)
-        rep = range_condition_check(
-            state.L, state.G, targets, ["ellis-two-slope"], tol.filter
-        )[0]
+        rep = range_condition_check(state.L, state.G, targets, cid, tol.filter)
     else:
-        rep = range_condition_check(
-            state.L, state.G, targets=state.targets, condition_ids=[cid],
-            filter_tol=tol.filter,
-        )[0]
+        rep = range_condition_check(state.L, state.G, state.targets, cid, tol.filter)
 
     notes = dict(rep.notes)
     if cid == "gartner-ellis-b" and not (state.G[0] < 0.0 < state.G[1]):
@@ -459,8 +451,7 @@ def _run_check(state: PipelineState, cid: str) -> dict:
         ok = True
         for i, tilt in enumerate(tilts[:-1]):
             holds, lhs, rhs = verifier.varadhan_identity_check(
-                state.net, tilt, state.rfe, state.window, tol.value,
-                est=table.estimate(i),
+                tilt, table.estimate(i), state.rfe, tol.value
             )
             ok = ok and holds
             entries.append(

@@ -18,7 +18,8 @@ NET_KINDS = ("coin", "dem-zei", "iid-bernoulli")
 FAMILY_KINDS = ("two-slope", "linear", "qn-plus-linear")
 
 WINDOW_SAMPLES = 48  # geometric samples per tail window
-DELTA_COUNT = 10  # ball radii 2^-1 .. 2^-DELTA_COUNT
+DELTA_COUNT = 10  # the rate grid's ball radius is 2^-DELTA_COUNT
+MAX_DELTA_COUNT = 1074  # 2^-1075 rounds to 0.0
 
 KNOWN_CHECKS = (
     "vague-ldp",
@@ -77,8 +78,9 @@ class Tolerances:
 
     def __post_init__(self):
         for name in self.__dataclass_fields__:
-            if getattr(self, name) <= 0:
-                raise ScenarioError(f"tolerance {name} must be positive")
+            value = getattr(self, name)
+            if not 0 < value < float("inf"):
+                raise ScenarioError(f"tolerance {name} must be finite and > 0, got {value}")
 
 
 _ALLOWED_KEYS = {
@@ -320,8 +322,10 @@ def load_scenario(path) -> Scenario:
 
     deltas = _SectionReader(parser, "deltas", path)
     delta_count = deltas.integer("count", DELTA_COUNT)  # also without a [deltas] section
-    if delta_count < 1:
-        raise ScenarioError(f"{path}: [deltas] count must be >= 1")
+    if not 1 <= delta_count <= MAX_DELTA_COUNT:
+        raise ScenarioError(
+            f"{path}: [deltas] count must lie in 1..{MAX_DELTA_COUNT}, got {delta_count}"
+        )
 
     tol_kwargs = {}
     if parser.has_section("tolerances"):

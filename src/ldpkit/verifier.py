@@ -15,11 +15,11 @@ coverage conditions that imply the LDP, and the rate-function equalities
 those conditions guarantee.
 
 All liminf/limsup estimates follow the same window convention as the
-free-energy module (min/max over a geometric tail sample).  The ball radii
-walk a fixed decreasing schedule.  A ball's mass only grows with its radius,
-so the sup over radii is attained at the smallest one, and only that radius
-is measured.  Every set-wise query over a window calls ``log_masses_in`` once
-per distinct measure object, with all of its intervals in that one call.
+free-energy module (min/max over a geometric tail sample).  A ball's mass
+only grows with its radius, so the sup over radii is attained at the
+smallest one, and the rate grid measures balls of that one radius.  Every
+set-wise query over a window calls ``log_masses_in`` once per distinct
+measure object, with all of its intervals in that one call.
 """
 
 from __future__ import annotations
@@ -32,14 +32,9 @@ import numpy as np
 
 from .convex import GridFunction, _chords, derivative_range, interior_mask, is_convex_table
 from .extreal import INF, NEG_INF, ext_abs_diff, ext_sub
-from .free_energy import LimitEstimate, WindowSpec, lambda_of
+from .free_energy import LimitEstimate, WindowSpec
 from .measures import RegionSet, ScaledMeasureNet
-from .scenario import DELTA_COUNT, Tolerances
 from .tilts import TiltFunction
-
-
-def default_delta_schedule(num: int = DELTA_COUNT) -> tuple[float, ...]:
-    return tuple(2.0 ** (-k) for k in range(1, num + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -58,18 +53,17 @@ def _powered_log_masses(net: ScaledMeasureNet, window: WindowSpec, log_masses) -
     return np.array([t * found[id(m)] for m, t in samples])
 
 
-def _local_rates(net: ScaledMeasureNet, xs, deltas, window: WindowSpec):
-    """``(l0, l1)`` at every point of ``xs``.
+def _local_rates(net: ScaledMeasureNet, xs, r: float, window: WindowSpec):
+    """``(l0, l1)`` at every point of ``xs`` from balls of radius ``r``.
 
     A larger ball holds at least as much mass, so the sup over radii of
-    ``-log estimate`` is attained at the smallest radius ``r``.  The powered
+    ``-log estimate`` is attained at the smallest radius, ``r``.  The powered
     masses ``t_k * log mu_k(B(x, r))`` are reduced over the samples: max for
     the limsup of ``l0``, min for the liminf of ``l1``.
     """
-    dl = list(deltas)
-    if not dl or not (dl[-1] > 0 and all(a > b for a, b in zip(dl, dl[1:]))):
-        raise ValueError("deltas must be strictly decreasing and positive")
-    xs, r = np.asarray(xs, dtype=float), dl[-1]
+    if not 0 < r < INF:
+        raise ValueError(f"ball radius must be finite and > 0, got {r}")
+    xs = np.asarray(xs, dtype=float)
     powered = _powered_log_masses(net, window, lambda m: m.log_masses_in(xs - r, xs + r))
     # -(-inf) = +inf: an empty ball in every sample gives an infinite rate
     return -powered.max(axis=0) + 0.0, -powered.min(axis=0) + 0.0
@@ -82,8 +76,7 @@ class RateFunctionEstimate:
     grid: np.ndarray
     l0: GridFunction
     l1: GridFunction
-    deltas: tuple[float, ...]
-    window: WindowSpec
+    radius: float
 
     def __post_init__(self):
         if np.any(ext_sub(self.l1.values, self.l0.values) < -1e-12):
@@ -93,19 +86,17 @@ class RateFunctionEstimate:
 def rate_grid(
     net: ScaledMeasureNet,
     grid: Sequence[float],
-    deltas: Sequence[float],
+    radius: float,
     window: WindowSpec,
 ) -> RateFunctionEstimate:
     """Estimate both local rate functions on a grid of points."""
     xs = np.asarray(grid, dtype=float)
-    dl = tuple(deltas)
-    l0, l1 = _local_rates(net, xs, dl, window)
+    l0, l1 = _local_rates(net, xs, radius, window)
     return RateFunctionEstimate(
         grid=xs,
         l0=GridFunction(xs, l0, label="l0"),
         l1=GridFunction(xs, l1, label="l1"),
-        deltas=dl,
-        window=window,
+        radius=radius,
     )
 
 
@@ -208,21 +199,10 @@ def ldp_bounds_check(
 
 
 def varadhan_identity_check(
-    net: ScaledMeasureNet,
-    tilt: TiltFunction,
-    rfe: RateFunctionEstimate,
-    window: WindowSpec,
-    tol: float,
-    free_energy_tol: float = Tolerances.convergence,
-    divergence_threshold: float = Tolerances.divergence_threshold,
-    est: LimitEstimate | None = None,
+    tilt: TiltFunction, est: LimitEstimate, rfe: RateFunctionEstimate, tol: float
 ) -> tuple[bool, float, float]:
-    """Compare F(h) against ``sup_x ( h(x) - l1(x) )`` on the rate grid.
-
-    A pre-computed free-energy estimate of ``tilt`` may be passed as ``est``.
-    """
-    if est is None:
-        est = lambda_of(net, tilt, window, free_energy_tol, divergence_threshold)
+    """Compare F(h), the free-energy estimate ``est`` of ``tilt``, against
+    ``sup_x ( h(x) - l1(x) )`` on the rate grid."""
     if not est.converged:
         raise ValueError("free energy of the tilt did not converge")
     h = tilt.eval_array(rfe.grid)
@@ -344,12 +324,12 @@ def range_condition_check(
     L_on_G: GridFunction,
     G: tuple[float, float],
     targets: RangeTargets,
-    condition_ids: Sequence[str],
-    filter_tol: float = Tolerances.filter,
-) -> list[ConditionReport]:
-    """Test derivative-range coverage conditions.
+    cid: str,
+    filter_tol: float,
+) -> ConditionReport:
+    """Test the derivative-range coverage condition ``cid``.
 
-    Each condition asks the range of one-sided slopes of ``L`` restricted
+    The condition asks the range of one-sided slopes of ``L`` restricted
     to open ``G`` to cover a target set of rate-grid points: the effective
     domain of ``l0``, of the abstract conjugate, or the interior of the
     domain of the linear conjugate, optionally filtered by
@@ -359,6 +339,18 @@ def range_condition_check(
     verify their properness-and-convexity premise numerically and fold it
     into ``hypothesis_holds``.
     """
+    if cid not in _CONDITIONS:
+        raise ValueError(f"unknown condition id {cid!r}")
+    base, use_filter, use_interior = _CONDITIONS[cid]
+    if base == "l0":
+        source = targets.rfe.l0
+    elif base == "abstract":
+        source = targets.abstract_star
+    else:
+        source = targets.linear_star
+    if source is None:
+        raise ValueError(f"condition {cid} needs the {base!r} target grid")
+
     rng = derivative_range(L_on_G, G)
     grid = targets.rfe.grid
     cell = np.empty(grid.shape)
@@ -367,49 +359,29 @@ def range_condition_check(
     cell[-1] = gaps[-1]
     if grid.size > 2:
         cell[1:-1] = np.maximum(gaps[:-1], gaps[1:])
-    filt = _l1_filter(targets, filter_tol)
+    notes: dict = {"merge_gap": rng.merge_gap, "closure": "slope closure used"}
+    premise_ok = True
 
-    reports = []
-    for cid in condition_ids:
-        if cid not in _CONDITIONS:
-            raise ValueError(f"unknown condition id {cid!r}")
-        base, use_filter, use_interior = _CONDITIONS[cid]
-        notes: dict = {"merge_gap": rng.merge_gap, "closure": "slope closure used"}
-        premise_ok = True
+    mask = np.isfinite(source.values)
+    if use_interior and cid.startswith("range-int"):
+        # premise: the base function is proper convex (lsc on the grid)
+        premise_ok = source.is_proper and is_convex_table(source)
+        notes["proper_convex_premise"] = premise_ok
+    if use_interior:
+        mask = interior_mask(mask)
+    if use_filter:
+        mask = mask & _l1_filter(targets, filter_tol)
 
-        if base == "l0":
-            source = targets.rfe.l0
-        elif base == "abstract":
-            source = targets.abstract_star
-        else:
-            source = targets.linear_star
-        if source is None:
-            raise ValueError(f"condition {cid} needs the {base!r} target grid")
-
-        mask = np.isfinite(source.values)
-        if use_interior and cid.startswith("range-int"):
-            # premise: the base function is proper convex (lsc on the grid)
-            premise_ok = source.is_proper and is_convex_table(source)
-            notes["proper_convex_premise"] = premise_ok
-        if use_interior:
-            mask = interior_mask(mask)
-        if use_filter:
-            mask = mask & filt
-
-        targets_x = grid[mask]
-        uncovered = targets_x[~rng.covers(targets_x, cell[mask] + rng.merge_gap)].tolist()
-        inclusion = len(uncovered) == 0
-        notes["target_size"] = int(mask.sum())
-        notes["range_components"] = list(rng.components)
-        reports.append(
-            ConditionReport(
-                condition_id=cid,
-                hypothesis_holds=bool(inclusion and premise_ok),
-                witnesses=tuple(uncovered),
-                notes=notes,
-            )
-        )
-    return reports
+    targets_x = grid[mask]
+    uncovered = targets_x[~rng.covers(targets_x, cell[mask] + rng.merge_gap)].tolist()
+    notes["target_size"] = int(mask.sum())
+    notes["range_components"] = list(rng.components)
+    return ConditionReport(
+        condition_id=cid,
+        hypothesis_holds=bool(not uncovered and premise_ok),
+        witnesses=tuple(uncovered),
+        notes=notes,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from ldpkit.convex import (
     lf_transform,
 )
 from ldpkit.measures import RegionSet
+from ldpkit.scenario import Tolerances
 from ldpkit.tilts import (
     TiltFunction,
     family_union,
@@ -34,7 +35,6 @@ from ldpkit.tilts import (
 )
 from ldpkit.verifier import (
     RangeTargets,
-    default_delta_schedule,
     derivative_bound_scan,
     range_condition_check,
     rate_comparison,
@@ -47,6 +47,8 @@ from ldpkit.verifier import (
 from conftest import conjugate_dual_grid, random_convex_grid
 
 TOL = 2e-2  # window-bracket convergence tolerance for the 1/k nets
+RADIUS = 2.0 ** -10  # the packaged scenarios' ball radius
+FILTER_TOL = Tolerances.filter
 
 
 def report(criterion, passed, detail):
@@ -95,15 +97,15 @@ def iid_rfe_slopes(iid_net, iid_window, iid_L):
     slopes = chord_slopes(iid_L)
     uniform = np.linspace(0.017, 0.983, 484)
     xs = np.unique(np.concatenate([uniform, slopes]))
-    return rate_grid(iid_net, xs, default_delta_schedule(10), iid_window)
+    return rate_grid(iid_net, xs, RADIUS, iid_window)
 
 
 @pytest.fixture(scope="module")
 def iid_aligned(iid_net, iid_window):
-    """Atom-aligned rate grid (multiples of 1/512) with ball radii down to
-    2^-15, where powered-ball estimates are exact single-atom quantities."""
+    """Atom-aligned rate grid (multiples of 1/512) with ball radius 2^-15,
+    where powered-ball estimates are exact single-atom quantities."""
     xs = np.arange(math.ceil(0.02 * 512), math.floor(0.98 * 512) + 1) / 512.0
-    rfe = rate_grid(iid_net, xs, default_delta_schedule(15), iid_window)
+    rfe = rate_grid(iid_net, xs, 2.0 ** -15, iid_window)
     fe_lin = evaluate_family(iid_net, linear_family(-4, 4, 31), iid_window, 1e-6)
     L31 = GridFunction(
         np.array([m.lam for m in fe_lin.family.members]), fe_lin.values, label="L31"
@@ -178,21 +180,23 @@ def test_criterion_3_coin_reproduction(coin_net, main_window, rate_window):
         and bool(np.all(np.isposinf(sc.values[~at_atoms])))
     )
 
-    rfe = rate_grid(coin_net, xs, default_delta_schedule(10), rate_window)
+    rfe = rate_grid(coin_net, xs, RADIUS, rate_window)
     ldp_ok, J, _ = vague_ldp_check(rfe, 1e-3)
 
     L_star = lf_transform(L, xs)
     targets = RangeTargets(
-        rfe=rfe, abstract_star=sc.grid, linear_star=L_star, J=J, lambda_bar_zero=0.0
+        rfe=rfe, abstract_star=sc, linear_star=L_star, J=J, lambda_bar_zero=0.0
     )
-    ellis = range_condition_check(L, (-3, 3), targets, ["ellis-two-slope"])[0]
+    ellis = range_condition_check(L, (-3, 3), targets, "ellis-two-slope", FILTER_TOL)
 
     L_sub = L.restrict_open(-0.5, 0.5)
     targets_sub = RangeTargets(
-        rfe=rfe, abstract_star=sc.grid, linear_star=lf_transform(L_sub, xs),
+        rfe=rfe, abstract_star=sc, linear_star=lf_transform(L_sub, xs),
         J=J, lambda_bar_zero=0.0,
     )
-    geb_sub = range_condition_check(L_sub, (-0.5, 0.5), targets_sub, ["gartner-ellis-b"])[0]
+    geb_sub = range_condition_check(
+        L_sub, (-0.5, 0.5), targets_sub, "gartner-ellis-b", FILTER_TOL
+    )
     sub_fails_densely = (not geb_sub.hypothesis_holds) and (
         sum(1 for w in geb_sub.witnesses if -1 < w < 1) >= 20
     )
@@ -242,7 +246,7 @@ def test_criterion_4_escaping_example(demzei_net, main_window, rate_window):
     indicator_ok = abs(sc.values[origin][0]) <= 1e-3 and bool(
         np.all(np.isposinf(sc.values[~origin]))
     )
-    rfe = rate_grid(demzei_net, xs, default_delta_schedule(10), rate_window)
+    rfe = rate_grid(demzei_net, xs, RADIUS, rate_window)
     ldp_ok, J, _ = vague_ldp_check(rfe, 1e-3)
     j_matches = abs(J.values[origin][0]) <= 1e-3 and bool(
         np.all(np.isposinf(J.values[~origin]))
@@ -253,7 +257,7 @@ def test_criterion_4_escaping_example(demzei_net, main_window, rate_window):
     L = GridFunction(np.array([m.lam for m in fe_lin.family.members]), fe_lin.values)
     L_star = lf_transform(L, xs)
     dom = np.isfinite(J.values)
-    cmp_out = rate_comparison(J, L_star, sc.grid, {"dom_J": dom}, 1e-3)
+    cmp_out = rate_comparison(J, L_star, sc, {"dom_J": dom}, 1e-3)
     off_dom = [
         e for e in cmp_out["allowed_differences"] if e["comparison"] == "J_vs_linear"
     ][0]
@@ -283,8 +287,8 @@ def test_criterion_5_sandwich_chain(
     sc = stable_abstract_lf(
         coin_net, two_slope_family((-4, 4), (-4, 4), 41), xs, main_window, TOL
     )
-    rfe = rate_grid(coin_net, xs, default_delta_schedule(10), rate_window)
-    ok1, worst1 = sandwich_check(lf_transform(L, xs), sc.grid, rfe, slack)
+    rfe = rate_grid(coin_net, xs, RADIUS, rate_window)
+    ok1, worst1 = sandwich_check(lf_transform(L, xs), sc, rfe, slack)
     worst_all["coin"] = worst1["violation"]
 
     # escaping net
@@ -295,8 +299,8 @@ def test_criterion_5_sandwich_chain(
     L = GridFunction(np.array([m.lam for m in fe_lin.family.members]), fe_lin.values)
     fam = family_union(qn_family(10), linear_family(-1, 1, 21))
     sc = stable_abstract_lf(demzei_net, fam, xs, main_window, TOL, 1e3)
-    rfe = rate_grid(demzei_net, xs, default_delta_schedule(10), rate_window)
-    ok2, worst2 = sandwich_check(lf_transform(L, xs), sc.grid, rfe, slack)
+    rfe = rate_grid(demzei_net, xs, RADIUS, rate_window)
+    ok2, worst2 = sandwich_check(lf_transform(L, xs), sc, rfe, slack)
     worst_all["dem-zei"] = worst2["violation"]
 
     # iid empirical mean, atom-aligned grid
@@ -326,14 +330,14 @@ def test_criterion_6_derivative_bound(
     xs = np.linspace(-2, 2, 81)
     fe = evaluate_family(coin_net, linear_family(-3, 3, 61), main_window, TOL)
     L = GridFunction(np.array([m.lam for m in fe.family.members]), fe.values)
-    rfe = rate_grid(coin_net, xs, default_delta_schedule(10), rate_window)
+    rfe = rate_grid(coin_net, xs, RADIUS, rate_window)
     ok, fails = derivative_bound_scan(L, rfe, tol)
     results["coin(-3,3)"] = (ok, len(fails))
 
     xs = np.linspace(-3, 3, 121)
     fe = evaluate_family(demzei_net, linear_family(-1, 1, 21), main_window, TOL, 1e3)
     L = GridFunction(np.array([m.lam for m in fe.family.members]), fe.values)
-    rfe = rate_grid(demzei_net, xs, default_delta_schedule(10), rate_window)
+    rfe = rate_grid(demzei_net, xs, RADIUS, rate_window)
     ok, fails = derivative_bound_scan(L, rfe, tol)
     results["dem-zei(-1,1)"] = (ok, len(fails))
 
@@ -382,30 +386,29 @@ def test_criterion_7_varadhan_identity(
     all_ok = True
 
     xs = np.linspace(-2, 2, 81)
-    rfe = rate_grid(coin_net, xs, default_delta_schedule(10), rate_window)
+    rfe = rate_grid(coin_net, xs, RADIUS, rate_window)
     w = 0.0
     for tilt in tilts_for("coin"):
-        ok, lhs, rhs = varadhan_identity_check(coin_net, tilt, rfe, main_window, tol, TOL)
+        est = ldpkit.lambda_of(coin_net, tilt, main_window, TOL)
+        ok, lhs, rhs = varadhan_identity_check(tilt, est, rfe, tol)
         all_ok &= ok
         w = max(w, abs(lhs - rhs))
     worst["coin"] = w
 
     xs = np.linspace(-3, 3, 121)
-    rfe = rate_grid(demzei_net, xs, default_delta_schedule(10), rate_window)
+    rfe = rate_grid(demzei_net, xs, RADIUS, rate_window)
     w = 0.0
     for tilt in tilts_for("dem-zei"):
-        ok, lhs, rhs = varadhan_identity_check(
-            demzei_net, tilt, rfe, main_window, tol, TOL, divergence_threshold=1e3
-        )
+        est = ldpkit.lambda_of(demzei_net, tilt, main_window, TOL, divergence_threshold=1e3)
+        ok, lhs, rhs = varadhan_identity_check(tilt, est, rfe, tol)
         all_ok &= ok
         w = max(w, abs(lhs - rhs))
     worst["dem-zei"] = w
 
     w = 0.0
     for tilt in tilts_for("iid"):
-        ok, lhs, rhs = varadhan_identity_check(
-            iid_net, tilt, iid_aligned["rfe"], iid_window, tol, free_energy_tol=1e-3
-        )
+        est = ldpkit.lambda_of(iid_net, tilt, iid_window, 1e-3)
+        ok, lhs, rhs = varadhan_identity_check(tilt, est, iid_aligned["rfe"], tol)
         all_ok &= ok
         w = max(w, abs(lhs - rhs))
     worst["iid"] = w
@@ -460,7 +463,7 @@ def test_criterion_8_cramer_cross_check(iid_net, iid_window, iid_L, iid_rfe_slop
         J=J,
         lambda_bar_zero=0.0,
     )
-    ge_a = range_condition_check(iid_L, (-4, 4), targets, ["gartner-ellis-a"])[0]
+    ge_a = range_condition_check(iid_L, (-4, 4), targets, "gartner-ellis-a", FILTER_TOL)
 
     report(
         "8 cramer-cross-check",

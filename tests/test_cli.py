@@ -140,6 +140,44 @@ class TestScenarioParsing:
         assert main(["run", str(path)]) == 2
         assert f"[checks] {key}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("ldp", "nan"),  # once loaded: vague-ldp then failed at exit 1
+        ("equality", "nan"),  # once loaded: rate-compare then failed at exit 1
+        ("ldp", "inf"),
+        ("value", "-inf"),
+        ("equality", "0"),
+    ])
+    def test_tolerances_must_be_finite_and_positive(self, tmp_path, capsys, key, value):
+        path = tmp_path / "bad.cfg"
+        path.write_text(MINI_SCENARIO.replace(f"{key} = 5e-3", f"{key} = {value}"))
+        with pytest.raises(ScenarioError, match=f"tolerance {key} must be finite and > 0"):
+            load_scenario(path)
+        assert main(["run", str(path)]) == 2
+        assert f"tolerance {key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "free-energy"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_tol_override_must_be_finite_and_positive(self, mini_scenario, capsys, command, value):
+        # --tol nan once ran the whole pipeline, then died on a varadhan tilt
+        assert main([command, str(mini_scenario), "--tol", value]) == 2
+        assert "tolerance convergence must be finite and > 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("count", ["0", "1075", "100000000"])
+    def test_delta_count_must_give_a_positive_radius(self, tmp_path, capsys, count):
+        # 2^-1075 rounds to 0.0: such a count once loaded, and run then
+        # stopped at the rate grid without naming the file or the key
+        path = tmp_path / "bad.cfg"
+        path.write_text(MINI_SCENARIO + f"\n[deltas]\ncount = {count}\n")
+        with pytest.raises(ScenarioError, match=r"\[deltas\] count must lie in 1\.\.1074"):
+            load_scenario(path)
+        assert main(["free-energy", str(path)]) == 2
+        assert "[deltas] count" in capsys.readouterr().err
+
+    def test_smallest_delta_count_radius_is_positive(self, tmp_path):
+        path = tmp_path / "tiny.cfg"
+        path.write_text(MINI_SCENARIO + "\n[deltas]\ncount = 1074\n")
+        assert PipelineState(load_scenario(path)).rfe.radius == 5e-324
+
     @pytest.mark.parametrize("text", [
         MINI_SCENARIO + "\n[checks]\nrun = vague-ldp\n",
         MINI_SCENARIO.replace("kind = coin", "kind = coin\nkind = coin"),

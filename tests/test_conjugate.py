@@ -273,8 +273,12 @@ class TestStability:
         assert np.allclose(xs[finite], [-1.0, 1.0])
         assert abs(sc.values[finite]).max() <= 1e-3
         # growth under doubling recorded for a flagged point
+        raw = abstract_lf(evaluate_family(coin_net, fam, main_window, TOL), xs).values
+        doubled = abstract_lf(
+            evaluate_family(coin_net, fam.doubled(), main_window, TOL), xs
+        ).values
         i = np.argmin(np.abs(xs - 0.5))
-        assert sc.doubled[i] > sc.raw[i] + 1e-3
+        assert sc.meta["flagged"][i] and doubled[i] > raw[i] + 1e-3
 
     def test_demzei_pins_zero(self, demzei_net, main_window):
         xs = np.linspace(-3, 3, 121)
@@ -290,5 +294,7 @@ class TestStability:
         xs = np.linspace(-2, 2, 21)
         fam = two_slope_family((-4, 4), (-4, 4), 21)
         sc = stable_abstract_lf(coin_net, fam, xs, main_window, TOL)
-        unflagged = ~sc.flagged
-        assert np.array_equal(sc.values[unflagged], sc.raw[unflagged])
+        raw = abstract_lf(evaluate_family(coin_net, fam, main_window, TOL), xs).values
+        unflagged = ~np.array(sc.meta["flagged"])
+        assert unflagged.any()
+        assert np.array_equal(sc.values[unflagged], raw[unflagged])

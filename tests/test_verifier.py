@@ -18,12 +18,11 @@ from ldpkit.measures import (
     ScaledMeasureNet,
 )
 from ldpkit.pipeline import PipelineState
-from ldpkit.scenario import load_scenario, parse_region_specs
+from ldpkit.scenario import Tolerances, load_scenario, parse_region_specs
 from ldpkit.tilts import TiltFunction, linear_family, q_bump_tilt, two_slope_family
 from ldpkit.verifier import (
     RangeTargets,
     _local_rates,
-    default_delta_schedule,
     derivative_bound_scan,
     equality_on_mask,
     exponential_tightness_check,
@@ -40,7 +39,16 @@ import oracles
 from oracles import derivative_bound_check, log_mass_in, region_power_mass, scalar_ext_abs_diff
 
 TOL = 2e-2
-DELTAS = default_delta_schedule(10)
+FILTER_TOL = Tolerances.filter
+
+
+def radius_schedule(count):
+    """The radii ``2^-1 .. 2^-count``; the rate grid measures the last."""
+    return tuple(2.0 ** -k for k in range(1, count + 1))
+
+
+DELTAS = radius_schedule(10)
+RADIUS = DELTAS[-1]
 
 
 def escaping_net(max_index=100_000):
@@ -74,7 +82,7 @@ def coin_state(coin_net, main_window, rate_window):
     sc = stable_abstract_lf(
         coin_net, two_slope_family((-4, 4), (-4, 4), 41), xs, main_window, TOL
     )
-    rfe = rate_grid(coin_net, xs, DELTAS, rate_window)
+    rfe = rate_grid(coin_net, xs, RADIUS, rate_window)
     holds, J, _ = vague_ldp_check(rfe, 1e-3)
     assert holds
     return dict(net=coin_net, xs=xs, L=L, L_star=L_star, sc=sc, rfe=rfe, J=J)
@@ -82,22 +90,23 @@ def coin_state(coin_net, main_window, rate_window):
 
 class TestLocalRate:
     def test_coin_upper_rate_at_atom(self, coin_net, rate_window):
-        rfe = rate_grid(coin_net, [0.5, 1.0], DELTAS, rate_window)
+        rfe = rate_grid(coin_net, [0.5, 1.0], RADIUS, rate_window)
         assert rfe.l1.values[1] == pytest.approx(0.0, abs=1e-3)
 
     def test_coin_off_support_infinite(self, coin_net, rate_window):
-        rfe = rate_grid(coin_net, [0.5, 1.0], DELTAS, rate_window)
+        rfe = rate_grid(coin_net, [0.5, 1.0], RADIUS, rate_window)
         assert rfe.l1.values[0] == INF
 
     def test_dirac_net_zero(self, rate_window):
-        rfe = rate_grid(dirac_net(), [0.0, 1.0], DELTAS, rate_window)
+        rfe = rate_grid(dirac_net(), [0.0, 1.0], RADIUS, rate_window)
         assert rfe.l1.values.tolist() == [0.0, INF]
 
-    @pytest.mark.parametrize("deltas", [(), (0.1, 0.5), (-0.1,), (0.5, 0.5), (float("nan"),)])
-    def test_rate_grid_rejects_bad_radii(self, coin_net, rate_window, deltas):
-        # an empty schedule once gave l0 = l1 = -inf, a negative rate function
-        with pytest.raises(ValueError, match="strictly decreasing and positive"):
-            rate_grid(coin_net, [0.0, 1.0], deltas, rate_window)
+    @pytest.mark.parametrize("radius", [0.0, -0.1, float("nan"), INF, NEG_INF])
+    def test_rate_grid_rejects_bad_radii(self, coin_net, rate_window, radius):
+        # a radius of 0 empties every ball; an empty schedule once gave
+        # l0 = l1 = -inf, a negative rate function
+        with pytest.raises(ValueError, match="ball radius must be finite and > 0"):
+            rate_grid(coin_net, [0.0, 1.0], radius, rate_window)
 
     def test_ball_masses_monotone_in_delta(self, iid_small_net):
         # smaller neighborhoods cannot carry more mass, per window index
@@ -117,9 +126,9 @@ class TestLocalRate:
     def test_equals_rate_grid_at_every_point(self, request, rate_window, net_name, xs):
         # each point's rates depend on that point alone
         net = request.getfixturevalue(net_name)
-        rfe = rate_grid(net, xs, DELTAS, rate_window)
+        rfe = rate_grid(net, xs, RADIUS, rate_window)
         for x, l0, l1 in zip(xs, rfe.l0.values, rfe.l1.values):
-            got = _local_rates(net, [x], DELTAS, rate_window)
+            got = _local_rates(net, [x], RADIUS, rate_window)
             assert (got[0].item(), got[1].item()) == (l0, l1)
 
 
@@ -134,14 +143,14 @@ class TestRateGrid:
 
     def test_demzei_pattern(self, demzei_net, rate_window):
         xs = np.linspace(-3, 3, 121)
-        rfe = rate_grid(demzei_net, xs, DELTAS, rate_window)
+        rfe = rate_grid(demzei_net, xs, RADIUS, rate_window)
         origin = xs == 0.0
         assert rfe.l1.values[origin][0] == pytest.approx(0.0, abs=1e-6)
         assert np.all(np.isposinf(rfe.l1.values[~origin]))
 
     def test_iid_mean_concentrates_at_half(self, iid_small_net):
         w = ldpkit.WindowSpec(128, 512, 3)
-        rfe = rate_grid(iid_small_net, np.array([0.25, 0.5, 0.75]), DELTAS, w)
+        rfe = rate_grid(iid_small_net, np.array([0.25, 0.5, 0.75]), RADIUS, w)
         assert rfe.l1.values[1] <= 0.05
         assert rfe.l1.values[0] > 0.05
 
@@ -175,8 +184,7 @@ class TestVagueLdp:
             grid=rfe.grid,
             l0=rfe.l0,
             l1=GridFunction(rfe.grid, bumped, label="l1"),
-            deltas=rfe.deltas,
-            window=rfe.window,
+            radius=rfe.radius,
         )
         holds, _, _ = vague_ldp_check(fake, 1e-3)
         assert not holds
@@ -188,7 +196,7 @@ class TestVagueLdp:
         l0 = np.array([0.0, 1.0, INF, 2.0, INF, 3.0])
         l1 = np.array([0.0, 1.25, INF, INF, INF, 3.5])
         rfe = RateFunctionEstimate(
-            grid, GridFunction(grid, l0), GridFunction(grid, l1), DELTAS, None
+            grid, GridFunction(grid, l0), GridFunction(grid, l1), RADIUS
         )
         # equal infinities are no gap; the finite-vs-infinite one fails the check
         assert vague_ldp_check(rfe, 1.0)[0::2] == (False, 0.5)
@@ -197,7 +205,7 @@ class TestVagueLdp:
         assert vague_ldp_check(rfe, 0.25)[0::2] == (False, 0.5)
         all_inf = RateFunctionEstimate(
             grid, GridFunction(grid, np.full(6, INF)), GridFunction(grid, np.full(6, INF)),
-            DELTAS, None,
+            RADIUS,
         )
         assert vague_ldp_check(all_inf, 0.0)[0::2] == (True, 0.0)
 
@@ -272,7 +280,7 @@ class TestExponentialTightness:
 
 
 class TestLdpBounds:
-    def test_coin_regions(self, coin_state):
+    def test_coin_regions(self, coin_state, rate_window):
         report = ldp_bounds_check(
             coin_state["net"],
             coin_state["J"],
@@ -281,7 +289,7 @@ class TestLdpBounds:
                 (RegionSet.open(-0.5, 0.5), "open"),
                 (RegionSet.closed(-2.0, 2.0), "closed"),
             ],
-            coin_state["rfe"].window,
+            rate_window,
             tol=1e-6,
         )
         assert report["holds"]
@@ -291,37 +299,35 @@ class TestLdpBounds:
         open_entry = report["regions"][1]
         assert open_entry["capacity"] == 0.0 and open_entry["estimate"] == 0.0
 
-    def test_empty_region(self, coin_state):
+    def test_empty_region(self, coin_state, rate_window):
         report = ldp_bounds_check(
             coin_state["net"], coin_state["J"], [(RegionSet.empty(), "closed")],
-            coin_state["rfe"].window, 1e-9,
+            rate_window, 1e-9,
         )
         assert report["holds"] and report["regions"][0]["capacity"] == 0.0
 
 
 class TestVaradhan:
     def test_coin_slope_one(self, coin_state, main_window):
-        holds, lhs, rhs = varadhan_identity_check(
-            coin_state["net"], TiltFunction.linear(1.0), coin_state["rfe"],
-            main_window, 1e-3, TOL,
-        )
+        tilt = TiltFunction.linear(1.0)
+        est = ldpkit.lambda_of(coin_state["net"], tilt, main_window, TOL)
+        holds, lhs, rhs = varadhan_identity_check(tilt, est, coin_state["rfe"], 1e-3)
         assert holds
         assert lhs == pytest.approx(1.0, abs=1e-3)
         assert rhs == pytest.approx(1.0, abs=1e-3)
 
     def test_coin_zero_tilt(self, coin_state, main_window):
-        holds, lhs, rhs = varadhan_identity_check(
-            coin_state["net"], TiltFunction.linear(0.0), coin_state["rfe"],
-            main_window, 1e-3, TOL,
-        )
+        tilt = TiltFunction.linear(0.0)
+        est = ldpkit.lambda_of(coin_state["net"], tilt, main_window, TOL)
+        holds, lhs, rhs = varadhan_identity_check(tilt, est, coin_state["rfe"], 1e-3)
         assert holds and lhs == 0.0
 
     def test_demzei_q1(self, demzei_net, main_window, rate_window):
         xs = np.linspace(-3, 3, 121)
-        rfe = rate_grid(demzei_net, xs, DELTAS, rate_window)
-        holds, lhs, rhs = varadhan_identity_check(
-            demzei_net, q_bump_tilt(1), rfe, main_window, 1e-3, TOL
-        )
+        rfe = rate_grid(demzei_net, xs, RADIUS, rate_window)
+        tilt = q_bump_tilt(1)
+        est = ldpkit.lambda_of(demzei_net, tilt, main_window, TOL)
+        holds, lhs, rhs = varadhan_identity_check(tilt, est, rfe, 1e-3)
         assert holds
         assert lhs == pytest.approx(0.0, abs=1e-3)
 
@@ -335,11 +341,11 @@ class TestVaradhan:
             max_index=10_000,
         )
         w = ldpkit.window_for_t_range(net, 1e-2, 1e-4, 16)
-        rfe = rate_grid(net, np.linspace(-1, 2, 13), DELTAS, w)
+        rfe = rate_grid(net, np.linspace(-1, 2, 13), RADIUS, w)
+        tilt = TiltFunction.linear(1.0)
+        est = ldpkit.lambda_of(net, tilt, w, 1e-3)
         with pytest.raises(ValueError, match="converge"):
-            varadhan_identity_check(
-                net, TiltFunction.linear(1.0), rfe, w, 1e-3, free_energy_tol=1e-3
-            )
+            varadhan_identity_check(tilt, est, rfe, 1e-3)
 
 
 class TestDerivativeBound:
@@ -381,28 +387,26 @@ class TestRangeConditions:
     def test_coin_ellis_and_d_hold(self, coin_state):
         targets = RangeTargets(
             rfe=coin_state["rfe"],
-            abstract_star=coin_state["sc"].grid,
+            abstract_star=coin_state["sc"],
             linear_star=coin_state["L_star"],
             J=coin_state["J"],
             lambda_bar_zero=0.0,
         )
-        reports = range_condition_check(
-            coin_state["L"], (-3, 3), targets,
-            ["ellis-two-slope", "range-dom-abstract", "range-dom-l0-filtered"],
-        )
-        assert all(r.hypothesis_holds for r in reports)
+        for cid in ("ellis-two-slope", "range-dom-abstract", "range-dom-l0-filtered"):
+            rep = range_condition_check(coin_state["L"], (-3, 3), targets, cid, FILTER_TOL)
+            assert rep.condition_id == cid and rep.hypothesis_holds
 
     def test_coin_ge_conditions_fail_densely(self, coin_state):
         targets = RangeTargets(
             rfe=coin_state["rfe"],
-            abstract_star=coin_state["sc"].grid,
+            abstract_star=coin_state["sc"],
             linear_star=coin_state["L_star"],
             J=coin_state["J"],
             lambda_bar_zero=0.0,
         )
         rep = range_condition_check(
-            coin_state["L"], (-3, 3), targets, ["gartner-ellis-b"]
-        )[0]
+            coin_state["L"], (-3, 3), targets, "gartner-ellis-b", FILTER_TOL
+        )
         assert not rep.hypothesis_holds
         inside = [w for w in rep.witnesses if -1 < w < 1]
         assert len(inside) >= 20
@@ -411,14 +415,14 @@ class TestRangeConditions:
         # empty target: force the filter to exclude everything
         targets = RangeTargets(
             rfe=coin_state["rfe"],
-            abstract_star=coin_state["sc"].grid,
+            abstract_star=coin_state["sc"],
             linear_star=coin_state["L_star"],
             J=coin_state["J"],
             lambda_bar_zero=-INF,  # filter threshold +inf: nothing passes
         )
         rep = range_condition_check(
-            coin_state["L"], (-3, 3), targets, ["range-dom-abstract-filtered"]
-        )[0]
+            coin_state["L"], (-3, 3), targets, "range-dom-abstract-filtered", FILTER_TOL
+        )
         assert rep.hypothesis_holds and rep.notes["target_size"] == 0
 
     def test_interior_variant_premise(self, coin_state):
@@ -426,14 +430,14 @@ class TestRangeConditions:
         # interior variants report a failed properness/convexity premise
         targets = RangeTargets(
             rfe=coin_state["rfe"],
-            abstract_star=coin_state["sc"].grid,
+            abstract_star=coin_state["sc"],
             linear_star=coin_state["L_star"],
             J=coin_state["J"],
             lambda_bar_zero=0.0,
         )
         rep = range_condition_check(
-            coin_state["L"], (-3, 3), targets, ["range-int-dom-l0"]
-        )[0]
+            coin_state["L"], (-3, 3), targets, "range-int-dom-l0", FILTER_TOL
+        )
         assert not rep.hypothesis_holds
         assert rep.notes["proper_convex_premise"] is False
 
@@ -443,23 +447,23 @@ class TestRangeConditions:
         fe = evaluate_family(iid_small_net, linear_family(-2, 2, 41), w, 1e-6)
         L = GridFunction(np.array([m.lam for m in fe.family.members]), fe.values)
         xs = np.arange(16, 113) / 128.0  # atoms of every window index
-        rfe = rate_grid(iid_small_net, xs, default_delta_schedule(8), w)
+        rfe = rate_grid(iid_small_net, xs, 2.0 ** -8, w)
         _, J, _ = vague_ldp_check(rfe, 0.05)
         star = lf_transform(L, xs)
         targets = RangeTargets(
             rfe=rfe, abstract_star=star, linear_star=star, J=J, lambda_bar_zero=0.0
         )
-        rep = range_condition_check(L, (-2, 2), targets, ["range-int-dom-abstract"])[0]
+        rep = range_condition_check(L, (-2, 2), targets, "range-int-dom-abstract", FILTER_TOL)
         assert rep.notes["proper_convex_premise"] is True
         assert rep.hypothesis_holds, rep.witnesses
 
     def test_unknown_condition_rejected(self, coin_state):
         targets = RangeTargets(
-            rfe=coin_state["rfe"], abstract_star=coin_state["sc"].grid,
+            rfe=coin_state["rfe"], abstract_star=coin_state["sc"],
             linear_star=coin_state["L_star"], J=coin_state["J"],
         )
         with pytest.raises(ValueError, match="unknown condition"):
-            range_condition_check(coin_state["L"], (-3, 3), targets, ["nope"])
+            range_condition_check(coin_state["L"], (-3, 3), targets, "nope", FILTER_TOL)
 
     def test_grid_mismatch_rejected(self, coin_state):
         other = GridFunction(np.linspace(-1, 1, 11), np.zeros(11))
@@ -469,7 +473,7 @@ class TestRangeConditions:
 
 class TestRateComparison:
     def test_coin_equalities_on_domain(self, coin_state):
-        J, L_star, A = coin_state["J"], coin_state["L_star"], coin_state["sc"].grid
+        J, L_star, A = coin_state["J"], coin_state["L_star"], coin_state["sc"]
         dom = np.isfinite(J.values)
         out = rate_comparison(J, L_star, A, {"dom_J": dom}, 1e-3)
         assert out["holds"]
@@ -493,10 +497,10 @@ class TestRateComparison:
             demzei_net, family_union(qn_family(10), linear_family(-1, 1, 21)),
             xs, main_window, TOL, divergence_threshold=1e3,
         )
-        rfe = rate_grid(demzei_net, xs, DELTAS, rate_window)
+        rfe = rate_grid(demzei_net, xs, RADIUS, rate_window)
         _, J, _ = vague_ldp_check(rfe, 1e-3)
         dom = np.isfinite(J.values)
-        out = rate_comparison(J, L_star, sc.grid, {"dom_J": dom}, 1e-3)
+        out = rate_comparison(J, L_star, sc, {"dom_J": dom}, 1e-3)
         assert out["holds"]  # J == L* == abstract on dom(J) = {0}
         lin = [e for e in out["allowed_differences"] if e["comparison"] == "J_vs_linear"]
         assert lin[0]["count"] >= 100  # J=+inf vs |x| away from 0: allowed
@@ -780,7 +784,9 @@ class TestBatchedMassQueries:
 
     def test_packaged_rate_grids(self, packaged_state):
         s = packaged_state
-        l0, l1 = full_schedule_local_rates(s.net, s.x_grid, s.deltas, s.rate_window)
+        deltas = radius_schedule(s.scenario.delta_count)
+        assert s.rfe.radius == deltas[-1]
+        l0, l1 = full_schedule_local_rates(s.net, s.x_grid, deltas, s.rate_window)
         assert s.rfe.l0.values.tobytes() == l0.tobytes()
         assert s.rfe.l1.values.tobytes() == l1.tobytes()
 
@@ -788,8 +794,8 @@ class TestBatchedMassQueries:
            count=st.integers(1, 10))
     @settings(max_examples=150, deadline=None)
     def test_one_radius_equals_the_full_schedule(self, net, xs, count):
-        deltas = default_delta_schedule(count)
-        got = _local_rates(net, xs, deltas, WINDOW)
+        deltas = radius_schedule(count)
+        got = _local_rates(net, xs, deltas[-1], WINDOW)
         want = full_schedule_local_rates(net, xs, deltas, WINDOW)
         # wherever every sample's ball masses shrink with the radius
         x, d = np.array(xs)[:, None], np.array(deltas)
@@ -860,7 +866,7 @@ class TestDerivativeBoundScan:
 class TestSandwich:
     def test_coin_chain(self, coin_state):
         ok, worst = sandwich_check(
-            coin_state["L_star"], coin_state["sc"].grid, coin_state["rfe"], 1e-6
+            coin_state["L_star"], coin_state["sc"], coin_state["rfe"], 1e-6
         )
         assert ok
 
@@ -869,6 +875,6 @@ class TestSandwich:
             coin_state["L_star"].xs, coin_state["L_star"].values + 0.1
         )
         ok, worst = sandwich_check(
-            shifted, coin_state["sc"].grid, coin_state["rfe"], 1e-6
+            shifted, coin_state["sc"], coin_state["rfe"], 1e-6
         )
         assert not ok and worst["violation"] >= 0.09
