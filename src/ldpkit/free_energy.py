@@ -215,8 +215,10 @@ def _group_log_sums(count, ts, logm, tilt) -> np.ndarray:
 
     ``logm`` is ``(samples, atoms)`` and ``tilt(ii, jj)`` gives the tilt
     values ``h`` of tilts ``ii`` at the atoms of samples ``jj``, shape
-    ``(tilts, samples, atoms)``.  Each block sums whole rows of about
-    ``_BLOCK_TERMS`` terms, so every sum equals its one-sample kernel's.
+    ``(tilts, samples, atoms)``, as a new array: the exponents are built in
+    it in place, in the order of ``logm + h / t``, so the sums keep their
+    bits.  Each block sums whole rows of about ``_BLOCK_TERMS`` terms, so
+    every sum equals its one-sample kernel's.
     """
     samples, atoms = logm.shape
     out = np.full((count, samples), NEG_INF)
@@ -229,7 +231,9 @@ def _group_log_sums(count, ts, logm, tilt) -> np.ndarray:
         step = max(1, per // width)  # tilts per block
         for i in range(0, count, step):
             ii = slice(i, i + step)
-            x = logm[jj] + tilt(ii, jj) / ts[jj, None]
+            x = tilt(ii, jj)
+            x /= ts[jj, None]
+            x += logm[jj]
             out[ii, jj] = _log_sum_exp_rows(x.reshape(-1, atoms)).reshape(-1, width)
     return out
 
@@ -299,7 +303,7 @@ class _WindowSums:
             h_group = h[:, start : start + locs.size].reshape(len(members), *locs.shape)
             start += locs.size
             out[idx] = _group_log_sums(
-                len(members), self.ts[idx], logm, lambda ii, jj: h_group[ii, jj]
+                len(members), self.ts[idx], logm, lambda ii, jj: h_group[ii, jj].copy()
             ).T
         return out
 

@@ -326,6 +326,13 @@ def load_scenario(path) -> Scenario:
         raise ScenarioError(
             f"{path}: [deltas] count must lie in 1..{MAX_DELTA_COUNT}, got {delta_count}"
         )
+    # a radius that rounds away beside the grid leaves every ball empty
+    x_max = max(abs(x_lo), abs(x_hi))
+    if x_max + 2.0 ** -delta_count == x_max:
+        raise ScenarioError(
+            f"{path}: [deltas] count {delta_count} gives a ball radius 2^-{delta_count} "
+            f"that vanishes beside the [x-grid] value {x_max} (x + r == x)"
+        )
 
     tol_kwargs = {}
     if parser.has_section("tolerances"):

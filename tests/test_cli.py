@@ -174,9 +174,24 @@ class TestScenarioParsing:
         assert "[deltas] count" in capsys.readouterr().err
 
     def test_smallest_delta_count_radius_is_positive(self, tmp_path):
+        # 2^-1074 vanishes beside any normal x, so the grid is subnormal
         path = tmp_path / "tiny.cfg"
-        path.write_text(MINI_SCENARIO + "\n[deltas]\ncount = 1074\n")
+        tiny_grid = MINI_SCENARIO.replace("lo = -1.5\nhi = 1.5", "lo = -1e-308\nhi = 1e-308")
+        path.write_text(tiny_grid + "\n[deltas]\ncount = 1074\n")
         assert PipelineState(load_scenario(path)).rfe.radius == 5e-324
+
+    def test_delta_count_must_not_vanish_beside_the_grid(self, tmp_path, capsys):
+        # ge-ex's x grid reaches |x| = 2, where 2 + 2^-52 rounds to 2: every
+        # ball would be empty and every rate +inf
+        text = resources.files("ldpkit").joinpath("data/scenarios/ge-ex.cfg").read_text()
+        path = tmp_path / "ge-ex.cfg"
+        path.write_text(text.replace("count = 10", "count = 51"))
+        assert load_scenario(path).delta_count == 51
+        path.write_text(text.replace("count = 10", "count = 52"))
+        with pytest.raises(ScenarioError, match=r"\[deltas\] count 52 .* vanishes"):
+            load_scenario(path)
+        assert main(["run", str(path)]) == 2
+        assert f"{path}: [deltas] count 52" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text", [
         MINI_SCENARIO + "\n[checks]\nrun = vague-ldp\n",
@@ -523,12 +538,14 @@ class TestCliCommands:
         assert "unrecognized arguments: --threads" in capsys.readouterr().err
 
 
-# ge-ex and dem-zei never reach scipy; only the iid law and measure totals do
+# no command loads scipy: not the coin and escaping nets, nor cramer's iid
+# law and measure totals
 _COLD_START = """
 import sys
 from importlib import resources
 
 import ldpkit, ldpkit.cli
+from ldpkit.pipeline import run_scenario
 from ldpkit.scenario import load_scenario
 
 scenarios = resources.files("ldpkit").joinpath("data/scenarios")
@@ -538,7 +555,9 @@ for cfg in sorted(p for p in scenarios.iterdir() if p.name.endswith(".cfg")):
 for command, name in (("run", "ge-ex"), ("free-energy", "dem-zei")):
     with resources.as_file(scenarios.joinpath(name + ".cfg")) as path:
         ldpkit.cli.main([command, str(path), "--out-dir", sys.argv[1]])
-print("scipy.special" in sys.modules)
+with resources.as_file(scenarios.joinpath("cramer.cfg")) as path:
+    run_scenario(load_scenario(path))
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
 
@@ -550,7 +569,7 @@ def test_cold_start_does_not_import_scipy(tmp_path):
         env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "False"
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 class TestGoldenDiff:

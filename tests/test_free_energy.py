@@ -538,6 +538,39 @@ class TestWindowSums:
                     )
                     assert got[j].tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("block", [1, 7, None])
+    def test_table_rows_keep_the_one_sample_bits(self, block, monkeypatch):
+        # linear, two-slope and custom members: each row is t * logaddexp of
+        # the side sums, and a custom s*x is the sum over all atoms at slope s
+        rng = np.random.default_rng(3)
+        measures = [
+            FiniteSupportMeasure(
+                np.sort(rng.uniform(-3.0, 3.0, size)), rng.uniform(-40.0, -3.0, size)
+            )
+            for size in (9, 9, 14)
+        ]
+        net = ScaledMeasureNet(lambda k: 0.3 / k, lambda k: measures[k % 3], max_index=6)
+        window = WindowSpec(1, 6, 6)
+        if block is not None:
+            monkeypatch.setattr(free_energy, "_BLOCK_TERMS", block)
+        custom = [-1.5, 0.0, 2.5]
+        family = family_union(
+            linear_family(-2.0, 2.0, 5),
+            two_slope_family((-3.0, 1.0), (-1.0, 3.0), 3),
+            explicit_family(
+                [TiltFunction.custom(f"x{s}", lambda xs, s=s: s * xs) for s in custom]
+            ),
+        )
+        table = lambda_family_table(net, family, window, tol=1.0)
+        for j, k in enumerate(window.indices(net)):
+            m, t = net.measure(int(k)), table.ts[j]
+            left = m.locations <= 0.0
+            a = slope_log_sums(family.lam[:-3], m.locations[left], m.log_masses[left], t)
+            b = slope_log_sums(family.nu[:-3], m.locations[~left], m.log_masses[~left], t)
+            c = slope_log_sums(np.array(custom), m.locations, m.log_masses, t)
+            want = np.concatenate((t * np.logaddexp(a, b), t * c))
+            assert table.rows[j].tobytes() == want.tobytes()
+
     def test_store_is_shared_and_dies_with_the_net(self):
         net = small_iid_net()
         window = WindowSpec(100, 400, 6)

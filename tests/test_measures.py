@@ -1,6 +1,8 @@
+import functools
 import math
 import threading
 import time
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -522,7 +524,52 @@ def _assert_same_law(got: FiniteSupportMeasure, want: FiniteSupportMeasure):
     np.testing.assert_allclose(got.log_masses, want.log_masses, rtol=1e-12, atol=1e-12)
 
 
+# the two-atom law's bound against the exact binomial, in units in the last
+# place; full sweeps of every k at n = 4096, 8192 and 65536 read at most 8.5
+LAW_ULPS = 16
+
+
+@functools.cache
+def exact_log_comb(n: int, k: int) -> Decimal:
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return Decimal(math.comb(n, k)).ln()
+
+
+def assert_law_within_ulps(p: float, n: int, ks) -> None:
+    """``_iid_mean_law`` on the base ``{0: 1-p, 1: p}`` against
+    ``ln C(n, k) + k ln p + (n-k) ln q`` at 60 digits, with ``p`` and ``q``
+    the exact shares of the base's two masses."""
+    base = FiniteSupportMeasure.from_atoms([(0.0, 1.0 - p), (1.0, p)])
+    got = _iid_mean_law(base, n).log_masses
+    m_a, m_b = (Decimal(float(m)) for m in np.exp(base.log_masses))
+    with localcontext() as ctx:
+        ctx.prec = 60
+        log_p, log_q = ((m / (m_a + m_b)).ln() for m in (m_b, m_a))
+        for k in ks:
+            want = exact_log_comb(n, k) + k * log_p + (n - k) * log_q
+            ulps = abs(Decimal(float(got[k])) - want) / Decimal(math.ulp(float(want)))
+            assert ulps <= LAW_ULPS, (n, k, float(ulps))
+
+
+# 1e-310 is subnormal: n p is too, and k / (n p) overflows
+LAW_PS = [0.5, 0.25, 1e-310]
+
+
 class TestIidMeanLaw:
+    @pytest.mark.parametrize("p", LAW_PS)
+    def test_two_atom_law_every_k_within_ulps(self, p):
+        for n in range(1, 16):
+            assert_law_within_ulps(p, n, range(n + 1))
+
+    @pytest.mark.parametrize("p", LAW_PS)
+    @pytest.mark.parametrize("n", [4096, 8192, 65536])
+    def test_two_atom_law_sampled_k_within_ulps(self, n, p):
+        # both ends, their neighbours, the mode and 45 draws; a sweep of
+        # every k takes seconds per n
+        drawn = np.random.default_rng(n).integers(0, n + 1, 45).tolist()
+        assert_law_within_ulps(p, n, sorted({0, 1, int((n + 1) * p), n - 1, n, *drawn}))
+
     @pytest.mark.parametrize("p", [0.5, 0.3, 1e-3])
     @pytest.mark.parametrize("n", [1, 2, 7, 600, 8192, 16384])
     def test_closed_form_is_the_binomial_law(self, n, p):
