@@ -532,7 +532,7 @@ def _iid_mean_law(base: FiniteSupportMeasure, n: int) -> FiniteSupportMeasure:
         inner = lc - 0.5 * lf + n * log_total
         logm = np.concatenate(([n * log_ma], inner, [n * log_mb]))
         k = np.arange(n + 1)
-        return FiniteSupportMeasure(((n - k) * a + k * b) / n, logm).normalized()
+        return FiniteSupportMeasure(((n - k) * a + k * b) / n, logm - _log_sum(logm))
     acc, power, m = None, (base.locations, base.log_masses), n
     while True:
         if m & 1:
@@ -541,7 +541,7 @@ def _iid_mean_law(base: FiniteSupportMeasure, n: int) -> FiniteSupportMeasure:
         if not m:
             break
         power = _convolve(power, power)
-    return FiniteSupportMeasure(acc[0] / n, acc[1]).normalized()
+    return FiniteSupportMeasure(acc[0] / n, acc[1] - _log_sum(acc[1]))
 
 
 def iid_mean_example_net(base: FiniteSupportMeasure, max_n: int) -> ScaledMeasureNet:

@@ -28,14 +28,7 @@ from .measures import (
     demzei_example_net,
     iid_mean_example_net,
 )
-from .scenario import (
-    DELTA_COUNT,
-    WINDOW_SAMPLES,
-    Scenario,
-    Tolerances,
-    parse_region_specs,
-    parse_tilt_labels,
-)
+from .scenario import DELTA_COUNT, WINDOW_SAMPLES, Scenario, Tolerances
 from .tilts import (
     TiltFamily,
     TiltFunction,
@@ -325,9 +318,7 @@ class PipelineState:
     def single_tilts(self) -> tuple[list[TiltFunction], FamilyTable]:
         """The requested ``varadhan`` tilts, then ``linear:0``, in one table."""
         s = self.scenario
-        tilts = []
-        if "varadhan" in s.all_checks():
-            tilts = parse_tilt_labels(s.check_params.get("varadhan_tilts", ""))
+        tilts = list(s.check_params.varadhan_tilts) if "varadhan" in s.all_checks() else []
         tilts.append(TiltFunction.linear(0.0))
         table = lambda_family_table(
             self.net, explicit_family(tilts), self.window,
@@ -354,9 +345,7 @@ def _range_condition_entry(state: PipelineState, cid: str) -> dict:
     s = state.scenario
     tol = s.tolerances
     if cid == "gartner-ellis-b-sub":
-        if "sub_G" not in s.check_params:
-            raise ValueError("gartner-ellis-b-sub requires sub_lo/sub_hi in [checks]")
-        lo, hi = s.check_params["sub_G"]
+        lo, hi = s.check_params.sub_G
         L_sub = state.L.restrict_open(lo, hi, label="L_sub")
         L_star_sub = lf_transform(L_sub, state.x_grid).with_label("L_star_sub")
         targets = replace(state.targets, linear_star=L_star_sub)
@@ -369,7 +358,7 @@ def _range_condition_entry(state: PipelineState, cid: str) -> dict:
             notes={**rep.notes, "sub_G": [lo, hi], "zero_in_G": zero_in},
         )
     elif cid == "ellis-two-slope" and state.family.kind != "two_slope":
-        lo, hi, res = s.check_params.get("two_slope", (-4.0, 4.0, 41))
+        lo, hi, res = s.check_params.two_slope
         aux = two_slope_family((lo, hi), (lo, hi), res)
         aux_star = stable_abstract_lf(
             state.net,
@@ -433,16 +422,13 @@ def _run_check(state: PipelineState, cid: str) -> dict:
             "tol": tol.ldp,
         }
     if cid == "exp-tight":
-        eps_list = s.check_params.get("eps_list", [0.1, 0.01])
-        schedule = s.check_params.get("r_schedule", [1.0, 2.0, 4.0, 8.0])
         ok, table = verifier.exponential_tightness_check(
-            state.net, eps_list, schedule, state.rate_window
+            state.net, s.check_params.eps_list, s.check_params.r_schedule, state.rate_window
         )
         return {"condition_id": cid, "holds": ok, "table": table}
     if cid == "ldp-bounds":
-        regions = parse_region_specs(s.check_params.get("regions", ""))
         result = verifier.ldp_bounds_check(
-            state.net, state.J, regions, state.rate_window, tol.bounds
+            state.net, state.J, s.check_params.regions, state.rate_window, tol.bounds
         )
         return {"condition_id": cid, "holds": result["holds"], "regions": result["regions"]}
     if cid == "varadhan":
@@ -571,9 +557,9 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None):
     text = _ArrayText()
     report = _jsonify(report, text)
     if out_dir is not None:
-        _write_outputs(out_dir, scenario.output_prefix, grids, report, "report", text)
+        _write_outputs(out_dir, scenario.name, grids, report, "report", text)
         _write_rows(
-            os.path.join(out_dir, f"{scenario.output_prefix}_family.csv"),
+            os.path.join(out_dir, f"{scenario.name}_family.csv"),
             family_table["members"],
             text.reprs(family_table["values"]),
             np.where(family_table["converged"], "true", "false").tolist(),
@@ -600,7 +586,7 @@ def run_free_energy(scenario: Scenario, out_dir: str | None = None):
         text,
     )
     if out_dir is not None:
-        _write_outputs(out_dir, scenario.output_prefix, grids, report, "free_energy", text)
+        _write_outputs(out_dir, scenario.name, grids, report, "free_energy", text)
     return report
 
 

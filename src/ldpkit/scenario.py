@@ -2,8 +2,15 @@
 
 The grammar is INI-style (``configparser``): sections in brackets, one
 ``key = value`` per line, ``#``/``;`` comments.  No expression language.
-See the README for the full key reference; unknown sections or keys are
-rejected so typos fail loudly, and every parse error names the section and
+See the README for the full key reference.
+
+:func:`load_scenario` parses, validates and defaults every setting, the
+``[checks]`` parameters included (:class:`CheckParams`), so the pipeline
+reads typed fields only.  The reader is also the schema: each section
+reader records the keys it reads, and after the last read a section that
+no reader opened, or a key that nothing read, is an error.  So a key is
+accepted only where the program reads it (``[net] p`` only on an
+``iid-bernoulli`` net).  Every error names the file, and the section and
 key it came from.
 """
 
@@ -12,7 +19,8 @@ from __future__ import annotations
 import configparser
 from dataclasses import dataclass
 
-from .tilts import TiltFunction
+from .measures import RegionSet
+from .tilts import TiltFunction, q_bump_tilt
 
 NET_KINDS = ("coin", "dem-zei", "iid-bernoulli")
 FAMILY_KINDS = ("two-slope", "linear", "qn-plus-linear")
@@ -83,36 +91,27 @@ class Tolerances:
                 raise ScenarioError(f"tolerance {name} must be finite and > 0, got {value}")
 
 
-_ALLOWED_KEYS = {
-    "net": {"kind", "max_index", "max_n", "p"},
-    "window": {"t_max", "t_min", "samples"},
-    "rate-window": {"t_max", "t_min", "samples"},
-    "lambda-grid": {"lo", "hi", "resolution"},
-    "wide-lambda-grid": {"lo", "hi", "resolution"},
-    "family": {"kind", "lo", "hi", "resolution", "n_max"},
-    "x-grid": {"lo", "hi", "points", "include_l_slopes"},
-    "deltas": {"count"},
-    "tolerances": set(Tolerances.__dataclass_fields__),
-    "checks": {
-        "run",
-        "informational",
-        "sub_lo",
-        "sub_hi",
-        "eps_list",
-        "r_schedule",
-        "regions",
-        "varadhan_tilts",
-        "two_slope_lo",
-        "two_slope_hi",
-        "two_slope_resolution",
-    },
-    "output": {"prefix"},
-}
+@dataclass(frozen=True)
+class CheckParams:
+    """The ``[checks]`` parameters, parsed at load; each default is here.
+
+    ``sub_G`` is the sub-interval G' of ``gartner-ellis-b-sub``, which
+    requires it.  ``regions`` holds the ``(RegionSet, "open" | "closed")``
+    pairs of ``ldp-bounds`` and ``two_slope`` the ``(lo, hi, resolution)``
+    of the auxiliary family of ``ellis-two-slope``.
+    """
+
+    sub_G: tuple[float, float] | None = None
+    eps_list: tuple[float, ...] = (0.1, 0.01)
+    r_schedule: tuple[float, ...] = (1.0, 2.0, 4.0, 8.0)
+    regions: tuple[tuple[RegionSet, str], ...] = ()
+    varadhan_tilts: tuple[TiltFunction, ...] = ()
+    two_slope: tuple[float, float, int] = (-4.0, 4.0, 41)
 
 
 @dataclass(frozen=True)
 class Scenario:
-    name: str
+    name: str  # [output] prefix: names the scenario and prefixes each output file
     net_kind: str
     net_params: dict
     window: WindowConfig
@@ -129,8 +128,7 @@ class Scenario:
     tolerances: Tolerances
     run_checks: tuple[str, ...]
     informational_checks: tuple[str, ...]
-    check_params: dict
-    output_prefix: str
+    check_params: CheckParams
 
     def all_checks(self) -> tuple[str, ...]:
         return tuple(self.run_checks) + tuple(
@@ -138,7 +136,7 @@ class Scenario:
         )
 
 
-def _parse_tilt_label(label: str) -> TiltFunction:
+def parse_tilt_label(label: str) -> TiltFunction:
     parts = label.strip().split(":")
     kind = parts[0]
     try:
@@ -147,21 +145,13 @@ def _parse_tilt_label(label: str) -> TiltFunction:
         if kind == "two_slope" and len(parts) == 3:
             return TiltFunction.two_slope(float(parts[1]), float(parts[2]))
         if kind == "qn" and len(parts) == 2:
-            from .tilts import q_bump_tilt
-
             return q_bump_tilt(int(parts[1]))
     except ValueError as exc:
         raise ScenarioError(f"bad tilt spec {label!r}: {exc}") from exc
     raise ScenarioError(f"bad tilt spec {label!r}")
 
 
-def parse_tilt_labels(labels: str) -> list[TiltFunction]:
-    return [_parse_tilt_label(tok) for tok in labels.split(",") if tok.strip()]
-
-
-def _parse_region_spec(spec: str):
-    from .measures import RegionSet
-
+def parse_region_spec(spec: str) -> tuple[RegionSet, str]:
     parts = spec.strip().split(":")
     if len(parts) != 3 or parts[0] not in ("open", "closed"):
         raise ScenarioError(f"bad region spec {spec!r} (want open:lo:hi)")
@@ -170,18 +160,18 @@ def _parse_region_spec(spec: str):
     return region, parts[0]
 
 
-def parse_region_specs(specs: str):
-    return [_parse_region_spec(tok) for tok in specs.split(",") if tok.strip()]
-
-
 class _SectionReader:
-    def __init__(self, parser: configparser.ConfigParser, section: str, path: str):
+    """Typed reads of one section; each key read is added to ``keys_read``."""
+
+    def __init__(self, parser: configparser.ConfigParser, section: str, path: str,
+                 keys_read: dict[str, set[str]]):
         self.parser = parser
         self.section = section
         self.path = path
+        self.keys_read = keys_read.setdefault(section, set())
 
-    def _ctx(self, key: str) -> str:
-        return f"{self.path}: [{self.section}] {key}"
+    def error(self, key: str, message: str) -> ScenarioError:
+        return ScenarioError(f"{self.path}: [{self.section}] {key}: {message}")
 
     def has(self, key: str) -> bool:
         return self.parser.has_option(self.section, key)
@@ -190,7 +180,8 @@ class _SectionReader:
         if not self.has(key):
             if default is not None:
                 return default
-            raise ScenarioError(f"{self._ctx(key)}: missing required key")
+            raise self.error(key, "missing required key")
+        self.keys_read.add(key)
         return self.parser.get(self.section, key)
 
     def text(self, key: str, default: str | None = None) -> str:
@@ -201,17 +192,21 @@ class _SectionReader:
         try:
             return float(raw)
         except (TypeError, ValueError) as exc:
-            raise ScenarioError(f"{self._ctx(key)}: not a number: {raw!r}") from exc
+            raise self.error(key, f"not a number: {raw!r}") from exc
 
-    def positive_numbers(self, key: str) -> list[float]:
-        """A comma-separated list of finite numbers > 0."""
-        toks = [tok.strip() for tok in self.text(key).split(",") if tok.strip()]
+    def entries(self, key: str, parse=str) -> tuple:
+        """``parse`` of each entry of a comma-separated list; empty if absent."""
+        toks = [tok.strip() for tok in self.text(key, "").split(",") if tok.strip()]
         try:
-            values = [float(tok) for tok in toks]
+            return tuple(map(parse, toks))
         except ValueError as exc:
-            raise ScenarioError(f"{self._ctx(key)}: not a number: {exc}") from exc
+            raise self.error(key, str(exc)) from exc
+
+    def positive_numbers(self, key: str, default: tuple[float, ...]) -> tuple[float, ...]:
+        """A comma-separated list of finite numbers > 0."""
+        values = self.entries(key, float) if self.has(key) else default
         if not all(0 < x < float("inf") for x in values):
-            raise ScenarioError(f"{self._ctx(key)}: entries must be finite and > 0, got {toks}")
+            raise self.error(key, f"entries must be finite and > 0, got {list(values)}")
         return values
 
     def integer(self, key: str, default: int | None = None) -> int:
@@ -219,7 +214,7 @@ class _SectionReader:
         try:
             return int(str(raw))
         except (TypeError, ValueError) as exc:
-            raise ScenarioError(f"{self._ctx(key)}: not an integer: {raw!r}") from exc
+            raise self.error(key, f"not an integer: {raw!r}") from exc
 
     def boolean(self, key: str, default: bool) -> bool:
         if not self.has(key):
@@ -229,7 +224,17 @@ class _SectionReader:
             return True
         if raw in ("false", "no", "0"):
             return False
-        raise ScenarioError(f"{self._ctx(key)}: not a boolean: {raw!r}")
+        raise self.error(key, f"not a boolean: {raw!r}")
+
+    def check_names(self, key: str) -> tuple[str, ...]:
+        """A comma-separated list of check ids, each in KNOWN_CHECKS."""
+        names = self.entries(key)
+        for name in names:
+            if name not in KNOWN_CHECKS:
+                raise self.error(
+                    key, f"unknown check {name!r}; known: {', '.join(KNOWN_CHECKS)}"
+                )
+        return names
 
 
 def _window_from(reader: _SectionReader, defaults: WindowConfig | None = None) -> WindowConfig:
@@ -249,6 +254,37 @@ def _window_from(reader: _SectionReader, defaults: WindowConfig | None = None) -
     return cfg
 
 
+def _check_params(ch: _SectionReader, checks: tuple[str, ...]) -> CheckParams:
+    """The ``[checks]`` parameters; ``checks`` are the requested check ids."""
+    ctx = f"{ch.path}: [{ch.section}]"
+    sub_G = None
+    if "gartner-ellis-b-sub" in checks or ch.has("sub_lo") or ch.has("sub_hi"):
+        sub_G = (ch.number("sub_lo"), ch.number("sub_hi"))
+        if not sub_G[0] < sub_G[1]:
+            raise ScenarioError(f"{ctx} needs sub_lo < sub_hi, got {sub_G}")
+    lo_default, _, resolution_default = CheckParams.two_slope
+    lo = ch.number("two_slope_lo", lo_default)
+    two_slope = (
+        lo,
+        ch.number("two_slope_hi", -lo),
+        ch.integer("two_slope_resolution", resolution_default),
+    )
+    if not two_slope[0] < two_slope[1]:
+        raise ScenarioError(
+            f"{ctx} needs two_slope_lo < two_slope_hi, got {two_slope[:2]}"
+        )
+    if two_slope[2] < 2:
+        raise ch.error("two_slope_resolution", f"must be >= 2, got {two_slope[2]}")
+    return CheckParams(
+        sub_G=sub_G,
+        eps_list=ch.positive_numbers("eps_list", CheckParams.eps_list),
+        r_schedule=ch.positive_numbers("r_schedule", CheckParams.r_schedule),
+        regions=ch.entries("regions", parse_region_spec),
+        varadhan_tilts=ch.entries("varadhan_tilts", parse_tilt_label),
+        two_slope=two_slope,
+    )
+
+
 def load_scenario(path) -> Scenario:
     # no interpolation: a '%' in a value is a plain character
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
@@ -264,14 +300,12 @@ def load_scenario(path) -> Scenario:
         if not parser.has_section(required):
             raise ScenarioError(f"{path}: missing required section [{required}]")
 
-    for section in parser.sections():
-        if section not in _ALLOWED_KEYS:
-            raise ScenarioError(f"{path}: unknown section [{section}]")
-        for key in parser.options(section):
-            if key not in _ALLOWED_KEYS[section]:
-                raise ScenarioError(f"{path}: [{section}] unknown key {key!r}")
+    keys_read: dict[str, set[str]] = {}
 
-    net = _SectionReader(parser, "net", path)
+    def section(name: str) -> _SectionReader:
+        return _SectionReader(parser, name, path, keys_read)
+
+    net = section("net")
     net_kind = net.text("kind")
     if net_kind not in NET_KINDS:
         raise ScenarioError(f"{path}: [net] kind must be one of {NET_KINDS}")
@@ -284,22 +318,22 @@ def load_scenario(path) -> Scenario:
     else:
         net_params["max_index"] = net.integer("max_index", 1_000_000)
 
-    window = _window_from(_SectionReader(parser, "window", path))
-    rate_window = _window_from(_SectionReader(parser, "rate-window", path), window)
+    window = _window_from(section("window"))
+    rate_window = _window_from(section("rate-window"), window)
 
-    def grid_from(section: str) -> GridConfig:
-        r = _SectionReader(parser, section, path)
+    def grid_from(name: str) -> GridConfig:
+        r = section(name)
         cfg = GridConfig(r.number("lo"), r.number("hi"), r.integer("resolution"))
         if not cfg.lo < cfg.hi:
-            raise ScenarioError(f"{path}: [{section}] needs lo < hi")
+            raise ScenarioError(f"{path}: [{name}] needs lo < hi")
         if cfg.resolution < 2:
-            raise ScenarioError(f"{path}: [{section}] resolution must be >= 2")
+            raise ScenarioError(f"{path}: [{name}] resolution must be >= 2")
         return cfg
 
     lambda_grid = grid_from("lambda-grid")
     wide = grid_from("wide-lambda-grid") if parser.has_section("wide-lambda-grid") else None
 
-    fam = _SectionReader(parser, "family", path)
+    fam = section("family")
     family_kind = fam.text("kind")
     if family_kind not in FAMILY_KINDS:
         raise ScenarioError(f"{path}: [family] kind must be one of {FAMILY_KINDS}")
@@ -311,7 +345,7 @@ def load_scenario(path) -> Scenario:
     else:  # qn-plus-linear: the linear part reuses the lambda grid
         family_params["n_max"] = fam.integer("n_max", 10)
 
-    xg = _SectionReader(parser, "x-grid", path)
+    xg = section("x-grid")
     x_lo, x_hi = xg.number("lo"), xg.number("hi")
     if not x_lo < x_hi:
         raise ScenarioError(f"{path}: [x-grid] needs lo < hi")
@@ -320,8 +354,7 @@ def load_scenario(path) -> Scenario:
         raise ScenarioError(f"{path}: [x-grid] points must be >= 2")
     include_l_slopes = xg.boolean("include_l_slopes", False)
 
-    deltas = _SectionReader(parser, "deltas", path)
-    delta_count = deltas.integer("count", DELTA_COUNT)  # also without a [deltas] section
+    delta_count = section("deltas").integer("count", DELTA_COUNT)  # also without [deltas]
     if not 1 <= delta_count <= MAX_DELTA_COUNT:
         raise ScenarioError(
             f"{path}: [deltas] count must lie in 1..{MAX_DELTA_COUNT}, got {delta_count}"
@@ -334,54 +367,25 @@ def load_scenario(path) -> Scenario:
             f"that vanishes beside the [x-grid] value {x_max} (x + r == x)"
         )
 
-    tol_kwargs = {}
-    if parser.has_section("tolerances"):
-        tr = _SectionReader(parser, "tolerances", path)
-        for key in _ALLOWED_KEYS["tolerances"]:
-            if tr.has(key):
-                tol_kwargs[key] = tr.number(key)
-    tolerances = Tolerances(**tol_kwargs)
+    tr = section("tolerances")
+    tolerances = Tolerances(
+        **{key: tr.number(key) for key in Tolerances.__dataclass_fields__ if tr.has(key)}
+    )
 
-    run_checks: tuple[str, ...] = ()
-    informational: tuple[str, ...] = ()
-    check_params: dict = {}
-    if parser.has_section("checks"):
-        ch = _SectionReader(parser, "checks", path)
+    ch = section("checks")
+    run_checks = ch.check_names("run")
+    informational = ch.check_names("informational")
+    check_params = _check_params(ch, run_checks + informational)
 
-        def check_list(key: str) -> tuple[str, ...]:
-            if not ch.has(key):
-                return ()
-            names = tuple(
-                tok.strip() for tok in ch.text(key).split(",") if tok.strip()
-            )
-            for name in names:
-                if name not in KNOWN_CHECKS:
-                    raise ScenarioError(
-                        f"{path}: [checks] unknown check {name!r}; "
-                        f"known: {', '.join(KNOWN_CHECKS)}"
-                    )
-            return names
+    prefix = section("output").text("prefix")
 
-        run_checks = check_list("run")
-        informational = check_list("informational")
-        if ch.has("sub_lo") or ch.has("sub_hi"):
-            check_params["sub_G"] = (ch.number("sub_lo"), ch.number("sub_hi"))
-        for key in ("eps_list", "r_schedule"):
-            if ch.has(key):
-                check_params[key] = ch.positive_numbers(key)
-        if ch.has("regions"):
-            check_params["regions"] = ch.text("regions")
-        if ch.has("varadhan_tilts"):
-            check_params["varadhan_tilts"] = ch.text("varadhan_tilts")
-        if ch.has("two_slope_lo"):
-            check_params["two_slope"] = (
-                ch.number("two_slope_lo"),
-                ch.number("two_slope_hi", -ch.number("two_slope_lo")),
-                ch.integer("two_slope_resolution", 41),
-            )
-
-    out = _SectionReader(parser, "output", path)
-    prefix = out.text("prefix")
+    # the reads above are the schema: whatever they left unread is unknown
+    for name in parser.sections():
+        if name not in keys_read:
+            raise ScenarioError(f"{path}: unknown section [{name}]")
+        for key in parser.options(name):
+            if key not in keys_read[name]:
+                raise ScenarioError(f"{path}: [{name}] unknown key {key!r}")
 
     return Scenario(
         name=prefix,
@@ -402,5 +406,4 @@ def load_scenario(path) -> Scenario:
         run_checks=run_checks,
         informational_checks=informational,
         check_params=check_params,
-        output_prefix=prefix,
     )

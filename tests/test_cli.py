@@ -25,7 +25,7 @@ from ldpkit.pipeline import (
     run_free_energy,
     run_scenario,
 )
-from ldpkit.scenario import ScenarioError, load_scenario, parse_tilt_labels
+from ldpkit.scenario import CheckParams, ScenarioError, load_scenario
 from ldpkit.tilts import TiltFunction
 
 
@@ -207,11 +207,66 @@ class TestScenarioParsing:
         assert main(["run", str(path)]) == 2
         assert str(path) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("old, new, where", [
+        # each once loaded, then failed at run time naming no file, or was
+        # ignored: unread keys, and check parameters of unrequested checks
+        ("regions = closed:0.5:1.5", "regions = closed:0.5:x2", "[checks] regions"),
+        ("regions = closed:0.5:1.5", "regions = nope", "[checks] regions"),
+        ("varadhan_tilts = linear:1", "varadhan_tilts = lin:2", "[checks] varadhan_tilts"),
+        ("informational = gartner-ellis-a", "informational = gartner-ellis-b-sub",
+         "[checks] sub_lo: missing required key"),
+        ("eps_list = 0.1", "sub_lo = 0.5\nsub_hi = -0.5", "[checks] needs sub_lo < sub_hi"),
+        ("eps_list = 0.1", "two_slope_lo = 4\ntwo_slope_hi = -4",
+         "[checks] needs two_slope_lo < two_slope_hi"),
+        ("eps_list = 0.1", "two_slope_resolution = 1", "[checks] two_slope_resolution"),
+        ("max_index = 100000", "max_n = 100", "[net] unknown key 'max_n'"),
+        ("max_index = 100000", "p = 7", "[net] unknown key 'p'"),
+        ("kind = coin", "kind = iid-bernoulli", "[net] unknown key 'max_index'"),
+        ("kind = two-slope\nlo = -3.0\nhi = 3.0\nresolution = 13",
+         "kind = qn-plus-linear\nlo = -3.0", "[family] unknown key 'lo'"),
+        ("kind = two-slope\nlo = -3.0\nhi = 3.0\nresolution = 13",
+         "kind = qn-plus-linear\nresolution = 13", "[family] unknown key 'resolution'"),
+        ("resolution = 13", "resolution = 13\nn_max = 4", "[family] unknown key 'n_max'"),
+    ], ids=["region-number", "region-spec", "tilt-spec", "sub-required", "sub-reversed",
+            "two-slope-reversed", "two-slope-resolution", "coin-max_n", "coin-p",
+            "iid-max_index", "qn-lo", "qn-resolution", "two-slope-n_max"])
+    def test_bad_setting_exits_2_at_load(self, tmp_path, capsys, old, new, where):
+        path = tmp_path / "bad.cfg"
+        assert MINI_SCENARIO.count(old) == 1
+        path.write_text(MINI_SCENARIO.replace(old, new))
+        with pytest.raises(ScenarioError) as exc:
+            load_scenario(path)
+        assert f"{path}: {where}" in str(exc.value)
+        assert main(["run", str(path)]) == 2
+        assert f"{path}: {where}" in capsys.readouterr().err
+
+    def test_two_slope_hi_alone_reaches_the_auxiliary_family(self, tmp_path, monkeypatch):
+        # two_slope_hi without two_slope_lo was once dropped without a word
+        path = tmp_path / "aux.cfg"
+        path.write_text(MINI_SCENARIO.replace("kind = two-slope", "kind = linear").replace(
+            "eps_list = 0.1", "eps_list = 0.1\ntwo_slope_hi = 3"
+        ))
+        sc = load_scenario(path)
+        assert sc.check_params.two_slope == (-4.0, 3.0, 41)
+        built = []
+        two_slope_family = pipeline.two_slope_family
+        monkeypatch.setattr(
+            "ldpkit.pipeline.two_slope_family",
+            lambda *args: built.append(args) or two_slope_family(*args),
+        )
+        pipeline._run_check(PipelineState(sc), "ellis-two-slope")
+        assert built == [((-4.0, 3.0), (-4.0, 3.0), 41)]
+
+    def test_no_checks_section_gets_the_defaults(self, tmp_path):
+        path = tmp_path / "bare.cfg"
+        path.write_text(MINI_SCENARIO[:MINI_SCENARIO.index("[checks]")] + "[output]\nprefix = mini\n")
+        assert load_scenario(path).check_params == CheckParams()
+
     def test_percent_is_a_plain_character(self, tmp_path):
         # interpolation once made '%b' a configparser error at exit 1
         path = tmp_path / "pct.cfg"
         path.write_text(MINI_SCENARIO.replace("prefix = mini", "prefix = mini%b"))
-        assert load_scenario(path).output_prefix == "mini%b"
+        assert load_scenario(path).name == "mini%b"
 
     def test_missing_section(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -270,7 +325,7 @@ class TestRunScenario:
         # ge-ex evaluates 61 + 1,681 + 4,900 slope-array members; only the
         # varadhan tilts and linear:0 become TiltFunction objects
         sc = packaged_scenario("ge-ex")
-        varadhan = parse_tilt_labels(sc.check_params["varadhan_tilts"])
+        varadhan = sc.check_params.varadhan_tilts
         built = []
         init = TiltFunction.__init__
 
@@ -289,9 +344,7 @@ class TestRunScenario:
         state = PipelineState(packaged_scenario(name))
         tol = state.scenario.tolerances
         tilts, table = state.single_tilts
-        assert [t.label for t in tilts[:-1]] == [
-            t.label for t in parse_tilt_labels(state.scenario.check_params["varadhan_tilts"])
-        ]
+        assert tilts[:-1] == list(state.scenario.check_params.varadhan_tilts)
         assert tilts[-1].label == "linear:0.0"
         for i, tilt in enumerate(tilts):
             want = lambda_of(

@@ -600,6 +600,25 @@ class TestIidMeanLaw:
         oracle = RollingIidMeanBuilder(OFF_LATTICE_PAIR)
         _assert_same_law(_iid_mean_law(OFF_LATTICE_PAIR, n), oracle(n))
 
+    @pytest.mark.parametrize("base, n", [
+        *(pytest.param(FiniteSupportMeasure.from_atoms([(0.0, 1.0 - p), (1.0, p)]), n,
+                       id=f"p={p}-n={n}")
+          for p in (0.5, 0.25) for n in (1, 2, 7, 15, 4096, 8192)),
+        *(pytest.param(THREE_ATOM, n, id=f"three-atom-n={n}") for n in (1, 5, 33)),
+    ])
+    def test_one_measure_keeps_the_bits_of_normalized(self, base, n, monkeypatch):
+        # the law was once built raw and then normalized(); built once from
+        # the raw log-masses, it must keep every bit
+        raw = []
+        log_sum = ldpkit.measures._log_sum
+        monkeypatch.setattr(
+            "ldpkit.measures._log_sum", lambda logm: raw.append(logm.copy()) or log_sum(logm)
+        )
+        got = _iid_mean_law(base, n)
+        monkeypatch.undo()
+        want = FiniteSupportMeasure(got.locations, raw[0]).normalized()
+        assert got.log_masses.tobytes() == want.log_masses.tobytes()
+
     def test_dirac_base(self):
         m = _iid_mean_law(FiniteSupportMeasure.dirac(0.25), 5)
         assert m.locations.tolist() == [0.25] and m.log_masses.tolist() == [0.0]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ldpkit.scenario import ScenarioError, parse_tilt_labels
+from ldpkit.scenario import ScenarioError, parse_tilt_label
 from ldpkit.tilts import (
     TiltFamily,
     TiltFunction,
@@ -69,10 +69,10 @@ def test_qn_family_members():
 
 def test_parse_tilt_labels_qn_and_unknown():
     xs = np.linspace(-6.0, 6.0, 49)
-    (tilt,) = parse_tilt_labels("qn:7")
+    tilt = parse_tilt_label("qn:7")
     assert np.array_equal(tilt.eval_array(xs), q_bump_tilt(7).eval_array(xs))
     with pytest.raises(ScenarioError):
-        parse_tilt_labels("nope:1")
+        parse_tilt_label("nope:1")
 
 
 def test_custom_tilt_must_not_return_plus_inf():

@@ -18,7 +18,7 @@ from ldpkit.measures import (
     ScaledMeasureNet,
 )
 from ldpkit.pipeline import PipelineState
-from ldpkit.scenario import Tolerances, load_scenario, parse_region_specs
+from ldpkit.scenario import Tolerances, load_scenario
 from ldpkit.tilts import TiltFunction, linear_family, q_bump_tilt, two_slope_family
 from ldpkit.verifier import (
     RangeTargets,
@@ -809,12 +809,12 @@ class TestBatchedMassQueries:
     def test_packaged_set_wise_checks(self, packaged_state):
         s = packaged_state
         params = s.scenario.check_params
-        for eps in (params.get("eps_list", [0.1, 0.01]), [1e-300, 0.5, 1.0]):
-            args = (s.net, eps, params.get("r_schedule", [1.0, 2.0, 4.0, 8.0]), s.rate_window)
+        for eps in (params.eps_list, [1e-300, 0.5, 1.0]):
+            args = (s.net, eps, params.r_schedule, s.rate_window)
             assert repr(exponential_tightness_check(*args)) == repr(
                 loop_exponential_tightness_check(*args)
             )
-        regions = parse_region_specs(params.get("regions", "")) + [
+        regions = list(params.regions) + [
             (RegionSet.complement_of_closed(-0.5, 0.5), "open"),
             (RegionSet.empty(), "closed"),
         ]
