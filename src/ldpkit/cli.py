@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from importlib import resources
 
 import numpy as np
@@ -35,16 +36,17 @@ def _packaged_path(kind: str, name: str):
 
 
 def _apply_overrides(scenario: Scenario, args) -> Scenario:
-    from dataclasses import replace
-
     if getattr(args, "tol", None) is not None:
         tolerances = replace(scenario.tolerances, convergence=args.tol)
         scenario = replace(scenario, tolerances=tolerances)
     if getattr(args, "window", None) is not None:
         parts = args.window.split(":")
-        if len(parts) != 3:
-            raise ScenarioError("--window expects t_max:t_min:samples")
-        new_window = WindowConfig(float(parts[0]), float(parts[1]), int(parts[2]))
+        try:
+            if len(parts) != 3:
+                raise ValueError("expects t_max:t_min:samples")
+            new_window = WindowConfig(float(parts[0]), float(parts[1]), int(parts[2]))
+        except ValueError as exc:  # a part that is not a number, or a bad window
+            raise ScenarioError(f"--window {args.window}: {exc}") from None
         # a rate-window that was defaulted from [window] follows the override
         rate = new_window if scenario.rate_window == scenario.window else scenario.rate_window
         scenario = replace(scenario, window=new_window, rate_window=rate)

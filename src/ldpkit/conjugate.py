@@ -123,9 +123,9 @@ def stable_abstract_lf(
 
     Evaluates the raw conjugate over the family and over ``family.doubled()``
     (a superset, so the sup can only grow).  Entries that grow by more than
-    ``stability_tol`` or exceed ``GROWTH_CAP`` are flagged in
-    ``meta["flagged"]`` and reported as ``+inf``; entries that stabilize keep
-    the requested family's value.
+    ``stability_tol`` or exceed ``GROWTH_CAP`` are flagged in the bool
+    array ``meta["flagged"]`` and reported as ``+inf``; entries that
+    stabilize keep the requested family's value.
     The family's evaluation may be passed as ``fe`` to avoid recomputation.
     """
     xs = np.asarray(x_grid, dtype=float)
@@ -139,9 +139,5 @@ def stable_abstract_lf(
         xs,
         np.where(flagged, INF, raw),
         label="abstract-conjugate",
-        meta={
-            "stability_tol": stability_tol,
-            "growth_cap": GROWTH_CAP,
-            "flagged": flagged.tolist(),
-        },
+        meta={"flagged": flagged},
     )

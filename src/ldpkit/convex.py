@@ -161,7 +161,7 @@ def lf_transform(f: GridFunction, dual_grid: Sequence[float]) -> GridFunction:
         vals = dual * hx[j] - hv[j]
         off = (dual < slopes[0]) | (dual > slopes[-1])
     label = f"{f.label}*" if f.label else "conjugate"
-    return GridFunction(dual, vals, label=label, meta={"off_slope_range": off.tolist()})
+    return GridFunction(dual, vals, label=label, meta={"off_slope_range": off})
 
 
 def brute_force_conjugate(f: GridFunction, dual_grid: Sequence[float]) -> GridFunction:

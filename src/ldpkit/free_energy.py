@@ -179,7 +179,8 @@ def _log_sum_exp_rows(x: np.ndarray) -> np.ndarray:
     ``log1p``, so terms far below it keep their digits.  ``exp`` runs only on
     the shifted terms not below ``_EXP_ZERO``; the others hold the exact 0.0
     that ``exp`` would give them, so every sum is bit for bit that of an
-    unmasked ``exp``, without ``exp``'s slow path for such arguments.
+    unmasked ``exp``, without ``exp``'s slow path for such arguments.  The
+    terms are shifted and exponentiated in ``x`` itself, which is overwritten.
 
     This is not scipy's ``logsumexp`` bit for bit: scipy >= 1.15 takes
     every tied maximum out of the sum and adds ``log(m)`` for ``m`` ties, and
@@ -193,12 +194,12 @@ def _log_sum_exp_rows(x: np.ndarray) -> np.ndarray:
     top = x.argmax(axis=1)
     peak = x[rows, top]
     with np.errstate(invalid="ignore"):
-        shifted = x - np.where(np.isfinite(peak), peak, 0.0)[:, None]
-        # not >=: NaN terms must still reach exp and give NaN
-        live = ~(shifted < _EXP_ZERO)
-        terms = np.exp(shifted, out=np.zeros_like(shifted), where=live)
-    terms[rows, top] = 0.0
-    return peak + np.log1p(terms.sum(axis=1))
+        x -= np.where(np.isfinite(peak), peak, 0.0)[:, None]
+        dead = x < _EXP_ZERO  # not >=: NaN terms must still reach exp and give NaN
+        np.exp(x, out=x, where=~dead)
+    x[dead] = 0.0
+    x[rows, top] = 0.0
+    return peak + np.log1p(x.sum(axis=1))
 
 
 def _logaddexp(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -217,8 +218,9 @@ def _group_log_sums(count, ts, logm, tilt) -> np.ndarray:
     values ``h`` of tilts ``ii`` at the atoms of samples ``jj``, shape
     ``(tilts, samples, atoms)``, as a new array: the exponents are built in
     it in place, in the order of ``logm + h / t``, so the sums keep their
-    bits.  Each block sums whole rows of about ``_BLOCK_TERMS`` terms, so
-    every sum equals its one-sample kernel's.
+    bits, and the row kernel then overwrites it.  Each block sums whole rows
+    of about ``_BLOCK_TERMS`` terms, so every sum equals its one-sample
+    kernel's.
     """
     samples, atoms = logm.shape
     out = np.full((count, samples), NEG_INF)
@@ -392,16 +394,12 @@ def L_from_table(family: TiltFamily, table: FamilyTable, label: str = "L") -> Gr
     """``lam -> F(h_lam)`` of a linear family from its table of estimates.
 
     The grid function carries the representative values, ``+inf`` where an
-    entry diverged; per-point convergence flags and the liminf/limsup
-    brackets are stored in ``meta``.
+    entry diverged; ``meta`` holds the table's own per-point arrays:
+    the convergence flags and the liminf/limsup brackets.
     """
     if not np.array_equal(family.lam, family.nu):
         raise ValueError("L needs a family of linear tilts")
-    meta = {
-        "converged": table.converged.tolist(),
-        "liminf": table.liminf.tolist(),
-        "limsup": table.limsup.tolist(),
-    }
+    meta = {key: getattr(table, key) for key in ("converged", "liminf", "limsup")}
     return GridFunction(family.lam, table.value, label=label, meta=meta)
 
 

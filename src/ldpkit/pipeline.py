@@ -1,9 +1,9 @@
 """Scenario pipeline: net -> free energies -> conjugates -> rates -> checks.
 
-Reports are plain dicts with a fixed field order, serialized to JSON with
-``+-inf`` rendered as the strings ``"inf"`` / ``"-inf"``; grid tables are
-additionally written as ``x,value`` CSV files.  Everything is deterministic
-for a given scenario: reruns produce byte-identical reports.
+A report is a dict with a fixed field order whose tables are the pipeline's
+numpy arrays.  Its JSON and the grid tables' ``x,value`` CSV files are
+written straight from that tree; the commands return its JSON-safe copy,
+with ``+-inf`` as ``"inf"`` / ``"-inf"``.  Reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -90,26 +90,25 @@ def _grid_function_table(gf: GridFunction) -> dict:
     table = {"xs": gf.xs, "values": gf.values}
     for key in ("converged", "flagged", "off_slope_range"):
         if key in gf.meta:
-            table[key] = list(gf.meta[key])
+            table[key] = gf.meta[key]
     return table
 
 
-def _jsonify(obj, text: "_ArrayText | None" = None):
-    """JSON-safe copy, +-inf as strings; ``text`` notes lists of float arrays."""
+def _jsonify(obj):
+    """JSON-safe copy of a report tree, +-inf as strings."""
     if isinstance(obj, np.ndarray):  # 1-D arrays only
-        out = obj.tolist()
-        if obj.dtype.kind == "f":
-            for i in np.flatnonzero(np.isinf(obj)):
-                out[i] = "inf" if out[i] > 0 else "-inf"
-            if text is not None:
-                text.sources[id(out)] = (out, obj)
-        return out
+        if obj.dtype.kind == "f" and np.isinf(obj).any():
+            out = obj.astype(object)
+            out[np.isposinf(obj)] = "inf"
+            out[np.isneginf(obj)] = "-inf"
+            return out.tolist()
+        return obj.tolist()
     if isinstance(obj, dict):
-        return {str(k): _jsonify(v, text) for k, v in obj.items()}
+        return {str(k): _jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         if {*map(type, obj)} <= {str}:  # labels: already JSON-safe
             return list(obj)
-        return [_jsonify(v, text) for v in obj]
+        return [_jsonify(v) for v in obj]
     if isinstance(obj, (np.bool_, bool)):
         return bool(obj)
     if isinstance(obj, (np.integer, int)):
@@ -123,69 +122,74 @@ def _jsonify(obj, text: "_ArrayText | None" = None):
 
 
 class _ArrayText:
-    """One write's float arrays as text: ``reprs`` formats every entry of an
-    array once, for the CSV files and the JSON report alike.  ``sources``
-    maps each list that :func:`_jsonify` made from a float array to it."""
+    """One write's memo: ``reprs`` formats every entry of a float array
+    once, for the CSV files and the JSON report alike."""
 
     def __init__(self):
-        self._reprs, self.sources = {}, {}
+        self._reprs = {}
 
     def reprs(self, arr: np.ndarray) -> list[str]:
-        if id(arr) not in self._reprs:
+        if id(arr) not in self._reprs:  # the entry keeps arr, so its id stays its own
             self._reprs[id(arr)] = (arr, list(map(repr, arr.tolist())))
         return self._reprs[id(arr)][1]
 
-    def json_items(self, obj) -> list[str] | None:
-        """The JSON text of each item of ``obj``, if a float array made it."""
-        out, arr = self.sources.get(id(obj), (None, None))
-        if out is not obj:
-            return None
-        items = self.reprs(arr).copy()
-        for i in np.flatnonzero(~np.isfinite(arr)).tolist():
-            items[i] = json.dumps(obj[i])  # "inf" / "-inf" strings, NaN
-        return items
+
+_NESTED = (dict, list, tuple, np.ndarray)
+_NON_FINITE_JSON = {"inf": '"inf"', "-inf": '"-inf"', "nan": "NaN"}  # repr -> JSON
 
 
-_JSON_SCALARS = {str, int, float, bool, type(None)}
-
-
-def _json_pieces(obj, level: int = 0, text: _ArrayText | None = None):
-    """The text of ``json.dumps(obj, indent=1)``, byte for byte, in pieces.
+def _json_pieces(obj, level: int = 0, *, text: _ArrayText):
+    """The text of ``json.dumps(_jsonify(obj), indent=1)``, byte for byte, in
+    pieces, from the report tree itself.
 
     ``indent`` makes ``json`` use its pure-Python encoder throughout.  Here
-    only the nesting is Python: a container of plain scalars is encoded in
-    one C-encoder call whose item separator carries the newline and the
-    indent, or joined from ``text`` if a float array made it.  Anything else
-    is encoded item by item; dict keys must be str.  A writer that takes the
-    pieces one by one never holds the whole text.
+    only the nesting is Python: a float array is joined from its ``text``
+    reprs, and any other array, or a container of leaves, is encoded (in its
+    ``_jsonify`` form) in one C-encoder call whose item separator carries the
+    newline and the indent.  A writer that takes the pieces one by one never
+    holds the whole text.
     """
-    if not isinstance(obj, (dict, list, tuple)) or not obj:
-        yield json.dumps(obj)
+    if not isinstance(obj, _NESTED) or not len(obj):
+        yield json.dumps(_jsonify(obj))
         return
     pad = "\n" + " " * (level + 1)
-    is_dict = isinstance(obj, dict)
+    is_dict, is_array = isinstance(obj, dict), isinstance(obj, np.ndarray)
     opening, closing = "{}" if is_dict else "[]"
-    items = text.json_items(obj) if text is not None else None
-    if items is not None:
-        yield opening + pad + ("," + pad).join(items)
-    elif {*map(type, obj.values() if is_dict else obj)} <= _JSON_SCALARS:
-        yield opening + pad + json.dumps(obj, separators=("," + pad, ": "))[1:-1]
+    values = obj.values() if is_dict else obj
+    if is_array and obj.dtype.kind == "f":
+        reprs = text.reprs(obj)
+        yield opening + pad + ("," + pad).join(map(_NON_FINITE_JSON.get, reprs, reprs))
+    elif is_array or not any(issubclass(t, _NESTED) for t in {*map(type, values)}):
+        yield opening + pad + json.dumps(_jsonify(obj), separators=("," + pad, ": "))[1:-1]
     else:
         sep = opening + pad
         for key, value in obj.items() if is_dict else ((None, v) for v in obj):
-            yield f"{sep}{json.dumps(key)}: " if is_dict else sep
-            yield from _json_pieces(value, level + 1, text)
+            yield f"{sep}{json.dumps(str(key))}: " if is_dict else sep
+            yield from _json_pieces(value, level + 1, text=text)
             sep = "," + pad
     yield "\n" + " " * level + closing
 
 
-def _write_outputs(out_dir, prefix, grids: dict, report: dict, name, text: _ArrayText):
-    """Write each grid as ``<prefix>_<key>.csv`` and ``report`` as JSON."""
+def _write_outputs(out_dir, prefix, grids: dict, report: dict, name, family=None):
+    """Write each grid as ``<prefix>_<key>.csv``, the ``family`` table if
+    given as ``<prefix>_family.csv`` and ``report`` as ``<prefix>_<name>.json``.
+
+    One memo formats each float array once for every file; it dies with the
+    write.
+    """
+    text = _ArrayText()
     os.makedirs(out_dir, exist_ok=True)
+    path = lambda tail: os.path.join(out_dir, f"{prefix}_{tail}")
     for key, gf in grids.items():
-        _write_rows(os.path.join(out_dir, f"{prefix}_{key}.csv"),
-                    text.reprs(gf.xs), text.reprs(gf.values))
-    with open(os.path.join(out_dir, f"{prefix}_{name}.json"), "w", encoding="utf-8") as fh:
+        _write_rows(path(f"{key}.csv"), text.reprs(gf.xs), text.reprs(gf.values))
+    if family is not None:
+        _write_rows(
+            path("family.csv"),
+            family["members"],
+            text.reprs(family["values"]),
+            np.where(family["converged"], "true", "false").tolist(),
+        )
+    with open(path(f"{name}.json"), "w", encoding="utf-8") as fh:
         fh.writelines(_json_pieces(report, text=text))
         fh.write("\n")
 
@@ -546,25 +550,17 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None):
         "scenario": _scenario_echo(scenario),
         "defaults": DEFAULTS,
         "window_indices": {
-            "main": [int(k) for k in state.window.indices(state.net)],
-            "rate": [int(k) for k in state.rate_window.indices(state.net)],
+            "main": state.window.indices(state.net),
+            "rate": state.rate_window.indices(state.net),
         },
         "tables": tables,
         "family": family_table,
         "checks": checks,
         "verdict": verdict,
     }
-    text = _ArrayText()
-    report = _jsonify(report, text)
     if out_dir is not None:
-        _write_outputs(out_dir, scenario.name, grids, report, "report", text)
-        _write_rows(
-            os.path.join(out_dir, f"{scenario.name}_family.csv"),
-            family_table["members"],
-            text.reprs(family_table["values"]),
-            np.where(family_table["converged"], "true", "false").tolist(),
-        )
-    return report, verdict["all_requested_hold"]
+        _write_outputs(out_dir, scenario.name, grids, report, "report", family_table)
+    return _jsonify(report), verdict["all_requested_hold"]
 
 
 def run_free_energy(scenario: Scenario, out_dir: str | None = None):
@@ -575,19 +571,15 @@ def run_free_energy(scenario: Scenario, out_dir: str | None = None):
     family_table = _family_table(state)
     family_table["liminf"] = state.fe_family.table.liminf
     family_table["limsup"] = state.fe_family.table.limsup
-    text = _ArrayText()
-    report = _jsonify(
-        {
-            "schema_version": SCHEMA_VERSION,
-            "scenario": _scenario_echo(scenario),
-            "tables": tables,
-            "family": family_table,
-        },
-        text,
-    )
+    report = {
+        "schema_version": SCHEMA_VERSION,
+        "scenario": _scenario_echo(scenario),
+        "tables": tables,
+        "family": family_table,
+    }
     if out_dir is not None:
-        _write_outputs(out_dir, scenario.name, grids, report, "free_energy", text)
-    return report
+        _write_outputs(out_dir, scenario.name, grids, report, "free_energy")
+    return _jsonify(report)
 
 
 # ---------------------------------------------------------------------------

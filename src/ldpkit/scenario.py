@@ -63,6 +63,12 @@ class WindowConfig:
     t_min: float
     samples: int
 
+    def __post_init__(self):
+        if not 0 < self.t_min < self.t_max:
+            raise ScenarioError("needs 0 < t_min < t_max")
+        if self.samples < 2:
+            raise ScenarioError("samples must be >= 2")
+
 
 @dataclass(frozen=True)
 class GridConfig:
@@ -240,18 +246,12 @@ class _SectionReader:
 def _window_from(reader: _SectionReader, defaults: WindowConfig | None = None) -> WindowConfig:
     if defaults is not None and not reader.parser.has_section(reader.section):
         return defaults
-    cfg = WindowConfig(
-        t_max=reader.number("t_max"),
-        t_min=reader.number("t_min"),
-        samples=reader.integer("samples", WINDOW_SAMPLES),
-    )
-    if not (0 < cfg.t_min < cfg.t_max):
-        raise ScenarioError(
-            f"{reader.path}: [{reader.section}] needs 0 < t_min < t_max"
-        )
-    if cfg.samples < 2:
-        raise ScenarioError(f"{reader.path}: [{reader.section}] samples must be >= 2")
-    return cfg
+    t_max, t_min = reader.number("t_max"), reader.number("t_min")
+    samples = reader.integer("samples", WINDOW_SAMPLES)
+    try:
+        return WindowConfig(t_max, t_min, samples)
+    except ScenarioError as exc:
+        raise ScenarioError(f"{reader.path}: [{reader.section}] {exc}") from None
 
 
 def _check_params(ch: _SectionReader, checks: tuple[str, ...]) -> CheckParams:
@@ -317,6 +317,9 @@ def load_scenario(path) -> Scenario:
             raise ScenarioError(f"{path}: [net] p must lie in (0, 1)")
     else:
         net_params["max_index"] = net.integer("max_index", 1_000_000)
+    size = "max_n" if net_kind == "iid-bernoulli" else "max_index"  # the last index
+    if net_params[size] < 2:
+        raise net.error(size, f"must be >= 2, got {net_params[size]}")
 
     window = _window_from(section("window"))
     rate_window = _window_from(section("rate-window"), window)
@@ -342,8 +345,14 @@ def load_scenario(path) -> Scenario:
         family_params["lo"] = fam.number("lo")
         family_params["hi"] = fam.number("hi")
         family_params["resolution"] = fam.integer("resolution")
+        if not family_params["lo"] < family_params["hi"]:
+            raise ScenarioError(f"{path}: [family] needs lo < hi")
+        if family_params["resolution"] < 2:
+            raise fam.error("resolution", f"must be >= 2, got {family_params['resolution']}")
     else:  # qn-plus-linear: the linear part reuses the lambda grid
         family_params["n_max"] = fam.integer("n_max", 10)
+        if family_params["n_max"] < 1:
+            raise fam.error("n_max", f"must be >= 1, got {family_params['n_max']}")
 
     xg = section("x-grid")
     x_lo, x_hi = xg.number("lo"), xg.number("hi")

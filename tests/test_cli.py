@@ -19,6 +19,7 @@ from ldpkit.free_energy import lambda_of
 from ldpkit.extreal import INF, NEG_INF
 from ldpkit.pipeline import (
     PipelineState,
+    _ArrayText,
     _json_pieces,
     _jsonify,
     golden_diff,
@@ -227,9 +228,23 @@ class TestScenarioParsing:
         ("kind = two-slope\nlo = -3.0\nhi = 3.0\nresolution = 13",
          "kind = qn-plus-linear\nresolution = 13", "[family] unknown key 'resolution'"),
         ("resolution = 13", "resolution = 13\nn_max = 4", "[family] unknown key 'n_max'"),
+        # each once loaded, then failed at run time naming no file (iid
+        # max_n = 1 named max_index), or ran: a reversed two-slope interval
+        ("max_index = 100000", "max_index = 1", "[net] max_index: must be >= 2"),
+        ("kind = coin\nmax_index = 100000", "kind = iid-bernoulli\nmax_n = 1",
+         "[net] max_n: must be >= 2"),
+        ("resolution = 13", "resolution = 1", "[family] resolution: must be >= 2"),
+        ("kind = two-slope\nlo = -3.0\nhi = 3.0", "kind = linear\nlo = 4\nhi = -4",
+         "[family] needs lo < hi"),
+        ("lo = -3.0\nhi = 3.0", "lo = 4\nhi = 4", "[family] needs lo < hi"),
+        ("lo = -3.0\nhi = 3.0", "lo = 4\nhi = -4", "[family] needs lo < hi"),
+        ("kind = two-slope\nlo = -3.0\nhi = 3.0\nresolution = 13",
+         "kind = qn-plus-linear\nn_max = 0", "[family] n_max: must be >= 1"),
     ], ids=["region-number", "region-spec", "tilt-spec", "sub-required", "sub-reversed",
             "two-slope-reversed", "two-slope-resolution", "coin-max_n", "coin-p",
-            "iid-max_index", "qn-lo", "qn-resolution", "two-slope-n_max"])
+            "iid-max_index", "qn-lo", "qn-resolution", "two-slope-n_max",
+            "coin-max_index-1", "iid-max_n-1", "family-resolution-1", "linear-reversed",
+            "two-slope-empty", "family-reversed", "qn-n_max-0"])
     def test_bad_setting_exits_2_at_load(self, tmp_path, capsys, old, new, where):
         path = tmp_path / "bad.cfg"
         assert MINI_SCENARIO.count(old) == 1
@@ -402,8 +417,23 @@ JSON_SCALARS = st.one_of(
     st.sampled_from([-0.0, float("nan"), INF, NEG_INF]),
     JSON_TEXT,
 )
+# the report tree's own leaves: float arrays with NaN, both infinities and
+# -0.0, bool and int arrays, numpy scalars; every array kind may be empty
+SPECIAL_FLOATS = st.sampled_from([-0.0, float("nan"), INF, NEG_INF])
+NUMPY_LEAVES = st.one_of(
+    st.lists(st.one_of(st.floats(), SPECIAL_FLOATS), max_size=8).map(
+        lambda v: np.array(v, dtype=float)
+    ),
+    st.lists(st.booleans(), max_size=8).map(lambda v: np.array(v, dtype=bool)),
+    st.lists(st.integers(-(2**63), 2**63 - 1), max_size=8).map(
+        lambda v: np.array(v, dtype=np.int64)
+    ),
+    st.one_of(st.floats(), SPECIAL_FLOATS).map(np.float64),
+    st.booleans().map(np.bool_),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+)
 JSON_TREES = st.recursive(
-    JSON_SCALARS,
+    st.one_of(JSON_SCALARS, NUMPY_LEAVES),
     lambda kids: st.one_of(
         st.lists(kids), st.lists(kids).map(tuple), st.dictionaries(JSON_TEXT, kids)
     ),
@@ -415,13 +445,15 @@ class TestJsonPieces:
     @given(JSON_TREES)
     @settings(max_examples=150, deadline=None)
     def test_equals_json_dumps_indent_1(self, obj):
-        assert "".join(_json_pieces(obj)) == json.dumps(obj, indent=1)
+        got = "".join(_json_pieces(obj, text=_ArrayText()))
+        assert got == json.dumps(_jsonify(obj), indent=1)
 
     @pytest.mark.parametrize("name", ["ge-ex", "dem-zei", "cramer"])
     def test_packaged_reports(self, name):
         sc = packaged_scenario(name)
         for report in (run_scenario(sc)[0], run_free_energy(sc)):
-            assert "".join(_json_pieces(report)) == json.dumps(report, indent=1)
+            got = "".join(_json_pieces(report, text=_ArrayText()))
+            assert got == json.dumps(report, indent=1)
 
 
 class TestWrittenFiles:
@@ -496,6 +528,16 @@ class TestCliCommands:
         report = json.loads((out / "mini_report.json").read_text())
         assert report["scenario"]["window"]["t_max"] == 1e-3
         assert report["scenario"]["tolerances"]["convergence"] == 0.05
+
+    @pytest.mark.parametrize("window, message", [
+        ("1e-6:1e-2:48", "needs 0 < t_min < t_max"),
+        ("1e-2:1e-6:1", "samples must be >= 2"),
+        ("1e-2:1e-6:x", "invalid literal for int()"),
+    ], ids=["reversed", "one-sample", "not-a-number"])
+    def test_bad_window_override_exits_2(self, mini_scenario, capsys, window, message):
+        # each once exited 2 with an error that did not name --window
+        assert main(["free-energy", str(mini_scenario), "--window", window]) == 2
+        assert f"--window {window}: {message}" in capsys.readouterr().err
 
     def test_free_energy_command(self, mini_scenario, tmp_path, capsys):
         rc = main(["free-energy", str(mini_scenario), "--out-dir", str(tmp_path / "o")])
