@@ -7,12 +7,7 @@ and mechanically checks the derivative-range conditions under which a vague
 or narrow large deviation principle holds.
 """
 
-from .conjugate import (
-    FamilyEvaluation,
-    abstract_lf,
-    evaluate_family,
-    stable_abstract_lf,
-)
+from .conjugate import abstract_lf, stable_abstract_lf
 from .convex import (
     DerivativeRange,
     GridFunction,
@@ -29,7 +24,6 @@ from .convex import (
 from .free_energy import (
     FamilyTable,
     L_from_table,
-    L_grid,
     LimitEstimate,
     WindowSpec,
     lambda_family_table,

@@ -75,11 +75,14 @@ def _cmd_free_energy(args) -> int:
 
 def _parse_dual_grid(spec: str) -> np.ndarray:
     parts = spec.split(":")
-    if len(parts) != 3:
-        raise GridFormatError("--dual-grid expects lo:hi:n")
-    lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
-    if not lo < hi or n < 2:
-        raise GridFormatError("--dual-grid needs lo < hi and n >= 2")
+    try:
+        if len(parts) != 3:
+            raise ValueError("expects lo:hi:n")
+        lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+        if not (-np.inf < lo < hi < np.inf and n >= 2):
+            raise ValueError("needs finite lo < hi and n >= 2")
+    except ValueError as exc:  # a part that is not a number, or a bad grid
+        raise GridFormatError(f"--dual-grid {spec}: {exc}") from None
     return np.linspace(lo, hi, n)
 
 

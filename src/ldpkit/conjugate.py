@@ -16,11 +16,15 @@ Since families are finite truncations of (usually) infinite ones, a raw
 finite sup may just mean "growing with the truncation bound".  The
 stability layer re-evaluates the sup over a doubled family and declares
 ``+inf`` wherever the value keeps growing; values that stabilize are kept.
+
+Both transforms take the family together with the :class:`FamilyTable`
+that :func:`lambda_family_table` returns for it, so a table computed once
+serves every caller; ``stable_abstract_lf`` evaluates only the doubled
+family itself.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -35,38 +39,6 @@ from .tilts import TiltFamily
 GROWTH_CAP = 1e6
 
 
-@dataclass(frozen=True)
-class FamilyEvaluation:
-    """A tilt family together with its table of free-energy estimates."""
-
-    family: TiltFamily
-    table: FamilyTable
-
-    def __post_init__(self):
-        if len(self.family) != len(self.table):
-            raise ValueError("family and estimates must have matching lengths")
-
-    @property
-    def all_exist(self) -> bool:
-        """Every member converged (possibly to +-inf)."""
-        return bool(self.table.converged.all())
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.table.value
-
-
-def evaluate_family(
-    net: ScaledMeasureNet,
-    family: TiltFamily,
-    window: WindowSpec,
-    tol: float = Tolerances.convergence,
-    divergence_threshold: float = Tolerances.divergence_threshold,
-) -> FamilyEvaluation:
-    table = lambda_family_table(net, family, window, tol, divergence_threshold)
-    return FamilyEvaluation(family, table)
-
-
 def _sup_over_rows(H: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``max_i (H[i] - F[i])`` over finite ``F``, and where an ``F = -inf`` row
     lies above ``-inf`` (those points are forced to ``+inf``).  Overwrites ``H``."""
@@ -78,20 +50,23 @@ def _sup_over_rows(H: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return np.max(H, axis=0, initial=NEG_INF), force
 
 
-def abstract_lf(fe: FamilyEvaluation, x_grid: Sequence[float]) -> GridFunction:
+def abstract_lf(family: TiltFamily, table: FamilyTable, x_grid: Sequence[float]) -> GridFunction:
     """Raw abstract conjugate ``sup_h (h(x) - F(h))`` over the family.
 
-    Requires every member's free energy to exist (``fe.all_exist``); the
-    raw definition is returned with no truncation-stability correction.
+    ``table`` is the family's :func:`lambda_family_table`; every member's
+    free energy must exist (converge, possibly to +-inf).  The raw
+    definition is returned with no truncation-stability correction.
     Sloped members are grouped by their slope on each side of the origin
     (see the module docstring); custom members are evaluated row by row.
     """
-    if not fe.all_exist:
-        bad = int(np.count_nonzero(~fe.table.converged))
+    if len(family) != len(table):
+        raise ValueError("family and estimates must have matching lengths")
+    if not table.converged.all():
+        bad = int(np.count_nonzero(~table.converged))
         raise ValueError(f"{bad} family member(s) have no converged free energy")
     xs = np.asarray(x_grid, dtype=float)
-    F = fe.values
-    lam, nu = fe.family.lam, fe.family.nu
+    F = table.value
+    lam, nu = family.lam, family.nu
     sloped = ~np.isnan(lam)
     left = xs <= 0.0
     vals = np.empty(xs.shape)
@@ -101,8 +76,8 @@ def abstract_lf(fe: FamilyEvaluation, x_grid: Sequence[float]) -> GridFunction:
         best = np.full(axis.size, INF)  # min F per slope; NaN never wins
         np.fmin.at(best, at, F[sloped])
         vals[cols], force[cols] = _sup_over_rows(axis[:, None] * xs[cols], best)
-    if fe.family.custom:
-        H = np.array([member.eval_array(xs) for member in fe.family.custom])
+    if family.custom:
+        H = np.array([member.eval_array(xs) for member in family.custom])
         sup, neg = _sup_over_rows(H, F[~sloped])
         vals = np.maximum(vals, sup)
         force |= neg
@@ -112,27 +87,27 @@ def abstract_lf(fe: FamilyEvaluation, x_grid: Sequence[float]) -> GridFunction:
 def stable_abstract_lf(
     net: ScaledMeasureNet,
     family: TiltFamily,
+    table: FamilyTable,
     x_grid: Sequence[float],
     window: WindowSpec,
     tol: float = Tolerances.convergence,
     divergence_threshold: float = Tolerances.divergence_threshold,
     stability_tol: float = Tolerances.stability,
-    fe: FamilyEvaluation | None = None,
 ) -> GridFunction:
     """Abstract conjugate with the family-doubling stability check.
 
-    Evaluates the raw conjugate over the family and over ``family.doubled()``
-    (a superset, so the sup can only grow).  Entries that grow by more than
+    Evaluates the raw conjugate over the family, from its ``table``, and
+    over ``family.doubled()`` (a superset, so the sup can only grow), whose
+    table is computed here.  Entries that grow by more than
     ``stability_tol`` or exceed ``GROWTH_CAP`` are flagged in the bool
     array ``meta["flagged"]`` and reported as ``+inf``; entries that
     stabilize keep the requested family's value.
-    The family's evaluation may be passed as ``fe`` to avoid recomputation.
     """
     xs = np.asarray(x_grid, dtype=float)
-    fe1 = fe or evaluate_family(net, family, window, tol, divergence_threshold)
-    fe2 = evaluate_family(net, family.doubled(), window, tol, divergence_threshold)
-    raw = abstract_lf(fe1, xs).values
-    wide = abstract_lf(fe2, xs).values
+    wide_family = family.doubled()
+    wide_table = lambda_family_table(net, wide_family, window, tol, divergence_threshold)
+    raw = abstract_lf(family, table, xs).values
+    wide = abstract_lf(wide_family, wide_table, xs).values
     growth = ext_sub(wide, raw)
     flagged = (growth > stability_tol) | (raw > GROWTH_CAP) | np.isposinf(raw)
     return GridFunction(

@@ -15,6 +15,7 @@ proper-convex-lsc restriction lemma check).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -51,6 +52,8 @@ class GridFunction:
             raise ValueError("xs and values must be 1-D arrays of equal length")
         if xs.size < 2:
             raise ValueError("a grid function needs at least two points")
+        if not np.isfinite(xs).all():
+            raise ValueError("grid points must be finite")
         if np.any(np.diff(xs) <= 0):
             raise ValueError("grid must be strictly increasing")
         if np.any(np.isnan(vals)):
@@ -441,7 +444,7 @@ def conv_lemma_check(
 def _write_rows(path, *columns: Sequence[str]) -> None:
     """Write text columns side by side, one comma-separated line per row."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("".join([",".join(row) + "\n" for row in zip(*columns)]))
+        fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
 
 
 def save_grid_csv(f: GridFunction, path) -> None:
@@ -467,6 +470,8 @@ def load_grid_csv(path, label: str = "") -> GridFunction:
                 x, v = float(parts[0]), float(parts[1])
             except ValueError as exc:
                 raise GridFormatError(f"{path}:{lineno}: {exc}") from exc
+            if not math.isfinite(x):
+                raise GridFormatError(f"{path}:{lineno}: grid point x = {x} is not finite")
             if xs and x <= xs[-1]:
                 raise GridFormatError(
                     f"{path}:{lineno}: grid must be strictly increasing"

@@ -45,7 +45,7 @@ from .convex import GridFunction
 from .extreal import INF, NEG_INF
 from .measures import ScaledMeasureNet
 from .scenario import WINDOW_SAMPLES, Tolerances
-from .tilts import TiltFamily, TiltFunction, explicit_family, linear_family
+from .tilts import TiltFamily, TiltFunction, explicit_family
 
 DIVERGENCE_RUN = 5
 # Slope x atom terms per logsumexp block; rows stay whole, so the sums do
@@ -402,20 +402,3 @@ def L_from_table(family: TiltFamily, table: FamilyTable, label: str = "L") -> Gr
     meta = {key: getattr(table, key) for key in ("converged", "liminf", "limsup")}
     return GridFunction(family.lam, table.value, label=label, meta=meta)
 
-
-def L_grid(
-    net: ScaledMeasureNet,
-    G: tuple[float, float],
-    resolution: int,
-    window: WindowSpec,
-    tol: float = Tolerances.convergence,
-    divergence_threshold: float = Tolerances.divergence_threshold,
-    label: str = "L",
-) -> GridFunction:
-    """Sample the free energy of linear tilts on a grid inside open G.
-
-    See :func:`L_from_table` for the values and ``meta`` returned.
-    """
-    family = linear_family(G[0], G[1], resolution)
-    table = lambda_family_table(net, family, window, tol, divergence_threshold)
-    return L_from_table(family, table, label)

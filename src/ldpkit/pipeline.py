@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from . import convex, verifier
-from .conjugate import abstract_lf, evaluate_family, stable_abstract_lf
+from .conjugate import abstract_lf, stable_abstract_lf
 from .convex import GridFunction, _write_rows, chord_slopes, essential_smoothness_check, lf_transform
 from .extreal import INF
 from .free_energy import FamilyTable, L_from_table, lambda_family_table, window_for_t_range
@@ -195,7 +195,7 @@ def _write_outputs(out_dir, prefix, grids: dict, report: dict, name, family=None
 
 
 def _family_table(state: "PipelineState") -> dict:
-    table = state.fe_family.table
+    table = state.family_table
     return {
         "kind": state.family.kind,
         "members": state.family.labels(),
@@ -238,7 +238,6 @@ class PipelineState:
 
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
-        tol = scenario.tolerances
         self.net = build_net(scenario)
         self.window = window_for_t_range(
             self.net, scenario.window.t_max, scenario.window.t_min, scenario.window.samples
@@ -256,19 +255,21 @@ class PipelineState:
         self.linear_fam = linear_family(g.lo, g.hi, g.resolution)
         self.family = build_family(scenario)
 
-        def eval_fam(f):
-            return evaluate_family(
-                self.net, f, self.window, tol.convergence, tol.divergence_threshold
-            )
-
-        self.fe_linear = eval_fam(self.linear_fam)
-        self.fe_family = eval_fam(self.family)
-        self.L = L_from_table(self.linear_fam, self.fe_linear.table)
+        self.linear_table = self._table(self.linear_fam)
+        self.family_table = self._table(self.family)
+        self.L = L_from_table(self.linear_fam, self.linear_table)
         self.L_wide = None
         if scenario.wide_lambda_grid:
             w = scenario.wide_lambda_grid
             wide = linear_family(w.lo, w.hi, w.resolution)
-            self.L_wide = L_from_table(wide, eval_fam(wide).table, "L_wide")
+            self.L_wide = L_from_table(wide, self._table(wide), "L_wide")
+
+    def _table(self, family: TiltFamily) -> FamilyTable:
+        """The family's free energies over the main window, at the scenario's tolerances."""
+        tol = self.scenario.tolerances
+        return lambda_family_table(
+            self.net, family, self.window, tol.convergence, tol.divergence_threshold
+        )
 
     @cached_property
     def x_grid(self) -> np.ndarray:
@@ -288,14 +289,8 @@ class PipelineState:
     def abstract_star(self) -> GridFunction:
         tol = self.scenario.tolerances
         return stable_abstract_lf(
-            self.net,
-            self.family,
-            self.x_grid,
-            self.window,
-            tol.convergence,
-            tol.divergence_threshold,
-            stability_tol=tol.stability,
-            fe=self.fe_family,
+            self.net, self.family, self.family_table, self.x_grid, self.window,
+            tol.convergence, tol.divergence_threshold, tol.stability,
         ).with_label("abstract_star")
 
     @cached_property
@@ -324,11 +319,7 @@ class PipelineState:
         s = self.scenario
         tilts = list(s.check_params.varadhan_tilts) if "varadhan" in s.all_checks() else []
         tilts.append(TiltFunction.linear(0.0))
-        table = lambda_family_table(
-            self.net, explicit_family(tilts), self.window,
-            s.tolerances.convergence, s.tolerances.divergence_threshold,
-        )
-        return tilts, table
+        return tilts, self._table(explicit_family(tilts))
 
     @cached_property
     def lambda_bar_zero(self) -> float:
@@ -336,13 +327,7 @@ class PipelineState:
 
     @cached_property
     def targets(self) -> RangeTargets:
-        return RangeTargets(
-            rfe=self.rfe,
-            abstract_star=self.abstract_star,
-            linear_star=self.L_star,
-            J=self.J,
-            lambda_bar_zero=self.lambda_bar_zero,
-        )
+        return RangeTargets(self.rfe, self.abstract_star, self.L_star, self.lambda_bar_zero)
 
 
 def _range_condition_entry(state: PipelineState, cid: str) -> dict:
@@ -365,13 +350,8 @@ def _range_condition_entry(state: PipelineState, cid: str) -> dict:
         lo, hi, res = s.check_params.two_slope
         aux = two_slope_family((lo, hi), (lo, hi), res)
         aux_star = stable_abstract_lf(
-            state.net,
-            aux,
-            state.x_grid,
-            state.window,
-            tol.convergence,
-            tol.divergence_threshold,
-            stability_tol=tol.stability,
+            state.net, aux, state._table(aux), state.x_grid, state.window,
+            tol.convergence, tol.divergence_threshold, tol.stability,
         )
         targets = replace(state.targets, abstract_star=aux_star)
         rep = range_condition_check(state.L, state.G, targets, cid, tol.filter)
@@ -464,7 +444,7 @@ def _run_check(state: PipelineState, cid: str) -> dict:
         )
         return {"condition_id": cid, "holds": ok, "worst": worst, "slack": tol.sandwich_slack}
     if cid == "conjugate-consistency":
-        direct = abstract_lf(state.fe_linear, state.x_grid)
+        direct = abstract_lf(state.linear_fam, state.linear_table, state.x_grid)
         _, worst, witnesses = verifier.equality_on_mask(
             direct, state.L_star, np.ones(state.x_grid.shape, dtype=bool), 1e-6
         )
@@ -569,8 +549,8 @@ def run_free_energy(scenario: Scenario, out_dir: str | None = None):
     grids = {name: gf for name, gf in (("L", state.L), ("L_wide", state.L_wide)) if gf is not None}
     tables = {name: _grid_function_table(gf) for name, gf in grids.items()}
     family_table = _family_table(state)
-    family_table["liminf"] = state.fe_family.table.liminf
-    family_table["limsup"] = state.fe_family.table.limsup
+    family_table["liminf"] = state.family_table.liminf
+    family_table["limsup"] = state.family_table.limsup
     report = {
         "schema_version": SCHEMA_VERSION,
         "scenario": _scenario_echo(scenario),

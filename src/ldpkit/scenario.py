@@ -17,6 +17,7 @@ key it came from.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 
 from .measures import RegionSet
@@ -64,8 +65,8 @@ class WindowConfig:
     samples: int
 
     def __post_init__(self):
-        if not 0 < self.t_min < self.t_max:
-            raise ScenarioError("needs 0 < t_min < t_max")
+        if not 0 < self.t_min < self.t_max < math.inf:
+            raise ScenarioError("needs 0 < t_min < t_max < inf")
         if self.samples < 2:
             raise ScenarioError("samples must be >= 2")
 
@@ -196,9 +197,12 @@ class _SectionReader:
     def number(self, key: str, default: float | None = None) -> float:
         raw = self.raw(key, default)
         try:
-            return float(raw)
+            value = float(raw)
         except (TypeError, ValueError) as exc:
             raise self.error(key, f"not a number: {raw!r}") from exc
+        if not math.isfinite(value):
+            raise self.error(key, f"not a finite number: {raw!r}")
+        return value
 
     def entries(self, key: str, parse=str) -> tuple:
         """``parse`` of each entry of a comma-separated list; empty if absent."""

@@ -284,18 +284,16 @@ class RangeTargets:
 
     All grid functions share ``rfe.grid``.  ``abstract_star`` should carry
     truncation-stability flags (+inf where unstable); ``linear_star`` is the
-    classical conjugate of the sampled L; ``J`` is the empirical rate
-    function when the vague-LDP check held.
+    classical conjugate of the sampled L.
     """
 
     rfe: RateFunctionEstimate
     abstract_star: GridFunction | None = None
     linear_star: GridFunction | None = None
-    J: GridFunction | None = None
     lambda_bar_zero: float = 0.0
 
     def __post_init__(self):
-        for gf in (self.abstract_star, self.linear_star, self.J):
+        for gf in (self.abstract_star, self.linear_star):
             if gf is not None and not np.array_equal(gf.xs, self.rfe.grid):
                 raise ValueError("all range-condition targets must share the rate grid")
 

@@ -16,7 +16,6 @@ import numpy as np
 from scipy.special import logsumexp
 
 from ldpkit import free_energy
-from ldpkit.conjugate import FamilyEvaluation
 from ldpkit.convex import GridFunction, lf_transform
 from ldpkit.extreal import INF, NEG_INF
 from ldpkit.free_energy import DIVERGENCE_RUN, FamilyTable, L_from_table, LimitEstimate
@@ -192,7 +191,7 @@ def index_range_for_t(net: ScaledMeasureNet, t_max: float, t_min: float) -> tupl
 
 
 def linear_restriction_conjugate(
-    fe: FamilyEvaluation, x_grid: Sequence[float]
+    family: TiltFamily, table: FamilyTable, x_grid: Sequence[float]
 ) -> GridFunction:
     """Classical conjugate of the sampled free energy of a linear family.
 
@@ -200,8 +199,8 @@ def linear_restriction_conjugate(
     diverged) and applies ``lf_transform``; the cross-check path against
     ``abstract_lf`` on the same family.
     """
-    L = L_from_table(fe.family, fe.table)
-    if not fe.all_exist:
+    L = L_from_table(family, table)
+    if not table.converged.all():
         raise ValueError("family has members with no converged free energy")
     return lf_transform(L, x_grid).with_label("linear-restriction-conjugate")
 

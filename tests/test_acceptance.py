@@ -13,9 +13,8 @@ import pytest
 
 import ldpkit
 from ldpkit.cli import main as cli_main
-from ldpkit.conjugate import abstract_lf, evaluate_family, stable_abstract_lf
+from ldpkit.conjugate import abstract_lf, stable_abstract_lf
 from ldpkit.convex import (
-    GridFunction,
     brute_force_conjugate,
     chord_slopes,
     conv_lemma_check,
@@ -23,6 +22,7 @@ from ldpkit.convex import (
     essential_smoothness_check,
     lf_transform,
 )
+from ldpkit.free_energy import L_from_table, lambda_family_table
 from ldpkit.measures import RegionSet
 from ldpkit.scenario import Tolerances
 from ldpkit.tilts import (
@@ -86,9 +86,8 @@ def iid_window():
 @pytest.fixture(scope="module")
 def iid_L(iid_net, iid_window):
     """Free energy of linear tilts on (-4, 4), 255 interior points."""
-    fe = evaluate_family(iid_net, linear_family(-4, 4, 255), iid_window, 1e-6)
-    xs = np.array([m.lam for m in fe.family.members])
-    return GridFunction(xs, fe.values, label="L")
+    fam = linear_family(-4, 4, 255)
+    return L_from_table(fam, lambda_family_table(iid_net, fam, iid_window, 1e-6))
 
 
 @pytest.fixture(scope="module")
@@ -106,13 +105,11 @@ def iid_aligned(iid_net, iid_window):
     where powered-ball estimates are exact single-atom quantities."""
     xs = np.arange(math.ceil(0.02 * 512), math.floor(0.98 * 512) + 1) / 512.0
     rfe = rate_grid(iid_net, xs, 2.0 ** -15, iid_window)
-    fe_lin = evaluate_family(iid_net, linear_family(-4, 4, 31), iid_window, 1e-6)
-    L31 = GridFunction(
-        np.array([m.lam for m in fe_lin.family.members]), fe_lin.values, label="L31"
-    )
+    lin = linear_family(-4, 4, 31)
+    L31 = L_from_table(lin, lambda_family_table(iid_net, lin, iid_window, 1e-6), "L31")
     fam = two_slope_family((-3.75, 3.75), (-3.75, 3.75), 31)
-    fe_fam = evaluate_family(iid_net, fam, iid_window, 1e-6)
-    return dict(xs=xs, rfe=rfe, L=L31, fe_lin=fe_lin, fe_fam=fe_fam)
+    fam_table = lambda_family_table(iid_net, fam, iid_window, 1e-6)
+    return dict(xs=xs, rfe=rfe, L=L31, fam=fam, fam_table=fam_table)
 
 
 # ---------------------------------------------------------------------------
@@ -158,22 +155,20 @@ def test_criterion_2_fenchel_moreau(corpus):
 def test_criterion_3_coin_reproduction(coin_net, main_window, rate_window):
     t0 = time.perf_counter()
     # L matches |lambda| within 1e-3 on (-3, 3)
-    fe_lin = evaluate_family(coin_net, linear_family(-3, 3, 61), main_window, TOL)
-    L = GridFunction(
-        np.array([m.lam for m in fe_lin.family.members]), fe_lin.values, label="L"
-    )
+    lin = linear_family(-3, 3, 61)
+    L = L_from_table(lin, lambda_family_table(coin_net, lin, main_window, TOL))
     l_err = float(np.max(np.abs(L.values - np.abs(L.xs))))
 
     # family table matches max(-lam, nu) within 1e-3 on [-4, 4]^2
     fam = two_slope_family((-4, 4), (-4, 4), 41)
-    fe = evaluate_family(coin_net, fam, main_window, TOL)
+    table = lambda_family_table(coin_net, fam, main_window, TOL)
     fam_err = max(
-        abs(v - max(-m.lam, m.nu)) for m, v in zip(fam.members, fe.values.tolist())
+        abs(v - max(-m.lam, m.nu)) for m, v in zip(fam.members, table.value.tolist())
     )
 
     # abstract conjugate: <= 1e-3 at +-1, flagged +inf elsewhere under doubling
     xs = np.linspace(-2, 2, 81)
-    sc = stable_abstract_lf(coin_net, fam, xs, main_window, TOL, fe=fe)
+    sc = stable_abstract_lf(coin_net, fam, table, xs, main_window, TOL)
     at_atoms = np.isclose(np.abs(xs), 1.0)
     abstract_ok = (
         float(np.max(np.abs(sc.values[at_atoms]))) <= 1e-3
@@ -181,18 +176,15 @@ def test_criterion_3_coin_reproduction(coin_net, main_window, rate_window):
     )
 
     rfe = rate_grid(coin_net, xs, RADIUS, rate_window)
-    ldp_ok, J, _ = vague_ldp_check(rfe, 1e-3)
+    ldp_ok, _, _ = vague_ldp_check(rfe, 1e-3)
 
     L_star = lf_transform(L, xs)
-    targets = RangeTargets(
-        rfe=rfe, abstract_star=sc, linear_star=L_star, J=J, lambda_bar_zero=0.0
-    )
+    targets = RangeTargets(rfe=rfe, abstract_star=sc, linear_star=L_star, lambda_bar_zero=0.0)
     ellis = range_condition_check(L, (-3, 3), targets, "ellis-two-slope", FILTER_TOL)
 
     L_sub = L.restrict_open(-0.5, 0.5)
     targets_sub = RangeTargets(
-        rfe=rfe, abstract_star=sc, linear_star=lf_transform(L_sub, xs),
-        J=J, lambda_bar_zero=0.0,
+        rfe=rfe, abstract_star=sc, linear_star=lf_transform(L_sub, xs), lambda_bar_zero=0.0
     )
     geb_sub = range_condition_check(
         L_sub, (-0.5, 0.5), targets_sub, "gartner-ellis-b", FILTER_TOL
@@ -221,12 +213,8 @@ def test_criterion_4_escaping_example(demzei_net, main_window, rate_window):
     t0 = time.perf_counter()
     DIV = 1e3
     # L ~ 0 within 1e-3 on (-1, 1), flagged +inf for |lam| >= 1 + step
-    fe_wide = evaluate_family(
-        demzei_net, linear_family(-2, 2, 39), main_window, TOL, DIV
-    )
-    Lw = GridFunction(
-        np.array([m.lam for m in fe_wide.family.members]), fe_wide.values
-    )
+    wide = linear_family(-2, 2, 39)
+    Lw = L_from_table(wide, lambda_family_table(demzei_net, wide, main_window, TOL, DIV))
     step = 0.1
     inside = np.abs(Lw.xs) <= 1.0 + 1e-12
     beyond = np.abs(Lw.xs) >= 1.0 + step - 1e-12
@@ -235,13 +223,14 @@ def test_criterion_4_escaping_example(demzei_net, main_window, rate_window):
     )
 
     # free energies of the bump tilts vanish within 1e-3 for n <= 10
-    fe_q = evaluate_family(demzei_net, qn_family(10), main_window, TOL, DIV)
-    q_err = max(abs(v) for v in fe_q.values.tolist())
+    q_table = lambda_family_table(demzei_net, qn_family(10), main_window, TOL, DIV)
+    q_err = max(abs(v) for v in q_table.value.tolist())
 
     # rate function = abstract conjugate = indicator-style at 0
     xs = np.linspace(-3, 3, 121)
     fam = family_union(qn_family(10), linear_family(-1, 1, 21))
-    sc = stable_abstract_lf(demzei_net, fam, xs, main_window, TOL, DIV)
+    table = lambda_family_table(demzei_net, fam, main_window, TOL, DIV)
+    sc = stable_abstract_lf(demzei_net, fam, table, xs, main_window, TOL, DIV)
     origin = xs == 0.0
     indicator_ok = abs(sc.values[origin][0]) <= 1e-3 and bool(
         np.all(np.isposinf(sc.values[~origin]))
@@ -253,8 +242,8 @@ def test_criterion_4_escaping_example(demzei_net, main_window, rate_window):
     )
 
     # J == linear conjugate on dom(J) = {0}; differs off it (theorem-allowed)
-    fe_lin = evaluate_family(demzei_net, linear_family(-1, 1, 21), main_window, TOL, DIV)
-    L = GridFunction(np.array([m.lam for m in fe_lin.family.members]), fe_lin.values)
+    lin = linear_family(-1, 1, 21)
+    L = L_from_table(lin, lambda_family_table(demzei_net, lin, main_window, TOL, DIV))
     L_star = lf_transform(L, xs)
     dom = np.isfinite(J.values)
     cmp_out = rate_comparison(J, L_star, sc, {"dom_J": dom}, 1e-3)
@@ -282,30 +271,29 @@ def test_criterion_5_sandwich_chain(
 
     # two-point net
     xs = np.linspace(-2, 2, 81)
-    fe_lin = evaluate_family(coin_net, linear_family(-3, 3, 61), main_window, TOL)
-    L = GridFunction(np.array([m.lam for m in fe_lin.family.members]), fe_lin.values)
-    sc = stable_abstract_lf(
-        coin_net, two_slope_family((-4, 4), (-4, 4), 41), xs, main_window, TOL
-    )
+    lin = linear_family(-3, 3, 61)
+    L = L_from_table(lin, lambda_family_table(coin_net, lin, main_window, TOL))
+    fam = two_slope_family((-4, 4), (-4, 4), 41)
+    table = lambda_family_table(coin_net, fam, main_window, TOL)
+    sc = stable_abstract_lf(coin_net, fam, table, xs, main_window, TOL)
     rfe = rate_grid(coin_net, xs, RADIUS, rate_window)
     ok1, worst1 = sandwich_check(lf_transform(L, xs), sc, rfe, slack)
     worst_all["coin"] = worst1["violation"]
 
     # escaping net
     xs = np.linspace(-3, 3, 121)
-    fe_lin = evaluate_family(
-        demzei_net, linear_family(-1, 1, 21), main_window, TOL, 1e3
-    )
-    L = GridFunction(np.array([m.lam for m in fe_lin.family.members]), fe_lin.values)
-    fam = family_union(qn_family(10), linear_family(-1, 1, 21))
-    sc = stable_abstract_lf(demzei_net, fam, xs, main_window, TOL, 1e3)
+    lin = linear_family(-1, 1, 21)
+    L = L_from_table(lin, lambda_family_table(demzei_net, lin, main_window, TOL, 1e3))
+    fam = family_union(qn_family(10), lin)
+    table = lambda_family_table(demzei_net, fam, main_window, TOL, 1e3)
+    sc = stable_abstract_lf(demzei_net, fam, table, xs, main_window, TOL, 1e3)
     rfe = rate_grid(demzei_net, xs, RADIUS, rate_window)
     ok2, worst2 = sandwich_check(lf_transform(L, xs), sc, rfe, slack)
     worst_all["dem-zei"] = worst2["violation"]
 
     # iid empirical mean, atom-aligned grid
     al = iid_aligned
-    star = abstract_lf(al["fe_fam"], al["xs"])
+    star = abstract_lf(al["fam"], al["fam_table"], al["xs"])
     ok3, worst3 = sandwich_check(
         lf_transform(al["L"], al["xs"]), star, al["rfe"], slack
     )
@@ -328,15 +316,15 @@ def test_criterion_6_derivative_bound(
     results = {}
 
     xs = np.linspace(-2, 2, 81)
-    fe = evaluate_family(coin_net, linear_family(-3, 3, 61), main_window, TOL)
-    L = GridFunction(np.array([m.lam for m in fe.family.members]), fe.values)
+    lin = linear_family(-3, 3, 61)
+    L = L_from_table(lin, lambda_family_table(coin_net, lin, main_window, TOL))
     rfe = rate_grid(coin_net, xs, RADIUS, rate_window)
     ok, fails = derivative_bound_scan(L, rfe, tol)
     results["coin(-3,3)"] = (ok, len(fails))
 
     xs = np.linspace(-3, 3, 121)
-    fe = evaluate_family(demzei_net, linear_family(-1, 1, 21), main_window, TOL, 1e3)
-    L = GridFunction(np.array([m.lam for m in fe.family.members]), fe.values)
+    lin = linear_family(-1, 1, 21)
+    L = L_from_table(lin, lambda_family_table(demzei_net, lin, main_window, TOL, 1e3))
     rfe = rate_grid(demzei_net, xs, RADIUS, rate_window)
     ok, fails = derivative_bound_scan(L, rfe, tol)
     results["dem-zei(-1,1)"] = (ok, len(fails))
@@ -454,13 +442,11 @@ def test_criterion_8_cramer_cross_check(iid_net, iid_window, iid_L, iid_rfe_slop
 
     smooth_ok, diag = essential_smoothness_check(iid_L)
 
-    _, J, _ = vague_ldp_check(iid_rfe_slopes, 5e-3)
     L_star_rate = lf_transform(iid_L, iid_rfe_slopes.grid)
     targets = RangeTargets(
         rfe=iid_rfe_slopes,
         abstract_star=L_star_rate,  # unused by the linear condition
         linear_star=L_star_rate,
-        J=J,
         lambda_bar_zero=0.0,
     )
     ge_a = range_condition_check(iid_L, (-4, 4), targets, "gartner-ellis-a", FILTER_TOL)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -151,10 +152,14 @@ class TestScenarioParsing:
     def test_tolerances_must_be_finite_and_positive(self, tmp_path, capsys, key, value):
         path = tmp_path / "bad.cfg"
         path.write_text(MINI_SCENARIO.replace(f"{key} = 5e-3", f"{key} = {value}"))
-        with pytest.raises(ScenarioError, match=f"tolerance {key} must be finite and > 0"):
+        # the reader stops a non-finite number, naming the file, section and key
+        where = (f"tolerance {key} must be finite and > 0" if value == "0"
+                 else f"{path}: [tolerances] {key}: not a finite number: {value!r}")
+        with pytest.raises(ScenarioError) as exc:
             load_scenario(path)
+        assert where in str(exc.value)
         assert main(["run", str(path)]) == 2
-        assert f"tolerance {key}" in capsys.readouterr().err
+        assert where in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["run", "free-energy"])
     @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -240,11 +245,19 @@ class TestScenarioParsing:
         ("lo = -3.0\nhi = 3.0", "lo = 4\nhi = -4", "[family] needs lo < hi"),
         ("kind = two-slope\nlo = -3.0\nhi = 3.0\nresolution = 13",
          "kind = qn-plus-linear\nn_max = 0", "[family] n_max: must be >= 1"),
+        # non-finite numbers: numpy warnings then a blamed L, a blamed ball
+        # radius, and a run that ended in an unconverged tilt
+        ("lo = -2.0\nhi = 2.0", "lo = -2.0\nhi = inf",
+         "[lambda-grid] hi: not a finite number: 'inf'"),
+        ("lo = -1.5", "lo = -inf", "[x-grid] lo: not a finite number: '-inf'"),
+        ("t_max = 1e-2", "t_max = inf", "[window] t_max: not a finite number: 'inf'"),
+        ("t_max = 1e-3", "t_max = nan", "[rate-window] t_max: not a finite number: 'nan'"),
     ], ids=["region-number", "region-spec", "tilt-spec", "sub-required", "sub-reversed",
             "two-slope-reversed", "two-slope-resolution", "coin-max_n", "coin-p",
             "iid-max_index", "qn-lo", "qn-resolution", "two-slope-n_max",
             "coin-max_index-1", "iid-max_n-1", "family-resolution-1", "linear-reversed",
-            "two-slope-empty", "family-reversed", "qn-n_max-0"])
+            "two-slope-empty", "family-reversed", "qn-n_max-0", "lambda-hi-inf",
+            "x-lo-inf", "window-t_max-inf", "rate-window-t_max-nan"])
     def test_bad_setting_exits_2_at_load(self, tmp_path, capsys, old, new, where):
         path = tmp_path / "bad.cfg"
         assert MINI_SCENARIO.count(old) == 1
@@ -330,9 +343,8 @@ class TestRunScenario:
         def unused(*args, **kwargs):
             raise AssertionError("free-energy does not report this")
 
-        # pipeline's own lambda_family_table evaluates only the single tilts
-        # (varadhan and linear:0); the reported families go through conjugate
-        for name in ("rate_grid", "stable_abstract_lf", "lf_transform", "lambda_family_table"):
+        # explicit_family builds only the single tilts (varadhan and linear:0)
+        for name in ("rate_grid", "stable_abstract_lf", "lf_transform", "explicit_family"):
             monkeypatch.setattr(f"ldpkit.pipeline.{name}", unused)
         assert run_free_energy(sc) == want
 
@@ -533,7 +545,8 @@ class TestCliCommands:
         ("1e-6:1e-2:48", "needs 0 < t_min < t_max"),
         ("1e-2:1e-6:1", "samples must be >= 2"),
         ("1e-2:1e-6:x", "invalid literal for int()"),
-    ], ids=["reversed", "one-sample", "not-a-number"])
+        ("inf:1e-6:24", "needs 0 < t_min < t_max < inf"),  # once ran, exit 0
+    ], ids=["reversed", "one-sample", "not-a-number", "infinite"])
     def test_bad_window_override_exits_2(self, mini_scenario, capsys, window, message):
         # each once exited 2 with an error that did not name --window
         assert main(["free-energy", str(mini_scenario), "--window", window]) == 2
@@ -587,6 +600,34 @@ class TestCliCommands:
         )
         assert rc == 2
         assert ":2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row", ["nan,0", "inf,1", "-inf,1"])
+    def test_conjugate_non_finite_grid_point_exits_2(self, tmp_path, capsys, row):
+        # nan once dropped out silently (exit 0); inf wrote inf values
+        (tmp_path / "f.csv").write_text(f"-1.0,1.0\n0.0,0.0\n{row}\n")
+        out = tmp_path / "out.csv"
+        assert main(["conjugate", str(tmp_path / "f.csv"), str(out), "--dual-grid=-2:2:5"]) == 2
+        assert f"f.csv:3: grid point x = {row.split(',')[0]} is not finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("spec, message", [
+        ("-inf:1:5", "needs finite lo < hi and n >= 2"),
+        ("-1:nan:5", "needs finite lo < hi and n >= 2"),
+        ("1:-1:5", "needs finite lo < hi and n >= 2"),
+        ("-1:1:1", "needs finite lo < hi and n >= 2"),
+        ("-1:1:x", "invalid literal for int()"),
+        ("-1:1", "expects lo:hi:n"),
+    ], ids=["inf", "nan", "reversed", "one-point", "not-a-number", "two-parts"])
+    def test_bad_dual_grid_exits_2(self, tmp_path, capsys, spec, message):
+        # -inf once warned twice and then blamed NaN values; x named no flag
+        xs = np.linspace(-3, 3, 7)
+        save_grid_csv(GridFunction(xs, np.abs(xs)), tmp_path / "f.csv")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["conjugate", str(tmp_path / "f.csv"), str(tmp_path / "o.csv"),
+                       f"--dual-grid={spec}"])
+        assert rc == 2
+        assert f"error: --dual-grid {spec}: {message}" in capsys.readouterr().err
 
     def test_scenario_error_exit_code(self, tmp_path, capsys):
         (tmp_path / "bad.cfg").write_text("[net]\nkind = coin\n")

@@ -77,6 +77,19 @@ class TestGridFunction:
         with pytest.raises(GridFormatError, match=":2"):
             load_grid_csv(path)
 
+    @pytest.mark.parametrize("x", [float("nan"), INF, NEG_INF])
+    def test_non_finite_grid_point_rejected(self, x):
+        # a NaN abscissa once passed the monotonicity check unseen
+        with pytest.raises(ValueError, match="grid points must be finite"):
+            GridFunction(np.array([0.0, 1.0, x]), np.zeros(3))
+
+    @pytest.mark.parametrize("x", ["nan", "inf", "-inf"])
+    def test_csv_non_finite_x_names_line(self, tmp_path, x):
+        path = tmp_path / "g.csv"
+        path.write_text(f"# x,value\n0.0,1.0\n{x},0.0\n")
+        with pytest.raises(GridFormatError, match=f"g.csv:3: grid point x = {x} is not finite"):
+            load_grid_csv(path)
+
     def test_csv_monotone_enforced(self, tmp_path):
         path = tmp_path / "g.csv"
         path.write_text("1.0,1.0\n0.5,1.0\n")

@@ -17,7 +17,6 @@ from ldpkit.extreal import INF, NEG_INF
 from ldpkit.free_energy import (
     FamilyTable,
     L_from_table,
-    L_grid,
     WindowSpec,
     _classify_limits,
     _log_sum_exp_rows,
@@ -140,21 +139,25 @@ class TestLambdaOf:
 
 class TestLGrid:
     def test_coin_matches_abs(self, coin_net, main_window):
-        L = L_grid(coin_net, (-3, 3), 61, main_window, TOL)
+        fam = linear_family(-3, 3, 61)
+        L = L_from_table(fam, lambda_family_table(coin_net, fam, main_window, TOL))
         assert np.max(np.abs(L.values - np.abs(L.xs))) <= 1e-3
         assert all(L.meta["converged"])
 
     def test_coin_L_is_convex_sequence(self, coin_net, main_window):
-        L = L_grid(coin_net, (-3, 3), 61, main_window, TOL)
+        fam = linear_family(-3, 3, 61)
+        L = L_from_table(fam, lambda_family_table(coin_net, fam, main_window, TOL))
         slopes = np.diff(L.values) / np.diff(L.xs)
         assert np.all(np.diff(slopes) >= -1e-9)
 
     def test_demzei_zero_inside(self, demzei_net, main_window):
-        L = L_grid(demzei_net, (-1, 1), 21, main_window, TOL, divergence_threshold=1e3)
+        fam = linear_family(-1, 1, 21)
+        L = L_from_table(fam, lambda_family_table(demzei_net, fam, main_window, TOL, 1e3))
         assert np.max(np.abs(L.values)) <= 1e-3
 
     def test_demzei_wide_grid_flags_divergence(self, demzei_net, main_window):
-        L = L_grid(demzei_net, (-2, 2), 39, main_window, TOL, divergence_threshold=1e3)
+        fam = linear_family(-2, 2, 39)
+        L = L_from_table(fam, lambda_family_table(demzei_net, fam, main_window, TOL, 1e3))
         outside = np.abs(L.xs) >= 1.1 - 1e-9
         inside = np.abs(L.xs) <= 1.0 + 1e-9
         assert np.all(np.isposinf(L.values[outside]))
@@ -162,7 +165,8 @@ class TestLGrid:
 
     def test_iid_zero_slope(self, iid_small_net):
         w = WindowSpec(100, 500, 8)
-        L = L_grid(iid_small_net, (-1, 1), 5, w, 1e-6)
+        fam = linear_family(-1, 1, 5)
+        L = L_from_table(fam, lambda_family_table(iid_small_net, fam, w, 1e-6))
         assert L.values[2] == pytest.approx(0.0, abs=1e-12)
 
     def test_meta_carries_the_table_brackets(self, demzei_net, main_window):
@@ -202,7 +206,8 @@ class TestFamilyTable:
 
     def test_diagonal_matches_L_grid_bitwise(self, coin_net, main_window):
         # same computation through the linear-family and two-slope paths
-        L = L_grid(coin_net, (-3, 3), 31, main_window, TOL)
+        fam = linear_family(-3, 3, 31)
+        L = L_from_table(fam, lambda_family_table(coin_net, fam, main_window, TOL))
         diag = explicit_family(
             [TiltFunction.two_slope(lam, lam) for lam in L.xs]
         )
@@ -603,7 +608,8 @@ class TestWindowSums:
         terms = count_summed_terms(monkeypatch)
         all_tables(net, window)
         family = two_slope_family((-2.0, 2.0), (-2.0, 2.0), 9)
-        stable_abstract_lf(net, family, np.linspace(0.1, 0.9, 5), window, tol=1.0)
+        table = lambda_family_table(net, family, window, tol=1.0)
+        stable_abstract_lf(net, family, table, np.linspace(0.1, 0.9, 5), window, tol=1.0)
         # the minimum: each distinct slope once per side and sample, plus
         # one row per sample for each custom tilt (qn:2 here, in one table)
         lam, nu = set(), set()

@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ldpkit
-from ldpkit.conjugate import evaluate_family, stable_abstract_lf
+from ldpkit.conjugate import stable_abstract_lf
 from ldpkit.convex import GridFunction, lf_transform
 from ldpkit.extreal import INF, NEG_INF
+from ldpkit.free_energy import L_from_table, lambda_family_table
 from ldpkit.measures import (
     FiniteSupportMeasure,
     Interval,
@@ -74,14 +75,12 @@ def dirac_net(max_index=1_000_000):
 @pytest.fixture(scope="module")
 def coin_state(coin_net, main_window, rate_window):
     xs = np.linspace(-2, 2, 81)
-    fe_lin = evaluate_family(coin_net, linear_family(-3, 3, 61), main_window, TOL)
-    L = GridFunction(
-        np.array([m.lam for m in fe_lin.family.members]), fe_lin.values, label="L"
-    )
+    lin = linear_family(-3, 3, 61)
+    L = L_from_table(lin, lambda_family_table(coin_net, lin, main_window, TOL))
     L_star = lf_transform(L, xs)
-    sc = stable_abstract_lf(
-        coin_net, two_slope_family((-4, 4), (-4, 4), 41), xs, main_window, TOL
-    )
+    fam = two_slope_family((-4, 4), (-4, 4), 41)
+    table = lambda_family_table(coin_net, fam, main_window, TOL)
+    sc = stable_abstract_lf(coin_net, fam, table, xs, main_window, TOL)
     rfe = rate_grid(coin_net, xs, RADIUS, rate_window)
     holds, J, _ = vague_ldp_check(rfe, 1e-3)
     assert holds
@@ -389,7 +388,6 @@ class TestRangeConditions:
             rfe=coin_state["rfe"],
             abstract_star=coin_state["sc"],
             linear_star=coin_state["L_star"],
-            J=coin_state["J"],
             lambda_bar_zero=0.0,
         )
         for cid in ("ellis-two-slope", "range-dom-abstract", "range-dom-l0-filtered"):
@@ -401,7 +399,6 @@ class TestRangeConditions:
             rfe=coin_state["rfe"],
             abstract_star=coin_state["sc"],
             linear_star=coin_state["L_star"],
-            J=coin_state["J"],
             lambda_bar_zero=0.0,
         )
         rep = range_condition_check(
@@ -417,7 +414,6 @@ class TestRangeConditions:
             rfe=coin_state["rfe"],
             abstract_star=coin_state["sc"],
             linear_star=coin_state["L_star"],
-            J=coin_state["J"],
             lambda_bar_zero=-INF,  # filter threshold +inf: nothing passes
         )
         rep = range_condition_check(
@@ -432,7 +428,6 @@ class TestRangeConditions:
             rfe=coin_state["rfe"],
             abstract_star=coin_state["sc"],
             linear_star=coin_state["L_star"],
-            J=coin_state["J"],
             lambda_bar_zero=0.0,
         )
         rep = range_condition_check(
@@ -444,15 +439,13 @@ class TestRangeConditions:
     def test_interior_variant_holds_for_smooth_case(self, iid_small_net):
         # smooth convex l0: interior variant passes premise and coverage
         w = ldpkit.WindowSpec(128, 512, 3)
-        fe = evaluate_family(iid_small_net, linear_family(-2, 2, 41), w, 1e-6)
-        L = GridFunction(np.array([m.lam for m in fe.family.members]), fe.values)
+        fam = linear_family(-2, 2, 41)
+        L = L_from_table(fam, lambda_family_table(iid_small_net, fam, w, 1e-6))
         xs = np.arange(16, 113) / 128.0  # atoms of every window index
         rfe = rate_grid(iid_small_net, xs, 2.0 ** -8, w)
         _, J, _ = vague_ldp_check(rfe, 0.05)
         star = lf_transform(L, xs)
-        targets = RangeTargets(
-            rfe=rfe, abstract_star=star, linear_star=star, J=J, lambda_bar_zero=0.0
-        )
+        targets = RangeTargets(rfe=rfe, abstract_star=star, linear_star=star, lambda_bar_zero=0.0)
         rep = range_condition_check(L, (-2, 2), targets, "range-int-dom-abstract", FILTER_TOL)
         assert rep.notes["proper_convex_premise"] is True
         assert rep.hypothesis_holds, rep.witnesses
@@ -460,7 +453,7 @@ class TestRangeConditions:
     def test_unknown_condition_rejected(self, coin_state):
         targets = RangeTargets(
             rfe=coin_state["rfe"], abstract_star=coin_state["sc"],
-            linear_star=coin_state["L_star"], J=coin_state["J"],
+            linear_star=coin_state["L_star"],
         )
         with pytest.raises(ValueError, match="unknown condition"):
             range_condition_check(coin_state["L"], (-3, 3), targets, "nope", FILTER_TOL)
@@ -485,17 +478,15 @@ class TestRateComparison:
         self, demzei_net, main_window, rate_window
     ):
         xs = np.linspace(-3, 3, 121)
-        fe = evaluate_family(
-            demzei_net, linear_family(-1, 1, 21), main_window, TOL,
-            divergence_threshold=1e3,
-        )
-        L = GridFunction(np.array([m.lam for m in fe.family.members]), fe.values)
-        L_star = lf_transform(L, xs)
+        lin = linear_family(-1, 1, 21)
+        table = lambda_family_table(demzei_net, lin, main_window, TOL, divergence_threshold=1e3)
+        L_star = lf_transform(L_from_table(lin, table), xs)
         from ldpkit.tilts import family_union, qn_family
 
+        fam = family_union(qn_family(10), lin)
+        table = lambda_family_table(demzei_net, fam, main_window, TOL, divergence_threshold=1e3)
         sc = stable_abstract_lf(
-            demzei_net, family_union(qn_family(10), linear_family(-1, 1, 21)),
-            xs, main_window, TOL, divergence_threshold=1e3,
+            demzei_net, fam, table, xs, main_window, TOL, divergence_threshold=1e3
         )
         rfe = rate_grid(demzei_net, xs, RADIUS, rate_window)
         _, J, _ = vague_ldp_check(rfe, 1e-3)
