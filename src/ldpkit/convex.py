@@ -472,6 +472,8 @@ def load_grid_csv(path, label: str = "") -> GridFunction:
                 raise GridFormatError(f"{path}:{lineno}: {exc}") from exc
             if not math.isfinite(x):
                 raise GridFormatError(f"{path}:{lineno}: grid point x = {x} is not finite")
+            if math.isnan(v):
+                raise GridFormatError(f"{path}:{lineno}: value at x = {x} is NaN")
             if xs and x <= xs[-1]:
                 raise GridFormatError(
                     f"{path}:{lineno}: grid must be strictly increasing"

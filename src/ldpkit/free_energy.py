@@ -18,9 +18,10 @@ the requested tolerance is flagged as not converged.
 One kernel evaluates every tilt: a member with slopes ``(lam, nu)`` (a
 linear tilt has ``lam == nu``) gives ``t * logaddexp(A(lam), B(nu))``, with
 ``A`` and ``B`` the log-sums over the atoms at ``x <= 0`` and ``x > 0``.
-Each net keeps, per window, one store of these sums that lives as long as
-the net: a slope is summed once per side, and every later table over the
-window (a family, its doubling, the linear grids, single tilts) reads it.
+A net holds one :class:`Window` per window spec, which lives as long as the
+net: a slope is summed once per side, and every later table over the
+window (a family, its doubling, the linear grids, single tilts) reads it,
+as do the rate grid and the set-wise checks.
 Window samples with the same atom count on a side are summed together, in
 blocks of whole ``slopes x samples`` rows.  At small ``t`` most terms lie
 more than 745 below their row's largest; the row kernel leaves them at the
@@ -34,8 +35,6 @@ built only on request.
 
 from __future__ import annotations
 
-import threading
-import weakref
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -252,31 +251,42 @@ def _groups(parts: list[tuple[np.ndarray, np.ndarray]]) -> list[tuple]:
     ]
 
 
-class _WindowSums:
-    """The side log-sums ``A``/``B`` of every sample of one net's window.
+class Window:
+    """One tail window of a net: its scales ``ts``, its measures and the side
+    log-sums ``A``/``B`` that every table over it reads.
 
-    Every table over the window reads them: each distinct slope is summed
-    once per side, over all samples in one batch per group of samples with
-    the same atom count (see :func:`_group_log_sums`).  Custom tilts are
-    evaluated once per table on the atoms of all samples together.  Callers
-    of :meth:`slope_sums` hold ``lock``.
+    A net holds one window per :class:`WindowSpec`; :func:`window_of` builds
+    it.  Each distinct slope is summed once per side, over all samples in one
+    batch per group of samples with the same atom count (see
+    :func:`_group_log_sums`); the groups are stacked on the first slope-sum
+    request.  Custom tilts are evaluated once per table on the atoms of all
+    samples together.  :meth:`powered` runs a set-wise query once per
+    distinct measure object.
     """
 
-    def __init__(self, net: ScaledMeasureNet, window: WindowSpec):
-        ks = window.indices(net)
+    def __init__(self, net: ScaledMeasureNet, spec: WindowSpec):
+        ks = spec.indices(net)
         self.ts = np.array([net.t(int(k)) for k in ks])
-        self.lock = threading.Lock()
         self._measures = [net.measure(int(k)) for k in ks]
-        cuts = [np.searchsorted(m.locations, 0.0, "right") for m in self._measures]
-        pairs = list(zip(self._measures, cuts))
-        left = [(m.locations[:c], m.log_masses[:c]) for m, c in pairs]
-        right = [(m.locations[c:], m.log_masses[c:]) for m, c in pairs]
-        self._sides = (_groups(left), _groups(right))
+        self._distinct = {id(m): m for m in self._measures}
+        self._sides: tuple[list, list] | None = None
         self._known: tuple[dict[float, np.ndarray], ...] = ({}, {})
+
+    def powered(self, log_masses) -> np.ndarray:
+        """``t_k * log_masses(mu_k)``, one row per sample; ``log_masses``
+        runs once per distinct measure object."""
+        found = {key: log_masses(m) for key, m in self._distinct.items()}
+        return np.array([t * found[id(m)] for t, m in zip(self.ts.tolist(), self._measures)])
 
     def slope_sums(self, side: int, slopes: np.ndarray) -> np.ndarray:
         """``(samples, slopes)`` sums over the atoms at ``x <= 0`` (side 0)
         or ``x > 0`` (side 1), each slope summed on its first request."""
+        if self._sides is None:
+            cuts = [np.searchsorted(m.locations, 0.0, "right") for m in self._measures]
+            pairs = list(zip(self._measures, cuts))
+            left = [(m.locations[:c], m.log_masses[:c]) for m, c in pairs]
+            right = [(m.locations[c:], m.log_masses[c:]) for m, c in pairs]
+            self._sides = (_groups(left), _groups(right))
         known = self._known[side]
         keys = slopes.tolist()
         new = [s for s in keys if s not in known]
@@ -310,20 +320,13 @@ class _WindowSums:
         return out
 
 
-# net -> {window -> its sums}; a store lives no longer than its net
-_STORES: "weakref.WeakKeyDictionary[ScaledMeasureNet, dict]" = weakref.WeakKeyDictionary()
-_STORES_LOCK = threading.Lock()
-
-
-def _window_sums(net: ScaledMeasureNet, window: WindowSpec) -> _WindowSums:
-    """The store of ``net`` over ``window``, built on first use."""
-    with _STORES_LOCK:
-        store = _STORES.setdefault(net, {}).get(window)
-    if store is None:
-        built = _WindowSums(net, window)  # outside the lock: it may build measures
-        with _STORES_LOCK:
-            store = _STORES[net].setdefault(window, built)
-    return store
+def window_of(net: ScaledMeasureNet, spec: WindowSpec) -> Window:
+    """The window of ``net`` over ``spec``, built on first use and kept in
+    ``net.windows``, so it lives as long as the net."""
+    window = net.windows.get(spec)
+    if window is None:
+        window = net.windows[spec] = Window(net, spec)
+    return window
 
 
 def _classify_limits(
@@ -373,18 +376,17 @@ def lambda_family_table(
     sample's atoms, up to the rounding of the split log-sum (see the module
     docstring); ``tests/oracles.py`` keeps that one-pass form.
     """
-    store = _window_sums(net, window)
-    ts = store.ts
+    sums = window_of(net, window)
+    ts = sums.ts
     lam, nu = family.lam, family.nu
     sloped = ~np.isnan(lam)
     lam_axis, lam_at = np.unique(lam[sloped], return_inverse=True)
     nu_axis, nu_at = np.unique(nu[sloped], return_inverse=True)
     rows = np.empty((ts.size, lam.size))
-    with store.lock:
-        a = store.slope_sums(0, lam_axis)
-        b = store.slope_sums(1, nu_axis)
+    a = sums.slope_sums(0, lam_axis)
+    b = sums.slope_sums(1, nu_axis)
     if family.custom:
-        rows[:, ~sloped] = ts[:, None] * store.custom_sums(family.custom)
+        rows[:, ~sloped] = ts[:, None] * sums.custom_sums(family.custom)
     for row, t, a_j, b_j in zip(rows, ts, a, b):
         row[sloped] = t * _logaddexp(a_j[lam_at], b_j[nu_at])
     return _classify_limits(ts, rows, tol, divergence_threshold)

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import bisect
 import math
-import threading
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
@@ -316,12 +315,10 @@ class ScaledMeasureNet:
     """Indexed family ``k -> (measure_k, t_k)`` with ``t_k`` decreasing to 0.
 
     ``t_of`` must be strictly decreasing in ``k``; this is spot-checked at
-    construction and otherwise trusted.  Measures are built lazily and cached.
-    ldpkit's pipeline is serial, but a caller may share a net across its own
-    threads, so cache misses are built one at a time under a lock: a
-    ``measure_of`` that keeps state between indices is not safe to call from
-    two threads at once, and each index is built only once.  The built-in
-    nets are pure.
+    construction and otherwise trusted.  Measures are built lazily and cached,
+    each index once.  ``windows`` holds the net's windows, one per
+    ``WindowSpec``, which ``free_energy.window_of`` builds and reads.  A net
+    is not for sharing across threads.
     """
 
     def __init__(
@@ -342,7 +339,7 @@ class ScaledMeasureNet:
         self._t_of = t_of
         self._measure_of = measure_of
         self._cache: dict[int, FiniteSupportMeasure] = {}
-        self._build_lock = threading.Lock()
+        self.windows: dict = {}
         self.max_index = max_index
         self.label = label
 
@@ -354,11 +351,7 @@ class ScaledMeasureNet:
         self._check_index(k)
         m = self._cache.get(k)
         if m is None:
-            with self._build_lock:
-                m = self._cache.get(k)
-                if m is None:
-                    m = self._measure_of(k)
-                    self._cache[k] = m
+            m = self._cache[k] = self._measure_of(k)
         return m
 
     def at(self, k: int) -> tuple[FiniteSupportMeasure, float]:

@@ -17,9 +17,11 @@ those conditions guarantee.
 All liminf/limsup estimates follow the same window convention as the
 free-energy module (min/max over a geometric tail sample).  A ball's mass
 only grows with its radius, so the sup over radii is attained at the
-smallest one, and the rate grid measures balls of that one radius.  Every
-set-wise query over a window calls ``log_masses_in`` once per distinct
-measure object, with all of its intervals in that one call.
+smallest one, and the rate grid measures balls of that one radius.  The
+rate grid and every set-wise query read the net's window through
+``free_energy.window_of``, the one the free-energy tables read when the
+window specs agree, and call ``log_masses_in`` once per distinct measure
+object, with all of its intervals in that one call.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import numpy as np
 
 from .convex import GridFunction, _chords, derivative_range, interior_mask, is_convex_table
 from .extreal import INF, NEG_INF, ext_abs_diff, ext_sub
-from .free_energy import LimitEstimate, WindowSpec
+from .free_energy import LimitEstimate, WindowSpec, window_of
 from .measures import RegionSet, ScaledMeasureNet
 from .tilts import TiltFunction
 
@@ -40,17 +42,6 @@ from .tilts import TiltFunction
 # ---------------------------------------------------------------------------
 # local rate functions
 # ---------------------------------------------------------------------------
-
-
-def _powered_log_masses(net: ScaledMeasureNet, window: WindowSpec, log_masses) -> np.ndarray:
-    """``t_k * log_masses(mu_k)``, one row per sample of ``window``;
-    ``log_masses`` runs once per distinct measure object."""
-    samples = [net.at(int(k)) for k in window.indices(net)]
-    found = {}
-    for m, _ in samples:
-        if id(m) not in found:
-            found[id(m)] = log_masses(m)
-    return np.array([t * found[id(m)] for m, t in samples])
 
 
 def _local_rates(net: ScaledMeasureNet, xs, r: float, window: WindowSpec):
@@ -64,7 +55,7 @@ def _local_rates(net: ScaledMeasureNet, xs, r: float, window: WindowSpec):
     if not 0 < r < INF:
         raise ValueError(f"ball radius must be finite and > 0, got {r}")
     xs = np.asarray(xs, dtype=float)
-    powered = _powered_log_masses(net, window, lambda m: m.log_masses_in(xs - r, xs + r))
+    powered = window_of(net, window).powered(lambda m: m.log_masses_in(xs - r, xs + r))
     # -(-inf) = +inf: an empty ball in every sample gives an infinite rate
     return -powered.max(axis=0) + 0.0, -powered.min(axis=0) + 0.0
 
@@ -136,7 +127,7 @@ def exponential_tightness_check(
     if any(e <= 0 for e in eps_list):
         raise ValueError("eps_list entries must be positive")
     regions = [RegionSet.complement_of_closed(-R, R) for R in R_schedule]
-    powered = _powered_log_masses(net, window, lambda m: m.log_masses_of(regions))
+    powered = window_of(net, window).powered(lambda m: m.log_masses_of(regions))
     # per R, in schedule order; shared by every eps
     limsups = [math.exp(max(col, default=NEG_INF)) for col in powered.T.tolist()]
     table = []
@@ -165,7 +156,7 @@ def ldp_bounds_check(
     if any(kind not in ("open", "closed") for _, kind in regions):
         raise ValueError("region tag must be 'open' or 'closed'")
     sets = [region for region, _ in regions]
-    powered = _powered_log_masses(net, window, lambda m: m.log_masses_of(sets))
+    powered = window_of(net, window).powered(lambda m: m.log_masses_of(sets))
     entries = []
     holds = True
     for (region, kind), col in zip(regions, powered.T.tolist()):

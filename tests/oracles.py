@@ -135,7 +135,7 @@ def slope_log_sums(
 ) -> np.ndarray:
     """``log sum_i exp(logm_i + s * locs_i / t)`` for every slope ``s``.
 
-    One sample at a time; the test oracle of ``free_energy._WindowSums``.
+    One sample at a time; the test oracle of ``free_energy.Window``.
     """
     out = np.empty(slopes.size)
     step = max(1, free_energy._BLOCK_TERMS // max(1, locs.size))

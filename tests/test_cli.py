@@ -364,6 +364,16 @@ class TestRunScenario:
         run_scenario(sc)
         assert len(built) <= len(varadhan) + 1
 
+    @pytest.mark.parametrize("name, windows", [("ge-ex", 2), ("cramer", 1)])
+    def test_net_holds_one_window_per_spec(self, name, windows, monkeypatch):
+        # ge-ex has a main and a rate window; cramer's [rate-window] defaults
+        # to [window], so its rate grid and checks read the main window
+        nets = []
+        build = pipeline.build_net
+        monkeypatch.setattr(pipeline, "build_net", lambda sc: nets.append(build(sc)) or nets[-1])
+        run_scenario(packaged_scenario(name))
+        assert [len(net.windows) for net in nets] == [windows]
+
     @pytest.mark.parametrize("name", ["ge-ex", "dem-zei", "cramer"])
     def test_single_tilt_table_equals_lambda_of(self, name):
         # one table for the varadhan tilts and linear:0, bit for bit the
@@ -601,13 +611,17 @@ class TestCliCommands:
         assert rc == 2
         assert ":2" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("row", ["nan,0", "inf,1", "-inf,1"])
-    def test_conjugate_non_finite_grid_point_exits_2(self, tmp_path, capsys, row):
-        # nan once dropped out silently (exit 0); inf wrote inf values
+    @pytest.mark.parametrize("row, message", [
+        pytest.param(row, f"grid point x = {row.split(',')[0]} is not finite", id=row)
+        for row in ("nan,0", "inf,1", "-inf,1")
+    ] + [pytest.param("1,nan", "value at x = 1.0 is NaN", id="1,nan")])
+    def test_conjugate_non_finite_grid_point_exits_2(self, tmp_path, capsys, row, message):
+        # nan once dropped out silently (exit 0); inf wrote inf values; a NaN
+        # value failed without naming its line
         (tmp_path / "f.csv").write_text(f"-1.0,1.0\n0.0,0.0\n{row}\n")
         out = tmp_path / "out.csv"
         assert main(["conjugate", str(tmp_path / "f.csv"), str(out), "--dual-grid=-2:2:5"]) == 2
-        assert f"f.csv:3: grid point x = {row.split(',')[0]} is not finite" in capsys.readouterr().err
+        assert f"f.csv:3: {message}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("spec, message", [

@@ -1,6 +1,4 @@
 import gc
-import sys
-import threading
 import warnings
 import weakref
 
@@ -473,13 +471,12 @@ SIGNED_SLOPES = st.one_of(
 
 
 def count_summed_terms(monkeypatch) -> list[int]:
-    """Patch the row kernel to add up the terms it is given (thread-safe)."""
-    terms, lock = [0], threading.Lock()
+    """Patch the row kernel to add up the terms it is given."""
+    terms = [0]
     kernel = free_energy._log_sum_exp_rows
 
     def counting(x):
-        with lock:
-            terms[0] += x.size
+        terms[0] += x.size
         return kernel(x)
 
     monkeypatch.setattr(free_energy, "_log_sum_exp_rows", counting)
@@ -501,8 +498,8 @@ def all_tables(net, window):
 
 
 def small_iid_net():
-    # iid laws differ in atom count from sample to sample; a fresh net has an
-    # empty store
+    # iid laws differ in atom count from sample to sample; a fresh net holds
+    # no window yet
     return ldpkit.iid_mean_example_net(ldpkit.bernoulli_half_base(), 400)
 
 
@@ -530,16 +527,16 @@ class TestWindowSums:
         with pytest.MonkeyPatch.context() as mp:
             if block is not None:
                 mp.setattr(free_energy, "_BLOCK_TERMS", block)
-            store = free_energy._window_sums(net, window)
+            sums = free_energy.window_of(net, window)
             for side, slopes in requests:
                 slopes = np.array(slopes, dtype=float)
-                got = store.slope_sums(side, slopes)
-                assert got.shape == (len(store.ts), slopes.size)
+                got = sums.slope_sums(side, slopes)
+                assert got.shape == (len(sums.ts), slopes.size)
                 for j, k in enumerate(window.indices(net)):
                     m = net.measure(int(k))
                     part = (m.locations <= 0.0) == (side == 0)
                     want = slope_log_sums(
-                        slopes, m.locations[part], m.log_masses[part], store.ts[j]
+                        slopes, m.locations[part], m.log_masses[part], sums.ts[j]
                     )
                     assert got[j].tobytes() == want.tobytes()
 
@@ -578,14 +575,24 @@ class TestWindowSums:
 
     def test_store_is_shared_and_dies_with_the_net(self):
         net = small_iid_net()
-        window = WindowSpec(100, 400, 6)
-        store = free_energy._window_sums(net, window)
-        assert free_energy._window_sums(net, window) is store
-        assert free_energy._window_sums(net, WindowSpec(100, 400, 5)) is not store
-        ref = weakref.ref(net)
-        del net
+        spec = WindowSpec(100, 400, 6)
+        window = free_energy.window_of(net, spec)
+        assert free_energy.window_of(net, spec) is window
+        other = free_energy.window_of(net, WindowSpec(100, 400, 5))
+        assert other is not window
+        assert net.windows == {spec: window, WindowSpec(100, 400, 5): other}
+        refs = [weakref.ref(net), weakref.ref(window)]
+        del net, window, other
         gc.collect()
-        assert ref() is None
+        assert [ref() for ref in refs] == [None, None]
+
+    def test_side_groups_wait_for_a_slope_sum(self):
+        net = small_iid_net()
+        window = free_energy.window_of(net, WindowSpec(100, 400, 6))
+        window.powered(lambda m: m.log_masses_in([0.0], [1.0]))
+        assert window._sides is None  # a rate-only window stacks nothing
+        lambda_family_table(net, linear_family(-1.0, 1.0, 3), WindowSpec(100, 400, 6), tol=1.0)
+        assert window._sides is not None
 
     def test_custom_tilt_is_evaluated_once_per_table(self):
         calls = []
@@ -624,42 +631,6 @@ class TestWindowSums:
             left = int(np.count_nonzero(locs <= 0.0))
             want += len(lam) * left + len(nu) * (locs.size - left) + locs.size
         assert terms[0] == want
-
-    def test_shared_net_across_threads(self, monkeypatch):
-        window = WindowSpec(100, 400, 6)
-        terms = count_summed_terms(monkeypatch)
-        serial = all_tables(small_iid_net(), window)
-        serial_terms, terms[0] = terms[0], 0
-        net = small_iid_net()
-        barrier = threading.Barrier(4, timeout=30)
-        results, errors = [], []
-
-        def worker():
-            try:
-                barrier.wait()
-                results.append(all_tables(net, window))
-            except Exception as exc:  # reported by the assert below
-                errors.append(exc)
-
-        threads = [threading.Thread(target=worker) for _ in range(4)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # switch threads as often as possible
-        try:
-            for th in threads:
-                th.start()
-            for th in threads:
-                th.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(th.is_alive() for th in threads)
-        assert errors == []
-        assert len(results) == 4
-        for tables in results:
-            for got, want in zip(tables, serial):
-                assert got.rows.tobytes() == want.rows.tobytes()
-        # the sloped sums are shared; only the custom qn:2 rows repeat per thread
-        custom = sum(net.measure(int(k)).locations.size for k in window.indices(net))
-        assert terms[0] == serial_terms + 3 * custom
 
 
 def assert_same_estimates(got, want):

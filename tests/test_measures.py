@@ -1,7 +1,5 @@
 import functools
 import math
-import threading
-import time
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -635,45 +633,3 @@ class TestIidMeanLaw:
             net.measure(n)
         fresh = ldpkit.iid_mean_example_net(base, 8192).measure(8192)
         assert net.measure(8192).log_masses.tobytes() == fresh.log_masses.tobytes()
-
-
-class TestBuildLock:
-    def test_shared_net_builds_each_index_once(self):
-        # four threads released together miss on the same indices in the same
-        # order; the lock must let exactly one of them build each index
-        guard = threading.Lock()
-        building, builds, overlaps = [], [], []
-
-        def measure_of(k):
-            with guard:
-                if building:
-                    overlaps.append((tuple(building), k))
-                building.append(k)
-                builds.append(k)
-            time.sleep(1e-3)  # keep the build open long enough for others to meet it
-            with guard:
-                building.remove(k)
-            return COIN
-
-        net = ScaledMeasureNet(lambda k: 1.0 / k, measure_of, max_index=100)
-        indices = list(range(1, 21))
-        barrier = threading.Barrier(4, timeout=30)
-        results, errors = [], []
-
-        def worker():
-            try:
-                barrier.wait()
-                results.append([net.measure(k) for k in indices])
-            except Exception as exc:  # reported by the assert below
-                errors.append(exc)
-
-        threads = [threading.Thread(target=worker) for _ in range(4)]
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join()
-        assert errors == []
-        assert sorted(builds) == indices
-        assert overlaps == []
-        assert len(results) == 4
-        assert all(m is COIN for ms in results for m in ms)

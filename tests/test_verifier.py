@@ -824,6 +824,33 @@ class TestBatchedMassQueries:
         args = (net, J, regions, WINDOW, 1e-6)
         assert repr(ldp_bounds_check(*args)) == repr(loop_ldp_bounds_check(*args))
 
+    def test_one_window_fetch_and_one_query_per_measure(self, monkeypatch):
+        # the rate grid and the set-wise bounds read one window of the net:
+        # each sample is fetched once, and each distinct measure is queried
+        # once per call
+        pool = [
+            FiniteSupportMeasure.from_atoms([(-1.0, 0.5), (1.0, 0.5)]),
+            FiniteSupportMeasure.from_atoms([(0.0, 0.25), (1.0, 0.75)]),
+        ]
+        net = ScaledMeasureNet(lambda k: 1.0 / k, lambda k: pool[k % 2], max_index=400)
+        fetched, queried = [], []
+        fetch = net.measure
+        monkeypatch.setattr(net, "measure", lambda k: fetched.append(k) or fetch(k))
+        for method in ("log_masses_in", "log_masses_of"):
+            def counted(self, *args, original=getattr(FiniteSupportMeasure, method), method=method):
+                queried.append((method, id(self)))
+                return original(self, *args)
+
+            monkeypatch.setattr(FiniteSupportMeasure, method, counted)
+        rfe = rate_grid(net, np.linspace(-1.0, 1.0, 9), 0.25, WINDOW)
+        assert sorted(queried) == sorted(("log_masses_in", id(m)) for m in pool)
+        queried.clear()
+        ldp_bounds_check(net, rfe.l0, [(RegionSet.closed(0.5, 2.0), "closed")], WINDOW, 1e-6)
+        assert sorted(q for q in queried if q[0] == "log_masses_of") == sorted(
+            ("log_masses_of", id(m)) for m in pool
+        )
+        assert fetched == WINDOW.indices(net).tolist()
+
 
 class TestDerivativeBoundScan:
     @given(
