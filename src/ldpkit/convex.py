@@ -447,9 +447,19 @@ def _write_rows(path, *columns: Sequence[str]) -> None:
         fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
 
 
+def _reprs(values: np.ndarray, scalars: bool = False) -> list[str]:
+    """``repr`` of each entry of a float64 array as a ``float`` (or, with
+    ``scalars``, a numpy scalar), each distinct value formatted once; values
+    are keyed by their bits, since ``-0.0 == 0.0`` but their reprs differ."""
+    bits, at = np.unique(values.view(np.int64), return_inverse=True)
+    distinct = bits.view(np.float64)
+    text = list(map(repr, distinct if scalars else distinct.tolist()))
+    return [text[i] for i in at.tolist()]
+
+
 def save_grid_csv(f: GridFunction, path) -> None:
     """Write ``x,value`` lines; +-inf as literal ``inf`` / ``-inf``."""
-    _write_rows(path, map(repr, f.xs.tolist()), map(repr, f.values.tolist()))
+    _write_rows(path, _reprs(f.xs), _reprs(f.values))
 
 
 def load_grid_csv(path, label: str = "") -> GridFunction:
@@ -478,6 +488,10 @@ def load_grid_csv(path, label: str = "") -> GridFunction:
                 raise GridFormatError(
                     f"{path}:{lineno}: grid must be strictly increasing"
                 )
+            if xs and math.isfinite(v) and math.isfinite(vals[-1]):
+                if not math.isfinite((v - vals[-1]) / (x - xs[-1])):
+                    chord = f"chord slope from x = {xs[-1]} to x = {x}"
+                    raise GridFormatError(f"{path}:{lineno}: {chord} is not finite")
             xs.append(x)
             vals.append(v)
     if len(xs) < 2:

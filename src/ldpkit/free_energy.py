@@ -25,7 +25,7 @@ as do the rate grid and the set-wise checks.
 Window samples with the same atom count on a side are summed together, in
 blocks of whole ``slopes x samples`` rows.  At small ``t`` most terms lie
 more than 745 below their row's largest; the row kernel leaves them at the
-exact 0.0 that ``exp`` would return, without calling it, as the per-sample
+exact 0.0 that ``exp`` would return, without calling it, as the table's
 ``logaddexp(A, B)`` does with pairs more than 746 apart.  A custom member
 is evaluated once per table, on the atoms of all window samples together,
 so its callable must be elementwise.  A family's estimates come back as one
@@ -383,12 +383,14 @@ def lambda_family_table(
     lam_axis, lam_at = np.unique(lam[sloped], return_inverse=True)
     nu_axis, nu_at = np.unique(nu[sloped], return_inverse=True)
     rows = np.empty((ts.size, lam.size))
-    a = sums.slope_sums(0, lam_axis)
-    b = sums.slope_sums(1, nu_axis)
+    a, b = sums.slope_sums(0, lam_axis), sums.slope_sums(1, nu_axis)
+    cols = np.flatnonzero(sloped) if family.custom else slice(None)  # not a mask: slower
     if family.custom:
         rows[:, ~sloped] = ts[:, None] * sums.custom_sums(family.custom)
-    for row, t, a_j, b_j in zip(rows, ts, a, b):
-        row[sloped] = t * _logaddexp(a_j[lam_at], b_j[nu_at])
+    per = max(1, (_BLOCK_TERMS >> 2) // max(1, lam_at.size))  # samples; 2^15 terms page-faulted
+    for jj in (slice(j, j + per) for j in range(0, ts.size, per)):
+        pairs = np.take(a[jj], lam_at, axis=1), np.take(b[jj], nu_at, axis=1)
+        rows[jj, cols] = ts[jj, None] * _logaddexp(*pairs)
     return _classify_limits(ts, rows, tol, divergence_threshold)
 
 

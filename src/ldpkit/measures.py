@@ -354,9 +354,6 @@ class ScaledMeasureNet:
             m = self._cache[k] = self._measure_of(k)
         return m
 
-    def at(self, k: int) -> tuple[FiniteSupportMeasure, float]:
-        return self.measure(k), self.t(k)
-
     def _check_index(self, k: int) -> None:
         if not (1 <= k <= self.max_index):
             raise IndexError(f"index {k} outside [1, {self.max_index}]")

@@ -1,9 +1,9 @@
 """Scenario pipeline: net -> free energies -> conjugates -> rates -> checks.
 
-A report is a dict with a fixed field order whose tables are the pipeline's
-numpy arrays.  Its JSON and the grid tables' ``x,value`` CSV files are
-written straight from that tree; the commands return its JSON-safe copy,
-with ``+-inf`` as ``"inf"`` / ``"-inf"``.  Reruns are byte-identical.
+A report is a dict with a fixed field order whose tables are numpy arrays.
+Its JSON and CSV files are written straight from that tree, each distinct
+float of an array formatted once, and byte-identical on reruns; the run_*
+functions return its JSON-safe copy, ``+-inf`` as ``"inf"`` / ``"-inf"``.
 """
 
 from __future__ import annotations
@@ -122,15 +122,15 @@ def _jsonify(obj):
 
 
 class _ArrayText:
-    """One write's memo: ``reprs`` formats every entry of a float array
-    once, for the CSV files and the JSON report alike."""
+    """One write's memo: ``reprs`` gives a float array's entry texts, each
+    distinct value formatted once, for the CSV files and the JSON report."""
 
     def __init__(self):
         self._reprs = {}
 
     def reprs(self, arr: np.ndarray) -> list[str]:
         if id(arr) not in self._reprs:  # the entry keeps arr, so its id stays its own
-            self._reprs[id(arr)] = (arr, list(map(repr, arr.tolist())))
+            self._reprs[id(arr)] = (arr, convex._reprs(arr))
         return self._reprs[id(arr)][1]
 
 
@@ -174,8 +174,8 @@ def _write_outputs(out_dir, prefix, grids: dict, report: dict, name, family=None
     """Write each grid as ``<prefix>_<key>.csv``, the ``family`` table if
     given as ``<prefix>_family.csv`` and ``report`` as ``<prefix>_<name>.json``.
 
-    One memo formats each float array once for every file; it dies with the
-    write.
+    One memo formats each distinct value of each float array once for every
+    file; it dies with the write.
     """
     text = _ArrayText()
     os.makedirs(out_dir, exist_ok=True)
@@ -239,14 +239,9 @@ class PipelineState:
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
         self.net = build_net(scenario)
-        self.window = window_for_t_range(
-            self.net, scenario.window.t_max, scenario.window.t_min, scenario.window.samples
-        )
-        self.rate_window = window_for_t_range(
-            self.net,
-            scenario.rate_window.t_max,
-            scenario.rate_window.t_min,
-            scenario.rate_window.samples,
+        self.window, self.rate_window = (
+            window_for_t_range(self.net, w.t_max, w.t_min, w.samples)
+            for w in (scenario.window, scenario.rate_window)
         )
         self.radius = 2.0 ** -scenario.delta_count
 
@@ -508,8 +503,8 @@ def _verdict(state: PipelineState, checks: list[dict], informational: set[str]) 
     }
 
 
-def run_scenario(scenario: Scenario, out_dir: str | None = None):
-    """Execute the full pipeline; returns (report, all_requested_hold)."""
+def scenario_report(scenario: Scenario, out_dir: str | None = None):
+    """Execute the full pipeline; returns (report tree, all_requested_hold)."""
     state = PipelineState(scenario)
     checks = [_run_check(state, cid) for cid in scenario.all_checks()]
     informational = {
@@ -540,10 +535,16 @@ def run_scenario(scenario: Scenario, out_dir: str | None = None):
     }
     if out_dir is not None:
         _write_outputs(out_dir, scenario.name, grids, report, "report", family_table)
-    return _jsonify(report), verdict["all_requested_hold"]
+    return report, verdict["all_requested_hold"]
 
 
-def run_free_energy(scenario: Scenario, out_dir: str | None = None):
+def run_scenario(scenario: Scenario, out_dir: str | None = None):
+    """Execute the full pipeline; returns (JSON-safe report, all_requested_hold)."""
+    report, ok = scenario_report(scenario, out_dir)
+    return _jsonify(report), ok
+
+
+def free_energy_report(scenario: Scenario, out_dir: str | None = None) -> dict:
     """Free energies only: the L table(s) and the family table, no checks."""
     state = PipelineState(scenario)
     grids = {name: gf for name, gf in (("L", state.L), ("L_wide", state.L_wide)) if gf is not None}
@@ -559,7 +560,12 @@ def run_free_energy(scenario: Scenario, out_dir: str | None = None):
     }
     if out_dir is not None:
         _write_outputs(out_dir, scenario.name, grids, report, "free_energy")
-    return _jsonify(report)
+    return report
+
+
+def run_free_energy(scenario: Scenario, out_dir: str | None = None) -> dict:
+    """:func:`free_energy_report`'s JSON-safe copy."""
+    return _jsonify(free_energy_report(scenario, out_dir))
 
 
 # ---------------------------------------------------------------------------

@@ -27,23 +27,13 @@ from typing import Callable
 
 import numpy as np
 
+from .convex import _reprs
 from .extreal import INF
 
 
 def _label(lam, nu=None) -> str:
     # ``!r`` of a numpy scalar reads ``np.float64(...)``; the goldens pin it
     return f"linear:{lam!r}" if nu is None else f"two_slope:{lam!r}:{nu!r}"
-
-
-def _reprs(values: np.ndarray) -> list[str]:
-    """``repr`` of every entry, each distinct value formatted once.
-
-    Values are keyed by their bits: ``np.unique`` on the floats would merge
-    ``-0.0`` and ``0.0``, whose reprs differ.
-    """
-    bits, at = np.unique(values.view(np.int64), return_inverse=True)
-    text = [repr(v) for v in bits.view(np.float64)]
-    return [text[i] for i in at.tolist()]
 
 
 @dataclass(frozen=True)
@@ -143,11 +133,10 @@ class TiltFamily:
     def labels(self) -> list[str]:
         """``[m.label for m in self.members]``, without building the members."""
         if self.kind == "linear":
-            return ["linear:" + l for l in _reprs(self.lam)]
+            return ["linear:" + l for l in _reprs(self.lam, scalars=True)]
         if self.kind == "two_slope":
-            return [
-                f"two_slope:{l}:{n}" for l, n in zip(_reprs(self.lam), _reprs(self.nu))
-            ]
+            lam, nu = _reprs(self.lam, scalars=True), _reprs(self.nu, scalars=True)
+            return [f"two_slope:{l}:{n}" for l, n in zip(lam, nu)]
         if self.kind == "union":
             return [s for p in self.parts for s in p.labels()]
         return [m.label for m in self.given]

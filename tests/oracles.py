@@ -306,6 +306,11 @@ def region_power_mass(measure: FiniteSupportMeasure, region: RegionSet, t: float
     return float(np.exp(t * logm))
 
 
+def window_samples(net: ScaledMeasureNet, window) -> list[tuple[FiniteSupportMeasure, float]]:
+    """``(measure_k, t_k)`` of every index ``k`` the window samples."""
+    return [(net.measure(int(k)), net.t(int(k))) for k in window.indices(net)]
+
+
 # ---------------------------------------------------------------------------
 # runs of a boolean mask
 # ---------------------------------------------------------------------------

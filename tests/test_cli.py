@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from importlib import resources
 
 import ldpkit
-from ldpkit import pipeline
+from ldpkit import convex, pipeline
 from ldpkit.cli import main
 from ldpkit.convex import load_grid_csv, save_grid_csv, GridFunction
 from ldpkit.free_energy import lambda_of
@@ -479,8 +479,9 @@ class TestJsonPieces:
 
 
 class TestWrittenFiles:
-    """Each float array is formatted once per write; the files must read as
-    ``json.dumps(indent=1)`` and ``repr`` lines of the returned report."""
+    """Each distinct value of a float array is formatted once per write; the
+    files must read as ``json.dumps(indent=1)`` and ``repr`` lines of the
+    returned report."""
 
     @staticmethod
     def csv_lines(*columns):
@@ -512,20 +513,43 @@ class TestWrittenFiles:
         assert (tmp_path / "run" / f"{name}_family.csv").read_text(encoding="utf-8") == want
 
     def test_each_array_is_formatted_once(self, monkeypatch, tmp_path):
-        # ge-ex's x grid backs five tables, and l0 and J share their values
-        requests, sizes, formatted = [], {}, []
+        # ge-ex's x grid backs five tables, and l0 and J share their values;
+        # within an array, each distinct bit pattern is formatted once
+        requests, arrays, formatted = [], {}, []
         original = pipeline._ArrayText.reprs
 
         def recorded(self, arr):
             requests.append(id(arr))
-            sizes[id(arr)] = arr.size
+            arrays[id(arr)] = arr
             return original(self, arr)
 
+        def counted(x):
+            if type(x) is float:  # the family labels format numpy scalars
+                formatted.append(x)
+            return repr(x)
+
         monkeypatch.setattr(pipeline._ArrayText, "reprs", recorded)
-        monkeypatch.setattr(pipeline, "repr", lambda x: formatted.append(x) or repr(x), raising=False)
+        monkeypatch.setattr(convex, "repr", counted, raising=False)
         run_scenario(packaged_scenario("ge-ex"), out_dir=str(tmp_path))
-        assert len(requests) >= len(sizes) + 5
-        assert len(formatted) == sum(sizes.values())
+        assert len(requests) >= len(arrays) + 5
+        distinct = [np.unique(a.view(np.int64)) for a in arrays.values()]
+        assert sum(d.size for d in distinct) < sum(a.size for a in arrays.values())
+        want = np.sort(np.concatenate(distinct))
+        assert np.array_equal(np.sort(np.array(formatted).view(np.int64)), want)
+
+    def test_commands_build_no_json_safe_copy(self, monkeypatch, tmp_path, capsys):
+        # run and free-energy read the report tree; only its leaves are
+        # converted, piece by piece, by the writer
+        whole = []
+        original = pipeline._jsonify
+        monkeypatch.setattr(pipeline, "_jsonify", lambda obj: (
+            whole.append(isinstance(obj, dict) and "schema_version" in obj) or original(obj)
+        ))
+        cfg = str(resources.files("ldpkit").joinpath("data/scenarios/ge-ex.cfg"))
+        assert main(["run", cfg, "--out-dir", str(tmp_path)]) == 0
+        assert main(["free-energy", cfg]) == 0
+        assert whole and not any(whole)
+        assert "[PASS] vague-ldp" in capsys.readouterr().out
 
 
 class TestCliCommands:
@@ -622,6 +646,20 @@ class TestCliCommands:
         out = tmp_path / "out.csv"
         assert main(["conjugate", str(tmp_path / "f.csv"), str(out), "--dual-grid=-2:2:5"]) == 2
         assert f"f.csv:3: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rows, message", [
+        ("-1,1e308\n0,-1e308\n1,1e308\n", "f.csv:2: chord slope from x = -1.0 to x = 0.0"),
+        ("0,0\n5e-324,1e300\n", "f.csv:2: chord slope from x = 0.0 to x = 5e-324"),
+    ], ids=["values", "step"])
+    def test_conjugate_overflowing_chord_slope_exits_2(self, tmp_path, capsys, rows, message):
+        # finite values whose chord slope overflows once warned from numpy
+        # ("overflow encountered in subtract") and exited 0; the suite turns
+        # such a warning into an error
+        (tmp_path / "f.csv").write_text(rows)
+        out = tmp_path / "out.csv"
+        assert main(["conjugate", str(tmp_path / "f.csv"), str(out), "--dual-grid=-2:2:5"]) == 2
+        assert f"{message} is not finite" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("spec, message", [

@@ -20,7 +20,7 @@ from ldpkit.convex import (
     load_grid_csv,
     save_grid_csv,
 )
-from ldpkit.convex import _runs
+from ldpkit.convex import _reprs, _runs
 from ldpkit.extreal import INF, NEG_INF
 from ldpkit.measures import RegionSet
 
@@ -95,6 +95,25 @@ class TestGridFunction:
         path.write_text("1.0,1.0\n0.5,1.0\n")
         with pytest.raises(GridFormatError, match="increasing"):
             load_grid_csv(path)
+
+
+# signed zeros, both NaN signs, the infinities and the extreme magnitudes;
+# drawn from a short list, they repeat within an array
+EDGE_FLOATS = st.sampled_from(
+    [0.0, -0.0, float("nan"), -float("nan"), INF, NEG_INF, 5e-324, -5e-324, 1e308, -1e308]
+)
+
+
+class TestReprs:
+    @given(st.lists(st.one_of(EDGE_FLOATS, st.floats()), max_size=40))
+    @example([])
+    @example([0.0, -0.0, 0.0, float("nan"), -0.0, INF, NEG_INF, 5e-324, 1e308, -1e308, 1e308])
+    @settings(max_examples=200, deadline=None)
+    def test_equals_repr_of_every_entry(self, values):
+        a = np.array(values, dtype=float)
+        for arr in (a, a[::2]):  # a strided view too
+            assert _reprs(arr) == list(map(repr, arr.tolist()))
+            assert _reprs(arr, scalars=True) == list(map(repr, arr))
 
 
 class TestLfTransform:

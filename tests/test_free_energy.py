@@ -353,6 +353,35 @@ class TestSlopeLogSumBlocks:
         got = slope_log_sums(slopes, locs, logm, 0.01)
         assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("samples", [1, 3])
+    @pytest.mark.parametrize("name", ["ge-ex", "dem-zei"])
+    def test_table_blocks_do_not_change_rows(self, name, samples, monkeypatch):
+        # a table is evaluated in blocks of whole samples: dem-zei's family
+        # has custom members (its sloped rows read 0.0 on this window, so it
+        # checks where the columns go), ge-ex's is the two-slope grid (whose
+        # rows also check that each sample keeps its own scale t)
+        if name == "ge-ex":
+            net, family = ldpkit.coin_example_net(), two_slope_family((-4, 4), (-4, 4), 41)
+        else:
+            net = ldpkit.demzei_example_net()
+            family = family_union(qn_family(10), linear_family(-1.0, 1.0, 21))
+        window = window_for_t_range(net, 1e-2, 1e-6, 48)
+        blocks = []  # samples per _logaddexp call
+
+        def rows_at(block_terms):
+            blocks.clear()
+            monkeypatch.setattr(free_energy, "_BLOCK_TERMS", block_terms)
+            return lambda_family_table(net, family, window, TOL).rows
+
+        monkeypatch.setattr(
+            free_energy, "_logaddexp", lambda a, b: blocks.append(len(a)) or _logaddexp(a, b)
+        )
+        whole = rows_at(1 << 30)
+        assert blocks == [whole.shape[0]]
+        sloped = np.count_nonzero(~np.isnan(family.lam))
+        assert rows_at(4 * samples * sloped).tobytes() == whole.tobytes()
+        assert blocks[:-1] == [samples] * (len(blocks) - 1) and sum(blocks) == whole.shape[0]
+
 
 def unmasked_log_sum_exp_rows(x: np.ndarray) -> np.ndarray:
     """Oracle: :func:`_log_sum_exp_rows` with ``exp`` run on every term."""

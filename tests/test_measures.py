@@ -372,7 +372,7 @@ class TestRegionSet:
 
 class TestExampleNets:
     def test_coin_at_4(self, coin_net):
-        m, t = coin_net.at(4)
+        m, t = coin_net.measure(4), coin_net.t(4)
         assert t == 0.25
         assert m.locations.tolist() == [-1.0, 1.0]
         assert m.masses.tolist() == [0.5, 0.5]
@@ -385,7 +385,7 @@ class TestExampleNets:
         assert all(b < a for a, b in zip(ts, ts[1:]))
 
     def test_demzei_at_2(self, demzei_net):
-        m, t = demzei_net.at(2)
+        m, t = demzei_net.measure(2), demzei_net.t(2)
         assert t == 0.5
         p = math.exp(-4.0)
         assert np.allclose(m.locations, [-2.0, 0.0, 2.0])
@@ -403,13 +403,13 @@ class TestExampleNets:
             assert eps * (-1.0 / eps**2) == -k
 
     def test_iid_two_fold_convolution(self, iid_small_net):
-        m, t = iid_small_net.at(2)
+        m, t = iid_small_net.measure(2), iid_small_net.t(2)
         assert t == 0.5
         assert np.allclose(m.locations, [0.0, 0.5, 1.0])
         assert np.allclose(m.masses, [0.25, 0.5, 0.25])
 
     def test_iid_n_one_is_base(self, iid_small_net):
-        m, _ = iid_small_net.at(1)
+        m = iid_small_net.measure(1)
         base = ldpkit.bernoulli_half_base()
         assert np.allclose(m.locations, base.locations)
         assert np.allclose(m.masses, base.masses)
@@ -424,10 +424,11 @@ class TestExampleNets:
             ldpkit.iid_mean_example_net(base, 10)
 
     def test_net_index_range_errors(self, coin_net):
-        with pytest.raises(IndexError):
-            coin_net.at(0)
-        with pytest.raises(IndexError):
-            coin_net.at(coin_net.max_index + 1)
+        for k in (0, coin_net.max_index + 1):
+            with pytest.raises(IndexError):
+                coin_net.measure(k)
+            with pytest.raises(IndexError):
+                coin_net.t(k)
 
     def test_net_requires_decreasing_t(self):
         with pytest.raises(ValueError, match="decreasing"):

@@ -37,7 +37,13 @@ from ldpkit.verifier import (
 )
 
 import oracles
-from oracles import derivative_bound_check, log_mass_in, region_power_mass, scalar_ext_abs_diff
+from oracles import (
+    derivative_bound_check,
+    log_mass_in,
+    region_power_mass,
+    scalar_ext_abs_diff,
+    window_samples,
+)
 
 TOL = 2e-2
 FILTER_TOL = Tolerances.filter
@@ -112,7 +118,7 @@ class TestLocalRate:
         w = ldpkit.WindowSpec(100, 500, 8)
         x = 0.5
         for k in w.indices(iid_small_net):
-            m, t = iid_small_net.at(int(k))
+            m, t = iid_small_net.measure(int(k)), iid_small_net.t(int(k))
             d = np.array(DELTAS)
             masses = np.exp(t * m.log_masses_in(x - d, x + d))
             assert np.all(masses[:-1] >= masses[1:] - 1e-15)
@@ -263,7 +269,7 @@ class TestExponentialTightness:
         w = ldpkit.window_for_t_range(net, 1e-1, 1e-3, 12)
         eps_list, schedule = [0.5, 0.01, 0.1, 1e-6], [1.0, 4.0, 16.0]
         ok, table = exponential_tightness_check(net, eps_list, schedule, w)
-        samples = [net.at(int(k)) for k in w.indices(net)]
+        samples = window_samples(net, w)
         want = []
         for eps in eps_list:
             row = {"eps": eps, "R": None, "estimate": None}
@@ -579,7 +585,7 @@ def full_schedule_local_rates(net, xs, deltas, window):
     d = np.asarray(deltas, dtype=float)
     powered = []
     for k in window.indices(net):
-        m, t = net.at(int(k))
+        m, t = net.measure(int(k)), net.t(int(k))
         powered.append(t * m.log_masses_in(xs - d, xs + d))
     powered = np.array(powered)
     rate = lambda est: np.max(-est + 0.0, axis=-1, initial=NEG_INF)
@@ -591,7 +597,7 @@ def loop_exponential_tightness_check(net, eps_list, R_schedule, window):
     and radius, each radius measured on its first use."""
     if any(e <= 0 for e in eps_list):
         raise ValueError("eps_list entries must be positive")
-    samples = [net.at(int(k)) for k in window.indices(net)]
+    samples = window_samples(net, window)
     limsups = []
 
     def limsup(i):
@@ -613,7 +619,7 @@ def loop_exponential_tightness_check(net, eps_list, R_schedule, window):
 
 def loop_ldp_bounds_check(net, J, regions, window, tol):
     """Oracle: :func:`ldp_bounds_check` with one query per region and sample."""
-    samples = [net.at(int(k)) for k in window.indices(net)]
+    samples = window_samples(net, window)
     entries = []
     holds = True
     for region, kind in regions:
