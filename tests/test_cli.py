@@ -27,7 +27,7 @@ from ldpkit.pipeline import (
     run_free_energy,
     run_scenario,
 )
-from ldpkit.scenario import CheckParams, ScenarioError, load_scenario
+from ldpkit.scenario import KNOWN_CHECKS, CheckParams, ScenarioError, load_scenario
 from ldpkit.tilts import TiltFunction
 
 
@@ -400,6 +400,73 @@ class TestRunScenario:
         report, ok = run_scenario(load_scenario(path), out_dir=None)
         assert ok and report["checks"] == []
         assert "L" in report["tables"]
+
+    @pytest.mark.parametrize("family", ["two-slope", "linear"])
+    def test_every_check_id_gives_its_entry(self, tmp_path, family):
+        # every KNOWN_CHECKS id through the pipeline, on a lambda grid and a
+        # sub_G that both exclude 0; the linear family makes ellis-two-slope
+        # build its auxiliary two-slope family
+        cfg = (
+            MINI_SCENARIO.replace("lo = -2.0", "lo = 0.5")
+            .replace("kind = two-slope", f"kind = {family}")
+            .replace("run = vague-ldp, exp-tight, sandwich, conjugate-consistency, "
+                     "rate-compare, range-dom-abstract", "run = " + ", ".join(KNOWN_CHECKS))
+            .replace("informational = gartner-ellis-a", "informational =\nsub_lo = 1\nsub_hi = 2")
+        )
+        path = tmp_path / "all.cfg"
+        path.write_text(cfg)
+        report, ok = run_scenario(load_scenario(path))
+        assert not ok
+        assert [c["condition_id"] for c in report["checks"]] == list(KNOWN_CHECKS)
+        fields = {
+            "vague-ldp": ["max_gap", "tol"],
+            "exp-tight": ["table"],
+            "ldp-bounds": ["regions"],
+            "varadhan": ["tilts", "tol"],
+            "derivative-bound": ["failures", "tol"],
+            "sandwich": ["worst", "slack"],
+            "conjugate-consistency": ["max_gap", "witnesses"],
+            "rate-compare": ["checks", "allowed_differences"],
+        }
+        range_fields = ["witnesses", "witness_count", "conclusions", "notes"]
+        for entry in report["checks"]:
+            cid = entry["condition_id"]
+            want = ["condition_id", "holds", *fields.get(cid, range_fields), "informational"]
+            assert list(entry) == want, cid
+            assert entry["informational"] is False
+            if cid in fields:
+                continue
+            notes = ["merge_gap", "closure", "target_size", "range_components"]
+            if cid.startswith("range-int"):
+                notes.insert(2, "proper_convex_premise")
+            notes += {
+                "gartner-ellis-a": ["essentially_smooth"],
+                "gartner-ellis-b": ["zero_in_G"],
+                "gartner-ellis-b-sub": ["sub_G", "zero_in_G"],
+                "ellis-two-slope": ["premise_all_exist"],
+            }.get(cid, [])
+            assert list(entry["notes"]) == notes, cid
+            assert len(entry["witnesses"]) == min(entry["witness_count"], 16), cid
+            if cid.startswith("gartner-ellis-b"):
+                assert entry["notes"]["zero_in_G"] is False and not entry["holds"]
+                assert entry["conclusions"] == []
+        by_id = {c["condition_id"]: c for c in report["checks"]}
+        assert by_id["gartner-ellis-b-sub"]["notes"]["sub_G"] == [1.0, 2.0]
+        assert [list(row) for row in by_id["exp-tight"]["table"]] == [["eps", "R", "estimate"]]
+        assert [list(r) for r in by_id["ldp-bounds"]["regions"]] == [
+            ["kind", "estimate", "capacity", "violation", "holds"]
+        ]
+        assert [list(t) for t in by_id["varadhan"]["tilts"]] == [
+            ["tilt", "free_energy", "sup_form", "holds"]
+        ]
+        assert list(by_id["sandwich"]["worst"]) == ["violation", "link", "x"]
+        compare = by_id["rate-compare"]
+        assert [list(c) for c in compare["checks"]] == 4 * [
+            ["comparison", "mask", "holds", "max_violation", "witnesses"]
+        ]
+        assert [list(d) for d in compare["allowed_differences"]] == 2 * [
+            ["comparison", "outside_masks", "count"]
+        ]
 
     def test_infinities_serialized_as_strings(self, mini_scenario):
         sc = load_scenario(mini_scenario)
