@@ -52,9 +52,9 @@ from .tilts import (
     two_slope_family,
 )
 from .verifier import (
-    ConditionReport,
     RangeTargets,
     RateFunctionEstimate,
+    conjugate_consistency_check,
     derivative_bound_scan,
     exponential_tightness_check,
     ldp_bounds_check,

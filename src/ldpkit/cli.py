@@ -8,9 +8,10 @@ Subcommands:
 * ``free-energy <scenario>`` -- free-energy tables only.
 * ``conjugate <in> <out> --dual-grid lo:hi:n`` -- file-level Legendre-Fenchel
   transform of a ``x,value`` CSV.
-* ``reproduce <name>``       -- run a packaged scenario (``ge-ex`` or
-  ``dem-zei``) and diff the report against the committed golden; output
-  files are written only with ``--out-dir``.
+* ``reproduce <name>``       -- run a packaged scenario (``ge-ex``,
+  ``dem-zei`` or ``cramer``) and diff the report against the committed
+  golden (``cramer`` has none, so it only runs); output files are written
+  only with ``--out-dir``.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from dataclasses import replace
 from importlib import resources
@@ -81,6 +83,8 @@ def _parse_dual_grid(spec: str) -> np.ndarray:
         lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
         if not (-np.inf < lo < hi < np.inf and n >= 2):
             raise ValueError("needs finite lo < hi and n >= 2")
+        if not math.isfinite(hi - lo):
+            raise ValueError(f"span hi - lo = {hi - lo} is not finite")
     except ValueError as exc:  # a part that is not a number, or a bad grid
         raise GridFormatError(f"--dual-grid {spec}: {exc}") from None
     return np.linspace(lo, hi, n)

@@ -488,6 +488,9 @@ def load_grid_csv(path, label: str = "") -> GridFunction:
                 raise GridFormatError(
                     f"{path}:{lineno}: grid must be strictly increasing"
                 )
+            if xs and not math.isfinite(x - xs[-1]):
+                step = f"grid step from x = {xs[-1]} to x = {x}"
+                raise GridFormatError(f"{path}:{lineno}: {step} is not finite")
             if xs and math.isfinite(v) and math.isfinite(vals[-1]):
                 if not math.isfinite((v - vals[-1]) / (x - xs[-1])):
                     chord = f"chord slope from x = {xs[-1]} to x = {x}"

@@ -12,12 +12,12 @@ import json
 import math
 import os
 from dataclasses import asdict, replace
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
 from . import convex, verifier
-from .conjugate import abstract_lf, stable_abstract_lf
+from .conjugate import stable_abstract_lf
 from .convex import GridFunction, _write_rows, chord_slopes, essential_smoothness_check, lf_transform
 from .extreal import INF
 from .free_energy import FamilyTable, L_from_table, lambda_family_table, window_for_t_range
@@ -28,7 +28,7 @@ from .measures import (
     demzei_example_net,
     iid_mean_example_net,
 )
-from .scenario import DELTA_COUNT, WINDOW_SAMPLES, Scenario, Tolerances
+from .scenario import DELTA_COUNT, KNOWN_CHECKS, WINDOW_SAMPLES, Scenario, Tolerances
 from .tilts import (
     TiltFamily,
     TiltFunction,
@@ -40,11 +40,17 @@ from .tilts import (
 )
 from .verifier import (
     RangeTargets,
+    conjugate_consistency_check,
+    derivative_bound_scan,
+    equality_on_mask,
+    exponential_tightness_check,
+    ldp_bounds_check,
     range_condition_check,
     rate_comparison,
     rate_grid,
     sandwich_check,
     vague_ldp_check,
+    varadhan_identity_check,
 )
 
 SCHEMA_VERSION = 1
@@ -238,6 +244,7 @@ class PipelineState:
 
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
+        self.tol, self.params = scenario.tolerances, scenario.check_params
         self.net = build_net(scenario)
         self.window, self.rate_window = (
             window_for_t_range(self.net, w.t_max, w.t_min, w.samples)
@@ -261,9 +268,8 @@ class PipelineState:
 
     def _table(self, family: TiltFamily) -> FamilyTable:
         """The family's free energies over the main window, at the scenario's tolerances."""
-        tol = self.scenario.tolerances
         return lambda_family_table(
-            self.net, family, self.window, tol.convergence, tol.divergence_threshold
+            self.net, family, self.window, self.tol.convergence, self.tol.divergence_threshold
         )
 
     @cached_property
@@ -282,7 +288,7 @@ class PipelineState:
 
     @cached_property
     def abstract_star(self) -> GridFunction:
-        tol = self.scenario.tolerances
+        tol = self.tol
         return stable_abstract_lf(
             self.net, self.family, self.family_table, self.x_grid, self.window,
             tol.convergence, tol.divergence_threshold, tol.stability,
@@ -293,26 +299,19 @@ class PipelineState:
         return rate_grid(self.net, self.x_grid, self.radius, self.rate_window)
 
     @cached_property
-    def _vague_ldp(self) -> tuple[bool, GridFunction, float]:
-        return vague_ldp_check(self.rfe, self.scenario.tolerances.ldp)
+    def vague_ldp(self) -> dict:
+        return vague_ldp_check(self.rfe, self.tol.ldp)
 
-    @property
-    def ldp_holds(self) -> bool:
-        return self._vague_ldp[0]
-
-    @property
+    @cached_property
     def J(self) -> GridFunction:
-        return self._vague_ldp[1]
-
-    @property
-    def ldp_max_gap(self) -> float:
-        return self._vague_ldp[2]
+        """``l0``, the rate function when the vague-LDP check holds."""
+        return self.rfe.l0.with_label("J")
 
     @cached_property
     def single_tilts(self) -> tuple[list[TiltFunction], FamilyTable]:
         """The requested ``varadhan`` tilts, then ``linear:0``, in one table."""
-        s = self.scenario
-        tilts = list(s.check_params.varadhan_tilts) if "varadhan" in s.all_checks() else []
+        wanted = "varadhan" in self.scenario.all_checks()
+        tilts = list(self.params.varadhan_tilts) if wanted else []
         tilts.append(TiltFunction.linear(0.0))
         return tilts, self._table(explicit_family(tilts))
 
@@ -325,144 +324,103 @@ class PipelineState:
         return RangeTargets(self.rfe, self.abstract_star, self.L_star, self.lambda_bar_zero)
 
 
-def _range_condition_entry(state: PipelineState, cid: str) -> dict:
-    s = state.scenario
-    tol = s.tolerances
-    if cid == "gartner-ellis-b-sub":
-        lo, hi = s.check_params.sub_G
-        L_sub = state.L.restrict_open(lo, hi, label="L_sub")
-        L_star_sub = lf_transform(L_sub, state.x_grid).with_label("L_star_sub")
-        targets = replace(state.targets, linear_star=L_star_sub)
-        rep = range_condition_check(L_sub, (lo, hi), targets, "gartner-ellis-b", tol.filter)
-        zero_in = lo < 0.0 < hi
-        rep = replace(
-            rep,
-            condition_id=cid,
-            hypothesis_holds=rep.hypothesis_holds and zero_in,
-            notes={**rep.notes, "sub_G": [lo, hi], "zero_in_G": zero_in},
-        )
+def _first(entry: dict, key: str, n: int) -> dict:
+    """``entry`` with only the first ``n`` items of its ``key`` list."""
+    return {**entry, key: entry[key][:n]}
+
+
+def _range_entry(state: PipelineState, cid: str) -> dict:
+    """Range condition ``cid``'s entry, its notes and its conclusions.
+
+    ``gartner-ellis-b-sub`` is ``gartner-ellis-b`` on ``sub_G``, with L
+    restricted there and its conjugate as the linear target;
+    ``ellis-two-slope`` reads the auxiliary two-slope family's conjugate when
+    the scenario's family is not two-slope.
+    """
+    tol, sub = state.tol, cid == "gartner-ellis-b-sub"
+    L, G, targets = state.L, state.G, state.targets
+    if sub:
+        G = state.params.sub_G
+        L = L.restrict_open(*G, label="L_sub")
+        L_star_sub = lf_transform(L, state.x_grid).with_label("L_star_sub")
+        targets = replace(targets, linear_star=L_star_sub)
     elif cid == "ellis-two-slope" and state.family.kind != "two_slope":
-        lo, hi, res = s.check_params.two_slope
+        lo, hi, res = state.params.two_slope
         aux = two_slope_family((lo, hi), (lo, hi), res)
         aux_star = stable_abstract_lf(
             state.net, aux, state._table(aux), state.x_grid, state.window,
             tol.convergence, tol.divergence_threshold, tol.stability,
         )
-        targets = replace(state.targets, abstract_star=aux_star)
-        rep = range_condition_check(state.L, state.G, targets, cid, tol.filter)
-    else:
-        rep = range_condition_check(state.L, state.G, state.targets, cid, tol.filter)
+        targets = replace(targets, abstract_star=aux_star)
+    entry = range_condition_check(L, G, targets, "gartner-ellis-b" if sub else cid, tol.filter)
 
-    notes = dict(rep.notes)
-    if cid == "gartner-ellis-b" and not (state.G[0] < 0.0 < state.G[1]):
-        notes["zero_in_G"] = False
-        rep = replace(rep, hypothesis_holds=False, notes=notes)
+    notes = entry["notes"]
+    if cid.startswith("gartner-ellis-b"):
+        zero_in = G[0] < 0.0 < G[1]
+        if sub:
+            notes["sub_G"] = list(G)
+        if sub or not zero_in:
+            notes["zero_in_G"] = zero_in
+        entry["holds"] = entry["holds"] and zero_in
     if cid == "gartner-ellis-a":
         notes["essentially_smooth"] = essential_smoothness_check(state.L)[0]
     if cid == "ellis-two-slope":
         notes["premise_all_exist"] = True  # enforced by stable_abstract_lf
-    conclusions = []
-    if rep.hypothesis_holds and state.ldp_holds:
-        dom_J = np.isfinite(state.J.values)
-        everywhere = np.ones_like(dom_J)
-        if cid in ("gartner-ellis-a", "gartner-ellis-b", "gartner-ellis-b-sub"):
+    if entry["holds"] and state.vague_ldp["holds"]:
+        everywhere = np.ones(state.J.xs.shape, dtype=bool)
+        if cid.startswith("gartner-ellis"):
             claims = [("J == linear conjugate everywhere", state.L_star, everywhere)]
         else:
             claims = [
                 ("J == abstract conjugate everywhere", state.abstract_star, everywhere),
-                ("J == linear conjugate on dom(J)", state.L_star, dom_J),
+                ("J == linear conjugate on dom(J)", state.L_star, np.isfinite(state.J.values)),
             ]
         for claim, target, mask in claims:
-            holds, worst, _ = verifier.equality_on_mask(
-                state.J, target, mask, s.tolerances.equality
-            )
-            conclusions.append(
+            holds, worst, _ = equality_on_mask(state.J, target, mask, tol.equality)
+            entry["conclusions"].append(
                 {"claim": claim, "holds": holds,
                  "max_violation": None if worst == INF else worst}
             )
-    return {
-        "condition_id": cid,
-        "holds": rep.hypothesis_holds,
-        "witnesses": list(rep.witnesses[:16]),
-        "witness_count": len(rep.witnesses),
-        "conclusions": conclusions,
-        "notes": notes,
-    }
+    return _first(entry, "witnesses", 16)
+
+
+def _rate_compare(state: PipelineState) -> dict:
+    dom_J = np.isfinite(state.J.values)
+    filt = verifier._l1_filter(state.targets, state.tol.filter)
+    masks = {"dom_J": dom_J, "dom_J_filtered": dom_J & filt}
+    return rate_comparison(state.J, state.L_star, state.abstract_star, masks, state.tol.equality)
+
+
+# check id -> its entry; every id not listed here is a range condition
+_CHECKS = {
+    "vague-ldp": lambda st: st.vague_ldp,
+    "exp-tight": lambda st: exponential_tightness_check(
+        st.net, st.params.eps_list, st.params.r_schedule, st.rate_window
+    ),
+    "ldp-bounds": lambda st: ldp_bounds_check(
+        st.net, st.J, st.params.regions, st.rate_window, st.tol.bounds
+    ),
+    "varadhan": lambda st: varadhan_identity_check(
+        st.single_tilts[0][:-1], st.single_tilts[1], st.rfe, st.tol.value
+    ),
+    "derivative-bound": lambda st: _first(
+        derivative_bound_scan(st.L, st.rfe, st.tol.derivative_bound), "failures", 8
+    ),
+    "sandwich": lambda st: sandwich_check(
+        st.L_star, st.abstract_star, st.rfe, st.tol.sandwich_slack
+    ),
+    "conjugate-consistency": lambda st: _first(
+        conjugate_consistency_check(st.linear_fam, st.linear_table, st.L_star), "witnesses", 8
+    ),
+    "rate-compare": _rate_compare,
+}
+_CHECKS.update(
+    {cid: partial(_range_entry, cid=cid) for cid in KNOWN_CHECKS if cid not in _CHECKS}
+)
 
 
 def _run_check(state: PipelineState, cid: str) -> dict:
-    s = state.scenario
-    tol = s.tolerances
-    if cid == "vague-ldp":
-        return {
-            "condition_id": cid,
-            "holds": state.ldp_holds,
-            "max_gap": state.ldp_max_gap,
-            "tol": tol.ldp,
-        }
-    if cid == "exp-tight":
-        ok, table = verifier.exponential_tightness_check(
-            state.net, s.check_params.eps_list, s.check_params.r_schedule, state.rate_window
-        )
-        return {"condition_id": cid, "holds": ok, "table": table}
-    if cid == "ldp-bounds":
-        result = verifier.ldp_bounds_check(
-            state.net, state.J, s.check_params.regions, state.rate_window, tol.bounds
-        )
-        return {"condition_id": cid, "holds": result["holds"], "regions": result["regions"]}
-    if cid == "varadhan":
-        tilts, table = state.single_tilts
-        entries = []
-        ok = True
-        for i, tilt in enumerate(tilts[:-1]):
-            holds, lhs, rhs = verifier.varadhan_identity_check(
-                tilt, table.estimate(i), state.rfe, tol.value
-            )
-            ok = ok and holds
-            entries.append(
-                {"tilt": tilt.label, "free_energy": lhs, "sup_form": rhs, "holds": holds}
-            )
-        return {"condition_id": cid, "holds": ok, "tilts": entries, "tol": tol.value}
-    if cid == "derivative-bound":
-        ok, failures = verifier.derivative_bound_scan(
-            state.L, state.rfe, tol.derivative_bound
-        )
-        return {
-            "condition_id": cid,
-            "holds": ok,
-            "failures": failures[:8],
-            "tol": tol.derivative_bound,
-        }
-    if cid == "sandwich":
-        ok, worst = sandwich_check(
-            state.L_star, state.abstract_star, state.rfe, tol.sandwich_slack
-        )
-        return {"condition_id": cid, "holds": ok, "worst": worst, "slack": tol.sandwich_slack}
-    if cid == "conjugate-consistency":
-        direct = abstract_lf(state.linear_fam, state.linear_table, state.x_grid)
-        _, worst, witnesses = verifier.equality_on_mask(
-            direct, state.L_star, np.ones(state.x_grid.shape, dtype=bool), 1e-6
-        )
-        return {
-            "condition_id": cid,
-            "holds": worst <= 1e-6,
-            "max_gap": None if worst == INF else worst,
-            "witnesses": witnesses[:8],
-        }
-    if cid == "rate-compare":
-        dom_J = np.isfinite(state.J.values)
-        filt = verifier._l1_filter(state.targets, tol.filter)
-        masks = {"dom_J": dom_J, "dom_J_filtered": dom_J & filt}
-        result = rate_comparison(
-            state.J, state.L_star, state.abstract_star, masks, tol.equality
-        )
-        return {
-            "condition_id": cid,
-            "holds": result["holds"],
-            "checks": result["checks"],
-            "allowed_differences": result["allowed_differences"],
-        }
-    return _range_condition_entry(state, cid)
+    return {"condition_id": cid, **_CHECKS[cid](state)}
 
 
 def _verdict(state: PipelineState, checks: list[dict], informational: set[str]) -> dict:
@@ -494,7 +452,7 @@ def _verdict(state: PipelineState, checks: list[dict], informational: set[str]) 
     run_ok = all(
         c["holds"] for c in checks if c["condition_id"] not in informational
     )
-    rate = "abstract conjugate over the tilt family" if state.ldp_holds else None
+    rate = "abstract conjugate over the tilt family" if state.vague_ldp["holds"] else None
     return {
         "all_requested_hold": run_ok,
         "narrow_ldp": narrow,

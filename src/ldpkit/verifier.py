@@ -12,7 +12,13 @@ these the module checks exponential tightness, the set-wise LDP bounds, the
 Varadhan-style identity ``F(h) = sup_x (h(x) - l1(x))``, the one-sided
 derivative inequality ``l1(s) <= lam0 * s - L(lam0)``, the derivative-range
 coverage conditions that imply the LDP, and the rate-function equalities
-those conditions guarantee.
+those conditions guarantee, and that the abstract conjugate of the linear
+family agrees with the classical one.
+
+Each check returns its report entry: a dict whose first key is ``"holds"``,
+followed by the fields a ``run`` report writes under ``checks``, in that
+order.  Failures and witnesses come back whole, and the pipeline keeps the
+first few; ``rate_comparison`` keeps 8 witnesses per comparison itself.
 
 All liminf/limsup estimates follow the same window convention as the
 free-energy module (min/max over a geometric tail sample).  A ball's mass
@@ -27,16 +33,19 @@ object, with all of its intervals in that one call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from .conjugate import abstract_lf
 from .convex import GridFunction, _chords, derivative_range, interior_mask, is_convex_table
 from .extreal import INF, NEG_INF, ext_abs_diff, ext_sub
-from .free_energy import LimitEstimate, WindowSpec, window_of
+from .free_energy import FamilyTable, WindowSpec, window_of
 from .measures import RegionSet, ScaledMeasureNet
-from .tilts import TiltFunction
+from .tilts import TiltFamily, TiltFunction
+
+CONJUGATE_TOL = 1e-6  # the abstract and the classical conjugate of one linear family agree
 
 
 # ---------------------------------------------------------------------------
@@ -96,20 +105,17 @@ def rate_grid(
 # ---------------------------------------------------------------------------
 
 
-def vague_ldp_check(
-    rfe: RateFunctionEstimate, tol: float
-) -> tuple[bool, GridFunction, float]:
+def vague_ldp_check(rfe: RateFunctionEstimate, tol: float) -> dict:
     """Vague-LDP criterion: the two local rate functions agree on the grid.
 
-    Infinities must match exactly; finite values within ``tol``.  Returns
-    the verdict, the lower function as the rate function J, and the largest
-    finite gap ``|l0 - l1|`` (0 when no gap is finite).
+    Infinities must match exactly; finite values within ``tol``.
+    ``max_gap`` is the largest finite gap ``|l0 - l1|`` (0 when no gap is
+    finite).  When the check holds, ``l0`` is the rate function J.
     """
     gaps = ext_abs_diff(rfe.l0.values, rfe.l1.values)
     finite = gaps[np.isfinite(gaps)]
     max_gap = float(finite.max()) if finite.size else 0.0
-    J = GridFunction(rfe.grid, rfe.l0.values, label="J")
-    return bool(np.all(gaps <= tol)), J, max_gap
+    return {"holds": bool(np.all(gaps <= tol)), "max_gap": max_gap, "tol": tol}
 
 
 def exponential_tightness_check(
@@ -117,7 +123,7 @@ def exponential_tightness_check(
     eps_list: Sequence[float],
     R_schedule: Sequence[float],
     window: WindowSpec,
-) -> tuple[bool, list[dict]]:
+) -> dict:
     """Find, per epsilon, the smallest R with small escaping powered mass.
 
     The complement of [-R, R] gets its powered-mass limsup estimated over
@@ -137,7 +143,7 @@ def exponential_tightness_check(
             table.append({"eps": eps, "R": None, "estimate": None})
         else:
             table.append({"eps": eps, "R": R_schedule[i], "estimate": limsups[i]})
-    return all(row["R"] is not None for row in table), table
+    return {"holds": all(row["R"] is not None for row in table), "table": table}
 
 
 def ldp_bounds_check(
@@ -181,7 +187,7 @@ def ldp_bounds_check(
                 "holds": entry_holds,
             }
         )
-    return {"holds": holds, "regions": entries, "tol": tol}
+    return {"holds": holds, "regions": entries}
 
 
 # ---------------------------------------------------------------------------
@@ -190,32 +196,38 @@ def ldp_bounds_check(
 
 
 def varadhan_identity_check(
-    tilt: TiltFunction, est: LimitEstimate, rfe: RateFunctionEstimate, tol: float
-) -> tuple[bool, float, float]:
-    """Compare F(h), the free-energy estimate ``est`` of ``tilt``, against
-    ``sup_x ( h(x) - l1(x) )`` on the rate grid."""
-    if not est.converged:
-        raise ValueError("free energy of the tilt did not converge")
-    h = tilt.eval_array(rfe.grid)
-    with np.errstate(invalid="ignore"):
-        gaps = h - rfe.l1.values
-    gaps = np.where(np.isposinf(rfe.l1.values), NEG_INF, gaps)
-    rhs = float(np.max(gaps)) if gaps.size else NEG_INF
-    lhs = est.value
-    return bool(ext_abs_diff(lhs, rhs) <= tol), lhs, rhs
+    tilts: Sequence[TiltFunction], table: FamilyTable, rfe: RateFunctionEstimate, tol: float
+) -> dict:
+    """Compare each tilt's free energy F(h) against ``sup_x ( h(x) - l1(x) )``
+    on the rate grid.
+
+    Tilt ``i``'s free energy is ``table.value[i]``; the table may hold more
+    members after the tilts.
+    """
+    entries = []
+    for i, tilt in enumerate(tilts):
+        if not table.converged[i]:
+            raise ValueError("free energy of the tilt did not converge")
+        h = tilt.eval_array(rfe.grid)
+        with np.errstate(invalid="ignore"):
+            gaps = h - rfe.l1.values
+        gaps = np.where(np.isposinf(rfe.l1.values), NEG_INF, gaps)
+        rhs = float(np.max(gaps)) if gaps.size else NEG_INF
+        lhs = table.value[i].item()
+        entries.append({"tilt": tilt.label, "free_energy": lhs, "sup_form": rhs,
+                        "holds": bool(ext_abs_diff(lhs, rhs) <= tol)})
+    return {"holds": all(e["holds"] for e in entries), "tilts": entries, "tol": tol}
 
 
-def derivative_bound_scan(
-    L: GridFunction, rfe: RateFunctionEstimate, tol: float
-) -> tuple[bool, list[dict]]:
+def derivative_bound_scan(L: GridFunction, rfe: RateFunctionEstimate, tol: float) -> dict:
     """One-sided derivative inequality at every finite grid point of L.
 
     For each finite one-sided slope ``s`` at ``lam0``: ``l1(s) <= lam0 * s -
     L(lam0) + tol``, with ``l1`` read at the rate-grid point nearest to ``s``
     (ties to the lower one), which must lie inside the rate grid's span.  A
     ``+inf`` neighbour gives the off-grid slope ``-inf`` (left) or ``+inf``
-    (right), which is skipped.  Returns the verdict and the details of each
-    failing point, in grid order.
+    (right), which is skipped.  ``failures`` details each failing point, in
+    grid order.
     """
     at = np.flatnonzero(np.isfinite(L.values))
     chords = _chords(L)
@@ -253,20 +265,12 @@ def derivative_bound_scan(
             *(c[fail].tolist() for c in columns)
         )
     ]
-    return not failures, failures
+    return {"holds": not failures, "failures": failures, "tol": tol}
 
 
 # ---------------------------------------------------------------------------
 # derivative-range coverage conditions
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ConditionReport:
-    condition_id: str
-    hypothesis_holds: bool
-    witnesses: tuple = ()
-    notes: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -315,7 +319,7 @@ def range_condition_check(
     targets: RangeTargets,
     cid: str,
     filter_tol: float,
-) -> ConditionReport:
+) -> dict:
     """Test the derivative-range coverage condition ``cid``.
 
     The condition asks the range of one-sided slopes of ``L`` restricted
@@ -326,7 +330,8 @@ def range_condition_check(
     tested up to one local grid cell plus the slope-closure gap; witnesses
     are the uncovered target points.  The interior/convexity variants also
     verify their properness-and-convexity premise numerically and fold it
-    into ``hypothesis_holds``.
+    into ``holds``.  ``conclusions`` is left empty: what the condition
+    implies depends on the LDP verdict, which the caller holds.
     """
     if cid not in _CONDITIONS:
         raise ValueError(f"unknown condition id {cid!r}")
@@ -365,12 +370,13 @@ def range_condition_check(
     uncovered = targets_x[~rng.covers(targets_x, cell[mask] + rng.merge_gap)].tolist()
     notes["target_size"] = int(mask.sum())
     notes["range_components"] = list(rng.components)
-    return ConditionReport(
-        condition_id=cid,
-        hypothesis_holds=bool(not uncovered and premise_ok),
-        witnesses=tuple(uncovered),
-        notes=notes,
-    )
+    return {
+        "holds": bool(not uncovered and premise_ok),
+        "witnesses": uncovered,
+        "witness_count": len(uncovered),
+        "conclusions": [],
+        "notes": notes,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +400,18 @@ def equality_on_mask(
     return _masked_equality(A.xs, ext_abs_diff(A.values, B.values), mask, tol)
 
 
+def conjugate_consistency_check(
+    family: TiltFamily, table: FamilyTable, linear_star: GridFunction
+) -> dict:
+    """The abstract conjugate of a linear ``family`` on ``linear_star``'s grid
+    against ``linear_star``, the classical conjugate of the same L, within
+    :data:`CONJUGATE_TOL`; witnesses are the grid points farther apart."""
+    direct = abstract_lf(family, table, linear_star.xs)
+    everywhere = np.ones(linear_star.xs.shape, dtype=bool)
+    holds, worst, witnesses = equality_on_mask(direct, linear_star, everywhere, CONJUGATE_TOL)
+    return {"holds": holds, "max_gap": None if worst == INF else worst, "witnesses": witnesses}
+
+
 def rate_comparison(
     J: GridFunction,
     Lstar: GridFunction,
@@ -406,15 +424,15 @@ def rate_comparison(
     Each named mask gets both comparisons; differences outside the masks are
     theorem-allowed and reported informationally.
     """
-    out: dict = {"tol": tol, "checks": [], "allowed_differences": []}
     gaps = {
         "J_vs_abstract": ext_abs_diff(J.values, abstract_star.values),
         "J_vs_linear": ext_abs_diff(J.values, Lstar.values),
     }
+    checks = []
     for mask_name, mask in masks.items():
         for pair_name, gap in gaps.items():
             holds, worst, witnesses = _masked_equality(J.xs, gap, mask, tol)
-            out["checks"].append(
+            checks.append(
                 {
                     "comparison": pair_name,
                     "mask": mask_name,
@@ -426,13 +444,14 @@ def rate_comparison(
     union = np.zeros(J.xs.shape, dtype=bool)
     for mask in masks.values():
         union |= mask
+    allowed = []
     for pair_name, gap in gaps.items():
         diffs = J.xs[~union & (gap > tol)]
-        out["allowed_differences"].append(
+        allowed.append(
             {"comparison": pair_name, "outside_masks": diffs[:8].tolist(), "count": diffs.size}
         )
-    out["holds"] = all(c["holds"] for c in out["checks"])
-    return out
+    return {"holds": all(c["holds"] for c in checks), "checks": checks,
+            "allowed_differences": allowed}
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +464,7 @@ def sandwich_check(
     abstract_star: GridFunction,
     rfe: RateFunctionEstimate,
     slack: float,
-) -> tuple[bool, dict]:
+) -> dict:
     """Pointwise chain linear* <= abstract* <= l0 <= l1 within slack."""
     chain = [
         ("linear_star<=abstract_star", linear_star.values, abstract_star.values),
@@ -464,4 +483,4 @@ def sandwich_check(
         if viol.size and viol.max() > worst["violation"]:
             i = int(np.argmax(viol))
             worst = {"violation": float(viol[i]), "link": name, "x": float(rfe.grid[i])}
-    return worst["violation"] <= slack, worst
+    return {"holds": worst["violation"] <= slack, "worst": worst, "slack": slack}

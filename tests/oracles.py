@@ -271,9 +271,7 @@ def derivative_bound_check(
     return ok, details
 
 
-def derivative_bound_scan(
-    L: GridFunction, rfe: RateFunctionEstimate, tol: float
-) -> tuple[bool, list[dict]]:
+def derivative_bound_scan(L: GridFunction, rfe: RateFunctionEstimate, tol: float) -> dict:
     """``verifier.derivative_bound_scan`` point by point."""
     reports = []
     ok = True
@@ -284,7 +282,7 @@ def derivative_bound_scan(
         ok = ok and holds
         if not holds:
             reports.append(details)
-    return ok, reports
+    return {"holds": ok, "failures": reports, "tol": tol}
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from ldpkit.measures import RegionSet
 from ldpkit.scenario import Tolerances
 from ldpkit.tilts import (
     TiltFunction,
+    explicit_family,
     family_union,
     linear_family,
     q_bump_tilt,
@@ -176,7 +177,7 @@ def test_criterion_3_coin_reproduction(coin_net, main_window, rate_window):
     )
 
     rfe = rate_grid(coin_net, xs, RADIUS, rate_window)
-    ldp_ok, _, _ = vague_ldp_check(rfe, 1e-3)
+    ldp_ok = vague_ldp_check(rfe, 1e-3)["holds"]
 
     L_star = lf_transform(L, xs)
     targets = RangeTargets(rfe=rfe, abstract_star=sc, linear_star=L_star, lambda_bar_zero=0.0)
@@ -189,8 +190,8 @@ def test_criterion_3_coin_reproduction(coin_net, main_window, rate_window):
     geb_sub = range_condition_check(
         L_sub, (-0.5, 0.5), targets_sub, "gartner-ellis-b", FILTER_TOL
     )
-    sub_fails_densely = (not geb_sub.hypothesis_holds) and (
-        sum(1 for w in geb_sub.witnesses if -1 < w < 1) >= 20
+    sub_fails_densely = (not geb_sub["holds"]) and (
+        sum(1 for w in geb_sub["witnesses"] if -1 < w < 1) >= 20
     )
     elapsed = time.perf_counter() - t0
     report(
@@ -199,11 +200,11 @@ def test_criterion_3_coin_reproduction(coin_net, main_window, rate_window):
         and fam_err <= 1e-3
         and abstract_ok
         and ldp_ok
-        and ellis.hypothesis_holds
+        and ellis["holds"]
         and sub_fails_densely
         and elapsed < 10.0,
         f"|L-|lam||={l_err:.1e}, |family-max(-lam,nu)|={fam_err:.1e} (tol 1e-3), "
-        f"abstract ok={abstract_ok}, vague-ldp={ldp_ok}, ellis={ellis.hypothesis_holds}, "
+        f"abstract ok={abstract_ok}, vague-ldp={ldp_ok}, ellis={ellis['holds']}, "
         f"sub-interval range condition fails={sub_fails_densely}, "
         f"runtime={elapsed:.2f}s < 10s",
     )
@@ -236,7 +237,8 @@ def test_criterion_4_escaping_example(demzei_net, main_window, rate_window):
         np.all(np.isposinf(sc.values[~origin]))
     )
     rfe = rate_grid(demzei_net, xs, RADIUS, rate_window)
-    ldp_ok, J, _ = vague_ldp_check(rfe, 1e-3)
+    ldp_ok = vague_ldp_check(rfe, 1e-3)["holds"]
+    J = rfe.l0.with_label("J")
     j_matches = abs(J.values[origin][0]) <= 1e-3 and bool(
         np.all(np.isposinf(J.values[~origin]))
     )
@@ -277,8 +279,8 @@ def test_criterion_5_sandwich_chain(
     table = lambda_family_table(coin_net, fam, main_window, TOL)
     sc = stable_abstract_lf(coin_net, fam, table, xs, main_window, TOL)
     rfe = rate_grid(coin_net, xs, RADIUS, rate_window)
-    ok1, worst1 = sandwich_check(lf_transform(L, xs), sc, rfe, slack)
-    worst_all["coin"] = worst1["violation"]
+    out1 = sandwich_check(lf_transform(L, xs), sc, rfe, slack)
+    worst_all["coin"] = out1["worst"]["violation"]
 
     # escaping net
     xs = np.linspace(-3, 3, 121)
@@ -288,20 +290,18 @@ def test_criterion_5_sandwich_chain(
     table = lambda_family_table(demzei_net, fam, main_window, TOL, 1e3)
     sc = stable_abstract_lf(demzei_net, fam, table, xs, main_window, TOL, 1e3)
     rfe = rate_grid(demzei_net, xs, RADIUS, rate_window)
-    ok2, worst2 = sandwich_check(lf_transform(L, xs), sc, rfe, slack)
-    worst_all["dem-zei"] = worst2["violation"]
+    out2 = sandwich_check(lf_transform(L, xs), sc, rfe, slack)
+    worst_all["dem-zei"] = out2["worst"]["violation"]
 
     # iid empirical mean, atom-aligned grid
     al = iid_aligned
     star = abstract_lf(al["fam"], al["fam_table"], al["xs"])
-    ok3, worst3 = sandwich_check(
-        lf_transform(al["L"], al["xs"]), star, al["rfe"], slack
-    )
-    worst_all["iid"] = worst3["violation"]
+    out3 = sandwich_check(lf_transform(al["L"], al["xs"]), star, al["rfe"], slack)
+    worst_all["iid"] = out3["worst"]["violation"]
 
     report(
         "5 sandwich-chain",
-        ok1 and ok2 and ok3,
+        out1["holds"] and out2["holds"] and out3["holds"],
         "max violations "
         + ", ".join(f"{k}={v:.2e}" for k, v in worst_all.items())
         + f" (slack {slack:.0e})",
@@ -319,18 +319,18 @@ def test_criterion_6_derivative_bound(
     lin = linear_family(-3, 3, 61)
     L = L_from_table(lin, lambda_family_table(coin_net, lin, main_window, TOL))
     rfe = rate_grid(coin_net, xs, RADIUS, rate_window)
-    ok, fails = derivative_bound_scan(L, rfe, tol)
-    results["coin(-3,3)"] = (ok, len(fails))
+    out = derivative_bound_scan(L, rfe, tol)
+    results["coin(-3,3)"] = (out["holds"], len(out["failures"]))
 
     xs = np.linspace(-3, 3, 121)
     lin = linear_family(-1, 1, 21)
     L = L_from_table(lin, lambda_family_table(demzei_net, lin, main_window, TOL, 1e3))
     rfe = rate_grid(demzei_net, xs, RADIUS, rate_window)
-    ok, fails = derivative_bound_scan(L, rfe, tol)
-    results["dem-zei(-1,1)"] = (ok, len(fails))
+    out = derivative_bound_scan(L, rfe, tol)
+    results["dem-zei(-1,1)"] = (out["holds"], len(out["failures"]))
 
-    ok, fails = derivative_bound_scan(iid_L, iid_rfe_slopes, tol)
-    results["iid(-4,4)"] = (ok, len(fails))
+    out = derivative_bound_scan(iid_L, iid_rfe_slopes, tol)
+    results["iid(-4,4)"] = (out["holds"], len(out["failures"]))
 
     report(
         "6 derivative-bound",
@@ -373,33 +373,21 @@ def test_criterion_7_varadhan_identity(
     worst = {}
     all_ok = True
 
-    xs = np.linspace(-2, 2, 81)
-    rfe = rate_grid(coin_net, xs, RADIUS, rate_window)
-    w = 0.0
-    for tilt in tilts_for("coin"):
-        est = ldpkit.lambda_of(coin_net, tilt, main_window, TOL)
-        ok, lhs, rhs = varadhan_identity_check(tilt, est, rfe, tol)
-        all_ok &= ok
-        w = max(w, abs(lhs - rhs))
-    worst["coin"] = w
+    def check(name, net, window, rfe, *tolerances):
+        nonlocal all_ok
+        tilts = tilts_for(name)
+        table = lambda_family_table(net, explicit_family(tilts), window, *tolerances)
+        out = varadhan_identity_check(tilts, table, rfe, tol)
+        assert len(out["tilts"]) == 20
+        all_ok &= out["holds"]
+        worst[name] = max(abs(row["free_energy"] - row["sup_form"]) for row in out["tilts"])
 
+    xs = np.linspace(-2, 2, 81)
+    check("coin", coin_net, main_window, rate_grid(coin_net, xs, RADIUS, rate_window), TOL)
     xs = np.linspace(-3, 3, 121)
     rfe = rate_grid(demzei_net, xs, RADIUS, rate_window)
-    w = 0.0
-    for tilt in tilts_for("dem-zei"):
-        est = ldpkit.lambda_of(demzei_net, tilt, main_window, TOL, divergence_threshold=1e3)
-        ok, lhs, rhs = varadhan_identity_check(tilt, est, rfe, tol)
-        all_ok &= ok
-        w = max(w, abs(lhs - rhs))
-    worst["dem-zei"] = w
-
-    w = 0.0
-    for tilt in tilts_for("iid"):
-        est = ldpkit.lambda_of(iid_net, tilt, iid_window, 1e-3)
-        ok, lhs, rhs = varadhan_identity_check(tilt, est, iid_aligned["rfe"], tol)
-        all_ok &= ok
-        w = max(w, abs(lhs - rhs))
-    worst["iid"] = w
+    check("dem-zei", demzei_net, main_window, rfe, TOL, 1e3)
+    check("iid", iid_net, iid_window, iid_aligned["rfe"], 1e-3)
 
     report(
         "7 varadhan-identity",
@@ -453,10 +441,10 @@ def test_criterion_8_cramer_cross_check(iid_net, iid_window, iid_L, iid_rfe_slop
 
     report(
         "8 cramer-cross-check",
-        conj_err <= 1e-6 and smooth_ok and ge_a.hypothesis_holds,
+        conj_err <= 1e-6 and smooth_ok and ge_a["holds"],
         f"max|conjugate-oracle|={conj_err:.2e} (tol 1e-6) on (0.05,0.95), "
         f"essentially smooth={smooth_ok}, derivative-range condition holds="
-        f"{ge_a.hypothesis_holds}",
+        f"{ge_a['holds']}",
     )
 
 

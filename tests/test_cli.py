@@ -718,11 +718,12 @@ class TestCliCommands:
     @pytest.mark.parametrize("rows, message", [
         ("-1,1e308\n0,-1e308\n1,1e308\n", "f.csv:2: chord slope from x = -1.0 to x = 0.0"),
         ("0,0\n5e-324,1e300\n", "f.csv:2: chord slope from x = 0.0 to x = 5e-324"),
-    ], ids=["values", "step"])
+        ("-1e308,0\n1e308,1\n", "f.csv:2: grid step from x = -1e+308 to x = 1e+308"),
+    ], ids=["values", "step", "grid-step"])
     def test_conjugate_overflowing_chord_slope_exits_2(self, tmp_path, capsys, rows, message):
-        # finite values whose chord slope overflows once warned from numpy
-        # ("overflow encountered in subtract") and exited 0; the suite turns
-        # such a warning into an error
+        # finite values whose chord slope or grid step overflows once warned
+        # from numpy ("overflow encountered in subtract") and exited 0; the
+        # suite turns such a warning into an error
         (tmp_path / "f.csv").write_text(rows)
         out = tmp_path / "out.csv"
         assert main(["conjugate", str(tmp_path / "f.csv"), str(out), "--dual-grid=-2:2:5"]) == 2
@@ -736,9 +737,11 @@ class TestCliCommands:
         ("-1:1:1", "needs finite lo < hi and n >= 2"),
         ("-1:1:x", "invalid literal for int()"),
         ("-1:1", "expects lo:hi:n"),
-    ], ids=["inf", "nan", "reversed", "one-point", "not-a-number", "two-parts"])
+        ("-1e308:1e308:5", "span hi - lo = inf is not finite"),
+    ], ids=["inf", "nan", "reversed", "one-point", "not-a-number", "two-parts", "span"])
     def test_bad_dual_grid_exits_2(self, tmp_path, capsys, spec, message):
-        # -inf once warned twice and then blamed NaN values; x named no flag
+        # -inf once warned twice and then blamed NaN values; x named no flag;
+        # an overflowing span once warned three times and named no flag
         xs = np.linspace(-3, 3, 7)
         save_grid_csv(GridFunction(xs, np.abs(xs)), tmp_path / "f.csv")
         with warnings.catch_warnings():

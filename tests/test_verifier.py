@@ -20,7 +20,13 @@ from ldpkit.measures import (
 )
 from ldpkit.pipeline import PipelineState
 from ldpkit.scenario import Tolerances, load_scenario
-from ldpkit.tilts import TiltFunction, linear_family, q_bump_tilt, two_slope_family
+from ldpkit.tilts import (
+    TiltFunction,
+    explicit_family,
+    linear_family,
+    q_bump_tilt,
+    two_slope_family,
+)
 from ldpkit.verifier import (
     RangeTargets,
     _local_rates,
@@ -88,8 +94,8 @@ def coin_state(coin_net, main_window, rate_window):
     table = lambda_family_table(coin_net, fam, main_window, TOL)
     sc = stable_abstract_lf(coin_net, fam, table, xs, main_window, TOL)
     rfe = rate_grid(coin_net, xs, RADIUS, rate_window)
-    holds, J, _ = vague_ldp_check(rfe, 1e-3)
-    assert holds
+    assert vague_ldp_check(rfe, 1e-3)["holds"]
+    J = rfe.l0.with_label("J")
     return dict(net=coin_net, xs=xs, L=L, L_star=L_star, sc=sc, rfe=rfe, J=J)
 
 
@@ -172,8 +178,8 @@ class TestRateGrid:
 
 class TestVagueLdp:
     def test_coin_holds_with_indicator_rate(self, coin_state):
-        holds, J, _ = vague_ldp_check(coin_state["rfe"], 1e-3)
-        assert holds
+        assert vague_ldp_check(coin_state["rfe"], 1e-3)["holds"]
+        J = coin_state["rfe"].l0  # the rate function once the check holds
         at_atoms = np.isclose(np.abs(J.xs), 1.0)
         assert np.max(J.values[at_atoms]) <= 1e-3
         assert np.all(np.isposinf(J.values[~at_atoms]))
@@ -191,8 +197,7 @@ class TestVagueLdp:
             l1=GridFunction(rfe.grid, bumped, label="l1"),
             radius=rfe.radius,
         )
-        holds, _, _ = vague_ldp_check(fake, 1e-3)
-        assert not holds
+        assert not vague_ldp_check(fake, 1e-3)["holds"]
 
     def test_max_gap_is_the_largest_finite_gap(self):
         from ldpkit.verifier import RateFunctionEstimate
@@ -204,35 +209,31 @@ class TestVagueLdp:
             grid, GridFunction(grid, l0), GridFunction(grid, l1), RADIUS
         )
         # equal infinities are no gap; the finite-vs-infinite one fails the check
-        assert vague_ldp_check(rfe, 1.0)[0::2] == (False, 0.5)
+        assert vague_ldp_check(rfe, 1.0) == {"holds": False, "max_gap": 0.5, "tol": 1.0}
         rfe.l1.values[3] = 2.0
-        assert vague_ldp_check(rfe, 1.0)[0::2] == (True, 0.5)
-        assert vague_ldp_check(rfe, 0.25)[0::2] == (False, 0.5)
+        assert vague_ldp_check(rfe, 1.0) == {"holds": True, "max_gap": 0.5, "tol": 1.0}
+        assert vague_ldp_check(rfe, 0.25) == {"holds": False, "max_gap": 0.5, "tol": 0.25}
         all_inf = RateFunctionEstimate(
             grid, GridFunction(grid, np.full(6, INF)), GridFunction(grid, np.full(6, INF)),
             RADIUS,
         )
-        assert vague_ldp_check(all_inf, 0.0)[0::2] == (True, 0.0)
+        assert vague_ldp_check(all_inf, 0.0) == {"holds": True, "max_gap": 0.0, "tol": 0.0}
 
 
 class TestExponentialTightness:
     def test_coin_smallest_radius(self, coin_net, rate_window):
-        ok, table = exponential_tightness_check(
-            coin_net, [0.1, 0.01], [1.0, 2.0, 4.0], rate_window
-        )
-        assert ok and all(row["R"] == 1.0 for row in table)
+        out = exponential_tightness_check(coin_net, [0.1, 0.01], [1.0, 2.0, 4.0], rate_window)
+        assert out["holds"] and all(row["R"] == 1.0 for row in out["table"])
 
     def test_demzei_holds(self, demzei_net, rate_window):
-        ok, table = exponential_tightness_check(
-            demzei_net, [0.1], [1.0, 2.0], rate_window
-        )
-        assert ok and table[0]["estimate"] < 1e-12
+        out = exponential_tightness_check(demzei_net, [0.1], [1.0, 2.0], rate_window)
+        assert out["holds"] and out["table"][0]["estimate"] < 1e-12
 
     def test_escaping_net_fails(self):
         net = escaping_net()
         w = ldpkit.window_for_t_range(net, 1e-2, 1e-4, 16)
-        ok, table = exponential_tightness_check(net, [0.5], [1.0, 4.0, 16.0], w)
-        assert not ok and table[0]["R"] is None
+        out = exponential_tightness_check(net, [0.5], [1.0, 4.0, 16.0], w)
+        assert not out["holds"] and out["table"][0]["R"] is None
 
     def test_each_radius_is_measured_once(self, monkeypatch, coin_net):
         # one log_masses_in call per distinct measure, with every R in it once
@@ -247,8 +248,7 @@ class TestExponentialTightness:
         schedule = [1.0, 4.0, 16.0]
         net = escaping_net()  # a new Dirac at every index
         w = ldpkit.window_for_t_range(net, 1e-2, 1e-4, 16)
-        ok, _ = exponential_tightness_check(net, [0.5, 0.1, 0.01], schedule, w)
-        assert not ok
+        assert not exponential_tightness_check(net, [0.5, 0.1, 0.01], schedule, w)["holds"]
         assert len(calls) == len(w.indices(net)) > 1
         # (-inf, -R) and (R, inf) per R, in schedule order
         assert all(lo[1::2].tolist() == schedule for lo in calls)
@@ -268,7 +268,7 @@ class TestExponentialTightness:
         )
         w = ldpkit.window_for_t_range(net, 1e-1, 1e-3, 12)
         eps_list, schedule = [0.5, 0.01, 0.1, 1e-6], [1.0, 4.0, 16.0]
-        ok, table = exponential_tightness_check(net, eps_list, schedule, w)
+        out = exponential_tightness_check(net, eps_list, schedule, w)
         samples = window_samples(net, w)
         want = []
         for eps in eps_list:
@@ -280,8 +280,8 @@ class TestExponentialTightness:
                     row = {"eps": eps, "R": R, "estimate": est}
                     break
             want.append(row)
-        assert ok and table == want
-        assert [row["R"] for row in table] == [1.0, 16.0, 4.0, 16.0]
+        assert out == {"holds": True, "table": want}
+        assert [row["R"] for row in out["table"]] == [1.0, 16.0, 4.0, 16.0]
 
 
 class TestLdpBounds:
@@ -312,29 +312,48 @@ class TestLdpBounds:
         assert report["holds"] and report["regions"][0]["capacity"] == 0.0
 
 
+def single_tilt_check(net, tilt, window, rfe, tol, convergence=TOL):
+    """:func:`varadhan_identity_check` of one tilt: its entry and its tilt row."""
+    table = lambda_family_table(net, explicit_family([tilt]), window, convergence)
+    out = varadhan_identity_check([tilt], table, rfe, tol)
+    (row,) = out["tilts"]
+    return out, row
+
+
 class TestVaradhan:
     def test_coin_slope_one(self, coin_state, main_window):
         tilt = TiltFunction.linear(1.0)
-        est = ldpkit.lambda_of(coin_state["net"], tilt, main_window, TOL)
-        holds, lhs, rhs = varadhan_identity_check(tilt, est, coin_state["rfe"], 1e-3)
-        assert holds
-        assert lhs == pytest.approx(1.0, abs=1e-3)
-        assert rhs == pytest.approx(1.0, abs=1e-3)
+        out, row = single_tilt_check(coin_state["net"], tilt, main_window, coin_state["rfe"], 1e-3)
+        assert out["holds"] and row["holds"] and row["tilt"] == "linear:1.0"
+        assert row["free_energy"] == pytest.approx(1.0, abs=1e-3)
+        assert row["sup_form"] == pytest.approx(1.0, abs=1e-3)
 
     def test_coin_zero_tilt(self, coin_state, main_window):
         tilt = TiltFunction.linear(0.0)
-        est = ldpkit.lambda_of(coin_state["net"], tilt, main_window, TOL)
-        holds, lhs, rhs = varadhan_identity_check(tilt, est, coin_state["rfe"], 1e-3)
-        assert holds and lhs == 0.0
+        out, row = single_tilt_check(coin_state["net"], tilt, main_window, coin_state["rfe"], 1e-3)
+        assert out["holds"] and row["free_energy"] == 0.0
 
     def test_demzei_q1(self, demzei_net, main_window, rate_window):
         xs = np.linspace(-3, 3, 121)
         rfe = rate_grid(demzei_net, xs, RADIUS, rate_window)
-        tilt = q_bump_tilt(1)
-        est = ldpkit.lambda_of(demzei_net, tilt, main_window, TOL)
-        holds, lhs, rhs = varadhan_identity_check(tilt, est, rfe, 1e-3)
-        assert holds
-        assert lhs == pytest.approx(0.0, abs=1e-3)
+        out, row = single_tilt_check(demzei_net, q_bump_tilt(1), main_window, rfe, 1e-3)
+        assert out["holds"]
+        assert row["free_energy"] == pytest.approx(0.0, abs=1e-3)
+
+    def test_reads_the_table_by_tilt_index(self, coin_state, main_window):
+        # a table may hold members after the tilts; each tilt reads its own
+        # row, bit for bit the value lambda_of gives it
+        tilts = [TiltFunction.linear(v) for v in (1.0, -0.5, 2.5)]
+        table = lambda_family_table(
+            coin_state["net"], explicit_family([*tilts, TiltFunction.linear(0.0)]),
+            main_window, TOL,
+        )
+        out = varadhan_identity_check(tilts, table, coin_state["rfe"], 1e-3)
+        assert out["holds"] and out["tol"] == 1e-3
+        assert [row["tilt"] for row in out["tilts"]] == [t.label for t in tilts]
+        for tilt, row in zip(tilts, out["tilts"]):
+            want = ldpkit.lambda_of(coin_state["net"], tilt, main_window, TOL).value
+            assert row["free_energy"] == want
 
     def test_non_converged_tilt_rejected(self):
         # alternating Dirac at 0 / Dirac at 1: no free-energy limit for h_1
@@ -347,10 +366,8 @@ class TestVaradhan:
         )
         w = ldpkit.window_for_t_range(net, 1e-2, 1e-4, 16)
         rfe = rate_grid(net, np.linspace(-1, 2, 13), RADIUS, w)
-        tilt = TiltFunction.linear(1.0)
-        est = ldpkit.lambda_of(net, tilt, w, 1e-3)
         with pytest.raises(ValueError, match="converge"):
-            varadhan_identity_check(tilt, est, rfe, 1e-3)
+            single_tilt_check(net, TiltFunction.linear(1.0), w, rfe, 1e-3, convergence=1e-3)
 
 
 class TestDerivativeBound:
@@ -373,8 +390,8 @@ class TestDerivativeBound:
         assert slopes[1] == pytest.approx(1.0, abs=1e-4)
 
     def test_scan_all_points(self, coin_state):
-        ok, failures = derivative_bound_scan(coin_state["L"], coin_state["rfe"], 1e-3)
-        assert ok and failures == []
+        out = derivative_bound_scan(coin_state["L"], coin_state["rfe"], 1e-3)
+        assert out == {"holds": True, "failures": [], "tol": 1e-3}
 
     def test_slope_outside_rate_grid_is_error(self, coin_state):
         # slopes -5 and 5 both leave the rate grid [-2, 2]; the error names
@@ -398,7 +415,8 @@ class TestRangeConditions:
         )
         for cid in ("ellis-two-slope", "range-dom-abstract", "range-dom-l0-filtered"):
             rep = range_condition_check(coin_state["L"], (-3, 3), targets, cid, FILTER_TOL)
-            assert rep.condition_id == cid and rep.hypothesis_holds
+            assert list(rep) == ["holds", "witnesses", "witness_count", "conclusions", "notes"]
+            assert rep["holds"], cid
 
     def test_coin_ge_conditions_fail_densely(self, coin_state):
         targets = RangeTargets(
@@ -410,9 +428,10 @@ class TestRangeConditions:
         rep = range_condition_check(
             coin_state["L"], (-3, 3), targets, "gartner-ellis-b", FILTER_TOL
         )
-        assert not rep.hypothesis_holds
-        inside = [w for w in rep.witnesses if -1 < w < 1]
+        assert not rep["holds"]
+        inside = [w for w in rep["witnesses"] if -1 < w < 1]
         assert len(inside) >= 20
+        assert rep["witness_count"] == len(rep["witnesses"]) > 16  # the report keeps 16
 
     def test_vacuous_inclusion(self, coin_state):
         # empty target: force the filter to exclude everything
@@ -425,7 +444,7 @@ class TestRangeConditions:
         rep = range_condition_check(
             coin_state["L"], (-3, 3), targets, "range-dom-abstract-filtered", FILTER_TOL
         )
-        assert rep.hypothesis_holds and rep.notes["target_size"] == 0
+        assert rep["holds"] and rep["notes"]["target_size"] == 0
 
     def test_interior_variant_premise(self, coin_state):
         # coin l0 = {0 at -1 and 1, +inf between}: not a convex table, so the
@@ -439,8 +458,8 @@ class TestRangeConditions:
         rep = range_condition_check(
             coin_state["L"], (-3, 3), targets, "range-int-dom-l0", FILTER_TOL
         )
-        assert not rep.hypothesis_holds
-        assert rep.notes["proper_convex_premise"] is False
+        assert not rep["holds"]
+        assert rep["notes"]["proper_convex_premise"] is False
 
     def test_interior_variant_holds_for_smooth_case(self, iid_small_net):
         # smooth convex l0: interior variant passes premise and coverage
@@ -449,12 +468,11 @@ class TestRangeConditions:
         L = L_from_table(fam, lambda_family_table(iid_small_net, fam, w, 1e-6))
         xs = np.arange(16, 113) / 128.0  # atoms of every window index
         rfe = rate_grid(iid_small_net, xs, 2.0 ** -8, w)
-        _, J, _ = vague_ldp_check(rfe, 0.05)
         star = lf_transform(L, xs)
         targets = RangeTargets(rfe=rfe, abstract_star=star, linear_star=star, lambda_bar_zero=0.0)
         rep = range_condition_check(L, (-2, 2), targets, "range-int-dom-abstract", FILTER_TOL)
-        assert rep.notes["proper_convex_premise"] is True
-        assert rep.hypothesis_holds, rep.witnesses
+        assert rep["notes"]["proper_convex_premise"] is True
+        assert rep["holds"], rep["witnesses"]
 
     def test_unknown_condition_rejected(self, coin_state):
         targets = RangeTargets(
@@ -495,7 +513,7 @@ class TestRateComparison:
             demzei_net, fam, table, xs, main_window, TOL, divergence_threshold=1e3
         )
         rfe = rate_grid(demzei_net, xs, RADIUS, rate_window)
-        _, J, _ = vague_ldp_check(rfe, 1e-3)
+        J = rfe.l0.with_label("J")
         dom = np.isfinite(J.values)
         out = rate_comparison(J, L_star, sc, {"dom_J": dom}, 1e-3)
         assert out["holds"]  # J == L* == abstract on dom(J) = {0}
@@ -527,7 +545,7 @@ def loop_equality_on_mask(A, B, mask, tol):
 
 def loop_rate_comparison(J, Lstar, abstract_star, masks, tol):
     """Oracle: :func:`rate_comparison` point by point."""
-    out = {"tol": tol, "checks": [], "allowed_differences": []}
+    out = {"holds": True, "checks": [], "allowed_differences": []}
     pairs = [("J_vs_abstract", J, abstract_star), ("J_vs_linear", J, Lstar)]
     for mask_name, mask in masks.items():
         for pair_name, A, B in pairs:
@@ -575,7 +593,7 @@ def loop_sandwich_check(linear_star, abstract_star, rfe, slack):
                 viol = float(a) - float(b)
             if viol > worst["violation"]:
                 worst = {"violation": viol, "link": name, "x": float(x)}
-    return worst["violation"] <= slack, worst
+    return {"holds": worst["violation"] <= slack, "worst": worst, "slack": slack}
 
 
 def full_schedule_local_rates(net, xs, deltas, window):
@@ -614,7 +632,7 @@ def loop_exponential_tightness_check(net, eps_list, R_schedule, window):
             table.append({"eps": eps, "R": None, "estimate": None})
         else:
             table.append({"eps": eps, "R": R_schedule[i], "estimate": limsups[i]})
-    return all(row["R"] is not None for row in table), table
+    return {"holds": all(row["R"] is not None for row in table), "table": table}
 
 
 def loop_ldp_bounds_check(net, J, regions, window, tol):
@@ -646,7 +664,7 @@ def loop_ldp_bounds_check(net, J, regions, window, tol):
             "violation": max(violation, 0.0),
             "holds": entry_holds,
         })
-    return {"holds": holds, "regions": entries, "tol": tol}
+    return {"holds": holds, "regions": entries}
 
 
 def outcome(fn, *args):
@@ -718,9 +736,9 @@ class TestVectorisedOracles:
         ab = GridFunction(xs, np.array([0.0, 1.0, 1.0]))  # violation 1 at x = 1 and 2
         l0 = GridFunction(xs, np.array([-1.0, 1.0, 1.0]))  # ties 1 at x = 0 in a later link
         rfe = SimpleNamespace(grid=xs, l0=l0, l1=GridFunction(xs, np.array([INF] * 3)))
-        ok, worst = sandwich_check(lin, ab, rfe, 0.5)
-        assert not ok
-        assert worst == {"violation": 1.0, "link": "linear_star<=abstract_star", "x": 1.0}
+        out = sandwich_check(lin, ab, rfe, 0.5)
+        assert not out["holds"] and out["slack"] == 0.5
+        assert out["worst"] == {"violation": 1.0, "link": "linear_star<=abstract_star", "x": 1.0}
 
 
 # L values 1/32 apart give chord slopes 1/8 apart: half-way between rate-grid
@@ -889,16 +907,12 @@ class TestDerivativeBoundScan:
 
 class TestSandwich:
     def test_coin_chain(self, coin_state):
-        ok, worst = sandwich_check(
-            coin_state["L_star"], coin_state["sc"], coin_state["rfe"], 1e-6
-        )
-        assert ok
+        out = sandwich_check(coin_state["L_star"], coin_state["sc"], coin_state["rfe"], 1e-6)
+        assert out["holds"]
 
     def test_detects_violation(self, coin_state):
         shifted = GridFunction(
             coin_state["L_star"].xs, coin_state["L_star"].values + 0.1
         )
-        ok, worst = sandwich_check(
-            shifted, coin_state["sc"], coin_state["rfe"], 1e-6
-        )
-        assert not ok and worst["violation"] >= 0.09
+        out = sandwich_check(shifted, coin_state["sc"], coin_state["rfe"], 1e-6)
+        assert not out["holds"] and out["worst"]["violation"] >= 0.09
