@@ -28,7 +28,7 @@ import numpy as np
 
 from .convex import GridFormatError, lf_transform, load_grid_csv, save_grid_csv
 from .pipeline import free_energy_report, golden_diff, run_scenario, scenario_report
-from .scenario import Scenario, ScenarioError, WindowConfig, load_scenario
+from .scenario import Scenario, ScenarioError, WindowConfig, _integer, _number, load_scenario
 
 REPRODUCE_NAMES = ("ge-ex", "dem-zei", "cramer")
 GOLDEN_NAMES = ("ge-ex", "dem-zei")
@@ -40,14 +40,17 @@ def _packaged_path(kind: str, name: str):
 
 def _apply_overrides(scenario: Scenario, args) -> Scenario:
     if getattr(args, "tol", None) is not None:
-        tolerances = replace(scenario.tolerances, convergence=args.tol)
-        scenario = replace(scenario, tolerances=tolerances)
+        try:
+            tol = _number(args.tol, above=0)
+        except ValueError as exc:
+            raise ScenarioError(f"--tol {args.tol}: {exc}") from None
+        scenario = replace(scenario, tolerances=replace(scenario.tolerances, convergence=tol))
     if getattr(args, "window", None) is not None:
         parts = args.window.split(":")
         try:
             if len(parts) != 3:
                 raise ValueError("expects t_max:t_min:samples")
-            new_window = WindowConfig(float(parts[0]), float(parts[1]), int(parts[2]))
+            new_window = WindowConfig(_number(parts[0]), _number(parts[1]), _integer(parts[2]))
         except ValueError as exc:  # a part that is not a number, or a bad window
             raise ScenarioError(f"--window {args.window}: {exc}") from None
         # a rate-window that was defaulted from [window] follows the override
@@ -80,9 +83,8 @@ def _parse_dual_grid(spec: str) -> np.ndarray:
     try:
         if len(parts) != 3:
             raise ValueError("expects lo:hi:n")
-        lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
-        if not (-np.inf < lo < hi < np.inf and n >= 2):
-            raise ValueError("needs finite lo < hi and n >= 2")
+        lo = _number(parts[0])
+        hi, n = _number(parts[1], above=lo), _integer(parts[2], least=2)
         if not math.isfinite(hi - lo):
             raise ValueError(f"span hi - lo = {hi - lo} is not finite")
     except ValueError as exc:  # a part that is not a number, or a bad grid
@@ -138,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out-dir", default=None, help="directory for CSV/JSON output")
         p.add_argument("--threads", type=int, choices=(1,), default=1,
                        help="accepted only as 1: ldpkit runs serially")
-        p.add_argument("--tol", type=float, default=None,
+        p.add_argument("--tol", default=None,
                        help="override the convergence tolerance")
         p.add_argument("--window", default=None,
                        help="override the main window as t_max:t_min:samples")

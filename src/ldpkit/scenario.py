@@ -11,13 +11,14 @@ reader records the keys it reads, and after the last read a section that
 no reader opened, or a key that nothing read, is an error.  So a key is
 accepted only where the program reads it (``[net] p`` only on an
 ``iid-bernoulli`` net).  Every error names the file, and the section and
-key it came from.
+key it came from, as ``<file>: [section] key: message``.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
+import sys
 from dataclasses import dataclass
 
 from .measures import RegionSet
@@ -29,6 +30,7 @@ FAMILY_KINDS = ("two-slope", "linear", "qn-plus-linear")
 WINDOW_SAMPLES = 48  # geometric samples per tail window
 DELTA_COUNT = 10  # the rate grid's ball radius is 2^-DELTA_COUNT
 MAX_DELTA_COUNT = 1074  # 2^-1075 rounds to 0.0
+MAX_COUNT = sys.maxsize - 1  # a net's indices run through range(1, max_index + 1)
 
 KNOWN_CHECKS = (
     "vague-ldp",
@@ -94,7 +96,7 @@ class Tolerances:
     def __post_init__(self):
         for name in self.__dataclass_fields__:
             value = getattr(self, name)
-            if not 0 < value < float("inf"):
+            if not 0 < value < math.inf:
                 raise ScenarioError(f"tolerance {name} must be finite and > 0, got {value}")
 
 
@@ -143,16 +145,43 @@ class Scenario:
         )
 
 
+def _number(text, above: float = -math.inf, below: float = math.inf) -> float:
+    """``text`` as a finite float in ``(above, below)``: every number read from
+    a scenario file or a flag is converted here, and its caller names the source."""
+    try:
+        value = float(text)
+    except (TypeError, ValueError):
+        raise ValueError(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    if not above < value < below:
+        raise ValueError(f"must lie in ({above}, {below}), got {value}")
+    return value
+
+
+def _integer(text, least: int = 1, most: int = MAX_COUNT) -> int:
+    """``text`` as an integer in ``least..most``."""
+    try:
+        value = int(str(text))
+    except ValueError:
+        raise ValueError(f"not an integer: {text!r}") from None
+    if value < least:
+        raise ValueError(f"must be >= {least}, got {value}")
+    if value > most:
+        raise ValueError(f"must be <= {most}, got {value}")
+    return value
+
+
 def parse_tilt_label(label: str) -> TiltFunction:
     parts = label.strip().split(":")
     kind = parts[0]
     try:
         if kind == "linear" and len(parts) == 2:
-            return TiltFunction.linear(float(parts[1]))
+            return TiltFunction.linear(_number(parts[1]))
         if kind == "two_slope" and len(parts) == 3:
-            return TiltFunction.two_slope(float(parts[1]), float(parts[2]))
+            return TiltFunction.two_slope(_number(parts[1]), _number(parts[2]))
         if kind == "qn" and len(parts) == 2:
-            return q_bump_tilt(int(parts[1]))
+            return q_bump_tilt(_integer(parts[1]))
     except ValueError as exc:
         raise ScenarioError(f"bad tilt spec {label!r}: {exc}") from exc
     raise ScenarioError(f"bad tilt spec {label!r}")
@@ -162,7 +191,7 @@ def parse_region_spec(spec: str) -> tuple[RegionSet, str]:
     parts = spec.strip().split(":")
     if len(parts) != 3 or parts[0] not in ("open", "closed"):
         raise ScenarioError(f"bad region spec {spec!r} (want open:lo:hi)")
-    lo, hi = float(parts[1]), float(parts[2])
+    lo, hi = _number(parts[1]), _number(parts[2])
     region = RegionSet.open(lo, hi) if parts[0] == "open" else RegionSet.closed(lo, hi)
     return region, parts[0]
 
@@ -194,37 +223,38 @@ class _SectionReader:
     def text(self, key: str, default: str | None = None) -> str:
         return str(self.raw(key, default)).strip()
 
-    def number(self, key: str, default: float | None = None) -> float:
+    def convert(self, key: str, default, parse, *bounds):
         raw = self.raw(key, default)
         try:
-            value = float(raw)
-        except (TypeError, ValueError) as exc:
-            raise self.error(key, f"not a number: {raw!r}") from exc
-        if not math.isfinite(value):
-            raise self.error(key, f"not a finite number: {raw!r}")
-        return value
-
-    def entries(self, key: str, parse=str) -> tuple:
-        """``parse`` of each entry of a comma-separated list; empty if absent."""
-        toks = [tok.strip() for tok in self.text(key, "").split(",") if tok.strip()]
-        try:
-            return tuple(map(parse, toks))
+            return parse(raw, *bounds)
         except ValueError as exc:
             raise self.error(key, str(exc)) from exc
 
-    def positive_numbers(self, key: str, default: tuple[float, ...]) -> tuple[float, ...]:
-        """A comma-separated list of finite numbers > 0."""
-        values = self.entries(key, float) if self.has(key) else default
-        if not all(0 < x < float("inf") for x in values):
-            raise self.error(key, f"entries must be finite and > 0, got {list(values)}")
-        return values
+    def number(self, key: str, default=None, above=-math.inf, below=math.inf) -> float:
+        return self.convert(key, default, _number, above, below)
 
-    def integer(self, key: str, default: int | None = None) -> int:
-        raw = self.raw(key, default)
-        try:
-            return int(str(raw))
-        except (TypeError, ValueError) as exc:
-            raise self.error(key, f"not an integer: {raw!r}") from exc
+    def integer(self, key: str, default=None, least=1, most=MAX_COUNT) -> int:
+        return self.convert(key, default, _integer, least, most)
+
+    def span(self, lo_key: str, hi_key: str, above=-math.inf, below=math.inf, default=None):
+        """``(lo, hi)``, ``above < lo < hi < below``; ``hi`` defaults to ``-lo``."""
+        lo = self.number(lo_key, default, above, below)
+        return lo, self.number(hi_key, None if default is None else -lo, lo, below)
+
+    def choice(self, key: str, options: tuple[str, ...]) -> str:
+        value = self.text(key)
+        if value not in options:
+            raise self.error(key, f"must be one of {', '.join(options)}, got {value!r}")
+        return value
+
+    def entries(self, key: str, parse=str, default: tuple = (), *bounds) -> tuple:
+        """``parse(entry, *bounds)`` of each entry of a comma-separated list;
+        ``default`` if absent."""
+        if not self.has(key):
+            return default
+        return self.convert(key, None, lambda raw: tuple(
+            parse(tok.strip(), *bounds) for tok in raw.split(",") if tok.strip()
+        ))
 
     def boolean(self, key: str, default: bool) -> bool:
         if not self.has(key):
@@ -250,42 +280,24 @@ class _SectionReader:
 def _window_from(reader: _SectionReader, defaults: WindowConfig | None = None) -> WindowConfig:
     if defaults is not None and not reader.parser.has_section(reader.section):
         return defaults
-    t_max, t_min = reader.number("t_max"), reader.number("t_min")
-    samples = reader.integer("samples", WINDOW_SAMPLES)
-    try:
-        return WindowConfig(t_max, t_min, samples)
-    except ScenarioError as exc:
-        raise ScenarioError(f"{reader.path}: [{reader.section}] {exc}") from None
+    t_min, t_max = reader.span("t_min", "t_max", above=0)
+    return WindowConfig(t_max, t_min, reader.integer("samples", WINDOW_SAMPLES, least=2))
 
 
 def _check_params(ch: _SectionReader, checks: tuple[str, ...]) -> CheckParams:
     """The ``[checks]`` parameters; ``checks`` are the requested check ids."""
-    ctx = f"{ch.path}: [{ch.section}]"
     sub_G = None
     if "gartner-ellis-b-sub" in checks or ch.has("sub_lo") or ch.has("sub_hi"):
-        sub_G = (ch.number("sub_lo"), ch.number("sub_hi"))
-        if not sub_G[0] < sub_G[1]:
-            raise ScenarioError(f"{ctx} needs sub_lo < sub_hi, got {sub_G}")
-    lo_default, _, resolution_default = CheckParams.two_slope
-    lo = ch.number("two_slope_lo", lo_default)
-    two_slope = (
-        lo,
-        ch.number("two_slope_hi", -lo),
-        ch.integer("two_slope_resolution", resolution_default),
-    )
-    if not two_slope[0] < two_slope[1]:
-        raise ScenarioError(
-            f"{ctx} needs two_slope_lo < two_slope_hi, got {two_slope[:2]}"
-        )
-    if two_slope[2] < 2:
-        raise ch.error("two_slope_resolution", f"must be >= 2, got {two_slope[2]}")
+        sub_G = ch.span("sub_lo", "sub_hi")
+    lo, _, resolution = CheckParams.two_slope
     return CheckParams(
         sub_G=sub_G,
-        eps_list=ch.positive_numbers("eps_list", CheckParams.eps_list),
-        r_schedule=ch.positive_numbers("r_schedule", CheckParams.r_schedule),
+        eps_list=ch.entries("eps_list", _number, CheckParams.eps_list, 0),
+        r_schedule=ch.entries("r_schedule", _number, CheckParams.r_schedule, 0),
         regions=ch.entries("regions", parse_region_spec),
         varadhan_tilts=ch.entries("varadhan_tilts", parse_tilt_label),
-        two_slope=two_slope,
+        two_slope=(*ch.span("two_slope_lo", "two_slope_hi", default=lo),
+                   ch.integer("two_slope_resolution", resolution, least=2)),
     )
 
 
@@ -310,80 +322,47 @@ def load_scenario(path) -> Scenario:
         return _SectionReader(parser, name, path, keys_read)
 
     net = section("net")
-    net_kind = net.text("kind")
-    if net_kind not in NET_KINDS:
-        raise ScenarioError(f"{path}: [net] kind must be one of {NET_KINDS}")
-    net_params: dict = {}
+    net_kind = net.choice("kind", NET_KINDS)
     if net_kind == "iid-bernoulli":
-        net_params["max_n"] = net.integer("max_n", 8192)
-        net_params["p"] = net.number("p", 0.5)
-        if not (0 < net_params["p"] < 1):
-            raise ScenarioError(f"{path}: [net] p must lie in (0, 1)")
+        net_params = {"max_n": net.integer("max_n", 8192, least=2), "p": net.number("p", 0.5, 0, 1)}
     else:
-        net_params["max_index"] = net.integer("max_index", 1_000_000)
-    size = "max_n" if net_kind == "iid-bernoulli" else "max_index"  # the last index
-    if net_params[size] < 2:
-        raise net.error(size, f"must be >= 2, got {net_params[size]}")
+        net_params = {"max_index": net.integer("max_index", 1_000_000, least=2)}
 
     window = _window_from(section("window"))
     rate_window = _window_from(section("rate-window"), window)
 
     def grid_from(name: str) -> GridConfig:
         r = section(name)
-        cfg = GridConfig(r.number("lo"), r.number("hi"), r.integer("resolution"))
-        if not cfg.lo < cfg.hi:
-            raise ScenarioError(f"{path}: [{name}] needs lo < hi")
-        if cfg.resolution < 2:
-            raise ScenarioError(f"{path}: [{name}] resolution must be >= 2")
-        return cfg
+        return GridConfig(*r.span("lo", "hi"), r.integer("resolution", least=2))
 
     lambda_grid = grid_from("lambda-grid")
     wide = grid_from("wide-lambda-grid") if parser.has_section("wide-lambda-grid") else None
 
     fam = section("family")
-    family_kind = fam.text("kind")
-    if family_kind not in FAMILY_KINDS:
-        raise ScenarioError(f"{path}: [family] kind must be one of {FAMILY_KINDS}")
-    family_params: dict = {}
+    family_kind = fam.choice("kind", FAMILY_KINDS)
     if family_kind in ("two-slope", "linear"):
-        family_params["lo"] = fam.number("lo")
-        family_params["hi"] = fam.number("hi")
-        family_params["resolution"] = fam.integer("resolution")
-        if not family_params["lo"] < family_params["hi"]:
-            raise ScenarioError(f"{path}: [family] needs lo < hi")
-        if family_params["resolution"] < 2:
-            raise fam.error("resolution", f"must be >= 2, got {family_params['resolution']}")
+        lo, hi = fam.span("lo", "hi")
+        family_params = {"lo": lo, "hi": hi, "resolution": fam.integer("resolution", least=2)}
     else:  # qn-plus-linear: the linear part reuses the lambda grid
-        family_params["n_max"] = fam.integer("n_max", 10)
-        if family_params["n_max"] < 1:
-            raise fam.error("n_max", f"must be >= 1, got {family_params['n_max']}")
+        family_params = {"n_max": fam.integer("n_max", 10)}
 
     xg = section("x-grid")
-    x_lo, x_hi = xg.number("lo"), xg.number("hi")
-    if not x_lo < x_hi:
-        raise ScenarioError(f"{path}: [x-grid] needs lo < hi")
-    x_points = xg.integer("points")
-    if x_points < 2:
-        raise ScenarioError(f"{path}: [x-grid] points must be >= 2")
+    x_lo, x_hi = xg.span("lo", "hi")
+    x_points = xg.integer("points", least=2)
     include_l_slopes = xg.boolean("include_l_slopes", False)
 
-    delta_count = section("deltas").integer("count", DELTA_COUNT)  # also without [deltas]
-    if not 1 <= delta_count <= MAX_DELTA_COUNT:
-        raise ScenarioError(
-            f"{path}: [deltas] count must lie in 1..{MAX_DELTA_COUNT}, got {delta_count}"
-        )
+    deltas = section("deltas")  # also without [deltas]
+    delta_count = deltas.integer("count", DELTA_COUNT, most=MAX_DELTA_COUNT)
     # a radius that rounds away beside the grid leaves every ball empty
     x_max = max(abs(x_lo), abs(x_hi))
     if x_max + 2.0 ** -delta_count == x_max:
-        raise ScenarioError(
-            f"{path}: [deltas] count {delta_count} gives a ball radius 2^-{delta_count} "
-            f"that vanishes beside the [x-grid] value {x_max} (x + r == x)"
-        )
+        raise deltas.error("count", f"{delta_count} gives a ball radius 2^-{delta_count} that "
+                           f"vanishes beside the [x-grid] value {x_max} (x + r == x)")
 
     tr = section("tolerances")
-    tolerances = Tolerances(
-        **{key: tr.number(key) for key in Tolerances.__dataclass_fields__ if tr.has(key)}
-    )
+    tolerances = Tolerances(**{
+        key: tr.number(key, above=0) for key in Tolerances.__dataclass_fields__ if tr.has(key)
+    })
 
     ch = section("checks")
     run_checks = ch.check_names("run")

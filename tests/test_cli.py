@@ -153,8 +153,9 @@ class TestScenarioParsing:
         path = tmp_path / "bad.cfg"
         path.write_text(MINI_SCENARIO.replace(f"{key} = 5e-3", f"{key} = {value}"))
         # the reader stops a non-finite number, naming the file, section and key
-        where = (f"tolerance {key} must be finite and > 0" if value == "0"
-                 else f"{path}: [tolerances] {key}: not a finite number: {value!r}")
+        where = f"{path}: [tolerances] {key}: " + (
+            "must lie in (0, inf), got 0.0" if value == "0" else f"not a finite number: {value!r}"
+        )
         with pytest.raises(ScenarioError) as exc:
             load_scenario(path)
         assert where in str(exc.value)
@@ -166,7 +167,7 @@ class TestScenarioParsing:
     def test_tol_override_must_be_finite_and_positive(self, mini_scenario, capsys, command, value):
         # --tol nan once ran the whole pipeline, then died on a varadhan tilt
         assert main([command, str(mini_scenario), "--tol", value]) == 2
-        assert "tolerance convergence must be finite and > 0" in capsys.readouterr().err
+        assert f"--tol {value}: not a finite number: {value!r}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("count", ["0", "1075", "100000000"])
     def test_delta_count_must_give_a_positive_radius(self, tmp_path, capsys, count):
@@ -174,7 +175,8 @@ class TestScenarioParsing:
         # stopped at the rate grid without naming the file or the key
         path = tmp_path / "bad.cfg"
         path.write_text(MINI_SCENARIO + f"\n[deltas]\ncount = {count}\n")
-        with pytest.raises(ScenarioError, match=r"\[deltas\] count must lie in 1\.\.1074"):
+        message = "must be >= 1" if count == "0" else "must be <= 1074"
+        with pytest.raises(ScenarioError, match=rf"\[deltas\] count: {message}, got {count}$"):
             load_scenario(path)
         assert main(["free-energy", str(path)]) == 2
         assert "[deltas] count" in capsys.readouterr().err
@@ -194,10 +196,10 @@ class TestScenarioParsing:
         path.write_text(text.replace("count = 10", "count = 51"))
         assert load_scenario(path).delta_count == 51
         path.write_text(text.replace("count = 10", "count = 52"))
-        with pytest.raises(ScenarioError, match=r"\[deltas\] count 52 .* vanishes"):
+        with pytest.raises(ScenarioError, match=r"\[deltas\] count: 52 .* vanishes"):
             load_scenario(path)
         assert main(["run", str(path)]) == 2
-        assert f"{path}: [deltas] count 52" in capsys.readouterr().err
+        assert f"{path}: [deltas] count: 52" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text", [
         MINI_SCENARIO + "\n[checks]\nrun = vague-ldp\n",
@@ -221,9 +223,10 @@ class TestScenarioParsing:
         ("varadhan_tilts = linear:1", "varadhan_tilts = lin:2", "[checks] varadhan_tilts"),
         ("informational = gartner-ellis-a", "informational = gartner-ellis-b-sub",
          "[checks] sub_lo: missing required key"),
-        ("eps_list = 0.1", "sub_lo = 0.5\nsub_hi = -0.5", "[checks] needs sub_lo < sub_hi"),
+        ("eps_list = 0.1", "sub_lo = 0.5\nsub_hi = -0.5",
+         "[checks] sub_hi: must lie in (0.5, inf), got -0.5"),
         ("eps_list = 0.1", "two_slope_lo = 4\ntwo_slope_hi = -4",
-         "[checks] needs two_slope_lo < two_slope_hi"),
+         "[checks] two_slope_hi: must lie in (4.0, inf), got -4.0"),
         ("eps_list = 0.1", "two_slope_resolution = 1", "[checks] two_slope_resolution"),
         ("max_index = 100000", "max_n = 100", "[net] unknown key 'max_n'"),
         ("max_index = 100000", "p = 7", "[net] unknown key 'p'"),
@@ -240,9 +243,9 @@ class TestScenarioParsing:
          "[net] max_n: must be >= 2"),
         ("resolution = 13", "resolution = 1", "[family] resolution: must be >= 2"),
         ("kind = two-slope\nlo = -3.0\nhi = 3.0", "kind = linear\nlo = 4\nhi = -4",
-         "[family] needs lo < hi"),
-        ("lo = -3.0\nhi = 3.0", "lo = 4\nhi = 4", "[family] needs lo < hi"),
-        ("lo = -3.0\nhi = 3.0", "lo = 4\nhi = -4", "[family] needs lo < hi"),
+         "[family] hi: must lie in (4.0, inf), got -4.0"),
+        ("lo = -3.0\nhi = 3.0", "lo = 4\nhi = 4", "[family] hi: must lie in (4.0, inf), got 4.0"),
+        ("lo = -3.0\nhi = 3.0", "lo = 4\nhi = -4", "[family] hi: must lie in (4.0, inf), got -4.0"),
         ("kind = two-slope\nlo = -3.0\nhi = 3.0\nresolution = 13",
          "kind = qn-plus-linear\nn_max = 0", "[family] n_max: must be >= 1"),
         # non-finite numbers: numpy warnings then a blamed L, a blamed ball
@@ -645,8 +648,8 @@ class TestCliCommands:
     @pytest.mark.parametrize("window, message", [
         ("1e-6:1e-2:48", "needs 0 < t_min < t_max"),
         ("1e-2:1e-6:1", "samples must be >= 2"),
-        ("1e-2:1e-6:x", "invalid literal for int()"),
-        ("inf:1e-6:24", "needs 0 < t_min < t_max < inf"),  # once ran, exit 0
+        ("1e-2:1e-6:x", "not an integer: 'x'"),
+        ("inf:1e-6:24", "not a finite number: 'inf'"),  # once ran, exit 0
     ], ids=["reversed", "one-sample", "not-a-number", "infinite"])
     def test_bad_window_override_exits_2(self, mini_scenario, capsys, window, message):
         # each once exited 2 with an error that did not name --window
@@ -731,11 +734,11 @@ class TestCliCommands:
         assert not out.exists()
 
     @pytest.mark.parametrize("spec, message", [
-        ("-inf:1:5", "needs finite lo < hi and n >= 2"),
-        ("-1:nan:5", "needs finite lo < hi and n >= 2"),
-        ("1:-1:5", "needs finite lo < hi and n >= 2"),
-        ("-1:1:1", "needs finite lo < hi and n >= 2"),
-        ("-1:1:x", "invalid literal for int()"),
+        ("-inf:1:5", "not a finite number: '-inf'"),
+        ("-1:nan:5", "not a finite number: 'nan'"),
+        ("1:-1:5", "must lie in (1.0, inf), got -1.0"),
+        ("-1:1:1", "must be >= 2, got 1"),
+        ("-1:1:x", "not an integer: 'x'"),
         ("-1:1", "expects lo:hi:n"),
         ("-1e308:1e308:5", "span hi - lo = inf is not finite"),
     ], ids=["inf", "nan", "reversed", "one-point", "not-a-number", "two-parts", "span"])
