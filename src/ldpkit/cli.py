@@ -94,7 +94,19 @@ def _parse_dual_grid(spec: str) -> np.ndarray:
 
 def _cmd_conjugate(args) -> int:
     f = load_grid_csv(args.input, label="f")
+    if not f.is_proper:
+        raise GridFormatError(f"{args.input}: needs a finite value and no -inf value")
     dual = _parse_dual_grid(args.dual_grid)
+    # each difference and product of the hull and the transform, (v2 - v1) *
+    # (x - x1) and dual * x - v, is at most this bound; rounding is monotone,
+    # so a finite bound keeps each of them finite
+    x_max, d_max = float(np.max(np.abs(f.xs))), float(max(-dual[0], dual[-1]))
+    v_max = float(np.max(np.abs(f.values[f.finite_mask]), initial=0.0))
+    if not math.isfinite(4 * x_max * max(v_max, d_max) + 2 * (x_max + v_max)):
+        raise GridFormatError(
+            f"--dual-grid {args.dual_grid}: with the grid of {args.input} (max |x| = {x_max}, "
+            f"max |value| = {v_max}) the conjugate's products overflow"
+        )
     out = lf_transform(f, dual)
     save_grid_csv(out, args.output)
     flagged = sum(out.meta.get("off_slope_range", []))

@@ -31,7 +31,7 @@ import numpy as np
 
 from .convex import GridFunction
 from .extreal import INF, NEG_INF, ext_sub
-from .free_energy import FamilyTable, WindowSpec, lambda_family_table
+from .free_energy import FamilyTable, NotConverged, WindowSpec, lambda_family_table
 from .measures import ScaledMeasureNet
 from .scenario import Tolerances
 from .tilts import TiltFamily
@@ -63,7 +63,7 @@ def abstract_lf(family: TiltFamily, table: FamilyTable, x_grid: Sequence[float])
         raise ValueError("family and estimates must have matching lengths")
     if not table.converged.all():
         bad = int(np.count_nonzero(~table.converged))
-        raise ValueError(f"{bad} family member(s) have no converged free energy")
+        raise NotConverged(f"{bad} family member(s) have no converged free energy")
     xs = np.asarray(x_grid, dtype=float)
     F = table.value
     lam, nu = family.lam, family.nu

@@ -62,6 +62,10 @@ _BLOCK_TERMS = 1 << 15
 _EXP_ZERO = -746.0
 
 
+class NotConverged(ValueError):
+    """A free energy that a computation needs as a limit did not converge."""
+
+
 @dataclass(frozen=True)
 class WindowSpec:
     """Tail window of a net: index range plus a geometric sample budget."""

@@ -20,7 +20,14 @@ from . import convex, verifier
 from .conjugate import stable_abstract_lf
 from .convex import GridFunction, _write_rows, chord_slopes, essential_smoothness_check, lf_transform
 from .extreal import INF
-from .free_energy import FamilyTable, L_from_table, lambda_family_table, window_for_t_range
+from .free_energy import (
+    FamilyTable,
+    L_from_table,
+    NotConverged,
+    WindowSpec,
+    lambda_family_table,
+    window_for_t_range,
+)
 from .measures import (
     ScaledMeasureNet,
     FiniteSupportMeasure,
@@ -28,7 +35,7 @@ from .measures import (
     demzei_example_net,
     iid_mean_example_net,
 )
-from .scenario import DELTA_COUNT, KNOWN_CHECKS, WINDOW_SAMPLES, Scenario, Tolerances
+from .scenario import DELTA_COUNT, KNOWN_CHECKS, WINDOW_SAMPLES, Scenario, Tolerances, WindowConfig
 from .tilts import (
     TiltFamily,
     TiltFunction,
@@ -234,6 +241,14 @@ def _scenario_echo(s: Scenario) -> dict:
     }
 
 
+def _scenario_window(net: ScaledMeasureNet, w: WindowConfig, section: str) -> WindowSpec:
+    try:
+        return window_for_t_range(net, w.t_max, w.t_min, w.samples)
+    except ValueError as exc:  # the t range holds fewer than two of the net's indices
+        raise ValueError(f"[{section}] t_max = {w.t_max}, t_min = {w.t_min}: {exc} "
+                         f"of the net's 1..{net.max_index}") from exc
+
+
 class PipelineState:
     """Everything the checks need, each piece computed once per scenario.
 
@@ -247,8 +262,8 @@ class PipelineState:
         self.tol, self.params = scenario.tolerances, scenario.check_params
         self.net = build_net(scenario)
         self.window, self.rate_window = (
-            window_for_t_range(self.net, w.t_max, w.t_min, w.samples)
-            for w in (scenario.window, scenario.rate_window)
+            _scenario_window(self.net, w, section)
+            for w, section in ((scenario.window, "window"), (scenario.rate_window, "rate-window"))
         )
         self.radius = 2.0 ** -scenario.delta_count
 
@@ -284,6 +299,10 @@ class PipelineState:
 
     @cached_property
     def L_star(self) -> GridFunction:
+        if not self.L.is_proper:  # e.g. L diverged at every lambda-grid point
+            g = self.scenario.lambda_grid
+            raise ValueError(f"[lambda-grid] lo = {g.lo}, hi = {g.hi}: L is improper "
+                             "(no finite value, or a -inf value)")
         return lf_transform(self.L, self.x_grid).with_label("L_star")
 
     @cached_property
@@ -341,7 +360,10 @@ def _range_entry(state: PipelineState, cid: str) -> dict:
     L, G, targets = state.L, state.G, state.targets
     if sub:
         G = state.params.sub_G
-        L = L.restrict_open(*G, label="L_sub")
+        try:
+            L = L.restrict_open(*G, label="L_sub")
+        except ValueError as exc:
+            raise ValueError(f"{cid}: [checks] sub_lo, sub_hi: {exc} of the [lambda-grid]") from exc
         L_star_sub = lf_transform(L, state.x_grid).with_label("L_star_sub")
         targets = replace(targets, linear_star=L_star_sub)
     elif cid == "ellis-two-slope" and state.family.kind != "two_slope":
@@ -384,6 +406,15 @@ def _range_entry(state: PipelineState, cid: str) -> dict:
     return _first(entry, "witnesses", 16)
 
 
+def _derivative_bound(state: PipelineState) -> dict:
+    try:
+        entry = derivative_bound_scan(state.L, state.rfe, state.tol.derivative_bound)
+    except ValueError as exc:  # a slope off the rate grid: the grid is too narrow
+        s = state.scenario
+        raise ValueError(f"derivative-bound: {exc}: [x-grid] spans {s.x_lo}..{s.x_hi}") from exc
+    return _first(entry, "failures", 8)
+
+
 def _rate_compare(state: PipelineState) -> dict:
     dom_J = np.isfinite(state.J.values)
     filt = verifier._l1_filter(state.targets, state.tol.filter)
@@ -403,9 +434,7 @@ _CHECKS = {
     "varadhan": lambda st: varadhan_identity_check(
         st.single_tilts[0][:-1], st.single_tilts[1], st.rfe, st.tol.value
     ),
-    "derivative-bound": lambda st: _first(
-        derivative_bound_scan(st.L, st.rfe, st.tol.derivative_bound), "failures", 8
-    ),
+    "derivative-bound": _derivative_bound,
     "sandwich": lambda st: sandwich_check(
         st.L_star, st.abstract_star, st.rfe, st.tol.sandwich_slack
     ),
@@ -420,7 +449,12 @@ _CHECKS.update(
 
 
 def _run_check(state: PipelineState, cid: str) -> dict:
-    return {"condition_id": cid, **_CHECKS[cid](state)}
+    try:
+        return {"condition_id": cid, **_CHECKS[cid](state)}
+    except NotConverged as exc:
+        raise ValueError(
+            f"{cid}: {exc} within [tolerances] convergence = {state.tol.convergence}"
+        ) from exc
 
 
 def _verdict(state: PipelineState, checks: list[dict], informational: set[str]) -> dict:

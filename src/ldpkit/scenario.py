@@ -31,6 +31,12 @@ WINDOW_SAMPLES = 48  # geometric samples per tail window
 DELTA_COUNT = 10  # the rate grid's ball radius is 2^-DELTA_COUNT
 MAX_DELTA_COUNT = 1074  # 2^-1075 rounds to 0.0
 MAX_COUNT = sys.maxsize - 1  # a net's indices run through range(1, max_index + 1)
+# |value| bound on every tilt slope and every lambda-grid, family, two_slope_*
+# and sub_* end.  It keeps the tilt kernel's slope * atom / t finite (atoms and
+# 1/t stay below MAX_COUNT < 1e19) and the hull's cross products
+# (v2 - v1) * (x - x1), whose L values are at most slope * atom.
+MAX_SLOPE = 1e100
+_SLOPES = (-MAX_SLOPE, MAX_SLOPE)
 
 KNOWN_CHECKS = (
     "vague-ldp",
@@ -152,10 +158,9 @@ def _number(text, above: float = -math.inf, below: float = math.inf) -> float:
         value = float(text)
     except (TypeError, ValueError):
         raise ValueError(f"not a number: {text!r}") from None
-    if not math.isfinite(value):
-        raise ValueError(f"not a finite number: {text!r}")
-    if not above < value < below:
-        raise ValueError(f"must lie in ({above}, {below}), got {value}")
+    if not above < value < below:  # also false for nan and +-inf
+        raise ValueError(f"must lie in ({above}, {below}), got {value}" if math.isfinite(value)
+                         else f"not a finite number: {text!r}")
     return value
 
 
@@ -177,9 +182,9 @@ def parse_tilt_label(label: str) -> TiltFunction:
     kind = parts[0]
     try:
         if kind == "linear" and len(parts) == 2:
-            return TiltFunction.linear(_number(parts[1]))
+            return TiltFunction.linear(_number(parts[1], *_SLOPES))
         if kind == "two_slope" and len(parts) == 3:
-            return TiltFunction.two_slope(_number(parts[1]), _number(parts[2]))
+            return TiltFunction.two_slope(_number(parts[1], *_SLOPES), _number(parts[2], *_SLOPES))
         if kind == "qn" and len(parts) == 2:
             return q_bump_tilt(_integer(parts[1]))
     except ValueError as exc:
@@ -247,13 +252,13 @@ class _SectionReader:
             raise self.error(key, f"must be one of {', '.join(options)}, got {value!r}")
         return value
 
-    def entries(self, key: str, parse=str, default: tuple = (), *bounds) -> tuple:
+    def entries(self, key: str, parse=str, *bounds, default: tuple = ()) -> tuple:
         """``parse(entry, *bounds)`` of each entry of a comma-separated list;
         ``default`` if absent."""
         if not self.has(key):
             return default
         return self.convert(key, None, lambda raw: tuple(
-            parse(tok.strip(), *bounds) for tok in raw.split(",") if tok.strip()
+            [parse(tok.strip(), *bounds) for tok in raw.split(",") if tok.strip()]
         ))
 
     def boolean(self, key: str, default: bool) -> bool:
@@ -288,15 +293,15 @@ def _check_params(ch: _SectionReader, checks: tuple[str, ...]) -> CheckParams:
     """The ``[checks]`` parameters; ``checks`` are the requested check ids."""
     sub_G = None
     if "gartner-ellis-b-sub" in checks or ch.has("sub_lo") or ch.has("sub_hi"):
-        sub_G = ch.span("sub_lo", "sub_hi")
+        sub_G = ch.span("sub_lo", "sub_hi", *_SLOPES)
     lo, _, resolution = CheckParams.two_slope
     return CheckParams(
         sub_G=sub_G,
-        eps_list=ch.entries("eps_list", _number, CheckParams.eps_list, 0),
-        r_schedule=ch.entries("r_schedule", _number, CheckParams.r_schedule, 0),
+        eps_list=ch.entries("eps_list", _number, 0, default=CheckParams.eps_list),
+        r_schedule=ch.entries("r_schedule", _number, 0, default=CheckParams.r_schedule),
         regions=ch.entries("regions", parse_region_spec),
         varadhan_tilts=ch.entries("varadhan_tilts", parse_tilt_label),
-        two_slope=(*ch.span("two_slope_lo", "two_slope_hi", default=lo),
+        two_slope=(*ch.span("two_slope_lo", "two_slope_hi", *_SLOPES, default=lo),
                    ch.integer("two_slope_resolution", resolution, least=2)),
     )
 
@@ -333,7 +338,7 @@ def load_scenario(path) -> Scenario:
 
     def grid_from(name: str) -> GridConfig:
         r = section(name)
-        return GridConfig(*r.span("lo", "hi"), r.integer("resolution", least=2))
+        return GridConfig(*r.span("lo", "hi", *_SLOPES), r.integer("resolution", least=2))
 
     lambda_grid = grid_from("lambda-grid")
     wide = grid_from("wide-lambda-grid") if parser.has_section("wide-lambda-grid") else None
@@ -341,7 +346,7 @@ def load_scenario(path) -> Scenario:
     fam = section("family")
     family_kind = fam.choice("kind", FAMILY_KINDS)
     if family_kind in ("two-slope", "linear"):
-        lo, hi = fam.span("lo", "hi")
+        lo, hi = fam.span("lo", "hi", *_SLOPES)
         family_params = {"lo": lo, "hi": hi, "resolution": fam.integer("resolution", least=2)}
     else:  # qn-plus-linear: the linear part reuses the lambda grid
         family_params = {"n_max": fam.integer("n_max", 10)}

@@ -41,7 +41,7 @@ import numpy as np
 from .conjugate import abstract_lf
 from .convex import GridFunction, _chords, derivative_range, interior_mask, is_convex_table
 from .extreal import INF, NEG_INF, ext_abs_diff, ext_sub
-from .free_energy import FamilyTable, WindowSpec, window_of
+from .free_energy import FamilyTable, NotConverged, WindowSpec, window_of
 from .measures import RegionSet, ScaledMeasureNet
 from .tilts import TiltFamily, TiltFunction
 
@@ -207,7 +207,7 @@ def varadhan_identity_check(
     entries = []
     for i, tilt in enumerate(tilts):
         if not table.converged[i]:
-            raise ValueError("free energy of the tilt did not converge")
+            raise NotConverged(f"free energy of tilt {tilt.label} did not converge")
         h = tilt.eval_array(rfe.grid)
         with np.errstate(invalid="ignore"):
             gaps = h - rfe.l1.values

@@ -1,13 +1,18 @@
+import contextlib
+import io
 import json
+import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from importlib import resources
@@ -224,9 +229,9 @@ class TestScenarioParsing:
         ("informational = gartner-ellis-a", "informational = gartner-ellis-b-sub",
          "[checks] sub_lo: missing required key"),
         ("eps_list = 0.1", "sub_lo = 0.5\nsub_hi = -0.5",
-         "[checks] sub_hi: must lie in (0.5, inf), got -0.5"),
+         "[checks] sub_hi: must lie in (0.5, 1e+100), got -0.5"),
         ("eps_list = 0.1", "two_slope_lo = 4\ntwo_slope_hi = -4",
-         "[checks] two_slope_hi: must lie in (4.0, inf), got -4.0"),
+         "[checks] two_slope_hi: must lie in (4.0, 1e+100), got -4.0"),
         ("eps_list = 0.1", "two_slope_resolution = 1", "[checks] two_slope_resolution"),
         ("max_index = 100000", "max_n = 100", "[net] unknown key 'max_n'"),
         ("max_index = 100000", "p = 7", "[net] unknown key 'p'"),
@@ -243,9 +248,11 @@ class TestScenarioParsing:
          "[net] max_n: must be >= 2"),
         ("resolution = 13", "resolution = 1", "[family] resolution: must be >= 2"),
         ("kind = two-slope\nlo = -3.0\nhi = 3.0", "kind = linear\nlo = 4\nhi = -4",
-         "[family] hi: must lie in (4.0, inf), got -4.0"),
-        ("lo = -3.0\nhi = 3.0", "lo = 4\nhi = 4", "[family] hi: must lie in (4.0, inf), got 4.0"),
-        ("lo = -3.0\nhi = 3.0", "lo = 4\nhi = -4", "[family] hi: must lie in (4.0, inf), got -4.0"),
+         "[family] hi: must lie in (4.0, 1e+100), got -4.0"),
+        ("lo = -3.0\nhi = 3.0", "lo = 4\nhi = 4",
+         "[family] hi: must lie in (4.0, 1e+100), got 4.0"),
+        ("lo = -3.0\nhi = 3.0", "lo = 4\nhi = -4",
+         "[family] hi: must lie in (4.0, 1e+100), got -4.0"),
         ("kind = two-slope\nlo = -3.0\nhi = 3.0\nresolution = 13",
          "kind = qn-plus-linear\nn_max = 0", "[family] n_max: must be >= 1"),
         # non-finite numbers: numpy warnings then a blamed L, a blamed ball
@@ -255,12 +262,28 @@ class TestScenarioParsing:
         ("lo = -1.5", "lo = -inf", "[x-grid] lo: not a finite number: '-inf'"),
         ("t_max = 1e-2", "t_max = inf", "[window] t_max: not a finite number: 'inf'"),
         ("t_max = 1e-3", "t_max = nan", "[rate-window] t_max: not a finite number: 'nan'"),
+        # entries once read with a bare float(): nan and inf tilts failed at
+        # run time naming no key, or warned and exited 0; a nan region ran
+        ("varadhan_tilts = linear:1", "varadhan_tilts = linear:nan",
+         "[checks] varadhan_tilts: bad tilt spec 'linear:nan': not a finite number: 'nan'"),
+        ("varadhan_tilts = linear:1", "varadhan_tilts = two_slope:inf:1",
+         "[checks] varadhan_tilts: bad tilt spec 'two_slope:inf:1': not a finite number: 'inf'"),
+        ("regions = closed:0.5:1.5", "regions = open:nan:1",
+         "[checks] regions: not a finite number: 'nan'"),
+        # slopes past MAX_SLOPE: overflow warnings in the tilt kernel and the
+        # hull, then exit 1, or exit 2 blaming unconverged family members
+        ("varadhan_tilts = linear:1", "varadhan_tilts = linear:1e308",
+         "[checks] varadhan_tilts: bad tilt spec 'linear:1e308': "
+         "must lie in (-1e+100, 1e+100), got 1e+308"),
+        ("lo = -2.0\nhi = 2.0", "lo = -2.0\nhi = 1e300",
+         "[lambda-grid] hi: must lie in (-2.0, 1e+100), got 1e+300"),
     ], ids=["region-number", "region-spec", "tilt-spec", "sub-required", "sub-reversed",
             "two-slope-reversed", "two-slope-resolution", "coin-max_n", "coin-p",
             "iid-max_index", "qn-lo", "qn-resolution", "two-slope-n_max",
             "coin-max_index-1", "iid-max_n-1", "family-resolution-1", "linear-reversed",
             "two-slope-empty", "family-reversed", "qn-n_max-0", "lambda-hi-inf",
-            "x-lo-inf", "window-t_max-inf", "rate-window-t_max-nan"])
+            "x-lo-inf", "window-t_max-inf", "rate-window-t_max-nan", "tilt-nan",
+            "tilt-inf", "region-nan", "tilt-slope-1e308", "lambda-hi-1e300"])
     def test_bad_setting_exits_2_at_load(self, tmp_path, capsys, old, new, where):
         path = tmp_path / "bad.cfg"
         assert MINI_SCENARIO.count(old) == 1
@@ -270,6 +293,18 @@ class TestScenarioParsing:
         assert f"{path}: {where}" in str(exc.value)
         assert main(["run", str(path)]) == 2
         assert f"{path}: {where}" in capsys.readouterr().err
+
+    def test_slope_off_the_rate_grid_names_the_check_and_grid(self, tmp_path, capsys):
+        # at p = 1e-300 L's slopes near 0 leave cramer's x grid: the error once
+        # named neither the check nor the grid
+        text = resources.files("ldpkit").joinpath("data/scenarios/cramer.cfg").read_text()
+        assert text.count("p = 0.5") == 1
+        path = tmp_path / "cramer.cfg"
+        path.write_text(text.replace("p = 0.5", "p = 1e-300"))
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: derivative-bound: slope ")
+        assert err.endswith("lies outside the rate grid span: [x-grid] spans 0.017..0.983\n")
 
     def test_two_slope_hi_alone_reaches_the_auxiliary_family(self, tmp_path, monkeypatch):
         # two_slope_hi without two_slope_lo was once dropped without a word
@@ -733,6 +768,21 @@ class TestCliCommands:
         assert f"{message} is not finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("rows, spec", [
+        ("0,0\n1e300,1\n", "-1e10:1e10:5"),
+        ("0,0\n1e200,1e200\n2e200,0\n", "-1:1:5"),
+    ], ids=["transform", "hull"])
+    def test_conjugate_overflowing_products_exit_2(self, tmp_path, capsys, rows, spec):
+        # dual * x - v, or the hull's cross product (v2 - v1) * (x - x1),
+        # once overflowed with a numpy warning and exited 0
+        (tmp_path / "f.csv").write_text(rows)
+        out = tmp_path / "out.csv"
+        assert main(["conjugate", str(tmp_path / "f.csv"), str(out), f"--dual-grid={spec}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --dual-grid {spec}: with the grid of {tmp_path / 'f.csv'}")
+        assert err.endswith("the conjugate's products overflow\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("spec, message", [
         ("-inf:1:5", "not a finite number: '-inf'"),
         ("-1:nan:5", "not a finite number: 'nan'"),
@@ -797,6 +847,159 @@ class TestCliCommands:
             main(["reproduce", "ge-ex", "--threads", "1"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --threads" in capsys.readouterr().err
+
+
+# Hostile inputs: one value drawn from HOSTILE goes into one scenario key,
+# list entry, CSV row or flag.  main must end at exit 0 or 1 (a RuntimeWarning
+# is an error in this suite), or at exit 2 with an error that names the file
+# and line, the section and key, or the flag.
+HOSTILE = ("0", "-0", "5e-324", "1e308", "-1e308", "nan", "inf", "-inf", "",
+           str(10**30), str(-10**30), "9" * 400)
+
+# the packaged scenarios on small grids, so that a run takes some 20 ms
+SMALL = {
+    "ge-ex": {("net", "max_index"): "1000", ("window", "t_min"): "1e-3",
+              ("window", "samples"): "6", ("rate-window", "t_max"): "1e-2",
+              ("rate-window", "t_min"): "1e-3", ("rate-window", "samples"): "4",
+              ("lambda-grid", "resolution"): "13", ("family", "resolution"): "7",
+              ("x-grid", "points"): "17"},
+    "dem-zei": {("net", "max_index"): "10000", ("window", "t_min"): "1e-4",
+                ("window", "samples"): "6", ("rate-window", "t_max"): "1e-2",
+                ("rate-window", "t_min"): "1e-3", ("rate-window", "samples"): "4",
+                ("lambda-grid", "resolution"): "9", ("wide-lambda-grid", "resolution"): "9",
+                ("family", "n_max"): "3", ("x-grid", "points"): "25",
+                ("checks", "two_slope_resolution"): "5"},
+    "cramer": {("net", "max_n"): "64", ("window", "t_max"): "3.125e-2",
+               ("window", "t_min"): "1.5625e-2", ("lambda-grid", "resolution"): "17",
+               ("family", "resolution"): "7", ("x-grid", "points"): "33",
+               ("tolerances", "convergence"): "0.05"},
+}
+
+
+def _values(text: str) -> dict[tuple[str, str], str]:
+    """The value of each ``(section, key)`` of a scenario text."""
+    values, section = {}, None
+    for line in text.splitlines():
+        if line.startswith("["):
+            section = line.strip("[]")
+        elif "=" in line and not line.startswith("#"):
+            key, value = (part.strip() for part in line.split("=", 1))
+            values[section, key] = value
+    return values
+
+
+def _with_values(text: str, edits: dict) -> str:
+    """``text`` with the value of each ``(section, key)`` in ``edits`` replaced."""
+    lines, section = [], None
+    for line in text.splitlines():
+        if line.startswith("["):
+            section = line.strip("[]")
+        key = line.split("=")[0].strip()
+        if (section, key) in edits and not line.startswith("#"):
+            line = f"{key} = {edits[section, key]}"
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
+def _small(name: str) -> str:
+    text = resources.files("ldpkit").joinpath(f"data/scenarios/{name}.cfg").read_text()
+    return _with_values(text, SMALL[name])
+
+
+def _is_numbers(value: str) -> bool:
+    try:
+        return all(math.isfinite(float(tok)) for tok in value.split(","))
+    except ValueError:
+        return False
+
+
+NUMERIC_KEYS = [(name, *where) for name in SMALL
+                for where, value in _values(_small(name)).items() if _is_numbers(value)]
+SPANS = [(section, "lo", "hi") for section in ("lambda-grid", "family", "x-grid")] + [
+    ("window", "t_min", "t_max"), ("rate-window", "t_min", "t_max"),
+    ("checks", "sub_lo", "sub_hi")]
+ENTRIES = [("varadhan_tilts", form) for form in
+           ("linear:{}", "two_slope:{}:1", "two_slope:-1:{}", "qn:{}")] + [
+    ("regions", form) for form in ("open:{}:1", "closed:-1:{}")]
+hostile = st.sampled_from(HOSTILE)
+part = st.sampled_from(HOSTILE + ("-1", "1", "1e-2", "1e-3", "4"))
+csv_text = st.sampled_from(HOSTILE + ("-1", "1", "1e200", "2e200", "1e300"))
+HOSTILE_CASES = st.one_of(
+    st.tuples(st.just("key"), st.sampled_from(NUMERIC_KEYS), hostile),
+    st.tuples(st.just("swap"), st.sampled_from(SPANS)),
+    st.tuples(st.just("entry"), st.sampled_from(ENTRIES), hostile),
+    st.tuples(st.just("csv"), st.lists(st.tuples(csv_text, csv_text), min_size=1, max_size=3),
+              st.sampled_from(["-1:1:5", "-1e10:1e10:5"])),
+    st.tuples(st.just("flag"), st.just("--tol"), hostile),
+    st.tuples(st.just("flag"), st.sampled_from(["--window", "--dual-grid"]),
+              st.lists(part, min_size=3, max_size=3).map(":".join)),
+)
+# an error of a run names the scenario section and key to change
+RUN_ERROR = r".*\[[\w-]+\] \w+"
+
+
+def _hostile_argv(case: tuple, tmp: Path) -> tuple[list[str], str]:
+    """``case``'s command line, and the pattern that its exit-2 error must match."""
+    kind, *args = case
+    path = tmp / "hostile.cfg"
+    if kind == "csv":
+        rows, spec = args
+        csv = tmp / "f.csv"
+        csv.write_text("".join(f"{x},{v}\n" for x, v in rows))
+        argv = ["conjugate", str(csv), str(tmp / "out.csv"), f"--dual-grid={spec}"]
+        return argv, rf"{re.escape(str(csv))}(?::\d+)?: |--dual-grid {re.escape(spec)}: "
+    if kind == "flag":
+        flag, text = args
+        if flag == "--dual-grid":
+            xs = np.linspace(-3, 3, 7)
+            save_grid_csv(GridFunction(xs, np.abs(xs)), tmp / "f.csv")
+            argv = ["conjugate", str(tmp / "f.csv"), str(tmp / "out.csv")]
+        else:
+            path.write_text(_small("ge-ex"))
+            argv = ["run", str(path)]
+        return argv + [f"{flag}={text}"], rf"{flag} {re.escape(text)}: "
+    if kind == "key":
+        (name, section, key), text = args
+        edits = {(section, key): text}
+    elif kind == "swap":
+        name, ((section, lo, hi),) = "ge-ex", args
+        values = _values(_small(name))
+        edits = {(section, lo): values[section, hi], (section, hi): values[section, lo]}
+    else:  # entry: the list holds the one hostile entry
+        name, ((key, form), text) = "ge-ex", args
+        edits = {("checks", key): form.format(text)}
+    path.write_text(_with_values(_small(name), edits))
+    return ["run", str(path)], rf"{re.escape(str(path))}: \[[\w-]+\] \w+: "
+
+
+@given(case=HOSTILE_CASES)
+# the cases that once escaped: each exited 0 or 1 with a numpy warning, or
+# exited 2 naming neither the file, the key nor the flag
+@example(case=("entry", ("varadhan_tilts", "linear:{}"), "nan"))
+@example(case=("entry", ("varadhan_tilts", "two_slope:{}:1"), "inf"))
+@example(case=("entry", ("regions", "open:{}:1"), "nan"))
+@example(case=("key", ("ge-ex", "tolerances", "equality"), "0"))
+@example(case=("flag", "--tol", "nan"))
+@example(case=("flag", "--window", "inf:1e-6:24"))
+@example(case=("flag", "--dual-grid", "-1e308:1e308:5"))
+@example(case=("entry", ("varadhan_tilts", "linear:{}"), "1e308"))
+@example(case=("key", ("ge-ex", "lambda-grid", "hi"), "1e300"))
+@example(case=("key", ("cramer", "net", "p"), "1e-300"))
+@example(case=("csv", [("0", "0"), ("1", "nan")], "-1:1:5"))
+@example(case=("csv", [("-1", "1e308"), ("0", "-1e308"), ("1", "1e308")], "-1:1:5"))
+@example(case=("csv", [("-1e308", "0"), ("1e308", "1")], "-1:1:5"))
+@example(case=("csv", [("0", "0"), ("1e300", "1")], "-1e10:1e10:5"))
+@example(case=("csv", [("0", "0"), ("1e200", "1e200"), ("2e200", "0")], "-1:1:5"))
+@settings(max_examples=150, derandomize=True, deadline=None)
+def test_hostile_input_runs_or_names_its_source(case):
+    with tempfile.TemporaryDirectory() as tmp:
+        argv, source = _hostile_argv(case, Path(tmp))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            status = main(argv)
+    assert status in (0, 1, 2)
+    if status == 2:
+        assert re.match(rf"error: (?:{source}|{RUN_ERROR})", err.getvalue()), err.getvalue()
 
 
 # no command loads scipy: not the coin and escaping nets, nor cramer's iid
