@@ -100,8 +100,8 @@ def _cmd_conjugate(args) -> int:
     # each difference and product of the hull and the transform, (v2 - v1) *
     # (x - x1) and dual * x - v, is at most this bound; rounding is monotone,
     # so a finite bound keeps each of them finite
-    x_max, d_max = float(np.max(np.abs(f.xs))), float(max(-dual[0], dual[-1]))
-    v_max = float(np.max(np.abs(f.values[f.finite_mask]), initial=0.0))
+    x_max, d_max = np.max(np.abs(f.xs)).item(), max(-dual[0], dual[-1]).item()
+    v_max = np.max(np.abs(f.values[f.finite_mask]), initial=0.0).item()
     if not math.isfinite(4 * x_max * max(v_max, d_max) + 2 * (x_max + v_max)):
         raise GridFormatError(
             f"--dual-grid {args.dual_grid}: with the grid of {args.input} (max |x| = {x_max}, "
