@@ -26,9 +26,14 @@ Window samples with the same atom count on a side are summed together, in
 blocks of whole ``slopes x samples`` rows.  At small ``t`` most terms lie
 more than 745 below their row's largest; the row kernel leaves them at the
 exact 0.0 that ``exp`` would return, without calling it, as the table's
-``logaddexp(A, B)`` does with pairs more than 746 apart.  A custom member
-is evaluated once per table, on the atoms of all window samples together,
-so its callable must be elementwise.  A family's estimates come back as one
+``logaddexp(A, B)`` does with pairs more than 746 apart.  On a concave side
+(3 or more atoms whose chord slopes strictly decrease, as in every binomial
+law) a slope's terms are unimodal, and those within 746 of the peak form
+one run: only the run is computed, and its terms are summed at their own
+columns of a full-width row of 0.0, so the pairwise ``sum`` adds as over
+the whole row and every bit stays.  Any other side keeps whole rows.  A
+custom member is evaluated once per table, on the atoms of all window
+samples together, so its callable must be elementwise.  A family's estimates come back as one
 :class:`FamilyTable` of arrays; a per-member :class:`LimitEstimate` is
 built only on request.
 """
@@ -60,6 +65,12 @@ _BLOCK_TERMS = 1 << 15
 # 5-17 ns below it, where it returns 0.0 (2-vCPU x86-64 VM).  At small t most
 # of cramer's terms lie below the band.
 _EXP_ZERO = -746.0
+# Atoms between the coarse samples that bound a concave row's run.
+_RUN_COARSE = 32
+# A concave row sums only its run while its exponents stay below this in
+# magnitude: |s| max|x| / t from the tilt plus atoms * max|logm| for the
+# chord slopes' rounding.  Each then lies within 2**-5 of a unimodal row.
+_RUN_REACH = 2.0 ** 44
 
 
 class NotConverged(ValueError):
@@ -175,7 +186,7 @@ def lambda_of(
     return lambda_family_table(net, family, window, tol, divergence_threshold).estimate(0)
 
 
-def _log_sum_exp_rows(x: np.ndarray) -> np.ndarray:
+def _log_sum_exp_rows(x: np.ndarray, zeros: np.ndarray | None = None, at: int = 0) -> np.ndarray:
     """``log sum exp`` of every row, with one largest term shifted out.
 
     The first largest term of a row stays out of the sum and returns through
@@ -184,6 +195,14 @@ def _log_sum_exp_rows(x: np.ndarray) -> np.ndarray:
     that ``exp`` would give them, so every sum is bit for bit that of an
     unmasked ``exp``, without ``exp``'s slow path for such arguments.  The
     terms are shifted and exponentiated in ``x`` itself, which is overwritten.
+
+    ``zeros``, if given, is all 0.0, one row per row of ``x``, as wide as
+    the whole rows of which ``x`` holds the columns from ``at`` on; every
+    term left out must lie below its row's largest by more than
+    ``-_EXP_ZERO``.  The shifted terms are summed at their own columns of
+    ``zeros``, between the 0.0 the left-out terms would give, so the
+    pairwise ``sum`` adds as over the whole rows, bit for bit; ``zeros``
+    is reset to 0.0 after.
 
     This is not scipy's ``logsumexp`` bit for bit: scipy >= 1.15 takes
     every tied maximum out of the sum and adds ``log(m)`` for ``m`` ties, and
@@ -202,7 +221,13 @@ def _log_sum_exp_rows(x: np.ndarray) -> np.ndarray:
         np.exp(x, out=x, where=~dead)
     x[dead] = 0.0
     x[rows, top] = 0.0
-    return peak + np.log1p(x.sum(axis=1))
+    if zeros is None:
+        return peak + np.log1p(x.sum(axis=1))
+    cols = slice(at, at + x.shape[1])
+    zeros[:, cols] = x
+    total = zeros.sum(axis=1)
+    zeros[:, cols] = 0.0
+    return peak + np.log1p(total)
 
 
 def _logaddexp(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -223,7 +248,8 @@ def _group_log_sums(count, ts, logm, tilt) -> np.ndarray:
     it in place, in the order of ``logm + h / t``, so the sums keep their
     bits, and the row kernel then overwrites it.  Each block sums whole rows
     of about ``_BLOCK_TERMS`` terms, so every sum equals its one-sample
-    kernel's.
+    kernel's.  Custom tilts and the slopes of a side that is not concave
+    take this path; a concave side sums runs (:func:`_slope_log_sums`).
     """
     samples, atoms = logm.shape
     out = np.full((count, samples), NEG_INF)
@@ -240,6 +266,81 @@ def _group_log_sums(count, ts, logm, tilt) -> np.ndarray:
             x /= ts[jj, None]
             x += logm[jj]
             out[ii, jj] = _log_sum_exp_rows(x.reshape(-1, atoms)).reshape(-1, width)
+    return out
+
+
+def _slope_log_sums(slopes: np.ndarray, ts, locs, logm) -> np.ndarray:
+    """``log sum_i exp(logm[j, i] + s * locs[j, i] / ts[j])``, ``(slopes, samples)``.
+
+    A sample is concave when it has 3 or more atoms and the chord slopes of
+    ``(locs, logm)`` strictly decrease, as in every binomial law.  There the
+    exponents of each slope are unimodal in ``i``, and :func:`_run_log_sums`
+    sums only the run of them near the peak, while every exponent stays
+    below ``_RUN_REACH``.  Every other sample keeps the whole rows of
+    :func:`_group_log_sums`, and their warnings.
+    """
+    samples, atoms = logm.shape
+    out = np.empty((slopes.size, samples))
+    runs = np.zeros(samples, dtype=bool)
+    if atoms >= 3:
+        with np.errstate(all="ignore"):  # a sample that overflows here keeps whole rows
+            rise = -np.diff(logm, axis=1) / np.diff(locs, axis=1)  # minus the chord slopes
+            reach = np.abs(slopes).max() * (np.abs(locs).max(axis=1) / ts)
+            reach += atoms * np.abs(logm).max(axis=1)
+            runs = np.isfinite(rise).all(axis=1) & (np.diff(rise, axis=1) > 0).all(axis=1)
+            runs &= reach < _RUN_REACH
+    whole = np.flatnonzero(~runs)
+    if whole.size:
+        sub = locs[whole]
+        out[:, whole] = _group_log_sums(
+            slopes.size, ts[whole], logm[whole], lambda ii, jj: slopes[ii, None, None] * sub[jj]
+        )
+    for j in np.flatnonzero(runs).tolist():
+        out[:, j] = _run_log_sums(slopes, ts[j], locs[j], logm[j], rise[j])
+    return out
+
+
+def _run_log_sums(slopes, t, locs, logm, rise) -> np.ndarray:
+    """The log-sums of one concave sample, each over the run of its terms
+    that can reach its sum.
+
+    ``rise`` holds minus the chord slopes, increasing.  A slope's terms
+    rise up to the first chord slope below ``-s/t``, and ``searchsorted``
+    finds that atom, ``p``.  Its term, as the kernel computes it, is a lower
+    bound of the row's largest.  The terms are then computed at every
+    ``_RUN_COARSE``-th atom: the last of them left of ``p`` and the first
+    right of it that lie more than ``1 - _EXP_ZERO`` below ``p``'s term
+    bound the run, for a unimodal row falls off beyond each.  Every term
+    outside lies more than ``-_EXP_ZERO`` below the largest, with a margin
+    of 1 for rounding (below ``_RUN_REACH`` it is under 2**-5), so the
+    kernel would give it the exact 0.0.  The slopes are sorted, and each
+    block of rows computes the union of its runs, in the kernel's order of
+    operations and at the same columns of full-width rows of 0.0.
+    """
+    atoms = locs.size
+    order = np.argsort(slopes, kind="stable")
+    s = slopes[order, None]
+
+    def terms(ss, cols):  # the exponents, as _group_log_sums builds them
+        x = ss * locs[cols]
+        x /= t
+        x += logm[cols]
+        return x
+
+    with np.errstate(over="ignore"):  # s/t may overflow where the atoms are tiny
+        p = np.searchsorted(rise, s / t)
+    coarse = np.unique(np.append(np.arange(0, atoms, _RUN_COARSE), atoms - 1))
+    low = terms(s, coarse) < terms(s, p) - (1.0 - _EXP_ZERO)
+    first = np.where(low & (coarse < p), coarse, 0).max(axis=1)
+    last = np.where(low & (coarse > p), coarse, atoms - 1).min(axis=1)
+    per = max(1, _BLOCK_TERMS // atoms)  # rows per block
+    zeros = np.zeros((per, atoms))
+    out = np.empty(slopes.size)
+    for i in range(0, slopes.size, per):
+        ii = slice(i, i + per)
+        lo, hi = first[ii].min().item(), last[ii].max().item() + 1
+        x = terms(s[ii], slice(lo, hi))
+        out[order[ii]] = _log_sum_exp_rows(x, zeros[: x.shape[0]], lo)
     return out
 
 
@@ -298,10 +399,7 @@ class Window:
             axis = np.array(new)
             fresh = np.empty((axis.size, self.ts.size))
             for idx, locs, logm in self._sides[side]:
-                fresh[:, idx] = _group_log_sums(
-                    axis.size, self.ts[idx], logm,
-                    lambda ii, jj: axis[ii, None, None] * locs[jj],
-                )
+                fresh[:, idx] = _slope_log_sums(axis, self.ts[idx], locs, logm)
             known.update(zip(new, fresh))
         return np.array([known[s] for s in keys]).reshape(len(keys), self.ts.size).T
 

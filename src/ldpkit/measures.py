@@ -5,7 +5,10 @@ total mass at most one.  Masses are kept in log scale internally: the
 worked example families push atom masses far below the smallest positive
 double (e.g. ``exp(-k**2)`` for index ``k`` in the thousands), so a linear
 representation would silently flush them to zero.  Linear masses are always
-available through :attr:`FiniteSupportMeasure.masses`.
+available through :attr:`FiniteSupportMeasure.masses`.  Interval (ball)
+masses are log-space scans over each query's own atoms
+(:meth:`FiniteSupportMeasure.log_masses_in`), so nothing is built or kept
+per measure, and tiny atoms beside heavy ones keep their digits.
 
 A :class:`ScaledMeasureNet` is an indexed family ``k -> (measure, t_k)``
 with a strictly decreasing positive scale ``t_k -> 0``.  The three built-in
@@ -22,7 +25,6 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -144,58 +146,51 @@ class FiniteSupportMeasure:
 
     # -- mass queries --------------------------------------------------------
 
-    @cached_property
-    def _run_table(self) -> np.ndarray:
-        """Log-space disjoint sparse table over the atoms, built once.
-
-        Row 0 holds the log-masses.  Row ``l + 1`` cuts the atoms into
-        blocks of ``2**(l + 1)`` and holds, left of each block's midpoint,
-        the log-mass of the atoms from there up to the midpoint, and right
-        of it, the log-mass from the midpoint up to there: one
-        ``np.logaddexp.accumulate`` per level over the left halves reversed.
-        Column n is ``-inf``.  Entries only ever add positive terms.
-        """
-        n = self.log_masses.size
-        levels = max(n - 1, 0).bit_length()
-        table = np.full((levels + 1, n + 1), NEG_INF)
-        table[0, :n] = self.log_masses
-        for level in range(levels):
-            half = 1 << level
-            padded = np.full(-(-n // (2 * half)) * 2 * half, NEG_INF)
-            padded[:n] = self.log_masses
-            blocks = padded.reshape(-1, 2, half)
-            blocks[:, 0] = blocks[:, 0, ::-1].copy()
-            blocks = np.logaddexp.accumulate(blocks, axis=-1)
-            blocks[:, 0] = blocks[:, 0, ::-1].copy()
-            table[level + 1, :n] = blocks.reshape(-1)[:n]
-        return table
-
     def log_masses_in(self, lo, hi, lo_open=True, hi_open=True) -> np.ndarray:
         """log of the mass of every interval from ``lo`` to ``hi``.
 
         All four arguments broadcast; the flags say which ends are open.
         Each interval holds one run ``[i0, i1)`` of consecutive atoms, found
         by ``searchsorted``.  A run of two or more atoms straddles exactly
-        one block midpoint of the table (at level ``bit_length(i0 ^ (i1-1))
-        - 1``), so its mass is the ``logaddexp`` of two table entries; a run
-        of one atom is that atom's log-mass, an empty run ``-inf``.  Prefix
-        sums are not used: ``log(S_hi - S_lo)`` cancels tiny atoms that sit
-        beside a heavy one, e.g. ``exp(-k**2)`` next to ``1 - 2 exp(-k**2)``.
+        one midpoint ``mid``, a multiple of ``2**level`` with ``level =
+        bit_length(i0 ^ (i1-1)) - 1``, and its mass is the ``logaddexp`` of
+        two scans: ``np.logaddexp.accumulate`` from ``mid-1`` down to
+        ``i0`` and from ``mid`` up to ``i1-1``.  Each level runs one padded
+        accumulate over its distinct midpoints, as long as its farthest
+        query, so the work never exceeds that of a disjoint sparse table
+        over all atoms, whose entries are these same scans, bit for bit
+        (``tests/oracles.py`` keeps that table).  A run of one atom is that
+        atom's log-mass, an empty run ``-inf``.  Prefix sums are not used:
+        ``log(S_hi - S_lo)`` cancels tiny atoms that sit beside a heavy one,
+        e.g. ``exp(-k**2)`` next to ``1 - 2 exp(-k**2)``.
         """
         lo, hi, lo_open, hi_open = np.broadcast_arrays(
             np.asarray(lo, dtype=float), np.asarray(hi, dtype=float), lo_open, hi_open
         )
         find = lambda x, side: np.searchsorted(self.locations, x, side)
-        i0 = np.where(lo_open, find(lo, "right"), find(lo, "left"))
-        i1 = np.where(hi_open, find(hi, "left"), find(hi, "right"))
-        n, size = self.log_masses.size, i1 - i0
-        # frexp's exponent is bit_length: the level plus one, and row 0 for a
-        # single atom, which pairs with the -inf column n as does an empty run
-        row = np.frexp(np.where(size > 1, i0 ^ (i1 - 1), 0))[1]
-        table = self._run_table
-        return np.logaddexp(
-            table[row, np.where(size > 0, i0, n)], table[row, np.where(size > 1, i1 - 1, n)]
-        )
+        i0 = np.where(lo_open, find(lo, "right"), find(lo, "left")).ravel()
+        i1 = np.where(hi_open, find(hi, "left"), find(hi, "right")).ravel()
+        logm = np.append(self.log_masses, NEG_INF)  # index n reads -inf
+        n = self.log_masses.size
+        # a single atom pairs with -inf, as does an empty run
+        left = logm[np.where(i1 > i0, i0, n)]
+        right = np.full(left.shape, NEG_INF)
+        multi = np.flatnonzero(i1 - i0 > 1)
+        first, last = i0[multi], i1[multi] - 1
+        level = np.frexp(first ^ last)[1] - 1  # frexp's exponent is bit_length
+        mid = last >> level << level
+        for lev in np.unique(level).tolist():
+            on = np.flatnonzero(level == lev)
+            mids, row = np.unique(mid[on], return_inverse=True)
+            ends = mid[on] - first[on], last[on] - mid[on]  # farthest steps out
+            width = max(ends[0].max().item(), ends[1].max().item() + 1)
+            # rows 0..m-1 scan down from mid-1, rows m..2m-1 up from mid
+            starts = np.concatenate((mids - 1, mids))[:, None]
+            steps = np.repeat([-1, 1], mids.size)[:, None] * np.arange(width)
+            scans = np.logaddexp.accumulate(logm[np.minimum(starts + steps, n)], axis=1)
+            left[multi[on]] = scans[row, ends[0] - 1]
+            right[multi[on]] = scans[row + mids.size, ends[1]]
+        return np.logaddexp(left.reshape(lo.shape), right.reshape(lo.shape))
 
     def log_masses_of(self, regions: Sequence["RegionSet"]) -> np.ndarray:
         """log of the mass of each region: one :meth:`log_masses_in` call, then

@@ -294,6 +294,53 @@ def log_mass_in(measure: FiniteSupportMeasure, region: RegionSet) -> float:
     return float(measure.log_masses_of([region])[0])
 
 
+def sparse_table(measure: FiniteSupportMeasure) -> np.ndarray:
+    """Log-space disjoint sparse table over the atoms of ``measure``.
+
+    Row 0 holds the log-masses.  Row ``l + 1`` cuts the atoms into blocks
+    of ``2**(l + 1)`` and holds, left of each block's midpoint, the log-mass
+    of the atoms from there up to the midpoint, and right of it, the
+    log-mass from the midpoint up to there: one ``np.logaddexp.accumulate``
+    per level over the left halves reversed.  Column n is ``-inf``.
+    """
+    n = measure.log_masses.size
+    levels = max(n - 1, 0).bit_length()
+    table = np.full((levels + 1, n + 1), NEG_INF)
+    table[0, :n] = measure.log_masses
+    for level in range(levels):
+        half = 1 << level
+        padded = np.full(-(-n // (2 * half)) * 2 * half, NEG_INF)
+        padded[:n] = measure.log_masses
+        blocks = padded.reshape(-1, 2, half)
+        blocks[:, 0] = blocks[:, 0, ::-1].copy()
+        blocks = np.logaddexp.accumulate(blocks, axis=-1)
+        blocks[:, 0] = blocks[:, 0, ::-1].copy()
+        table[level + 1, :n] = blocks.reshape(-1)[:n]
+    return table
+
+
+def sparse_table_log_masses_in(
+    measure: FiniteSupportMeasure, lo, hi, lo_open=True, hi_open=True
+) -> np.ndarray:
+    """``FiniteSupportMeasure.log_masses_in`` read from the whole
+    :func:`sparse_table`, as the program once did: a run ``[i0, i1)`` of two
+    or more atoms is the ``logaddexp`` of two entries of row
+    ``bit_length(i0 ^ (i1-1))``, a single atom pairs with the ``-inf``
+    column, as does an empty run."""
+    lo, hi, lo_open, hi_open = np.broadcast_arrays(
+        np.asarray(lo, dtype=float), np.asarray(hi, dtype=float), lo_open, hi_open
+    )
+    find = lambda x, side: np.searchsorted(measure.locations, x, side)
+    i0 = np.where(lo_open, find(lo, "right"), find(lo, "left"))
+    i1 = np.where(hi_open, find(hi, "left"), find(hi, "right"))
+    n, size = measure.log_masses.size, i1 - i0
+    row = np.frexp(np.where(size > 1, i0 ^ (i1 - 1), 0))[1]
+    table = sparse_table(measure)
+    return np.logaddexp(
+        table[row, np.where(size > 0, i0, n)], table[row, np.where(size > 1, i1 - 1, n)]
+    )
+
+
 def region_power_mass(measure: FiniteSupportMeasure, region: RegionSet, t: float) -> float:
     """Powered region mass ``mu(region) ** t`` with ``0 ** t = 0``."""
     if t <= 0:

@@ -24,6 +24,7 @@ from ldpkit.free_energy import (
     window_for_t_range,
 )
 from ldpkit.measures import FiniteSupportMeasure, ScaledMeasureNet
+from ldpkit.scenario import MAX_SLOPE
 from ldpkit.tilts import (
     TiltFunction,
     explicit_family,
@@ -499,17 +500,17 @@ SIGNED_SLOPES = st.one_of(
 )
 
 
-def count_summed_terms(monkeypatch) -> list[int]:
-    """Patch the row kernel to add up the terms it is given."""
-    terms = [0]
+def count_summed_rows(monkeypatch) -> list[int]:
+    """Patch the row kernel to add up the rows (slope x sample) it is given."""
+    rows = [0]
     kernel = free_energy._log_sum_exp_rows
 
-    def counting(x):
-        terms[0] += x.size
-        return kernel(x)
+    def counting(x, *args):
+        rows[0] += x.shape[0]
+        return kernel(x, *args)
 
     monkeypatch.setattr(free_energy, "_log_sum_exp_rows", counting)
-    return terms
+    return rows
 
 
 def all_tables(net, window):
@@ -641,13 +642,14 @@ class TestWindowSums:
     def test_every_slope_is_summed_once_per_op(self, monkeypatch):
         net = small_iid_net()
         window = WindowSpec(100, 400, 6)
-        terms = count_summed_terms(monkeypatch)
+        rows = count_summed_rows(monkeypatch)
         all_tables(net, window)
         family = two_slope_family((-2.0, 2.0), (-2.0, 2.0), 9)
         table = lambda_family_table(net, family, window, tol=1.0)
         stable_abstract_lf(net, family, table, np.linspace(0.1, 0.9, 5), window, tol=1.0)
         # the minimum: each distinct slope once per side and sample, plus
-        # one row per sample for each custom tilt (qn:2 here, in one table)
+        # one row per sample for each custom tilt (qn:2 here, in one table);
+        # rows, not terms, since a concave side sums only part of each row
         lam, nu = set(), set()
         for f in (family.doubled(), linear_family(-2.0, 2.0, 11), linear_family(-4.0, 4.0, 23)):
             lam.update(f.lam.tolist())
@@ -658,8 +660,166 @@ class TestWindowSums:
         for k in window.indices(net):
             locs = net.measure(int(k)).locations
             left = int(np.count_nonzero(locs <= 0.0))
-            want += len(lam) * left + len(nu) * (locs.size - left) + locs.size
-        assert terms[0] == want
+            want += len(lam) * (left > 0) + len(nu) * (locs.size > left) + 1
+        assert rows[0] == want
+
+
+def one_sample_sums(slopes, t, locs, logm):
+    """``_slope_log_sums`` over a group of one sample."""
+    return free_energy._slope_log_sums(slopes, np.array([t]), locs[None], logm[None])[:, 0]
+
+
+def record_kernel_calls(monkeypatch) -> list[tuple[int, int, bool]]:
+    """Patch the row kernel to record ``(rows, terms, pruned)`` per call."""
+    calls = []
+    kernel = free_energy._log_sum_exp_rows
+
+    def recording(x, zeros=None, at=0):
+        calls.append((x.shape[0], x.size, zeros is not None))
+        return kernel(x, zeros, at)
+
+    monkeypatch.setattr(free_energy, "_log_sum_exp_rows", recording)
+    return calls
+
+
+def assert_sums_equal_the_oracle(slopes, t, locs, logm, calls=None):
+    """The oracle's bits and warnings; ``calls`` keeps only the program's."""
+    want = bits_and_warnings(lambda s: slope_log_sums(s, locs, logm, t), slopes)
+    if calls is not None:
+        calls.clear()
+    assert bits_and_warnings(lambda s: one_sample_sums(s, t, locs, logm), slopes) == want
+
+
+def cramer_slopes() -> np.ndarray:
+    """The distinct slopes a cramer run sums: its lambda grid, its family
+    doubled, and its varadhan tilts."""
+    family = two_slope_family((-4.0, 4.0), (-4.0, 4.0), 41).doubled()
+    tilts = [1.0, -1.0, 2.0, -2.0, 0.5, 0.0, 1.5, 0.3]
+    return np.unique(np.concatenate([linear_family(-4.0, 4.0, 255).lam, family.lam, family.nu, tilts]))
+
+
+def binomial_side(n: int) -> FiniteSupportMeasure:
+    """The iid Bernoulli(1/2) mean law of ``n`` draws, without its atom at 0."""
+    m = ldpkit.measures._iid_mean_law(ldpkit.bernoulli_half_base().normalized(), n)
+    return FiniteSupportMeasure(m.locations[1:], m.log_masses[1:])
+
+
+@st.composite
+def concave_measures(draw):
+    """3 to 300 atoms whose chord slopes strictly decrease."""
+    size = draw(st.integers(3, 300))
+    scale = draw(st.sampled_from([1e-3, 3e-2, 1.0]))  # flat to steep
+    chords = scale * np.array(draw(st.lists(st.integers(-3000, 3000), min_size=size - 1,
+                                            max_size=size - 1, unique=True)))
+    gaps = np.array(draw(st.lists(st.floats(0.05, 2.0), min_size=size - 1, max_size=size - 1)))
+    locs = np.concatenate(([0.0], np.cumsum(gaps))) + draw(st.floats(-300.0, 300.0))
+    logm = np.concatenate(([0.0], np.cumsum(np.sort(chords)[::-1] * gaps)))
+    return locs, logm - logsumexp(logm)
+
+
+class TestRunLogSums:
+    """A concave side sums only the run of terms near each slope's peak, with
+    the bits and warnings of the whole-row oracle ``slope_log_sums``."""
+
+    def test_iid_laws_over_cramers_slopes(self, monkeypatch):
+        net = ldpkit.iid_mean_example_net(ldpkit.bernoulli_half_base(), 8192)
+        spec = WindowSpec(4096, 8192, 2)
+        window = free_energy.window_of(net, spec)
+        slopes = cramer_slopes()
+        calls = record_kernel_calls(monkeypatch)
+        got = [bits_and_warnings(lambda s: window.slope_sums(side, s), slopes) for side in (0, 1)]
+        calls = calls.copy()  # the oracle below calls the kernel too
+        for side in (0, 1):
+            want = []
+            for j, k in enumerate(spec.indices(net)):
+                m = net.measure(int(k))
+                part = (m.locations <= 0.0) == (side == 0)
+                want.append(slope_log_sums(slopes, m.locations[part], m.log_masses[part],
+                                           window.ts[j]))
+            assert got[side] == (np.array(want).tobytes(), [])
+        # the one atom at x = 0 is summed whole; the 4,096 + 8,192 others in
+        # runs, each row once, with under a third of the terms
+        assert spec.indices(net).tolist() == [4096, 8192]
+        assert sum(rows for rows, _, pruned in calls if not pruned) == 2 * slopes.size
+        assert sum(rows for rows, _, pruned in calls if pruned) == 2 * slopes.size
+        terms = sum(size for _, size, pruned in calls if pruned)
+        assert terms < (4096 + 8192) * slopes.size / 3
+
+    @pytest.mark.parametrize("bump", [None, 500, 1])
+    def test_a_non_concave_side_keeps_whole_rows(self, bump, monkeypatch):
+        # a binomial law with one chord slope out of order is not concave,
+        # and nor is a lattice with random masses
+        m = binomial_side(1000)
+        locs, logm = m.locations, m.log_masses.copy()
+        if bump is None:
+            logm = np.random.default_rng(1).uniform(-80.0, -8.0, locs.size)
+        else:
+            logm[bump] -= 1.0
+        calls = record_kernel_calls(monkeypatch)
+        assert_sums_equal_the_oracle(cramer_slopes(), 1e-3, locs, logm, calls)
+        assert calls and not any(pruned for _, _, pruned in calls)
+
+    @pytest.mark.parametrize("atoms", [1, 2])
+    def test_one_and_two_atom_sides_keep_whole_rows(self, atoms, monkeypatch):
+        locs, logm = np.array([0.25, 0.5][:atoms]), np.log([0.4, 0.6][:atoms])
+        calls = record_kernel_calls(monkeypatch)
+        assert_sums_equal_the_oracle(cramer_slopes(), 1e-4, locs, logm, calls)
+        assert calls and not any(pruned for _, _, pruned in calls)
+
+    def test_max_slope_rows_keep_whole_rows(self, monkeypatch):
+        # s * x / t reaches 4e103, far past the reach where a run is sound:
+        # the sample keeps whole rows for every slope of the request
+        m = binomial_side(4096)
+        calls = record_kernel_calls(monkeypatch)
+        for slopes, pruned in (([-MAX_SLOPE, -1.0, MAX_SLOPE, 1.0], False), ([-1.0, 1.0], True)):
+            assert_sums_equal_the_oracle(np.array(slopes), 1 / 4096, m.locations, m.log_masses,
+                                         calls)
+            assert [p for _, _, p in calls] == [pruned]
+
+    def test_overflowing_peak_search_keeps_its_bits(self, monkeypatch):
+        # s / t overflows where s * x / t does not, at atoms below 1e-298:
+        # the run is found all the same, and no warning is raised
+        m = binomial_side(64)
+        calls = record_kernel_calls(monkeypatch)
+        assert_sums_equal_the_oracle(np.array([-1e300, 1e300]), 1e-10, m.locations * 1e-300,
+                                     m.log_masses, calls)
+        assert [p for _, _, p in calls] == [True]
+
+    def test_subnormal_band_terms_keep_their_last_bits(self, monkeypatch):
+        # the peak at x = 0 stands 726.8 above its two neighbours, whose
+        # terms stay in exp's subnormal band [-745.13, -708.4] at every slope
+        # here, and are all the sum holds
+        locs = np.arange(2000.0) - 1000.0
+        logm = -726.8 * np.abs(locs) - 1e-3 * locs * locs
+        slopes = np.linspace(-18.0, 18.0, 145)
+        calls = record_kernel_calls(monkeypatch)
+        assert_sums_equal_the_oracle(slopes, 1.0, locs, logm, calls)
+        assert all(pruned for _, _, pruned in calls)
+        got = one_sample_sums(slopes, 1.0, locs, logm)
+        assert np.all((got > 0.0) & (got < 2 * np.exp(-708.4)))
+
+    @pytest.mark.parametrize("curve", [1e-3, 1e-2])
+    @pytest.mark.parametrize("t", [1.0, 0.1])
+    def test_wide_runs_keep_the_pairwise_sum(self, curve, t, monkeypatch):
+        # thousands of comparable terms, and sums near log 1 = 0 at slope 0:
+        # the last bits depend on the order in which the whole rows are added
+        d = np.arange(3000.0) - 1300.0
+        logm = -curve * d * d
+        logm -= logsumexp(logm)
+        calls = record_kernel_calls(monkeypatch)
+        assert_sums_equal_the_oracle(np.linspace(-2.0, 2.0, 41), t, d / 100.0, logm, calls)
+        assert all(pruned for _, _, pruned in calls)
+        assert sum(size for _, size, _ in calls) < 41 * 3000 * 0.8
+
+    @given(concave_measures(), st.lists(SIGNED_SLOPES, min_size=1, max_size=30),
+           st.floats(1e-3, 1.0))
+    @settings(max_examples=150, deadline=None)
+    def test_concave_measures_keep_their_bits(self, measure, slopes, t):
+        # one row per block, so each row computes its own run and no wider
+        locs, logm = measure
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(free_energy, "_BLOCK_TERMS", 1)
+            assert_sums_equal_the_oracle(np.array(slopes) * 500.0, t, locs, logm)
 
 
 def assert_same_estimates(got, want):

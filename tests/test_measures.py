@@ -278,10 +278,13 @@ def run_bounds(i0, i1):
     return np.asarray(i0) - 0.5, np.asarray(i1) - 0.5
 
 
-def assert_matches_reduceat(m, lo, hi, lo_open=True, hi_open=True):
+def assert_matches_oracles(m, lo, hi, lo_open=True, hi_open=True):
+    """Bit for bit the sparse table's masses, and close to the reduceat sums."""
     got = m.log_masses_in(lo, hi, lo_open, hi_open)
+    table = oracles.sparse_table_log_masses_in(m, lo, hi, lo_open, hi_open)
+    assert got.shape == table.shape
+    assert got.view(np.int64).tolist() == table.view(np.int64).tolist()
     want = reduceat_log_masses_in(m, lo, hi, lo_open, hi_open)
-    assert got.shape == want.shape
     for g, w in zip(got.ravel().tolist(), want.ravel().tolist()):
         assert_log_close(g, w)
 
@@ -297,7 +300,7 @@ class TestSparseTable:
         lo, hi, lo_open, hi_open = map(np.array, zip(*(
             (min(a, b) / 2.0, max(a, b) / 2.0, fa, fb) for a, b, fa, fb in ends
         )))
-        assert_matches_reduceat(m, lo, hi, lo_open, hi_open)
+        assert_matches_oracles(m, lo, hi, lo_open, hi_open)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 77])
     def test_single_atom_runs_are_the_atoms(self, n):
@@ -311,11 +314,11 @@ class TestSparseTable:
     def test_runs_from_index_zero_and_to_n(self, n):
         m = lattice_measure(n, seed=n)
         k = np.arange(n + 1)
-        assert_matches_reduceat(m, *run_bounds(np.zeros_like(k), k))
-        assert_matches_reduceat(m, *run_bounds(k, np.full_like(k, n)))
+        assert_matches_oracles(m, *run_bounds(np.zeros_like(k), k))
+        assert_matches_oracles(m, *run_bounds(k, np.full_like(k, n)))
         # the same runs written with infinite ends
-        assert_matches_reduceat(m, -math.inf, k - 0.5)
-        assert_matches_reduceat(m, k - 0.5, math.inf)
+        assert_matches_oracles(m, -math.inf, k - 0.5)
+        assert_matches_oracles(m, k - 0.5, math.inf)
 
     def test_runs_across_power_of_two_boundaries(self):
         m = lattice_measure(300, seed=1)
@@ -326,26 +329,40 @@ class TestSparseTable:
                     if 0 <= b - left and b + right <= 300:
                         i0.append(b - left)
                         i1.append(b + right)
-        assert_matches_reduceat(m, *run_bounds(i0, i1))
+        assert_matches_oracles(m, *run_bounds(i0, i1))
 
     @pytest.mark.parametrize("n", [1, 2, 4, 64, 256])
     def test_power_of_two_size_every_run(self, n):
         m = lattice_measure(n, seed=n)
         i0, i1 = np.triu_indices(n + 1)
-        assert_matches_reduceat(m, *run_bounds(i0, i1))
+        assert_matches_oracles(m, *run_bounds(i0, i1))
 
     @pytest.mark.parametrize("n", range(0, 20))
     def test_every_run_of_small_measures(self, n):
         m = lattice_measure(n, seed=n)
         i0, i1 = np.meshgrid(np.arange(n + 1), np.arange(n + 1))
-        assert_matches_reduceat(m, *run_bounds(i0, i1))
+        assert_matches_oracles(m, *run_bounds(i0, i1))
 
-    def test_table_is_built_once_per_measure(self):
-        m = lattice_measure(40)
-        table = m._run_table
-        m.log_masses_in([0.0, 3.0], [39.0, 7.0])
-        assert m._run_table is table
-        assert table.shape == (1 + (40 - 1).bit_length(), 41)
+    def test_scans_equal_the_sparse_table_bit_for_bit(self):
+        # one call mixes every kind of run: runs across the top midpoint
+        # (level 9 of 1000 atoms) and low ones, single atoms, empty runs
+        # and infinite ends
+        m = lattice_measure(1000, seed=5)
+        i0 = [0, 1, 511, 500, 0, 3, 512, 7, 999, 0, 1000, 600, 300]
+        i1 = [1000, 999, 513, 1000, 512, 5, 513, 8, 1000, 0, 1000, 600, 700]
+        assert oracles.sparse_table(m).shape == (11, 1001)  # row 0, then levels 0..9
+        assert_matches_oracles(m, *run_bounds(i0, i1))
+        inf = math.inf
+        assert_matches_oracles(m, [-inf, -inf, 511.5, -inf, 2.0], [inf, 511.5, inf, -inf, 2.0],
+                               [True, True, True, True, False], [True, True, True, True, False])
+        # exp(-k**2) outer atoms beside a centre of mass 1 - 2 exp(-k**2),
+        # and balls about the centre that reach one, both or neither
+        for k in (2, 30, 1000):
+            d = ldpkit.demzei_example_net().measure(k)
+            x = np.array([-k, -k + 0.5, 0.0, 0.5, k - 0.5, k])
+            r = np.array([[0.25], [k - 0.5], [k], [k + 0.5], [inf]])
+            assert_matches_oracles(d, x - r, x + r)
+            assert_matches_oracles(d, x - r, x + r, False, False)
 
 
 class TestRegionSet:
