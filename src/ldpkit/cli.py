@@ -44,7 +44,11 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
             tol = _number(args.tol, above=0)
         except ValueError as exc:
             raise ScenarioError(f"--tol {args.tol}: {exc}") from None
-        scenario = replace(scenario, tolerances=replace(scenario.tolerances, convergence=tol))
+        scenario = replace(
+            scenario,
+            tolerances=replace(scenario.tolerances, convergence=tol),
+            flags={**scenario.flags, "[tolerances] convergence": f"--tol {args.tol}"},
+        )
     if getattr(args, "window", None) is not None:
         parts = args.window.split(":")
         try:
@@ -54,8 +58,11 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
         except ValueError as exc:  # a part that is not a number, or a bad window
             raise ScenarioError(f"--window {args.window}: {exc}") from None
         # a rate-window that was defaulted from [window] follows the override
-        rate = new_window if scenario.rate_window == scenario.window else scenario.rate_window
-        scenario = replace(scenario, window=new_window, rate_window=rate)
+        flags = {**scenario.flags, "[window]": f"--window {args.window}"}
+        rate = scenario.rate_window
+        if rate == scenario.window:
+            rate, flags["[rate-window]"] = new_window, flags["[window]"]
+        scenario = replace(scenario, window=new_window, rate_window=rate, flags=flags)
     return scenario
 
 

@@ -241,12 +241,12 @@ def _scenario_echo(s: Scenario) -> dict:
     }
 
 
-def _scenario_window(net: ScaledMeasureNet, w: WindowConfig, section: str) -> WindowSpec:
+def _scenario_window(net: ScaledMeasureNet, w: WindowConfig, section: str, flags) -> WindowSpec:
     try:
         return window_for_t_range(net, w.t_max, w.t_min, w.samples)
     except ValueError as exc:  # the t range holds fewer than two of the net's indices
-        raise ValueError(f"[{section}] t_max = {w.t_max}, t_min = {w.t_min}: {exc} "
-                         f"of the net's 1..{net.max_index}") from exc
+        source = flags.get(f"[{section}]", f"[{section}] t_max = {w.t_max}, t_min = {w.t_min}")
+        raise ValueError(f"{source}: {exc} of the net's 1..{net.max_index}") from exc
 
 
 class PipelineState:
@@ -262,7 +262,7 @@ class PipelineState:
         self.tol, self.params = scenario.tolerances, scenario.check_params
         self.net = build_net(scenario)
         self.window, self.rate_window = (
-            _scenario_window(self.net, w, section)
+            _scenario_window(self.net, w, section, scenario.flags)
             for w, section in ((scenario.window, "window"), (scenario.rate_window, "rate-window"))
         )
         self.radius = 2.0 ** -scenario.delta_count
@@ -452,9 +452,9 @@ def _run_check(state: PipelineState, cid: str) -> dict:
     try:
         return {"condition_id": cid, **_CHECKS[cid](state)}
     except NotConverged as exc:
-        raise ValueError(
-            f"{cid}: {exc} within [tolerances] convergence = {state.tol.convergence}"
-        ) from exc
+        key = "[tolerances] convergence"
+        source = state.scenario.flags.get(key, f"{key} = {state.tol.convergence}")
+        raise ValueError(f"{cid}: {exc} within {source}") from exc
 
 
 def _verdict(state: PipelineState, checks: list[dict], informational: set[str]) -> dict:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import configparser
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .measures import RegionSet
 from .tilts import TiltFunction, q_bump_tilt
@@ -144,6 +144,9 @@ class Scenario:
     run_checks: tuple[str, ...]
     informational_checks: tuple[str, ...]
     check_params: CheckParams
+    # the flag that replaced a setting, by the name a run-time error gives the
+    # setting ("[tolerances] convergence", "[window]"); such errors name the flag
+    flags: dict = field(default_factory=dict, compare=False)
 
     def all_checks(self) -> tuple[str, ...]:
         return tuple(self.run_checks) + tuple(

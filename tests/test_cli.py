@@ -691,6 +691,20 @@ class TestCliCommands:
         assert main(["free-energy", str(mini_scenario), "--window", window]) == 2
         assert f"--window {window}: {message}" in capsys.readouterr().err
 
+    def test_unconverged_run_names_the_tol_flag(self, mini_scenario, capsys):
+        # the value came from --tol: the error once named [tolerances] convergence
+        assert main(["run", str(mini_scenario), "--tol", "5e-324"]) == 2
+        err = capsys.readouterr().err
+        assert "have no converged free energy within --tol 5e-324\n" in err
+        assert "[tolerances]" not in err
+
+    def test_too_narrow_window_names_the_window_flag(self, mini_scenario, capsys):
+        # t in [9.99e-3, 1e-2] holds only k = 100: the error once named [window] t_max
+        assert main(["run", str(mini_scenario), "--window", "1e-2:9.99e-3:2"]) == 2
+        err = capsys.readouterr().err
+        assert "--window 1e-2:9.99e-3:2: t-range selects fewer than two indices" in err
+        assert "[window]" not in err
+
     def test_free_energy_command(self, mini_scenario, tmp_path, capsys):
         rc = main(["free-energy", str(mini_scenario), "--out-dir", str(tmp_path / "o")])
         assert rc == 0
@@ -957,7 +971,9 @@ def _hostile_argv(case: tuple, tmp: Path) -> tuple[list[str], str]:
         else:
             path.write_text(_small("ge-ex"))
             argv = ["run", str(path)]
-        return argv + [f"{flag}={text}"], rf"{flag} {re.escape(text)}: "
+        # a run that fails on the flag's value names the flag as a key's error would
+        named = rf"{flag} {re.escape(text)}"
+        return argv + [f"{flag}={text}"], rf"{named}: |.* within {named}$"
     if kind == "key":
         (name, section, key), text = args
         edits = {(section, key): text}
