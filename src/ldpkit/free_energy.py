@@ -47,7 +47,7 @@ import numpy as np
 
 from .convex import GridFunction
 from .extreal import INF, NEG_INF
-from .measures import ScaledMeasureNet
+from .measures import ScaledMeasureNet, log_masses_in
 from .scenario import WINDOW_SAMPLES, Tolerances
 from .tilts import TiltFamily, TiltFunction, explicit_family
 
@@ -364,24 +364,62 @@ class Window:
     it.  Each distinct slope is summed once per side, over all samples in one
     batch per group of samples with the same atom count (see
     :func:`_group_log_sums`); the groups are stacked on the first slope-sum
-    request.  Custom tilts are evaluated once per table on the atoms of all
-    samples together.  :meth:`powered` runs a set-wise query once per
-    distinct measure object.
+    request.  The distinct measure objects are stacked once too, one
+    ``(measures, atoms)`` array per atom count, on the first ball-mass or
+    custom-tilt request: :meth:`powered` runs the ball-mass kernel once per
+    such stack, over all of its rows, and custom tilts are evaluated once
+    per table on the atoms of all samples together.
     """
 
     def __init__(self, net: ScaledMeasureNet, spec: WindowSpec):
         ks = spec.indices(net)
         self.ts = np.array([net.t(int(k)) for k in ks])
         self._measures = [net.measure(int(k)) for k in ks]
-        self._distinct = {id(m): m for m in self._measures}
+        self._stack: list[tuple] | None = None
         self._sides: tuple[list, list] | None = None
         self._known: tuple[dict[float, np.ndarray], ...] = ({}, {})
 
-    def powered(self, log_masses) -> np.ndarray:
-        """``t_k * log_masses(mu_k)``, one row per sample; ``log_masses``
-        runs once per distinct measure object."""
-        found = {key: log_masses(m) for key, m in self._distinct.items()}
-        return np.array([t * found[id(m)] for t, m in zip(self.ts.tolist(), self._measures)])
+    def _stacked(self) -> list[tuple]:
+        """The distinct measures per atom count, each group ``(samples, rows,
+        locs, logm)``: sample ``samples[i]`` reads row ``rows[i]`` of the
+        ``(measures, atoms)`` arrays ``locs`` and ``logm``."""
+        if self._stack is None:
+            groups: dict[int, tuple[list, list, dict]] = {}
+            for j, m in enumerate(self._measures):
+                samples, rows, distinct = groups.setdefault(m.locations.size, ([], [], {}))
+                samples.append(j)
+                rows.append(distinct.setdefault(id(m), (len(distinct), m))[0])
+            self._stack = [
+                (np.array(samples), np.array(rows),
+                 *(np.stack([getattr(m, f) for _, m in distinct.values()])
+                   for f in ("locations", "log_masses")))
+                for samples, rows, distinct in groups.values()
+            ]
+        return self._stack
+
+    def powered(self, lo, hi, lo_open=True, hi_open=True, counts=None) -> np.ndarray:
+        """``t_k * log mu_k(I)`` of every interval ``I`` from ``lo`` to ``hi``,
+        one row per sample; the flags say which ends are open, as in
+        :func:`~ldpkit.measures.log_masses_in`.
+
+        With ``counts``, the intervals come in consecutive runs of those
+        lengths, one run per region, and a region's log-mass is
+        ``np.logaddexp.reduce`` over its columns, in order (``-inf`` for no
+        interval), before the power.  Each atom-count stack of distinct
+        measures takes one kernel call, each of its rows once.
+        """
+        width = np.size(lo) if counts is None else len(counts)
+        out = np.empty((self.ts.size, width))
+        for samples, rows, locs, logm in self._stacked():
+            masses = log_masses_in(locs, logm, lo, hi, lo_open, hi_open)
+            if counts is not None:
+                ends = np.cumsum([0, *counts]).tolist()
+                regions = np.empty((masses.shape[0], width))
+                for i, (a, b) in enumerate(zip(ends, ends[1:])):
+                    regions[:, i] = np.logaddexp.reduce(masses[:, a:b], axis=1)
+                masses = regions
+            out[samples] = self.ts[samples, None] * masses[rows]
+        return out
 
     def slope_sums(self, side: int, slopes: np.ndarray) -> np.ndarray:
         """``(samples, slopes)`` sums over the atoms at ``x <= 0`` (side 0)
@@ -408,7 +446,7 @@ class Window:
 
         Each member is evaluated once, on the atoms of every sample together.
         """
-        groups = _groups([(m.locations, m.log_masses) for m in self._measures])
+        groups = [(idx, locs[rows], logm[rows]) for idx, rows, locs, logm in self._stacked()]
         atoms = np.concatenate([locs.ravel() for _, locs, _ in groups])
         h = np.array([member.eval_array(atoms) for member in members])
         out = np.empty((self.ts.size, len(members)))

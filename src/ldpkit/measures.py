@@ -6,9 +6,11 @@ worked example families push atom masses far below the smallest positive
 double (e.g. ``exp(-k**2)`` for index ``k`` in the thousands), so a linear
 representation would silently flush them to zero.  Linear masses are always
 available through :attr:`FiniteSupportMeasure.masses`.  Interval (ball)
-masses are log-space scans over each query's own atoms
-(:meth:`FiniteSupportMeasure.log_masses_in`), so nothing is built or kept
-per measure, and tiny atoms beside heavy ones keep their digits.
+masses are log-space scans over each query's own atoms, one kernel call
+over a stack of measures with the same atom count (:func:`log_masses_in`;
+:meth:`FiniteSupportMeasure.log_masses_in` is its one-row call), so
+nothing is built or kept per measure, and tiny atoms beside heavy ones
+keep their digits.
 
 A :class:`ScaledMeasureNet` is an indexed family ``k -> (measure, t_k)``
 with a strictly decreasing positive scale ``t_k -> 0``.  The three built-in
@@ -25,7 +27,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -46,14 +48,15 @@ def _log_sum(logm: np.ndarray) -> float:
 
 
 def _merge_atoms(locations: np.ndarray, log_masses: np.ndarray):
-    """Sort atoms and merge locations closer than ATOM_MERGE_TOL."""
+    """Sort atoms and merge locations closer than ATOM_MERGE_TOL.  A NaN
+    location is never merged, so the measure then rejects it."""
     order = np.argsort(locations, kind="stable")
     locs = locations[order]
     logm = log_masses[order]
     if locs.size == 0:
         return locs, logm
     # group boundaries where the gap exceeds the merge tolerance
-    starts = np.flatnonzero(np.concatenate(([True], np.diff(locs) > ATOM_MERGE_TOL)))
+    starts = np.flatnonzero(np.concatenate(([True], ~(np.diff(locs) <= ATOM_MERGE_TOL))))
     if starts.size == locs.size:
         return locs, logm
     merged_locs = locs[starts]
@@ -68,7 +71,7 @@ class FiniteSupportMeasure:
     Parameters
     ----------
     locations : ndarray
-        Strictly increasing atom locations.
+        Finite, strictly increasing atom locations.
     log_masses : ndarray
         Natural-log masses, all finite (every atom carries positive mass).
     """
@@ -81,10 +84,10 @@ class FiniteSupportMeasure:
         logm = np.asarray(self.log_masses, dtype=float)
         if locs.ndim != 1 or logm.ndim != 1 or locs.shape != logm.shape:
             raise ValueError("locations and log_masses must be 1-D of equal length")
-        if np.any(np.isneginf(logm)) or np.any(np.isnan(logm)) or np.any(logm == INF):
+        if not np.isfinite(logm).all():
             raise ValueError("every atom must carry a positive finite mass")
-        if locs.size and np.any(np.diff(locs) <= 0):
-            raise ValueError("locations must be strictly increasing")
+        if not (np.isfinite(locs).all() and (locs[1:] > locs[:-1]).all()):
+            raise ValueError("locations must be finite and strictly increasing")
         total = _log_sum(logm)
         if total > math.log1p(MASS_SLACK):
             raise ValueError(f"total mass exp({total}) exceeds 1")
@@ -147,61 +150,78 @@ class FiniteSupportMeasure:
     # -- mass queries --------------------------------------------------------
 
     def log_masses_in(self, lo, hi, lo_open=True, hi_open=True) -> np.ndarray:
-        """log of the mass of every interval from ``lo`` to ``hi``.
+        """log of the mass of every interval from ``lo`` to ``hi``: the one-row
+        call of :func:`log_masses_in`, shaped as the broadcast arguments."""
+        return log_masses_in(
+            self.locations[None], self.log_masses[None], lo, hi, lo_open, hi_open
+        )[0]
 
-        All four arguments broadcast; the flags say which ends are open.
-        Each interval holds one run ``[i0, i1)`` of consecutive atoms, found
-        by ``searchsorted``.  A run of two or more atoms straddles exactly
-        one midpoint ``mid``, a multiple of ``2**level`` with ``level =
-        bit_length(i0 ^ (i1-1)) - 1``, and its mass is the ``logaddexp`` of
-        two scans: ``np.logaddexp.accumulate`` from ``mid-1`` down to
-        ``i0`` and from ``mid`` up to ``i1-1``.  Each level runs one padded
-        accumulate over its distinct midpoints, as long as its farthest
-        query, so the work never exceeds that of a disjoint sparse table
-        over all atoms, whose entries are these same scans, bit for bit
-        (``tests/oracles.py`` keeps that table).  A run of one atom is that
-        atom's log-mass, an empty run ``-inf``.  Prefix sums are not used:
-        ``log(S_hi - S_lo)`` cancels tiny atoms that sit beside a heavy one,
-        e.g. ``exp(-k**2)`` next to ``1 - 2 exp(-k**2)``.
-        """
-        lo, hi, lo_open, hi_open = np.broadcast_arrays(
-            np.asarray(lo, dtype=float), np.asarray(hi, dtype=float), lo_open, hi_open
-        )
-        find = lambda x, side: np.searchsorted(self.locations, x, side)
-        i0 = np.where(lo_open, find(lo, "right"), find(lo, "left")).ravel()
-        i1 = np.where(hi_open, find(hi, "left"), find(hi, "right")).ravel()
-        logm = np.append(self.log_masses, NEG_INF)  # index n reads -inf
-        n = self.log_masses.size
-        # a single atom pairs with -inf, as does an empty run
-        left = logm[np.where(i1 > i0, i0, n)]
-        right = np.full(left.shape, NEG_INF)
-        multi = np.flatnonzero(i1 - i0 > 1)
-        first, last = i0[multi], i1[multi] - 1
-        level = np.frexp(first ^ last)[1] - 1  # frexp's exponent is bit_length
-        mid = last >> level << level
-        for lev in np.unique(level).tolist():
-            on = np.flatnonzero(level == lev)
-            mids, row = np.unique(mid[on], return_inverse=True)
-            ends = mid[on] - first[on], last[on] - mid[on]  # farthest steps out
-            width = max(ends[0].max().item(), ends[1].max().item() + 1)
-            # rows 0..m-1 scan down from mid-1, rows m..2m-1 up from mid
-            starts = np.concatenate((mids - 1, mids))[:, None]
-            steps = np.repeat([-1, 1], mids.size)[:, None] * np.arange(width)
-            scans = np.logaddexp.accumulate(logm[np.minimum(starts + steps, n)], axis=1)
-            left[multi[on]] = scans[row, ends[0] - 1]
-            right[multi[on]] = scans[row + mids.size, ends[1]]
-        return np.logaddexp(left.reshape(lo.shape), right.reshape(lo.shape))
 
-    def log_masses_of(self, regions: Sequence["RegionSet"]) -> np.ndarray:
-        """log of the mass of each region: one :meth:`log_masses_in` call, then
-        ``np.logaddexp.reduce`` over each region's intervals, in order."""
-        ivs = [iv for region in regions for iv in region.intervals]
-        logm = self.log_masses_in(
-            *([getattr(iv, f) for iv in ivs] for f in ("lo", "hi", "lo_open", "hi_open"))
-        )
-        ends = np.cumsum([0] + [len(region.intervals) for region in regions]).tolist()
-        # an empty region reduces to logaddexp's identity, -inf
-        return np.array([np.logaddexp.reduce(logm[a:b]) for a, b in zip(ends, ends[1:])])
+def log_masses_in(locations, log_masses, lo, hi, lo_open=True, hi_open=True) -> np.ndarray:
+    """log of the mass of every interval from ``lo`` to ``hi`` under every
+    row of the ``(rows, atoms)`` arrays, shape ``(rows, *queries)``.  Each
+    row is one measure's, with finite, strictly increasing locations, as
+    :class:`FiniteSupportMeasure` holds them.
+
+    ``lo``, ``hi`` and the flags broadcast to the query shape; the flags say
+    which ends are open.  Each interval holds one run ``[i0, i1)`` of
+    consecutive atoms of a row, found by one ``searchsorted`` pair per row
+    (``side="left"``); an end that sits on an atom then steps past it where
+    its flag asks for ``side="right"``.  A run of two or more atoms straddles
+    exactly one midpoint ``mid``, a multiple of ``2**level`` with ``level =
+    bit_length(i0 ^ (i1-1)) - 1``, and its mass is the ``logaddexp`` of two
+    scans: ``np.logaddexp.accumulate`` from ``mid-1`` down to ``i0`` and
+    from ``mid`` up to ``i1-1``.  Each level runs one padded accumulate over
+    its distinct (row, midpoint) pairs, as long as its farthest query, so a
+    row's work never exceeds that of a disjoint sparse table over its
+    atoms, whose entries are these same scans, bit for bit
+    (``tests/oracles.py`` keeps that table).  A run of one atom is that
+    atom's log-mass, an empty run ``-inf``.  Prefix sums are not used:
+    ``log(S_hi - S_lo)`` cancels tiny atoms that sit beside a heavy one,
+    e.g. ``exp(-k**2)`` next to ``1 - 2 exp(-k**2)``.
+    """
+    lo, hi, lo_open, hi_open = np.broadcast_arrays(
+        np.asarray(lo, dtype=float), np.asarray(hi, dtype=float),
+        np.asarray(lo_open, dtype=bool), np.asarray(hi_open, dtype=bool),
+    )
+    rows, n = log_masses.shape
+    shape = (rows, *lo.shape)
+    lo, hi, lo_open, hi_open = (a.ravel() for a in (lo, hi, lo_open, hi_open))
+    # flat rows of n + 1: column n reads -inf in the log-masses and is never
+    # equal in the locations
+    locs = np.concatenate((locations, np.full((rows, 1), np.nan)), axis=1).ravel()
+    logm = np.concatenate((log_masses, np.full((rows, 1), NEG_INF)), axis=1).ravel()
+    base = np.arange(0, rows * (n + 1), n + 1)[:, None]
+    i0, i1 = np.empty((2, rows, lo.size), dtype=np.intp)
+    for row, a, b in zip(locations, i0, i1):  # side="left"
+        a[:] = row.searchsorted(lo)
+        b[:] = row.searchsorted(hi)
+    i0 += (locs[base + i0] == lo) & lo_open
+    i1 += (locs[base + i1] == hi) & ~hi_open
+    # a single atom pairs with -inf, as does an empty run
+    left = logm[base + np.where(i1 > i0, i0, n)].ravel()
+    i0, i1 = i0.ravel(), i1.ravel()
+    right = np.full(left.shape, NEG_INF)
+    multi = np.flatnonzero(i1 - i0 > 1)
+    first, last = i0[multi], i1[multi] - 1
+    level = np.frexp(first ^ last)[1] - 1  # frexp's exponent is bit_length
+    mid = last >> level << level
+    pair = multi // lo.size * (n + 1) + mid  # (row, midpoint) as one flat index
+    for lev in np.unique(level).tolist():
+        on = np.flatnonzero(level == lev)
+        pairs, row = np.unique(pair[on], return_inverse=True)
+        down, up = mid[on] - first[on], last[on] - mid[on]  # farthest steps out
+        width = max(down.max().item(), up.max().item() + 1)
+        # rows 0..m-1 scan down from mid-1, rows m..2m-1 up from mid; no scan
+        # leaves its row, for mid >= 2**level >= width
+        mids = pairs % (n + 1)
+        starts = np.concatenate((mids - 1, mids))[:, None]
+        steps = np.repeat([-1, 1], pairs.size)[:, None] * np.arange(width)
+        at_row = np.tile(pairs - mids, 2)[:, None]
+        scans = np.logaddexp.accumulate(logm[at_row + np.minimum(starts + steps, n)], axis=1)
+        left[multi[on]] = scans[row, down - 1]
+        right[multi[on]] = scans[row + pairs.size, up]
+    return np.logaddexp(left, right).reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -393,9 +413,9 @@ def demzei_example_net(max_index: int = 1_000_000) -> ScaledMeasureNet:
         log_center = math.log1p(-2.0 * p) if p > 0 else 0.0
         # -0.0 from log1p(-0.0) is normalized to 0.0
         log_center += 0.0
-        outer = eps * logp  # negative, diverging
-        return FiniteSupportMeasure.from_log_atoms(
-            [(outer, logp), (0.0, log_center), (-outer, logp)]
+        outer = eps * logp  # negative, diverging, at most -1: no atoms to sort or merge
+        return FiniteSupportMeasure(
+            np.array([outer, 0.0, -outer]), np.array([logp, log_center, logp])
         )
 
     return ScaledMeasureNet(

@@ -26,8 +26,10 @@ only grows with its radius, so the sup over radii is attained at the
 smallest one, and the rate grid measures balls of that one radius.  The
 rate grid and every set-wise query read the net's window through
 ``free_energy.window_of``, the one the free-energy tables read when the
-window specs agree, and call ``log_masses_in`` once per distinct measure
-object, with all of its intervals in that one call.
+window specs agree, and pass all of their intervals to
+``Window.powered`` at once: one ball-mass kernel call per atom-count stack
+of the window's distinct measures.  A region's mass reduces its
+intervals' columns, in order, before the power.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ def _local_rates(net: ScaledMeasureNet, xs, r: float, window: WindowSpec):
     if not 0 < r < INF:
         raise ValueError(f"ball radius must be finite and > 0, got {r}")
     xs = np.asarray(xs, dtype=float)
-    powered = window_of(net, window).powered(lambda m: m.log_masses_in(xs - r, xs + r))
+    powered = window_of(net, window).powered(xs - r, xs + r)
     # -(-inf) = +inf: an empty ball in every sample gives an infinite rate
     return -powered.max(axis=0) + 0.0, -powered.min(axis=0) + 0.0
 
@@ -118,6 +120,16 @@ def vague_ldp_check(rfe: RateFunctionEstimate, tol: float) -> dict:
     return {"holds": bool(np.all(gaps <= tol)), "max_gap": max_gap, "tol": tol}
 
 
+def _powered_regions(net: ScaledMeasureNet, regions: Sequence[RegionSet], window: WindowSpec):
+    """``t_k * log mu_k(region)``, one row per sample and one column per
+    region, from one query of all the regions' intervals."""
+    ivs = [iv for region in regions for iv in region.intervals]
+    return window_of(net, window).powered(
+        *([getattr(iv, f) for iv in ivs] for f in ("lo", "hi", "lo_open", "hi_open")),
+        counts=[len(region.intervals) for region in regions],
+    )
+
+
 def exponential_tightness_check(
     net: ScaledMeasureNet,
     eps_list: Sequence[float],
@@ -133,7 +145,7 @@ def exponential_tightness_check(
     if any(e <= 0 for e in eps_list):
         raise ValueError("eps_list entries must be positive")
     regions = [RegionSet.complement_of_closed(-R, R) for R in R_schedule]
-    powered = window_of(net, window).powered(lambda m: m.log_masses_of(regions))
+    powered = _powered_regions(net, regions, window)
     # per R, in schedule order; shared by every eps
     limsups = [math.exp(max(col, default=NEG_INF)) for col in powered.T.tolist()]
     table = []
@@ -161,8 +173,7 @@ def ldp_bounds_check(
     """
     if any(kind not in ("open", "closed") for _, kind in regions):
         raise ValueError("region tag must be 'open' or 'closed'")
-    sets = [region for region, _ in regions]
-    powered = window_of(net, window).powered(lambda m: m.log_masses_of(sets))
+    powered = _powered_regions(net, [region for region, _ in regions], window)
     entries = []
     holds = True
     for (region, kind), col in zip(regions, powered.T.tolist()):

@@ -1,7 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 import ldpkit
+from ldpkit import free_energy
 
 
 @pytest.fixture(scope="session")
@@ -27,6 +30,23 @@ def main_window(coin_net):
 @pytest.fixture(scope="session")
 def rate_window(coin_net):
     return ldpkit.window_for_t_range(coin_net, 1e-4, 1e-6, 33)
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Every call that a window makes to the ball-mass kernel, in order, with
+    its arguments as arrays: ``locations``, ``log_masses``, ``lo``, ``hi``."""
+    calls = []
+    kernel = free_energy.log_masses_in
+
+    def recorded(locations, log_masses, lo, hi, *flags):
+        calls.append(SimpleNamespace(
+            locations=locations, log_masses=log_masses, lo=np.asarray(lo), hi=np.asarray(hi)
+        ))
+        return kernel(locations, log_masses, lo, hi, *flags)
+
+    monkeypatch.setattr(free_energy, "log_masses_in", recorded)
+    return calls
 
 
 def random_convex_grid(rng, n=1000, inf_tails=False, span=8.0):

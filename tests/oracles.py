@@ -290,8 +290,21 @@ def derivative_bound_scan(L: GridFunction, rfe: RateFunctionEstimate, tol: float
 # ---------------------------------------------------------------------------
 
 
+def log_masses_of(measure: FiniteSupportMeasure, regions: Sequence[RegionSet]) -> np.ndarray:
+    """log of the mass of each region under one measure, as the program once
+    read them: one ``log_masses_in`` call, then ``np.logaddexp.reduce`` over
+    each region's intervals, in order."""
+    ivs = [iv for region in regions for iv in region.intervals]
+    logm = measure.log_masses_in(
+        *([getattr(iv, f) for iv in ivs] for f in ("lo", "hi", "lo_open", "hi_open"))
+    )
+    ends = np.cumsum([0] + [len(region.intervals) for region in regions]).tolist()
+    # an empty region reduces to logaddexp's identity, -inf
+    return np.array([np.logaddexp.reduce(logm[a:b]) for a, b in zip(ends, ends[1:])])
+
+
 def log_mass_in(measure: FiniteSupportMeasure, region: RegionSet) -> float:
-    return float(measure.log_masses_of([region])[0])
+    return float(log_masses_of(measure, [region])[0])
 
 
 def sparse_table(measure: FiniteSupportMeasure) -> np.ndarray:

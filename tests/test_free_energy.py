@@ -616,11 +616,16 @@ class TestWindowSums:
         gc.collect()
         assert [ref() for ref in refs] == [None, None]
 
-    def test_side_groups_wait_for_a_slope_sum(self):
+    def test_side_groups_wait_for_a_slope_sum(self, kernel_calls):
         net = small_iid_net()
         window = free_energy.window_of(net, WindowSpec(100, 400, 6))
-        window.powered(lambda m: m.log_masses_in([0.0], [1.0]))
-        assert window._sides is None  # a rate-only window stacks nothing
+        window.powered([0.0], [1.0])
+        assert window._sides is None  # a rate-only window stacks no sides
+        # one kernel call per atom count, with each distinct measure a row once
+        sizes = [net.measure(int(k)).locations.size for k in WindowSpec(100, 400, 6).indices(net)]
+        assert sorted(call.log_masses.shape for call in kernel_calls) == sorted(
+            (sizes.count(n), n) for n in set(sizes)
+        )
         lambda_family_table(net, linear_family(-1.0, 1.0, 3), WindowSpec(100, 400, 6), tol=1.0)
         assert window._sides is not None
 

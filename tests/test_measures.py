@@ -17,6 +17,7 @@ from ldpkit.measures import (
     ScaledMeasureNet,
     _iid_mean_law,
     _merge_atoms,
+    log_masses_in,
 )
 from ldpkit.tilts import TiltFunction
 
@@ -54,6 +55,26 @@ class TestFiniteSupportMeasure:
         else:
             with pytest.raises(ValueError, match="total mass"):
                 FiniteSupportMeasure(locs, logm)
+
+    @pytest.mark.parametrize("locs", [
+        [math.nan, 1.0], [0.0, math.nan], [-math.inf, 1.0], [0.0, math.inf],
+    ], ids=["nan-first", "nan-last", "-inf", "+inf"])
+    def test_rejects_non_finite_locations(self, locs):
+        with pytest.raises(ValueError, match="locations must be finite and strictly increasing"):
+            FiniteSupportMeasure(np.array(locs), np.log([0.5, 0.5]))
+        # merging leaves a NaN location in place, so the measure rejects it
+        with pytest.raises(ValueError, match="locations must be finite and strictly increasing"):
+            FiniteSupportMeasure.from_atoms(zip(locs, [0.5, 0.5]))
+
+    @pytest.mark.parametrize("locs", [[1.0, 1.0], [1.0, 0.0]])
+    def test_rejects_unsorted_locations(self, locs):
+        with pytest.raises(ValueError, match="locations must be finite and strictly increasing"):
+            FiniteSupportMeasure(np.array(locs), np.log([0.5, 0.5]))
+
+    @pytest.mark.parametrize("logm", [-math.inf, math.inf, math.nan])
+    def test_rejects_non_finite_log_masses(self, logm):
+        with pytest.raises(ValueError, match="every atom must carry a positive finite mass"):
+            FiniteSupportMeasure(np.array([0.0, 1.0]), np.array([-1.0, logm]))
 
     def test_sub_probability_allowed(self):
         m = FiniteSupportMeasure.from_atoms([(0.0, 0.5)])
@@ -365,6 +386,108 @@ class TestSparseTable:
             assert_matches_oracles(d, x - r, x + r, False, False)
 
 
+@st.composite
+def stacked_rows(draw):
+    """1 to 5 measures of one atom count (0 to 40 atoms), each on its own
+    integer lattice, so that one query reaches runs of different levels in
+    different rows."""
+    n = draw(st.integers(0, 40))
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        locs = draw(st.lists(st.integers(-60, 60), min_size=n, max_size=n, unique=True))
+        logm = np.array(draw(st.lists(st.floats(-800, 0), min_size=n, max_size=n)))
+        if n:
+            logm -= logsumexp(logm)
+        rows.append(FiniteSupportMeasure(np.array(sorted(locs), dtype=float), logm))
+    return rows
+
+
+# interval ends on the lattice (on atoms or not), between it, and +-inf
+LATTICE_ENDS = st.one_of(
+    st.integers(-62, 62).map(float),
+    st.integers(-124, 124).map(lambda i: i / 2.0),
+    st.sampled_from([-math.inf, math.inf]),
+)
+
+
+def assert_rows_match(rows, lo, hi, lo_open=True, hi_open=True):
+    """One stacked call, bit for bit each row's one-row call and its sparse table."""
+    locs = np.stack([m.locations for m in rows])
+    logm = np.stack([m.log_masses for m in rows])
+    got = log_masses_in(locs, logm, lo, hi, lo_open, hi_open)
+    assert got.shape[0] == len(rows)
+    for m, row in zip(rows, got):
+        one = m.log_masses_in(lo, hi, lo_open, hi_open)
+        table = oracles.sparse_table_log_masses_in(m, lo, hi, lo_open, hi_open)
+        assert row.shape == one.shape == table.shape
+        assert row.view(np.int64).tolist() == one.view(np.int64).tolist()
+        assert row.view(np.int64).tolist() == table.view(np.int64).tolist()
+
+
+class TestStackedLogMassesIn:
+    """The kernel over rows of one atom count against its one-row calls and
+    the sparse-table oracle."""
+
+    @given(stacked_rows(), st.lists(st.tuples(LATTICE_ENDS, LATTICE_ENDS, st.booleans(),
+                                              st.booleans()), min_size=1, max_size=30))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_one_row_calls_and_the_table(self, rows, ends):
+        lo, hi, lo_open, hi_open = map(np.array, zip(*(
+            (min(a, b), max(a, b), fa, fb) for a, b, fa, fb in ends
+        )))
+        assert_rows_match(rows, lo, hi, lo_open, hi_open)
+
+    @pytest.mark.parametrize("lo_open", [False, True])
+    @pytest.mark.parametrize("hi_open", [False, True])
+    def test_queries_at_atoms(self, lo_open, hi_open):
+        # every pair of atoms of each row as ends, and ends one row's atoms
+        # that are not another's
+        rows = [lattice_measure(9, seed=1), FiniteSupportMeasure(
+            np.arange(0.0, 18.0, 2.0), lattice_measure(9, seed=2).log_masses)]
+        x = np.arange(-1.0, 19.0)
+        lo, hi = np.meshgrid(x, x)
+        keep = lo <= hi
+        assert_rows_match(rows, lo[keep], hi[keep], lo_open, hi_open)
+
+    def test_rows_need_different_levels(self):
+        # the same ends hold runs [0, 2), [3, 8) and [0, 8) in the three
+        # rows (levels 0, 2 and 2), then [1, 2), [4, 8) and [2, 8) (one
+        # atom, levels 1 and 2), then [0, 1), [3, 7) and [0, 8)
+        rows = [FiniteSupportMeasure(np.arange(8.0) * scale + shift, lattice_measure(8).log_masses)
+                for scale, shift in ((4.0, 0.0), (1.0, -3.0), (0.5, 0.0))]
+        assert_rows_match(rows, [-0.5, 0.5], [4.5, 6.5], [False, True], [True, False])
+        assert_rows_match(rows, -0.5, 3.75)
+
+    def test_demzei_rows(self):
+        # exp(-k**2) outer atoms beside a centre of mass 1 - 2 exp(-k**2)
+        net = ldpkit.demzei_example_net()
+        rows = [net.measure(k) for k in (1, 2, 5, 30, 31, 1000, 10**6)]
+        x = np.array([-1000.0, -30.0, -2.0, -1.0, 0.0, 1.0, 2.0, 30.0, 1000.0])
+        r = np.array([[0.0], [0.5], [1.0], [29.0], [30.0], [math.inf]])
+        for lo_open in (False, True):
+            assert_rows_match(rows, x - r, x + r, lo_open, not lo_open)
+        got = log_masses_in(np.stack([m.locations for m in rows]),
+                            np.stack([m.log_masses for m in rows]), -0.5, 0.5)
+        assert got.tolist() == [m.log_masses[1] for m in rows]
+
+    def test_one_atom_rows(self):
+        rows = [FiniteSupportMeasure.dirac(float(k), 0.5) for k in (-3, 0, 2, 7)]
+        x = np.array([-4.0, -3.0, 0.0, 1.0, 2.0, 7.0, 8.0])
+        for flags in ((False, False), (True, True), (True, False), (False, True)):
+            assert_rows_match(rows, x, x + 2.0, *flags)
+            assert_rows_match(rows, -math.inf, x, *flags)
+            assert_rows_match(rows, x, math.inf, *flags)
+
+    def test_empty_runs_and_infinite_ends(self):
+        rows = [lattice_measure(5, seed=s) for s in range(3)]
+        inf = math.inf
+        lo = [-inf, -inf, inf, -inf, 10.0, -5.0, 2.5, 2.0]
+        hi = [-inf, inf, inf, -1.0, inf, -4.0, 2.5, 2.0]
+        assert_rows_match(rows, lo, hi)
+        assert_rows_match(rows, lo, hi, False, False)
+        assert_rows_match([FiniteSupportMeasure(np.zeros(0), np.zeros(0))] * 2, lo, hi)
+
+
 class TestRegionSet:
     def test_open_excludes_endpoint(self):
         r = RegionSet.open(-1.0, 1.0)
@@ -412,6 +535,20 @@ class TestExampleNets:
     def test_demzei_total_mass_one(self, demzei_net):
         for k in (1, 2, 10, 100):
             assert abs(demzei_net.measure(k).log_total_mass) < 1e-12
+
+    def test_demzei_atoms_need_no_sorting_or_merging(self, demzei_net):
+        # the build skips from_log_atoms; its atoms are already sorted and
+        # at least 1 apart, so the measures keep the same bits
+        for k in (1, 2, 3, 30, 31, 1000, 12345, 10**6):
+            m = demzei_net.measure(k)
+            eps = 1.0 / k
+            logp = -1.0 / (eps * eps)
+            center = math.log1p(-2.0 * math.exp(logp)) + 0.0
+            want = FiniteSupportMeasure.from_log_atoms(
+                [(eps * logp, logp), (0.0, center), (-eps * logp, logp)]
+            )
+            assert m.locations.tobytes() == want.locations.tobytes()
+            assert m.log_masses.tobytes() == want.log_masses.tobytes()
 
     def test_demzei_default_schedule_diverges(self):
         # eps_k * log p(eps_k) = -k -> -inf under the default schedule

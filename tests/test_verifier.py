@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ldpkit
+from ldpkit import verifier
 from ldpkit.conjugate import stable_abstract_lf
 from ldpkit.convex import GridFunction, lf_transform
 from ldpkit.extreal import INF, NEG_INF
@@ -235,27 +236,22 @@ class TestExponentialTightness:
         out = exponential_tightness_check(net, [0.5], [1.0, 4.0, 16.0], w)
         assert not out["holds"] and out["table"][0]["R"] is None
 
-    def test_each_radius_is_measured_once(self, monkeypatch, coin_net):
-        # one log_masses_in call per distinct measure, with every R in it once
-        calls = []
-        original = FiniteSupportMeasure.log_masses_in
-
-        def counted(self, lo, *args):
-            calls.append(np.asarray(lo))
-            return original(self, lo, *args)
-
-        monkeypatch.setattr(FiniteSupportMeasure, "log_masses_in", counted)
+    def test_each_radius_is_measured_once(self, kernel_calls, coin_net):
+        # one kernel call per atom-count stack, with each distinct measure a
+        # row once and every R in it once
         schedule = [1.0, 4.0, 16.0]
         net = escaping_net()  # a new Dirac at every index
         w = ldpkit.window_for_t_range(net, 1e-2, 1e-4, 16)
         assert not exponential_tightness_check(net, [0.5, 0.1, 0.01], schedule, w)["holds"]
-        assert len(calls) == len(w.indices(net)) > 1
+        [call] = kernel_calls  # every Dirac has one atom
+        assert call.locations.ravel().tolist() == [float(k) for k in w.indices(net)]
         # (-inf, -R) and (R, inf) per R, in schedule order
-        assert all(lo[1::2].tolist() == schedule for lo in calls)
-        calls.clear()
+        assert call.lo[1::2].tolist() == schedule and call.lo.size == 2 * len(schedule)
+        kernel_calls.clear()
         w = ldpkit.window_for_t_range(coin_net, 1e-2, 1e-4, 16)
         exponential_tightness_check(coin_net, [0.5], schedule, w)
-        assert len(calls) == 1  # every sample holds the same coin
+        [call] = kernel_calls
+        assert call.locations.shape == (1, 2)  # every sample holds the same coin
 
     def test_table_matches_per_eps_scan(self):
         # escaping masses exp(-k) at 3 and exp(-3k) at 10: each eps stops at its own R
@@ -848,32 +844,54 @@ class TestBatchedMassQueries:
         args = (net, J, regions, WINDOW, 1e-6)
         assert repr(ldp_bounds_check(*args)) == repr(loop_ldp_bounds_check(*args))
 
-    def test_one_window_fetch_and_one_query_per_measure(self, monkeypatch):
+    def test_one_window_fetch_and_one_query_per_measure(self, monkeypatch, kernel_calls):
         # the rate grid and the set-wise bounds read one window of the net:
-        # each sample is fetched once, and each distinct measure is queried
-        # once per call
+        # each sample is fetched once, each atom-count stack of distinct
+        # measures takes one kernel call, with each measure a row once, and
+        # every interval is in that call once
         pool = [
             FiniteSupportMeasure.from_atoms([(-1.0, 0.5), (1.0, 0.5)]),
             FiniteSupportMeasure.from_atoms([(0.0, 0.25), (1.0, 0.75)]),
+            FiniteSupportMeasure.dirac(0.5),
         ]
-        net = ScaledMeasureNet(lambda k: 1.0 / k, lambda k: pool[k % 2], max_index=400)
-        fetched, queried = [], []
+        net = ScaledMeasureNet(lambda k: 1.0 / k, lambda k: pool[k % 3], max_index=400)
+        fetched = []
         fetch = net.measure
         monkeypatch.setattr(net, "measure", lambda k: fetched.append(k) or fetch(k))
-        for method in ("log_masses_in", "log_masses_of"):
-            def counted(self, *args, original=getattr(FiniteSupportMeasure, method), method=method):
-                queried.append((method, id(self)))
-                return original(self, *args)
 
-            monkeypatch.setattr(FiniteSupportMeasure, method, counted)
-        rfe = rate_grid(net, np.linspace(-1.0, 1.0, 9), 0.25, WINDOW)
-        assert sorted(queried) == sorted(("log_masses_in", id(m)) for m in pool)
-        queried.clear()
-        ldp_bounds_check(net, rfe.l0, [(RegionSet.closed(0.5, 2.0), "closed")], WINDOW, 1e-6)
-        assert sorted(q for q in queried if q[0] == "log_masses_of") == sorted(
-            ("log_masses_of", id(m)) for m in pool
-        )
+        def rows():
+            return sorted(row.tolist() for call in kernel_calls for row in call.locations)
+
+        xs = np.linspace(-1.0, 1.0, 9)
+        rfe = rate_grid(net, xs, 0.25, WINDOW)
+        assert len(kernel_calls) == 2 and rows() == sorted(m.locations.tolist() for m in pool)
+        assert all(call.lo.tolist() == (xs - 0.25).tolist() for call in kernel_calls)
+        kernel_calls.clear()
+        regions = [(RegionSet.closed(0.5, 2.0), "closed"),
+                   (RegionSet.complement_of_closed(-0.5, 0.5), "open")]
+        ldp_bounds_check(net, rfe.l0, regions, WINDOW, 1e-6)
+        assert len(kernel_calls) == 2 and rows() == sorted(m.locations.tolist() for m in pool)
+        assert all(call.lo.tolist() == [0.5, NEG_INF, 0.5] for call in kernel_calls)
         assert fetched == WINDOW.indices(net).tolist()
+
+    @pytest.mark.parametrize("make", [ldpkit.demzei_example_net, escaping_net])
+    def test_region_masses_equal_the_oracle(self, make):
+        # bit for bit, with ends on atoms (dem-zei's at -k, 0, k; the Diracs
+        # at k = 100 .. 10000) under open and closed flags
+        net = make()
+        w = ldpkit.window_for_t_range(net, 1e-2, 1e-4, 16)
+        ends = [-1000.0, -100.0, 0.0, 100.0, 1000.0]
+        regions = [RegionSet.empty(), RegionSet.closed(-INF, INF)]
+        for lo, hi in zip(ends, ends[1:]):
+            regions += [RegionSet.closed(lo, hi), RegionSet.open(lo, hi),
+                        RegionSet.complement_of_closed(lo, hi),
+                        RegionSet((Interval(lo, hi, True, False),)),
+                        RegionSet((Interval(lo, hi, False, True),))]
+        regions.append(RegionSet((Interval(-INF, -100.0, True, False), Interval(0.0, 0.0),
+                                  Interval(100.0, 1000.0, True, True))))
+        got = verifier._powered_regions(net, regions, w)
+        want = np.array([t * oracles.log_masses_of(m, regions) for m, t in window_samples(net, w)])
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
 
 
 class TestDerivativeBoundScan:
