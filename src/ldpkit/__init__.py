@@ -11,12 +11,8 @@ from .conjugate import abstract_lf, stable_abstract_lf
 from .convex import (
     DerivativeRange,
     GridFunction,
-    brute_force_conjugate,
-    convex_lsc_hull,
-    conv_lemma_check,
     derivative_range,
     essential_smoothness_check,
-    inf_over_open,
     lf_transform,
     load_grid_csv,
     save_grid_csv,
@@ -24,10 +20,8 @@ from .convex import (
 from .free_energy import (
     FamilyTable,
     L_from_table,
-    LimitEstimate,
     WindowSpec,
     lambda_family_table,
-    lambda_of,
     window_for_t_range,
 )
 from .measures import (

@@ -6,11 +6,12 @@ and between grid points it is interpolated linearly; conjugation is exact
 for that piecewise-linear extension, which makes every operation here
 reproducible and oracle-checkable.
 
-The operations: Legendre-Fenchel transform (hull + slope scan, with an
-O(n*m) brute-force twin kept as the testing oracle), greatest convex
-lower-semicontinuous minorant, cell slopes and their merged range, an
-essential-smoothness diagnostic, and infima over open regions (the
-proper-convex-lsc restriction lemma check).
+The operations: Legendre-Fenchel transform (hull + slope scan), cell
+slopes and their merged range, and an essential-smoothness diagnostic.
+The references the tests hold these to -- the O(n*m) brute-force
+conjugate, the greatest convex lsc minorant (Fenchel-Moreau) and the
+infima over open regions (the proper-convex-lsc restriction lemma) --
+live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -21,15 +22,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .extreal import INF, ext_abs_diff
-from .measures import RegionSet
+from .extreal import INF
 
 KINK_FLOOR = 1e-6
 KINK_FACTOR = 8.0
 SLOPE_DIVERGENCE = 1e6  # boundary slope an essentially smooth table reaches
 CONVEXITY_TOL = 1e-6  # slope decrease a convex table forgives
 RANGE_MERGE_FACTOR = 8.0
-_BRUTE_CHUNK = 256  # dual points per block of brute_force_conjugate
 
 
 class GridFormatError(ValueError):
@@ -122,23 +121,6 @@ def lower_hull_vertices(f: GridFunction) -> tuple[np.ndarray, np.ndarray]:
     return np.array(keep_x), np.array(keep_v)
 
 
-def convex_lsc_hull(f: GridFunction) -> GridFunction:
-    """Greatest convex minorant of the grid function, +inf off its domain.
-
-    Lower semicontinuity at the effective-domain endpoints holds by
-    construction for the piecewise-linear extension: the endpoint values are
-    hull vertices, so they equal the limit from inside.
-    """
-    hx, hv = lower_hull_vertices(f)
-    out = np.full_like(f.values, INF)
-    inside = (f.xs >= hx[0]) & (f.xs <= hx[-1])
-    if hx.size == 1:
-        out[inside] = hv[0]
-    else:
-        out[inside] = np.interp(f.xs[inside], hx, hv)
-    return GridFunction(f.xs, out, label=f"hull({f.label})" if f.label else "hull")
-
-
 def lf_transform(f: GridFunction, dual_grid: Sequence[float]) -> GridFunction:
     """Legendre-Fenchel transform ``f*(x) = sup_l (l*x - f(l))``.
 
@@ -165,22 +147,6 @@ def lf_transform(f: GridFunction, dual_grid: Sequence[float]) -> GridFunction:
         off = (dual < slopes[0]) | (dual > slopes[-1])
     label = f"{f.label}*" if f.label else "conjugate"
     return GridFunction(dual, vals, label=label, meta={"off_slope_range": off})
-
-
-def brute_force_conjugate(f: GridFunction, dual_grid: Sequence[float]) -> GridFunction:
-    """O(n*m) conjugate oracle: direct sup over grid points per dual point."""
-    _require_proper(f)
-    dual = np.asarray(dual_grid, dtype=float)
-    if dual.ndim != 1 or dual.size < 2 or np.any(np.diff(dual) <= 0):
-        raise ValueError("dual_grid must be strictly increasing with >= 2 points")
-    xs, vs = _finite_points(f)
-    vals = np.empty(dual.shape, dtype=float)
-    for i0 in range(0, dual.size, _BRUTE_CHUNK):
-        i1 = min(i0 + _BRUTE_CHUNK, dual.size)
-        block = dual[i0:i1, None] * xs[None, :] - vs[None, :]
-        vals[i0:i1] = block.max(axis=1)
-    label = f"{f.label}* (brute)" if f.label else "conjugate (brute)"
-    return GridFunction(dual, vals, label=label)
 
 
 # ---------------------------------------------------------------------------
@@ -376,64 +342,6 @@ def essential_smoothness_check(f: GridFunction) -> tuple[bool, dict]:
         and not diag["boundary_failures"]
     )
     return holds, diag
-
-
-# ---------------------------------------------------------------------------
-# infima over open sets
-# ---------------------------------------------------------------------------
-
-
-def inf_over_open(f: GridFunction, region: RegionSet) -> float:
-    """Infimum of the piecewise-linear extension of ``f`` over a region.
-
-    Uses the continuity of the extension on its domain: open interval ends
-    contribute their limits, single touch points only count when the region
-    actually contains them.  ``inf over the empty set = +inf``.
-    """
-    xs, vs = _finite_points(f)
-    if xs.size == 0:
-        return INF
-    a, b = float(xs[0]), float(xs[-1])
-
-    def interp(x: float) -> float:
-        return float(np.interp(x, xs, vs))
-
-    best = INF
-    for iv in region.intervals:
-        lo_eff = max(iv.lo, a)
-        hi_eff = min(iv.hi, b)
-        if lo_eff > hi_eff:
-            continue
-        if lo_eff == hi_eff:
-            if iv.contains(lo_eff):
-                best = min(best, interp(lo_eff))
-            continue
-        best = min(best, interp(lo_eff), interp(hi_eff))
-        i0 = int(np.searchsorted(xs, lo_eff, side="right"))
-        i1 = int(np.searchsorted(xs, hi_eff, side="left"))
-        if i1 > i0:
-            best = min(best, float(vs[i0:i1].min()))
-    return best
-
-
-def conv_lemma_check(
-    f: GridFunction, region: RegionSet, tol: float = 1e-9
-) -> tuple[bool, float, float]:
-    """Check inf over G == inf over G intersected with int dom(f).
-
-    Valid for proper convex lsc grid functions whose domain has nonempty
-    interior and open regions G; both infima are returned.
-    """
-    pieces = []
-    for i, j in _runs(f.finite_mask).tolist():
-        if j > i:
-            pieces.append(
-                RegionSet.open(float(f.xs[i]), float(f.xs[j])).intervals[0]
-            )
-    int_dom = RegionSet(tuple(pieces))
-    lhs = inf_over_open(f, region)
-    rhs = inf_over_open(f, region.intersect(int_dom))
-    return bool(ext_abs_diff(lhs, rhs) <= tol), lhs, rhs
 
 
 # ---------------------------------------------------------------------------

@@ -32,10 +32,9 @@ law) a slope's terms are unimodal, and those within 746 of the peak form
 one run: only the run is computed, and its terms are summed at their own
 columns of a full-width row of 0.0, so the pairwise ``sum`` adds as over
 the whole row and every bit stays.  Any other side keeps whole rows.  A
-custom member is evaluated once per table, on the atoms of all window
-samples together, so its callable must be elementwise.  A family's estimates come back as one
-:class:`FamilyTable` of arrays; a per-member :class:`LimitEstimate` is
-built only on request.
+custom member is evaluated once per table, on the atoms of the window's
+distinct measures together, so its callable must be elementwise.  A
+family's estimates come back as one :class:`FamilyTable` of arrays.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ from .convex import GridFunction
 from .extreal import INF, NEG_INF
 from .measures import ScaledMeasureNet, log_masses_in
 from .scenario import WINDOW_SAMPLES, Tolerances
-from .tilts import TiltFamily, TiltFunction, explicit_family
+from .tilts import TiltFamily, TiltFunction
 
 DIVERGENCE_RUN = 5
 # Slope x atom terms per logsumexp block; rows stay whole, so the sums do
@@ -113,36 +112,17 @@ def window_for_t_range(
 
 
 @dataclass(frozen=True)
-class LimitEstimate:
-    """Bracketed limit of a scalar net.
-
-    ``liminf_est``/``limsup_est`` are the min/max over the sampled window,
-    ``value`` is the sample at the finest index (the best single estimate),
-    and ``converged`` means the bracket is tighter than the tolerance used,
-    or both ends are the same infinity.
-    """
-
-    liminf_est: float
-    limsup_est: float
-    value: float
-    converged: bool
-    spread: float
-    samples: tuple[tuple[float, float], ...]
-
-    def __post_init__(self):
-        if self.liminf_est > self.limsup_est:
-            raise ValueError("liminf_est must not exceed limsup_est")
-
-
-@dataclass(frozen=True)
 class FamilyTable:
     """Free-energy estimates of every member of a family, as arrays.
 
     ``rows[j, i]`` is member ``i``'s scaled log-integral at the window scale
-    ``ts[j]``.  ``value``, ``liminf``, ``limsup``, ``converged`` and
-    ``spread`` hold, one entry per member, the fields of its
-    :class:`LimitEstimate`, which :meth:`estimate` builds on request.  The
-    arrays are made read-only.
+    ``ts[j]``.  One entry per member: ``liminf`` and ``limsup`` are the min
+    and max of its column, ``value`` its sample at the finest scale (the
+    best single estimate), ``spread`` is ``limsup - liminf``, and
+    ``converged`` means both are finite and the spread is within the
+    tolerance used.  A column classified as diverging reads the same
+    infinity in the first three and 0.0 in ``spread``, and counts as
+    converged.  The arrays are made read-only.
     """
 
     ts: np.ndarray
@@ -155,35 +135,12 @@ class FamilyTable:
 
     def __post_init__(self):
         if np.any(self.liminf > self.limsup):
-            raise ValueError("liminf_est must not exceed limsup_est")
+            raise ValueError("liminf must not exceed limsup")
         for arr in vars(self).values():
             arr.flags.writeable = False
 
     def __len__(self) -> int:
         return self.value.size
-
-    def estimate(self, i: int) -> LimitEstimate:
-        """Member ``i``'s estimate, samples included."""
-        return LimitEstimate(
-            self.liminf[i].item(),
-            self.limsup[i].item(),
-            self.value[i].item(),
-            bool(self.converged[i]),
-            self.spread[i].item(),
-            tuple(zip(self.ts.tolist(), self.rows[:, i].tolist())),
-        )
-
-
-def lambda_of(
-    net: ScaledMeasureNet,
-    tilt: TiltFunction,
-    window: WindowSpec,
-    tol: float = Tolerances.convergence,
-    divergence_threshold: float = Tolerances.divergence_threshold,
-) -> LimitEstimate:
-    """Estimate the free energy of a single tilt along the net."""
-    family = explicit_family([tilt])
-    return lambda_family_table(net, family, window, tol, divergence_threshold).estimate(0)
 
 
 def _log_sum_exp_rows(x: np.ndarray, zeros: np.ndarray | None = None, at: int = 0) -> np.ndarray:
@@ -368,7 +325,7 @@ class Window:
     ``(measures, atoms)`` array per atom count, on the first ball-mass or
     custom-tilt request: :meth:`powered` runs the ball-mass kernel once per
     such stack, over all of its rows, and custom tilts are evaluated once
-    per table on the atoms of all samples together.
+    per table on the atoms of the stacks' rows.
     """
 
     def __init__(self, net: ScaledMeasureNet, spec: WindowSpec):
@@ -444,18 +401,20 @@ class Window:
     def custom_sums(self, members: Sequence[TiltFunction]) -> np.ndarray:
         """``(samples, members)`` log-sums of the custom ``members`` over all atoms.
 
-        Each member is evaluated once, on the atoms of every sample together.
+        Each member is evaluated once, on the atoms of the window's distinct
+        measures together; each sample then reads its measure's row.
         """
-        groups = [(idx, locs[rows], logm[rows]) for idx, rows, locs, logm in self._stacked()]
-        atoms = np.concatenate([locs.ravel() for _, locs, _ in groups])
+        stack = self._stacked()
+        atoms = np.concatenate([locs.ravel() for _, _, locs, _ in stack])
         h = np.array([member.eval_array(atoms) for member in members])
         out = np.empty((self.ts.size, len(members)))
         start = 0
-        for idx, locs, logm in groups:
+        for samples, rows, locs, logm in stack:
             h_group = h[:, start : start + locs.size].reshape(len(members), *locs.shape)
             start += locs.size
-            out[idx] = _group_log_sums(
-                len(members), self.ts[idx], logm, lambda ii, jj: h_group[ii, jj].copy()
+            out[samples] = _group_log_sums(
+                len(members), self.ts[samples], logm[rows],
+                lambda ii, jj: h_group[ii][:, rows[jj]],
             ).T
         return out
 

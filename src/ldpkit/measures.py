@@ -14,12 +14,12 @@ keep their digits.
 
 A :class:`ScaledMeasureNet` is an indexed family ``k -> (measure, t_k)``
 with a strictly decreasing positive scale ``t_k -> 0``.  The three built-in
-nets (fair two-point coin, escaping three-atom family, iid empirical mean)
-are the standard test beds for free-energy and rate-function estimation.
+nets (fair two-point coin, escaping three-atom family, iid empirical mean
+of a two-atom base) are the standard test beds for free-energy and
+rate-function estimation.
 
 The module needs numpy only: measure totals are a numpy log-sum, and the
-two-atom iid law is Loader's saddle-point binomial, so no command loads
-scipy.
+iid law is Loader's saddle-point binomial, so no command loads scipy.
 """
 
 from __future__ import annotations
@@ -133,10 +133,6 @@ class FiniteSupportMeasure:
     def log_total_mass(self) -> float:
         return _log_sum(self.log_masses)
 
-    @property
-    def total_mass(self) -> float:
-        return float(np.exp(self.log_total_mass))
-
     def is_probability(self, tol: float = MASS_SLACK) -> bool:
         return abs(self.log_total_mass) <= tol
 
@@ -242,28 +238,10 @@ class Interval:
         if self.lo == self.hi and (self.lo_open or self.hi_open):
             raise ValueError("degenerate interval must be closed on both sides")
 
-    def contains(self, x: float) -> bool:
-        above = x > self.lo if self.lo_open else x >= self.lo
-        below = x < self.hi if self.hi_open else x <= self.hi
-        return above and below
-
     def mask(self, xs: np.ndarray) -> np.ndarray:
         above = xs > self.lo if self.lo_open else xs >= self.lo
         below = xs < self.hi if self.hi_open else xs <= self.hi
         return above & below
-
-    def intersect(self, other: "Interval") -> "Interval | None":
-        if self.lo > other.lo or (self.lo == other.lo and self.lo_open):
-            lo, lo_open = self.lo, self.lo_open
-        else:
-            lo, lo_open = other.lo, other.lo_open
-        if self.hi < other.hi or (self.hi == other.hi and self.hi_open):
-            hi, hi_open = self.hi, self.hi_open
-        else:
-            hi, hi_open = other.hi, other.hi_open
-        if lo > hi or (lo == hi and (lo_open or hi_open)):
-            return None
-        return Interval(lo, hi, lo_open, hi_open)
 
 
 @dataclass(frozen=True)
@@ -298,27 +276,11 @@ class RegionSet:
             (Interval(NEG_INF, lo, True, True), Interval(hi, INF, True, True))
         )
 
-    @property
-    def is_empty(self) -> bool:
-        return len(self.intervals) == 0
-
-    def contains(self, x: float) -> bool:
-        return any(iv.contains(x) for iv in self.intervals)
-
     def mask(self, xs: np.ndarray) -> np.ndarray:
         out = np.zeros(xs.shape, dtype=bool)
         for iv in self.intervals:
             out |= iv.mask(xs)
         return out
-
-    def intersect(self, other: "RegionSet") -> "RegionSet":
-        pieces = []
-        for a in self.intervals:
-            for b in other.intervals:
-                c = a.intersect(b)
-                if c is not None:
-                    pieces.append(c)
-        return RegionSet(tuple(pieces))
 
 
 # ---------------------------------------------------------------------------
@@ -423,28 +385,6 @@ def demzei_example_net(max_index: int = 1_000_000) -> ScaledMeasureNet:
     )
 
 
-# pair terms per block of a convolution; bounds its memory
-_CONV_BLOCK = 1 << 20
-
-
-def _convolve(x, y):
-    """Law of the sum of independent draws from ``x`` and ``y``.
-
-    Each argument is a ``(locations, log_masses)`` pair.  The outer sums are
-    built in blocks of rows of ``x`` and merged block by block, so memory
-    stays near ``_CONV_BLOCK`` terms plus the result even when both laws
-    hold thousands of atoms.
-    """
-    (xl, xm), (yl, ym) = x, y
-    rows = max(1, _CONV_BLOCK // yl.size)
-    parts = [
-        _merge_atoms((xl[i:i + rows, None] + yl).ravel(), (xm[i:i + rows, None] + ym).ravel())
-        for i in range(0, xl.size, rows)
-    ]
-    locs, logm = zip(*parts)
-    return _merge_atoms(np.concatenate(locs), np.concatenate(logm))
-
-
 # stirlerr(n) = log(n!) - log(sqrt(2 pi n) (n/e)^n) for n = 1..15, from the
 # table of Loader (2000) that R's dbinom uses; entry 0 is never read.  That
 # table also holds the half-integers, which integer counts never reach.
@@ -505,11 +445,11 @@ def _bd0(x: np.ndarray, m: float, log_m: float) -> np.ndarray:
 
 
 def _iid_mean_law(base: FiniteSupportMeasure, n: int) -> FiniteSupportMeasure:
-    """Exact law of the empirical mean of ``n`` iid draws from ``base``.
+    """Exact law of the empirical mean of ``n`` iid draws from a two-atom ``base``.
 
-    A two-atom base ``{a < b}`` with masses ``m_a``, ``m_b`` takes the
-    binomial law at ``((n-k) a + k b)/n`` in Loader's saddle-point form,
-    with ``p = m_b/(m_a+m_b)``, ``q = m_a/(m_a+m_b)`` and ``0 < k < n``::
+    The base ``{a < b}`` with masses ``m_a``, ``m_b`` gives the binomial law
+    at ``((n-k) a + k b)/n``, in Loader's saddle-point form, with
+    ``p = m_b/(m_a+m_b)``, ``q = m_a/(m_a+m_b)`` and ``0 < k < n``::
 
         log C(n, k) p**k q**(n-k) = stirlerr(n) - stirlerr(k) - stirlerr(n-k)
                                     - bd0(k, n p) - bd0(n-k, n q)
@@ -518,39 +458,30 @@ def _iid_mean_law(base: FiniteSupportMeasure, n: int) -> FiniteSupportMeasure:
     plus ``n log(m_a+m_b)``; the ends are ``n log m_a`` and ``n log m_b``.
     No large terms cancel, as they do in ``log n! - log k! - log (n-k)!``
     (C. Loader, "Fast and Accurate Computation of Binomial Probabilities",
-    2000).  Any other base takes the n-th convolution power of the sum law
-    by binary powering (square and multiply); colliding locations are
-    combined in log scale, so masses as small as exp(-n) stay exact.  The
-    result depends on ``base`` and ``n`` alone and is normalized to mass 1.
+    2000).  The result depends on ``base`` and ``n`` alone and is
+    normalized to mass 1.
     """
-    if base.locations.size == 2:
-        a, b = base.locations
-        log_ma, log_mb = base.log_masses
-        m_a, m_b = np.exp(base.log_masses)
-        p, q = m_b / (m_a + m_b), m_a / (m_a + m_b)
-        log_n, log_total = math.log(n), math.log(m_a + m_b)
-        k = np.arange(1.0, n)
-        lc = _stirlerr(float(n)) - _stirlerr(k) - _stirlerr(n - k)
-        lc = lc - _bd0(k, n * p, log_n + log_mb - log_total)
-        lc = lc - _bd0(n - k, n * q, log_n + log_ma - log_total)
-        lf = math.log(2 * math.pi) + np.log(k) + np.log1p(-k / n)
-        inner = lc - 0.5 * lf + n * log_total
-        logm = np.concatenate(([n * log_ma], inner, [n * log_mb]))
-        k = np.arange(n + 1)
-        return FiniteSupportMeasure(((n - k) * a + k * b) / n, logm - _log_sum(logm))
-    acc, power, m = None, (base.locations, base.log_masses), n
-    while True:
-        if m & 1:
-            acc = power if acc is None else _convolve(acc, power)
-        m >>= 1
-        if not m:
-            break
-        power = _convolve(power, power)
-    return FiniteSupportMeasure(acc[0] / n, acc[1] - _log_sum(acc[1]))
+    a, b = base.locations
+    log_ma, log_mb = base.log_masses
+    m_a, m_b = np.exp(base.log_masses)
+    p, q = m_b / (m_a + m_b), m_a / (m_a + m_b)
+    log_n, log_total = math.log(n), math.log(m_a + m_b)
+    k = np.arange(1.0, n)
+    lc = _stirlerr(float(n)) - _stirlerr(k) - _stirlerr(n - k)
+    lc = lc - _bd0(k, n * p, log_n + log_mb - log_total)
+    lc = lc - _bd0(n - k, n * q, log_n + log_ma - log_total)
+    lf = math.log(2 * math.pi) + np.log(k) + np.log1p(-k / n)
+    inner = lc - 0.5 * lf + n * log_total
+    logm = np.concatenate(([n * log_ma], inner, [n * log_mb]))
+    k = np.arange(n + 1)
+    return FiniteSupportMeasure(((n - k) * a + k * b) / n, logm - _log_sum(logm))
 
 
 def iid_mean_example_net(base: FiniteSupportMeasure, max_n: int) -> ScaledMeasureNet:
-    """Empirical-mean net: mu_n = law of (X_1 + ... + X_n)/n, t_n = 1/n."""
+    """Empirical-mean net: mu_n = law of (X_1 + ... + X_n)/n, t_n = 1/n,
+    for a base of exactly two atoms (the Bernoulli scenarios' only kind)."""
+    if base.locations.size != 2:
+        raise ValueError(f"iid mean net needs a base of two atoms, not {base.locations.size}")
     if not base.is_probability():
         raise ValueError("iid mean net requires a probability base measure")
     base = base.normalized()

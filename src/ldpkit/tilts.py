@@ -71,9 +71,6 @@ class TiltFunction:
             raise ValueError(f"tilt {self.label} returned +inf")
         return out
 
-    def __call__(self, x: float) -> float:
-        return float(self.eval_array(np.array([x]))[0])
-
 
 def q_bump_tilt(n: int) -> TiltFunction:
     """The drift-corrected bump ``x -> n |x| e^{-|x|} - x``."""

@@ -1,25 +1,33 @@
 """Slow reference implementations that the tests check the program against.
 
 Each function is either a direct transcription of a definition (one
-log-sum-exp per tilt and measure, one limit classification per member) or a
-loop that the program once ran and has since replaced with an array form.
-None of them is on the program's path; the tests compare the fast forms with
-these.
+log-sum-exp per tilt and measure, one limit classification per member, the
+brute-force conjugate, the convex hull, infima over open regions) or a loop
+that the program once ran and has since replaced with an array form.  None
+of them is on the program's path; the tests and the acceptance criteria
+compare the fast forms with these.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import logsumexp
 
 from ldpkit import free_energy
-from ldpkit.convex import GridFunction, lf_transform
+from ldpkit.convex import (
+    GridFunction,
+    _finite_points,
+    _require_proper,
+    _runs,
+    lf_transform,
+    lower_hull_vertices,
+)
 from ldpkit.extreal import INF, NEG_INF
-from ldpkit.free_energy import DIVERGENCE_RUN, FamilyTable, L_from_table, LimitEstimate
-from ldpkit.measures import FiniteSupportMeasure, RegionSet, ScaledMeasureNet
+from ldpkit.free_energy import DIVERGENCE_RUN, FamilyTable, L_from_table
+from ldpkit.measures import FiniteSupportMeasure, Interval, RegionSet, ScaledMeasureNet
 from ldpkit.scenario import Tolerances
 from ldpkit.tilts import TiltFamily
 from ldpkit.verifier import RateFunctionEstimate
@@ -52,13 +60,25 @@ def scalar_ext_sub(a: float, b: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+class Estimate(NamedTuple):
+    """One member's limit estimate: a column of a ``FamilyTable`` with its
+    ``(t, value)`` samples."""
+
+    liminf: float
+    limsup: float
+    value: float
+    converged: bool
+    spread: float
+    samples: tuple[tuple[float, float], ...]
+
+
 def estimate_limit(
     ts: Sequence[float],
     values: Sequence[float],
     tol: float = Tolerances.convergence,
     divergence_threshold: float = Tolerances.divergence_threshold,
     divergence_run: int = DIVERGENCE_RUN,
-) -> LimitEstimate:
+) -> Estimate:
     """Classify a sampled tail of a scalar net, as ``lambda_family_table``
     classifies each member's column (see ``ldpkit.free_energy``)."""
     if tol <= 0:
@@ -78,27 +98,40 @@ def estimate_limit(
         return bool(np.all(steps > 0)) or bool(np.all(np.isposinf(tail)))
 
     if np.all(np.isneginf(arr)):
-        return LimitEstimate(NEG_INF, NEG_INF, NEG_INF, True, 0.0, samples)
+        return Estimate(NEG_INF, NEG_INF, NEG_INF, True, 0.0, samples)
     if _diverges(+1.0):
-        return LimitEstimate(INF, INF, INF, True, 0.0, samples)
+        return Estimate(INF, INF, INF, True, 0.0, samples)
     if _diverges(-1.0):
-        return LimitEstimate(NEG_INF, NEG_INF, NEG_INF, True, 0.0, samples)
+        return Estimate(NEG_INF, NEG_INF, NEG_INF, True, 0.0, samples)
 
     lo = float(arr.min())
     hi = float(arr.max())
     spread = hi - lo
     converged = bool(np.isfinite(lo) and np.isfinite(hi) and spread <= tol)
-    return LimitEstimate(lo, hi, vals[-1], converged, spread, samples)
+    return Estimate(lo, hi, vals[-1], converged, spread, samples)
 
 
-def table_from_estimates(estimates: Sequence[LimitEstimate]) -> FamilyTable:
+TABLE_FIELDS = ("value", "liminf", "limsup", "converged", "spread")
+
+
+def table_from_estimates(estimates: Sequence[Estimate]) -> FamilyTable:
     """The table of ``estimates``, which must be sampled at the same scales."""
     samples = np.array([e.samples for e in estimates], dtype=float)
-    fields = ("value", "liminf_est", "limsup_est", "converged", "spread")
     return FamilyTable(
         samples[0, :, 0],
         samples[:, :, 1].T,
-        *(np.array([getattr(e, f) for e in estimates]) for f in fields),
+        *(np.array([getattr(e, f) for e in estimates]) for f in TABLE_FIELDS),
+    )
+
+
+def column_bits(table: FamilyTable, cols=slice(None)) -> tuple[bytes, ...]:
+    """The bits of ``table``'s scales and of its members ``cols``, array by
+    array: two tables agree bit for bit, NaN and signed zeros included,
+    when these are equal."""
+    return (
+        table.ts.tobytes(),
+        table.rows[:, cols].tobytes(),
+        *(getattr(table, f)[cols].tobytes() for f in TABLE_FIELDS),
     )
 
 
@@ -145,6 +178,14 @@ def slope_log_sums(
     return out
 
 
+def custom_log_sums(members, measure: FiniteSupportMeasure, t: float) -> np.ndarray:
+    """``log sum_i exp(logm_i + h(x_i) / t)`` of each custom member ``h`` over
+    one measure's atoms, as ``free_energy.Window.custom_sums`` builds the
+    exponents: the one-pass oracle of a window's custom sums."""
+    x = np.array([m.eval_array(measure.locations) / t + measure.log_masses for m in members])
+    return free_energy._log_sum_exp_rows(x)
+
+
 def values_at(family: TiltFamily, xs) -> np.ndarray:
     """``h(x)`` for every member (rows) and point of ``xs`` (columns)."""
     xs = np.asarray(xs, dtype=float)
@@ -188,6 +229,30 @@ def index_range_for_t(net: ScaledMeasureNet, t_max: float, t_min: float) -> tupl
 # ---------------------------------------------------------------------------
 # conjugates and derivatives
 # ---------------------------------------------------------------------------
+
+
+def brute_force_conjugate(f: GridFunction, dual_grid: Sequence[float]) -> GridFunction:
+    """O(n*m) conjugate: the direct sup over the finite grid points at each
+    dual point; the oracle of ``lf_transform``."""
+    _require_proper(f)
+    dual = np.asarray(dual_grid, dtype=float)
+    xs, vs = _finite_points(f)
+    return GridFunction(dual, (dual[:, None] * xs - vs).max(axis=1), label="conjugate (brute)")
+
+
+def convex_lsc_hull(f: GridFunction) -> GridFunction:
+    """Greatest convex minorant of the grid function, +inf off its domain;
+    the biconjugate of Fenchel-Moreau.
+
+    Lower semicontinuity at the effective-domain endpoints holds by
+    construction for the piecewise-linear extension: the endpoint values are
+    hull vertices, so they equal the limit from inside.
+    """
+    hx, hv = lower_hull_vertices(f)
+    out = np.full_like(f.values, INF)
+    inside = (f.xs >= hx[0]) & (f.xs <= hx[-1])
+    out[inside] = np.interp(f.xs[inside], hx, hv) if hx.size > 1 else hv[0]
+    return GridFunction(f.xs, out, label="hull")
 
 
 def linear_restriction_conjugate(
@@ -288,6 +353,69 @@ def derivative_bound_scan(L: GridFunction, rfe: RateFunctionEstimate, tol: float
 # ---------------------------------------------------------------------------
 # region masses
 # ---------------------------------------------------------------------------
+
+
+def intersect(a: RegionSet, b: RegionSet) -> RegionSet:
+    """The intersection of two regions, one interval per pair of their
+    intervals that meet.  Of two ends at one point, the open one bounds it."""
+    pieces = []
+    for x in a.intervals:
+        for y in b.intervals:
+            lo, lo_open = max((x.lo, x.lo_open), (y.lo, y.lo_open))
+            hi, hi_closed = min((x.hi, not x.hi_open), (y.hi, not y.hi_open))
+            if lo < hi or (lo == hi and hi_closed and not lo_open):
+                pieces.append(Interval(lo, hi, lo_open, not hi_closed))
+    return RegionSet(tuple(pieces))
+
+
+def inf_over_open(f: GridFunction, region: RegionSet) -> float:
+    """Infimum of the piecewise-linear extension of ``f`` over a region.
+
+    Uses the continuity of the extension on its domain: open interval ends
+    contribute their limits, single touch points only count when the region
+    actually contains them.  ``inf over the empty set = +inf``.
+    """
+    xs, vs = _finite_points(f)
+    if xs.size == 0:
+        return INF
+    a, b = float(xs[0]), float(xs[-1])
+
+    def interp(x: float) -> float:
+        return float(np.interp(x, xs, vs))
+
+    best = INF
+    for iv in region.intervals:
+        lo_eff = max(iv.lo, a)
+        hi_eff = min(iv.hi, b)
+        if lo_eff > hi_eff:
+            continue
+        if lo_eff == hi_eff:
+            if iv.mask(lo_eff):
+                best = min(best, interp(lo_eff))
+            continue
+        best = min(best, interp(lo_eff), interp(hi_eff))
+        i0 = int(np.searchsorted(xs, lo_eff, side="right"))
+        i1 = int(np.searchsorted(xs, hi_eff, side="left"))
+        if i1 > i0:
+            best = min(best, float(vs[i0:i1].min()))
+    return best
+
+
+def conv_lemma_check(
+    f: GridFunction, region: RegionSet, tol: float = 1e-9
+) -> tuple[bool, float, float]:
+    """Check inf over G == inf over G intersected with int dom(f).
+
+    Valid for proper convex lsc grid functions whose domain has nonempty
+    interior and open regions G; both infima are returned.
+    """
+    int_dom = RegionSet(tuple(
+        Interval(float(f.xs[i]), float(f.xs[j]), True, True)
+        for i, j in _runs(f.finite_mask).tolist() if j > i
+    ))
+    lhs = inf_over_open(f, region)
+    rhs = inf_over_open(f, intersect(region, int_dom))
+    return scalar_ext_abs_diff(lhs, rhs) <= tol, lhs, rhs
 
 
 def log_masses_of(measure: FiniteSupportMeasure, regions: Sequence[RegionSet]) -> np.ndarray:

@@ -14,14 +14,7 @@ import pytest
 import ldpkit
 from ldpkit.cli import main as cli_main
 from ldpkit.conjugate import abstract_lf, stable_abstract_lf
-from ldpkit.convex import (
-    brute_force_conjugate,
-    chord_slopes,
-    conv_lemma_check,
-    convex_lsc_hull,
-    essential_smoothness_check,
-    lf_transform,
-)
+from ldpkit.convex import chord_slopes, essential_smoothness_check, lf_transform
 from ldpkit.free_energy import L_from_table, lambda_family_table
 from ldpkit.measures import RegionSet
 from ldpkit.scenario import Tolerances
@@ -46,6 +39,7 @@ from ldpkit.verifier import (
 )
 
 from conftest import conjugate_dual_grid, random_convex_grid
+from oracles import brute_force_conjugate, conv_lemma_check, convex_lsc_hull
 
 TOL = 2e-2  # window-bracket convergence tolerance for the 1/k nets
 RADIUS = 2.0 ** -10  # the packaged scenarios' ball radius

@@ -21,7 +21,6 @@ import ldpkit
 from ldpkit import convex, pipeline
 from ldpkit.cli import main
 from ldpkit.convex import load_grid_csv, save_grid_csv, GridFunction
-from ldpkit.free_energy import lambda_of
 from ldpkit.extreal import INF, NEG_INF
 from ldpkit.pipeline import (
     PipelineState,
@@ -32,8 +31,11 @@ from ldpkit.pipeline import (
     run_free_energy,
     run_scenario,
 )
+from ldpkit.free_energy import lambda_family_table
 from ldpkit.scenario import KNOWN_CHECKS, CheckParams, ScenarioError, load_scenario
-from ldpkit.tilts import TiltFunction
+from ldpkit.tilts import TiltFunction, explicit_family
+
+from oracles import column_bits
 
 
 def packaged_scenario(name):
@@ -415,18 +417,19 @@ class TestRunScenario:
     @pytest.mark.parametrize("name", ["ge-ex", "dem-zei", "cramer"])
     def test_single_tilt_table_equals_lambda_of(self, name):
         # one table for the varadhan tilts and linear:0, bit for bit the
-        # estimates of one lambda_of call per tilt
+        # one-tilt table of each tilt
         state = PipelineState(packaged_scenario(name))
         tol = state.scenario.tolerances
         tilts, table = state.single_tilts
         assert tilts[:-1] == list(state.scenario.check_params.varadhan_tilts)
         assert tilts[-1].label == "linear:0.0"
         for i, tilt in enumerate(tilts):
-            want = lambda_of(
-                state.net, tilt, state.window, tol.convergence, tol.divergence_threshold
+            want = lambda_family_table(
+                state.net, explicit_family([tilt]), state.window, tol.convergence,
+                tol.divergence_threshold,
             )
-            assert repr(table.estimate(i)) == repr(want), tilt.label
-        assert state.lambda_bar_zero == table.estimate(len(tilts) - 1).value
+            assert column_bits(table, [i]) == column_bits(want), tilt.label
+        assert state.lambda_bar_zero == table.value[-1]
 
     def test_empty_check_list_reports_tables_only(self, tmp_path):
         cfg = MINI_SCENARIO.replace(

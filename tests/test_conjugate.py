@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import ldpkit
 from ldpkit.conjugate import abstract_lf, stable_abstract_lf
 from ldpkit.extreal import INF, NEG_INF
-from ldpkit.free_energy import FamilyTable, LimitEstimate, lambda_family_table
+from ldpkit.free_energy import FamilyTable, lambda_family_table
 from ldpkit.tilts import (
     TiltFunction,
     explicit_family,
@@ -18,7 +18,7 @@ from ldpkit.tilts import (
     two_slope_family,
 )
 
-from oracles import linear_restriction_conjugate, table_from_estimates, values_at
+from oracles import Estimate, linear_restriction_conjugate, table_from_estimates, values_at
 
 TOL = 2e-2
 
@@ -50,8 +50,7 @@ def table_of(values) -> FamilyTable:
 
 
 def fake_estimate(value):
-    lo = min(value, value)
-    return LimitEstimate(value, value, value, True, 0.0, ((1.0, value),))
+    return Estimate(value, value, value, True, 0.0, ((1.0, value),))
 
 
 class TestFamilyEvaluation:
@@ -68,7 +67,7 @@ class TestFamilyEvaluation:
 
     def test_non_converged_blocks_abstract_lf(self):
         fam = explicit_family([TiltFunction.linear(1.0)])
-        bad = LimitEstimate(0.0, 1.0, 1.0, False, 1.0, ((1.0, 0.0), (0.5, 1.0)))
+        bad = Estimate(0.0, 1.0, 1.0, False, 1.0, ((1.0, 0.0), (0.5, 1.0)))
         with pytest.raises(ValueError, match="converged"):
             abstract_lf(fam, table_from_estimates([bad]), np.linspace(-1, 1, 5))
 
@@ -76,7 +75,7 @@ class TestFamilyEvaluation:
 class TestFamilyEvaluationTable:
     def test_abstract_lf_counts_unconverged_members(self):
         fam = explicit_family([TiltFunction.linear(s) for s in (0.0, 1.0, 2.0)])
-        bad = LimitEstimate(0.0, 1.0, 1.0, False, 1.0, ((1.0, 0.0),))
+        bad = Estimate(0.0, 1.0, 1.0, False, 1.0, ((1.0, 0.0),))
         table = table_from_estimates([bad, fake_estimate(0.0), bad])
         assert table.converged.tolist() == [False, True, False]
         with pytest.raises(ValueError, match="^2 family member"):
@@ -216,7 +215,7 @@ class TestLinearRestriction:
         table = lambda_family_table(coin_net, fam, main_window, TOL)
         # a one-member linear family is handled by abstract_lf directly
         out = abstract_lf(fam, table, xs)
-        expected = lam0 * xs - table.estimate(0).value
+        expected = lam0 * xs - table.value[0]
         assert np.allclose(out.values, expected)
 
     def test_requires_linear_family(self, coin_net, main_window):

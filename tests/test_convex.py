@@ -8,13 +8,9 @@ from ldpkit.convex import (
     DerivativeRange,
     GridFormatError,
     GridFunction,
-    brute_force_conjugate,
     chord_slopes,
-    conv_lemma_check,
-    convex_lsc_hull,
     derivative_range,
     essential_smoothness_check,
-    inf_over_open,
     interior_mask,
     lf_transform,
     load_grid_csv,
@@ -25,7 +21,13 @@ from ldpkit.extreal import INF, NEG_INF
 from ldpkit.measures import RegionSet
 
 import oracles
-from oracles import one_sided_derivatives
+from oracles import (
+    brute_force_conjugate,
+    conv_lemma_check,
+    convex_lsc_hull,
+    inf_over_open,
+    one_sided_derivatives,
+)
 from conftest import conjugate_dual_grid, random_convex_grid
 
 

@@ -1,6 +1,7 @@
 import gc
 import warnings
 import weakref
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -20,11 +21,11 @@ from ldpkit.free_energy import (
     _log_sum_exp_rows,
     _logaddexp,
     lambda_family_table,
-    lambda_of,
     window_for_t_range,
 )
 from ldpkit.measures import FiniteSupportMeasure, ScaledMeasureNet
-from ldpkit.scenario import MAX_SLOPE
+from ldpkit.pipeline import build_net
+from ldpkit.scenario import MAX_SLOPE, load_scenario
 from ldpkit.tilts import (
     TiltFunction,
     explicit_family,
@@ -35,7 +36,15 @@ from ldpkit.tilts import (
     two_slope_family,
 )
 
-from oracles import estimate_limit, exp_power_integral, slope_log_sums, table_from_estimates
+from oracles import (
+    column_bits,
+    custom_log_sums,
+    estimate_limit,
+    exp_power_integral,
+    slope_log_sums,
+    table_from_estimates,
+    window_samples,
+)
 
 TOL = 2e-2  # window bracket tolerance for the 1/k nets (spread ~ t_max*log 2)
 
@@ -77,7 +86,7 @@ class TestWindowSpec:
 class TestEstimateLimit:
     def test_plain_bracket(self):
         est = estimate_limit([0.1, 0.01, 0.001], [1.0, 1.5, 1.2], tol=1.0)
-        assert (est.liminf_est, est.limsup_est, est.value) == (1.0, 1.5, 1.2)
+        assert (est.liminf, est.limsup, est.value) == (1.0, 1.5, 1.2)
         assert est.converged and est.spread == 0.5
 
     def test_not_converged_when_spread_large(self):
@@ -88,52 +97,57 @@ class TestEstimateLimit:
         ts = [1 / k for k in (10, 20, 40, 80, 160, 320)]
         vals = [1e3, 1e4, 1e5, 1e6, 1e12, 1e13]
         est = estimate_limit(ts, vals, tol=1e-6)
-        assert est.limsup_est == INF and est.liminf_est == INF and est.converged
+        assert est.limsup == INF and est.liminf == INF and est.converged
 
     def test_large_but_not_monotone_is_not_divergent(self):
         ts = [0.1, 0.05, 0.02, 0.01, 0.005]
         vals = [1e13, 1e14, 9e13, 1e14, 2e14]
         est = estimate_limit(ts, vals, tol=1e-6)
-        assert est.limsup_est != INF and not est.converged
+        assert est.limsup != INF and not est.converged
 
     def test_all_minus_inf(self):
         est = estimate_limit([0.1, 0.01], [NEG_INF, NEG_INF], tol=1e-6)
         assert est.value == NEG_INF and est.converged
 
 
+def one_tilt(net, tilt, window, tol, **kwargs):
+    """The table of the one-member family of ``tilt``."""
+    return lambda_family_table(net, explicit_family([tilt]), window, tol, **kwargs)
+
+
 class TestLambdaOf:
     def test_coin_slope_one(self, coin_net, main_window):
-        est = lambda_of(coin_net, TiltFunction.linear(1.0), main_window, TOL)
-        assert est.converged
-        assert est.value == pytest.approx(1.0, abs=1e-3)
+        table = one_tilt(coin_net, TiltFunction.linear(1.0), main_window, TOL)
+        assert table.converged[0]
+        assert table.value[0] == pytest.approx(1.0, abs=1e-3)
 
     def test_probability_net_zero_tilt_exact(self, coin_net, main_window):
-        est = lambda_of(coin_net, TiltFunction.linear(0.0), main_window, TOL)
-        assert est.value == 0.0 and est.spread == 0.0
+        table = one_tilt(coin_net, TiltFunction.linear(0.0), main_window, TOL)
+        assert table.value[0] == 0.0 and table.spread[0] == 0.0
 
     def test_demzei_slope_two_diverges(self, demzei_net, main_window):
-        est = lambda_of(
+        table = one_tilt(
             demzei_net, TiltFunction.linear(2.0), main_window, TOL,
             divergence_threshold=1e3,
         )
-        assert est.limsup_est == INF and est.converged
+        assert table.limsup[0] == INF and table.converged[0]
 
     def test_oscillating_net_not_converged(self):
         net = oscillating_net()
         w = window_for_t_range(net, 1e-2, 1e-4, 32)
-        est = lambda_of(net, TiltFunction.linear(1.0), w, tol=1e-3)
-        assert not est.converged
-        assert est.liminf_est == pytest.approx(0.0, abs=1e-12)
-        assert est.limsup_est == pytest.approx(1.0, abs=1e-12)
+        table = one_tilt(net, TiltFunction.linear(1.0), w, tol=1e-3)
+        assert not table.converged[0]
+        assert table.liminf[0] == pytest.approx(0.0, abs=1e-12)
+        assert table.limsup[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_monotone_in_tilt(self, coin_net, main_window):
         base = TiltFunction.two_slope(0.5, 1.0)
         lifted = TiltFunction.custom(
             "lifted", lambda xs: np.where(xs <= 0, 0.5 * xs, 1.0 * xs) + 0.25
         )
-        lo = lambda_of(coin_net, base, main_window, TOL)
-        hi = lambda_of(coin_net, lifted, main_window, TOL)
-        assert lo.limsup_est <= hi.limsup_est + 1e-12
+        lo = one_tilt(coin_net, base, main_window, TOL)
+        hi = one_tilt(coin_net, lifted, main_window, TOL)
+        assert lo.limsup[0] <= hi.limsup[0] + 1e-12
 
 
 class TestLGrid:
@@ -217,18 +231,19 @@ class TestFamilyTable:
 
 class TestFamilyTableArrays:
     def test_round_trips_through_estimates(self, demzei_net, main_window):
+        # each column is the oracle's estimate of its samples, and a member's
+        # one-tilt table holds that column's bits
         family = family_union(linear_family(-3, 3, 5), qn_family(2))
         table = lambda_family_table(demzei_net, family, main_window, TOL)
-        estimates = [table.estimate(i) for i in range(len(table))]
-        again = table_from_estimates(estimates)
-        for name in ("ts", "rows", "value", "liminf", "limsup", "converged", "spread"):
-            np.testing.assert_array_equal(getattr(again, name), getattr(table, name))
-        assert repr(lambda_of(demzei_net, qn_family(2).members[1], main_window, TOL)) == (
-            repr(estimates[-1])
+        again = table_from_estimates(
+            [estimate_limit(table.ts, col, TOL) for col in table.rows.T]
         )
+        assert column_bits(again) == column_bits(table)
+        one = one_tilt(demzei_net, qn_family(2).members[1], main_window, TOL)
+        assert column_bits(one) == column_bits(table, [len(table) - 1])
 
     def test_liminf_above_limsup_rejected(self):
-        with pytest.raises(ValueError, match="liminf"):
+        with pytest.raises(ValueError, match="^liminf must not exceed limsup$"):
             FamilyTable(
                 ts=np.array([1.0]), rows=np.array([[0.0, 1.0]]),
                 value=np.array([0.0, 1.0]), liminf=np.array([0.0, 2.0]),
@@ -644,6 +659,34 @@ class TestWindowSums:
         assert calls == [sum(atoms)]
         np.testing.assert_array_equal(table.rows[:, 0], table.rows[:, 1])  # |x| = x on [0, 1]
 
+    @pytest.mark.parametrize("name", ["ge-ex", "dem-zei"])
+    def test_custom_sums_read_each_distinct_measure_once(self, name, monkeypatch):
+        # the scenario's qn tilts over its main window: each member is
+        # evaluated once on the atoms of the window's distinct measures (one
+        # coin of 2 atoms on ge-ex), and every sum keeps the one-pass bits
+        with resources.as_file(
+            resources.files("ldpkit").joinpath(f"data/scenarios/{name}.cfg")
+        ) as path:
+            scenario = load_scenario(path)
+        net = build_net(scenario)
+        w = scenario.window
+        spec = window_for_t_range(net, w.t_max, w.t_min, w.samples)
+        members = [t for t in scenario.check_params.varadhan_tilts if t.kind == "custom"]
+        evaluated = []
+        eval_array = TiltFunction.eval_array
+        monkeypatch.setattr(
+            TiltFunction, "eval_array",
+            lambda tilt, xs: evaluated.append((tilt.label, xs.size)) or eval_array(tilt, xs),
+        )
+        got = free_energy.window_of(net, spec).custom_sums(members)
+        monkeypatch.undo()
+        samples = window_samples(net, spec)
+        distinct = {id(m): m.locations.size for m, _ in samples}
+        assert evaluated == [(m.label, sum(distinct.values())) for m in members]
+        assert len(members) >= 3 and (name != "ge-ex" or list(distinct.values()) == [2])
+        want = np.array([custom_log_sums(members, m, t) for m, t in samples])
+        assert got.tobytes() == want.tobytes()
+
     def test_every_slope_is_summed_once_per_op(self, monkeypatch):
         net = small_iid_net()
         window = WindowSpec(100, 400, 6)
@@ -827,11 +870,6 @@ class TestRunLogSums:
             assert_sums_equal_the_oracle(np.array(slopes) * 500.0, t, locs, logm)
 
 
-def assert_same_estimates(got, want):
-    # repr compares floats exactly, NaN and signed zeros included
-    assert repr(got) == repr(want)
-
-
 CLASSIFIER_COLUMNS = {
     "all -inf": [NEG_INF] * 6,
     "runs to +inf": [1.0, 1e3, 1e6, 1e9, 1e12, 1e13],
@@ -855,9 +893,8 @@ class TestClassifierOracle:
     def test_named_columns(self):
         rows = np.array(list(CLASSIFIER_COLUMNS.values())).T
         got = _classify_limits(np.array(self.TS), rows, 0.5, 1e12)
-        assert len(got) == len(CLASSIFIER_COLUMNS)
-        for i, col in enumerate(CLASSIFIER_COLUMNS.values()):
-            assert_same_estimates(got.estimate(i), estimate_limit(self.TS, col, 0.5, 1e12))
+        want = [estimate_limit(self.TS, col, 0.5, 1e12) for col in CLASSIFIER_COLUMNS.values()]
+        assert column_bits(got) == column_bits(table_from_estimates(want))
 
     @given(
         st.integers(1, 7).flatmap(
@@ -881,6 +918,5 @@ class TestClassifierOracle:
     def test_random_columns(self, columns, tol, threshold):
         ts = [1.0 / (k + 1) for k in range(len(columns[0]))]
         got = _classify_limits(np.array(ts), np.array(columns).T, tol, threshold)
-        assert len(got) == len(columns)
-        for i, col in enumerate(columns):
-            assert_same_estimates(got.estimate(i), estimate_limit(ts, col, tol, threshold))
+        want = [estimate_limit(ts, col, tol, threshold) for col in columns]
+        assert column_bits(got) == column_bits(table_from_estimates(want))

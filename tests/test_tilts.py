@@ -51,15 +51,13 @@ def test_two_slope_diagonal_acts_linear():
 
 def test_two_slope_piecewise_values():
     member = TiltFunction.two_slope(-1.0, 2.0)
-    assert member(-3.0) == 3.0
-    assert member(2.0) == 4.0
-    assert member(0.0) == 0.0
+    assert member.eval_array([-3.0, 2.0, 0.0]).tolist() == [3.0, 4.0, 0.0]
 
 
 def test_qn_values():
-    assert q_bump_tilt(2)(0.0) == 0.0
-    assert q_bump_tilt(1)(1.0) == pytest.approx(math.exp(-1) - 1, abs=1e-14)
-    assert q_bump_tilt(3)(-1.0) == pytest.approx(3 * math.exp(-1) + 1, abs=1e-14)
+    assert q_bump_tilt(2).eval_array([0.0]).tolist() == [0.0]
+    assert q_bump_tilt(1).eval_array([1.0]) == pytest.approx([math.exp(-1) - 1], abs=1e-14)
+    assert q_bump_tilt(3).eval_array([-1.0]) == pytest.approx([3 * math.exp(-1) + 1], abs=1e-14)
 
 
 def test_qn_family_members():
@@ -85,7 +83,8 @@ def test_custom_tilt_must_not_return_plus_inf():
 @settings(max_examples=80, deadline=None)
 def test_two_slope_continuous_at_origin(lam, nu, delta):
     member = TiltFunction.two_slope(lam, nu)
-    gap = abs(member(-delta) - member(delta))
+    left, right = member.eval_array([-delta, delta])
+    gap = abs(left - right)
     assert gap <= (abs(lam) + abs(nu)) * delta + 1e-15
 
 

@@ -338,7 +338,7 @@ class TestVaradhan:
 
     def test_reads_the_table_by_tilt_index(self, coin_state, main_window):
         # a table may hold members after the tilts; each tilt reads its own
-        # row, bit for bit the value lambda_of gives it
+        # row, bit for bit the value of its one-tilt table
         tilts = [TiltFunction.linear(v) for v in (1.0, -0.5, 2.5)]
         table = lambda_family_table(
             coin_state["net"], explicit_family([*tilts, TiltFunction.linear(0.0)]),
@@ -348,8 +348,8 @@ class TestVaradhan:
         assert out["holds"] and out["tol"] == 1e-3
         assert [row["tilt"] for row in out["tilts"]] == [t.label for t in tilts]
         for tilt, row in zip(tilts, out["tilts"]):
-            want = ldpkit.lambda_of(coin_state["net"], tilt, main_window, TOL).value
-            assert row["free_energy"] == want
+            one = lambda_family_table(coin_state["net"], explicit_family([tilt]), main_window, TOL)
+            assert row["free_energy"] == one.value[0]
 
     def test_non_converged_tilt_rejected(self):
         # alternating Dirac at 0 / Dirac at 1: no free-energy limit for h_1
