@@ -28,13 +28,11 @@ from .measures import (
     FiniteSupportMeasure,
     RegionSet,
     ScaledMeasureNet,
-    bernoulli_half_base,
     coin_example_net,
     demzei_example_net,
     iid_mean_example_net,
 )
 from .scenario import Scenario, load_scenario
-from .pipeline import run_free_energy, run_scenario
 from .tilts import (
     TiltFamily,
     TiltFunction,

@@ -27,7 +27,7 @@ from importlib import resources
 import numpy as np
 
 from .convex import GridFormatError, lf_transform, load_grid_csv, save_grid_csv
-from .pipeline import free_energy_report, golden_diff, run_scenario, scenario_report
+from .pipeline import _ArrayText, _json_pieces, free_energy_report, golden_diff, scenario_report
 from .scenario import Scenario, ScenarioError, WindowConfig, _integer, _number, load_scenario
 
 REPRODUCE_NAMES = ("ge-ex", "dem-zei", "cramer")
@@ -100,7 +100,7 @@ def _parse_dual_grid(spec: str) -> np.ndarray:
 
 
 def _cmd_conjugate(args) -> int:
-    f = load_grid_csv(args.input, label="f")
+    f = load_grid_csv(args.input)
     if not f.is_proper:
         raise GridFormatError(f"{args.input}: needs a finite value and no -inf value")
     dual = _parse_dual_grid(args.dual_grid)
@@ -126,7 +126,7 @@ def _cmd_reproduce(args) -> int:
     scenario_path = _packaged_path("scenarios", f"{name}.cfg")
     with resources.as_file(scenario_path) as p:
         scenario = load_scenario(p)
-    report, _ = run_scenario(scenario, out_dir=args.out_dir)
+    report, _ = scenario_report(scenario, out_dir=args.out_dir)
 
     if name not in GOLDEN_NAMES:
         print(f"scenario {name!r} has no committed golden")
@@ -135,7 +135,8 @@ def _cmd_reproduce(args) -> int:
     with resources.as_file(golden_path) as p:
         with open(p, "r", encoding="utf-8") as fh:
             golden = json.load(fh)
-    diffs = golden_diff(report, golden)
+    # the report's JSON text, as --out-dir writes it, parsed
+    diffs = golden_diff(json.loads("".join(_json_pieces(report, text=_ArrayText()))), golden)
     if diffs:
         print(f"golden mismatch for {name} ({len(diffs)} differences):")
         for line in diffs[:40]:

@@ -81,7 +81,7 @@ def abstract_lf(family: TiltFamily, table: FamilyTable, x_grid: Sequence[float])
         sup, neg = _sup_over_rows(H, F[~sloped])
         vals = np.maximum(vals, sup)
         force |= neg
-    return GridFunction(xs, np.where(force, INF, vals), label="abstract-conjugate")
+    return GridFunction(xs, np.where(force, INF, vals))
 
 
 def stable_abstract_lf(
@@ -113,6 +113,5 @@ def stable_abstract_lf(
     return GridFunction(
         xs,
         np.where(flagged, INF, raw),
-        label="abstract-conjugate",
         meta={"flagged": flagged},
     )

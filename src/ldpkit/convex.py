@@ -41,7 +41,6 @@ class GridFunction:
 
     xs: np.ndarray
     values: np.ndarray
-    label: str = ""
     meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
@@ -71,15 +70,12 @@ class GridFunction:
             np.any(np.isneginf(self.values))
         )
 
-    def restrict_open(self, lo: float, hi: float, label: str = "") -> "GridFunction":
+    def restrict_open(self, lo: float, hi: float) -> "GridFunction":
         """Sub-grid of the points strictly inside (lo, hi)."""
         mask = (self.xs > lo) & (self.xs < hi)
         if mask.sum() < 2:
             raise ValueError(f"fewer than two grid points inside ({lo}, {hi})")
-        return GridFunction(self.xs[mask], self.values[mask], label or self.label)
-
-    def with_label(self, label: str) -> "GridFunction":
-        return GridFunction(self.xs, self.values, label, dict(self.meta))
+        return GridFunction(self.xs[mask], self.values[mask])
 
 
 # ---------------------------------------------------------------------------
@@ -95,8 +91,7 @@ def _finite_points(f: GridFunction) -> tuple[np.ndarray, np.ndarray]:
 def _require_proper(f: GridFunction) -> None:
     if not f.is_proper:
         raise ValueError(
-            f"grid function {f.label!r} is improper "
-            "(needs a finite value and no -inf entries)"
+            "grid function is improper (needs a finite value and no -inf entries)"
         )
 
 
@@ -145,8 +140,7 @@ def lf_transform(f: GridFunction, dual_grid: Sequence[float]) -> GridFunction:
         j = np.searchsorted(slopes, dual, side="left")
         vals = dual * hx[j] - hv[j]
         off = (dual < slopes[0]) | (dual > slopes[-1])
-    label = f"{f.label}*" if f.label else "conjugate"
-    return GridFunction(dual, vals, label=label, meta={"off_slope_range": off})
+    return GridFunction(dual, vals, meta={"off_slope_range": off})
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +364,7 @@ def save_grid_csv(f: GridFunction, path) -> None:
     _write_rows(path, _reprs(f.xs), _reprs(f.values))
 
 
-def load_grid_csv(path, label: str = "") -> GridFunction:
+def load_grid_csv(path) -> GridFunction:
     """Read a ``x,value`` file; enforces a strictly increasing grid."""
     xs: list[float] = []
     vals: list[float] = []
@@ -407,4 +401,4 @@ def load_grid_csv(path, label: str = "") -> GridFunction:
             vals.append(v)
     if len(xs) < 2:
         raise GridFormatError(f"{path}: need at least two grid points")
-    return GridFunction(np.array(xs), np.array(vals), label=label)
+    return GridFunction(np.array(xs), np.array(vals))

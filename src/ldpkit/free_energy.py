@@ -301,15 +301,20 @@ def _run_log_sums(slopes, t, locs, logm, rise) -> np.ndarray:
     return out
 
 
-def _groups(parts: list[tuple[np.ndarray, np.ndarray]]) -> list[tuple]:
-    """The samples of equal atom count, each group ``(indices, locs, logm)``
-    with ``locs``/``logm`` stacked to ``(samples, atoms)``."""
-    by_size: dict[int, list[int]] = {}
-    for j, (locs, _) in enumerate(parts):
-        by_size.setdefault(locs.size, []).append(j)
+def _row_stacks(parts: list[tuple]) -> list[tuple]:
+    """The samples grouped by atom count, given each sample's ``(key, locs,
+    logm)``; samples with equal keys share one row.  Each group is
+    ``(samples, rows, locs, logm)``: sample ``samples[i]`` reads row
+    ``rows[i]`` of the ``(rows, atoms)`` arrays ``locs`` and ``logm``."""
+    groups: dict[int, tuple[list, list, dict]] = {}
+    for j, (key, locs, logm) in enumerate(parts):
+        samples, rows, distinct = groups.setdefault(locs.size, ([], [], {}))
+        samples.append(j)
+        rows.append(distinct.setdefault(key, (len(distinct), locs, logm))[0])
     return [
-        (np.array(idx), *(np.stack([parts[j][k] for j in idx]) for k in (0, 1)))
-        for idx in by_size.values()
+        (np.array(samples), np.array(rows),
+         *(np.stack([row[k] for row in distinct.values()]) for k in (1, 2)))
+        for samples, rows, distinct in groups.values()
     ]
 
 
@@ -318,14 +323,14 @@ class Window:
     log-sums ``A``/``B`` that every table over it reads.
 
     A net holds one window per :class:`WindowSpec`; :func:`window_of` builds
-    it.  Each distinct slope is summed once per side, over all samples in one
-    batch per group of samples with the same atom count (see
-    :func:`_group_log_sums`); the groups are stacked on the first slope-sum
-    request.  The distinct measure objects are stacked once too, one
+    it.  :func:`_row_stacks` stacks the distinct measure objects once, one
     ``(measures, atoms)`` array per atom count, on the first ball-mass or
-    custom-tilt request: :meth:`powered` runs the ball-mass kernel once per
-    such stack, over all of its rows, and custom tilts are evaluated once
-    per table on the atoms of the stacks' rows.
+    custom-tilt request, and each side of them the same way on the first
+    slope-sum request.  :meth:`powered` runs the ball-mass kernel once per
+    stack, over all of its rows, and custom tilts are evaluated once per
+    table on the atoms of the stacks' rows.  Each distinct slope is summed
+    once per side, over all samples of a side stack in one batch (see
+    :func:`_group_log_sums`), each sample on its measure's row.
     """
 
     def __init__(self, net: ScaledMeasureNet, spec: WindowSpec):
@@ -337,21 +342,10 @@ class Window:
         self._known: tuple[dict[float, np.ndarray], ...] = ({}, {})
 
     def _stacked(self) -> list[tuple]:
-        """The distinct measures per atom count, each group ``(samples, rows,
-        locs, logm)``: sample ``samples[i]`` reads row ``rows[i]`` of the
-        ``(measures, atoms)`` arrays ``locs`` and ``logm``."""
+        """The window's :func:`_row_stacks` of its distinct measures, each group
+        ``(samples, rows, locs, logm)`` with ``(measures, atoms)`` arrays."""
         if self._stack is None:
-            groups: dict[int, tuple[list, list, dict]] = {}
-            for j, m in enumerate(self._measures):
-                samples, rows, distinct = groups.setdefault(m.locations.size, ([], [], {}))
-                samples.append(j)
-                rows.append(distinct.setdefault(id(m), (len(distinct), m))[0])
-            self._stack = [
-                (np.array(samples), np.array(rows),
-                 *(np.stack([getattr(m, f) for _, m in distinct.values()])
-                   for f in ("locations", "log_masses")))
-                for samples, rows, distinct in groups.values()
-            ]
+            self._stack = _row_stacks([(id(m), m.locations, m.log_masses) for m in self._measures])
         return self._stack
 
     def powered(self, lo, hi, lo_open=True, hi_open=True, counts=None) -> np.ndarray:
@@ -382,19 +376,19 @@ class Window:
         """``(samples, slopes)`` sums over the atoms at ``x <= 0`` (side 0)
         or ``x > 0`` (side 1), each slope summed on its first request."""
         if self._sides is None:
-            cuts = [np.searchsorted(m.locations, 0.0, "right") for m in self._measures]
-            pairs = list(zip(self._measures, cuts))
-            left = [(m.locations[:c], m.log_masses[:c]) for m, c in pairs]
-            right = [(m.locations[c:], m.log_masses[c:]) for m, c in pairs]
-            self._sides = (_groups(left), _groups(right))
+            cuts = [(m, np.searchsorted(m.locations, 0.0, "right")) for m in self._measures]
+            self._sides = (
+                _row_stacks([(id(m), m.locations[:c], m.log_masses[:c]) for m, c in cuts]),
+                _row_stacks([(id(m), m.locations[c:], m.log_masses[c:]) for m, c in cuts]),
+            )
         known = self._known[side]
         keys = slopes.tolist()
         new = [s for s in keys if s not in known]
         if new:
             axis = np.array(new)
             fresh = np.empty((axis.size, self.ts.size))
-            for idx, locs, logm in self._sides[side]:
-                fresh[:, idx] = _slope_log_sums(axis, self.ts[idx], locs, logm)
+            for samples, rows, locs, logm in self._sides[side]:
+                fresh[:, samples] = _slope_log_sums(axis, self.ts[samples], locs[rows], logm[rows])
             known.update(zip(new, fresh))
         return np.array([known[s] for s in keys]).reshape(len(keys), self.ts.size).T
 
@@ -493,15 +487,14 @@ def lambda_family_table(
     return _classify_limits(ts, rows, tol, divergence_threshold)
 
 
-def L_from_table(family: TiltFamily, table: FamilyTable, label: str = "L") -> GridFunction:
+def L_from_table(family: TiltFamily, table: FamilyTable) -> GridFunction:
     """``lam -> F(h_lam)`` of a linear family from its table of estimates.
 
     The grid function carries the representative values, ``+inf`` where an
-    entry diverged; ``meta`` holds the table's own per-point arrays:
-    the convergence flags and the liminf/limsup brackets.
+    entry diverged; ``meta["converged"]`` is the table's own convergence
+    array, which the report writes beside them.
     """
     if not np.array_equal(family.lam, family.nu):
         raise ValueError("L needs a family of linear tilts")
-    meta = {key: getattr(table, key) for key in ("converged", "liminf", "limsup")}
-    return GridFunction(family.lam, table.value, label=label, meta=meta)
+    return GridFunction(family.lam, table.value, meta={"converged": table.converged})
 

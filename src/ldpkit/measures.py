@@ -4,8 +4,7 @@ The basic object is a measure with finitely many atoms on the real line and
 total mass at most one.  Masses are kept in log scale internally: the
 worked example families push atom masses far below the smallest positive
 double (e.g. ``exp(-k**2)`` for index ``k`` in the thousands), so a linear
-representation would silently flush them to zero.  Linear masses are always
-available through :attr:`FiniteSupportMeasure.masses`.  Interval (ball)
+representation would silently flush them to zero.  Interval (ball)
 masses are log-space scans over each query's own atoms, one kernel call
 over a stack of measures with the same atom count (:func:`log_masses_in`;
 :meth:`FiniteSupportMeasure.log_masses_in` is its one-row call), so
@@ -109,25 +108,7 @@ class FiniteSupportMeasure:
         locs, logm = _merge_atoms(locs, logm)
         return cls(locs, logm)
 
-    @classmethod
-    def from_log_atoms(cls, atoms: Iterable[tuple[float, float]]) -> "FiniteSupportMeasure":
-        """Build from (location, log_mass) pairs; nearby atoms are merged."""
-        pairs = list(atoms)
-        locs = np.array([p[0] for p in pairs], dtype=float)
-        logm = np.array([p[1] for p in pairs], dtype=float)
-        locs, logm = _merge_atoms(locs, logm)
-        return cls(locs, logm)
-
-    @classmethod
-    def dirac(cls, location: float, mass: float = 1.0) -> "FiniteSupportMeasure":
-        return cls.from_atoms([(location, mass)])
-
     # -- views -------------------------------------------------------------
-
-    @property
-    def masses(self) -> np.ndarray:
-        """Linear-scale masses (may underflow to 0 for display purposes)."""
-        return np.exp(self.log_masses)
 
     @property
     def log_total_mass(self) -> float:
@@ -258,10 +239,6 @@ class RegionSet:
         object.__setattr__(self, "intervals", ivs)
 
     @classmethod
-    def empty(cls) -> "RegionSet":
-        return cls(())
-
-    @classmethod
     def closed(cls, lo: float, hi: float) -> "RegionSet":
         return cls((Interval(lo, hi, False, False),))
 
@@ -303,7 +280,6 @@ class ScaledMeasureNet:
         t_of: Callable[[int], float],
         measure_of: Callable[[int], FiniteSupportMeasure],
         max_index: int = 1_000_000,
-        label: str = "net",
     ):
         if max_index < 2:
             raise ValueError("max_index must be at least 2")
@@ -318,7 +294,6 @@ class ScaledMeasureNet:
         self._cache: dict[int, FiniteSupportMeasure] = {}
         self.windows: dict = {}
         self.max_index = max_index
-        self.label = label
 
     def t(self, k: int) -> float:
         self._check_index(k)
@@ -355,7 +330,6 @@ def coin_example_net(max_index: int = 1_000_000) -> ScaledMeasureNet:
         t_of=lambda k: 1.0 / k,
         measure_of=lambda k: coin,
         max_index=max_index,
-        label="coin",
     )
 
 
@@ -381,7 +355,7 @@ def demzei_example_net(max_index: int = 1_000_000) -> ScaledMeasureNet:
         )
 
     return ScaledMeasureNet(
-        t_of=lambda k: 1.0 / k, measure_of=build, max_index=max_index, label="dem-zei"
+        t_of=lambda k: 1.0 / k, measure_of=build, max_index=max_index
     )
 
 
@@ -489,9 +463,4 @@ def iid_mean_example_net(base: FiniteSupportMeasure, max_n: int) -> ScaledMeasur
         t_of=lambda n: 1.0 / n,
         measure_of=lambda n: _iid_mean_law(base, n),
         max_index=max_n,
-        label="iid-mean",
     )
-
-
-def bernoulli_half_base() -> FiniteSupportMeasure:
-    return FiniteSupportMeasure.from_atoms([(0.0, 0.5), (1.0, 0.5)])

@@ -2,8 +2,8 @@
 
 A report is a dict with a fixed field order whose tables are numpy arrays.
 Its JSON and CSV files are written straight from that tree, each distinct
-float of an array formatted once, and byte-identical on reruns; the run_*
-functions return its JSON-safe copy, ``+-inf`` as ``"inf"`` / ``"-inf"``.
+float of an array formatted once, and byte-identical on reruns; that JSON
+text, parsed, is what ``golden_diff`` compares with a golden.
 """
 
 from __future__ import annotations
@@ -279,7 +279,7 @@ class PipelineState:
         if scenario.wide_lambda_grid:
             w = scenario.wide_lambda_grid
             wide = linear_family(w.lo, w.hi, w.resolution)
-            self.L_wide = L_from_table(wide, self._table(wide), "L_wide")
+            self.L_wide = L_from_table(wide, self._table(wide))
 
     def _table(self, family: TiltFamily) -> FamilyTable:
         """The family's free energies over the main window, at the scenario's tolerances."""
@@ -303,7 +303,7 @@ class PipelineState:
             g = self.scenario.lambda_grid
             raise ValueError(f"[lambda-grid] lo = {g.lo}, hi = {g.hi}: L is improper "
                              "(no finite value, or a -inf value)")
-        return lf_transform(self.L, self.x_grid).with_label("L_star")
+        return lf_transform(self.L, self.x_grid)
 
     @cached_property
     def abstract_star(self) -> GridFunction:
@@ -311,7 +311,7 @@ class PipelineState:
         return stable_abstract_lf(
             self.net, self.family, self.family_table, self.x_grid, self.window,
             tol.convergence, tol.divergence_threshold, tol.stability,
-        ).with_label("abstract_star")
+        )
 
     @cached_property
     def rfe(self):
@@ -324,7 +324,7 @@ class PipelineState:
     @cached_property
     def J(self) -> GridFunction:
         """``l0``, the rate function when the vague-LDP check holds."""
-        return self.rfe.l0.with_label("J")
+        return self.rfe.l0
 
     @cached_property
     def single_tilts(self) -> tuple[list[TiltFunction], FamilyTable]:
@@ -361,11 +361,13 @@ def _range_entry(state: PipelineState, cid: str) -> dict:
     if sub:
         G = state.params.sub_G
         try:
-            L = L.restrict_open(*G, label="L_sub")
+            L = L.restrict_open(*G)
+            if not L.is_proper:  # e.g. L diverged at every point inside sub_G
+                raise ValueError(f"L is improper on ({G[0]}, {G[1]}): no finite value, "
+                                 "or a -inf value, at the points")
         except ValueError as exc:
             raise ValueError(f"{cid}: [checks] sub_lo, sub_hi: {exc} of the [lambda-grid]") from exc
-        L_star_sub = lf_transform(L, state.x_grid).with_label("L_star_sub")
-        targets = replace(targets, linear_star=L_star_sub)
+        targets = replace(targets, linear_star=lf_transform(L, state.x_grid))
     elif cid == "ellis-two-slope" and state.family.kind != "two_slope":
         lo, hi, res = state.params.two_slope
         aux = two_slope_family((lo, hi), (lo, hi), res)
@@ -530,12 +532,6 @@ def scenario_report(scenario: Scenario, out_dir: str | None = None):
     return report, verdict["all_requested_hold"]
 
 
-def run_scenario(scenario: Scenario, out_dir: str | None = None):
-    """Execute the full pipeline; returns (JSON-safe report, all_requested_hold)."""
-    report, ok = scenario_report(scenario, out_dir)
-    return _jsonify(report), ok
-
-
 def free_energy_report(scenario: Scenario, out_dir: str | None = None) -> dict:
     """Free energies only: the L table(s) and the family table, no checks."""
     state = PipelineState(scenario)
@@ -553,11 +549,6 @@ def free_energy_report(scenario: Scenario, out_dir: str | None = None) -> dict:
     if out_dir is not None:
         _write_outputs(out_dir, scenario.name, grids, report, "free_energy")
     return report
-
-
-def run_free_energy(scenario: Scenario, out_dir: str | None = None) -> dict:
-    """:func:`free_energy_report`'s JSON-safe copy."""
-    return _jsonify(free_energy_report(scenario, out_dir))
 
 
 # ---------------------------------------------------------------------------

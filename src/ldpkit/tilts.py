@@ -146,7 +146,7 @@ class TiltFamily:
             p = self.params
             lam = _doubled_axis(p["lam_lo"], p["lam_hi"], p["resolution"])
             nu = _doubled_axis(p["nu_lo"], p["nu_hi"], p["resolution"])
-            return _two_slope_from_axes(lam, nu, self.params, doubled=True)
+            return _two_slope_from_axes(lam, nu, self.params)
         if self.kind == "qn":
             return qn_family(2 * self.params["n_max"])
         if self.kind == "union":
@@ -181,11 +181,9 @@ def _doubled_axis(lo: float, hi: float, resolution: int) -> np.ndarray:
     return np.unique(np.concatenate([orig, wide]))
 
 
-def _two_slope_from_axes(lam_axis, nu_axis, base_params, doubled=False) -> TiltFamily:
+def _two_slope_from_axes(lam_axis, nu_axis, params) -> TiltFamily:
     # member order: lam outer, nu inner
     lam, nu = np.meshgrid(lam_axis, nu_axis, indexing="ij")
-    params = dict(base_params)
-    params["doubled"] = doubled
     return TiltFamily(kind="two_slope", lam=lam.ravel(), nu=nu.ravel(), params=params)
 
 

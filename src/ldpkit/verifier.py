@@ -96,8 +96,8 @@ def rate_grid(
     l0, l1 = _local_rates(net, xs, radius, window)
     return RateFunctionEstimate(
         grid=xs,
-        l0=GridFunction(xs, l0, label="l0"),
-        l1=GridFunction(xs, l1, label="l1"),
+        l0=GridFunction(xs, l0),
+        l1=GridFunction(xs, l1),
         radius=radius,
     )
 

@@ -5,6 +5,7 @@ import pytest
 
 import ldpkit
 from ldpkit import free_energy
+from oracles import bernoulli_half
 
 
 @pytest.fixture(scope="session")
@@ -19,7 +20,7 @@ def demzei_net():
 
 @pytest.fixture(scope="session")
 def iid_small_net():
-    return ldpkit.iid_mean_example_net(ldpkit.bernoulli_half_base(), 600)
+    return ldpkit.iid_mean_example_net(bernoulli_half(), 600)
 
 
 @pytest.fixture(scope="session")
@@ -64,7 +65,7 @@ def random_convex_grid(rng, n=1000, inf_tails=False, span=8.0):
             vals[:lo] = np.inf
         if hi:
             vals[-hi:] = np.inf
-    return ldpkit.GridFunction(xs, vals, label="random-convex")
+    return ldpkit.GridFunction(xs, vals)
 
 
 def conjugate_dual_grid(f, extra=300):

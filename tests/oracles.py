@@ -5,18 +5,20 @@ log-sum-exp per tilt and measure, one limit classification per member, the
 brute-force conjugate, the convex hull, infima over open regions) or a loop
 that the program once ran and has since replaced with an array form.  None
 of them is on the program's path; the tests and the acceptance criteria
-compare the fast forms with these.
+compare the fast forms with these.  The few builders at the end make test
+inputs and read back written reports.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import logsumexp
 
-from ldpkit import free_energy
+from ldpkit import free_energy, measures, pipeline
 from ldpkit.convex import (
     GridFunction,
     _finite_points,
@@ -237,7 +239,7 @@ def brute_force_conjugate(f: GridFunction, dual_grid: Sequence[float]) -> GridFu
     _require_proper(f)
     dual = np.asarray(dual_grid, dtype=float)
     xs, vs = _finite_points(f)
-    return GridFunction(dual, (dual[:, None] * xs - vs).max(axis=1), label="conjugate (brute)")
+    return GridFunction(dual, (dual[:, None] * xs - vs).max(axis=1))
 
 
 def convex_lsc_hull(f: GridFunction) -> GridFunction:
@@ -252,7 +254,7 @@ def convex_lsc_hull(f: GridFunction) -> GridFunction:
     out = np.full_like(f.values, INF)
     inside = (f.xs >= hx[0]) & (f.xs <= hx[-1])
     out[inside] = np.interp(f.xs[inside], hx, hv) if hx.size > 1 else hv[0]
-    return GridFunction(f.xs, out, label="hull")
+    return GridFunction(f.xs, out)
 
 
 def linear_restriction_conjugate(
@@ -267,7 +269,7 @@ def linear_restriction_conjugate(
     L = L_from_table(family, table)
     if not table.converged.all():
         raise ValueError("family has members with no converged free energy")
-    return lf_transform(L, x_grid).with_label("linear-restriction-conjugate")
+    return lf_transform(L, x_grid)
 
 
 def one_sided_derivatives(f: GridFunction, at: int) -> tuple[float, float]:
@@ -535,3 +537,26 @@ def interior_mask(mask: np.ndarray) -> np.ndarray:
         else:
             i += 1
     return out
+
+
+# ---------------------------------------------------------------------------
+# test inputs and written reports
+# ---------------------------------------------------------------------------
+
+
+def from_log_atoms(atoms) -> FiniteSupportMeasure:
+    """A measure of ``(location, log_mass)`` pairs, sorted and merged as
+    ``FiniteSupportMeasure.from_atoms`` merges its pairs."""
+    locs, logm = np.array(list(atoms), dtype=float).reshape(-1, 2).T
+    return FiniteSupportMeasure(*measures._merge_atoms(locs, logm))
+
+
+def bernoulli_half() -> FiniteSupportMeasure:
+    """The fair base on {0, 1}."""
+    return FiniteSupportMeasure.from_atoms([(0.0, 0.5), (1.0, 0.5)])
+
+
+def written_report(tree: dict) -> dict:
+    """A report tree as its JSON file reads back: the writer's text, parsed
+    (lists, and +-inf as ``"inf"`` / ``"-inf"``)."""
+    return json.loads("".join(pipeline._json_pieces(tree, text=pipeline._ArrayText())))

@@ -39,7 +39,7 @@ from ldpkit.verifier import (
 )
 
 from conftest import conjugate_dual_grid, random_convex_grid
-from oracles import brute_force_conjugate, conv_lemma_check, convex_lsc_hull
+from oracles import bernoulli_half, brute_force_conjugate, conv_lemma_check, convex_lsc_hull
 
 TOL = 2e-2  # window-bracket convergence tolerance for the 1/k nets
 RADIUS = 2.0 ** -10  # the packaged scenarios' ball radius
@@ -70,7 +70,7 @@ def corpus():
 
 @pytest.fixture(scope="module")
 def iid_net():
-    return ldpkit.iid_mean_example_net(ldpkit.bernoulli_half_base(), 16500)
+    return ldpkit.iid_mean_example_net(bernoulli_half(), 16500)
 
 
 @pytest.fixture(scope="module")
@@ -101,7 +101,7 @@ def iid_aligned(iid_net, iid_window):
     xs = np.arange(math.ceil(0.02 * 512), math.floor(0.98 * 512) + 1) / 512.0
     rfe = rate_grid(iid_net, xs, 2.0 ** -15, iid_window)
     lin = linear_family(-4, 4, 31)
-    L31 = L_from_table(lin, lambda_family_table(iid_net, lin, iid_window, 1e-6), "L31")
+    L31 = L_from_table(lin, lambda_family_table(iid_net, lin, iid_window, 1e-6))
     fam = two_slope_family((-3.75, 3.75), (-3.75, 3.75), 31)
     fam_table = lambda_family_table(iid_net, fam, iid_window, 1e-6)
     return dict(xs=xs, rfe=rfe, L=L31, fam=fam, fam_table=fam_table)
@@ -232,7 +232,7 @@ def test_criterion_4_escaping_example(demzei_net, main_window, rate_window):
     )
     rfe = rate_grid(demzei_net, xs, RADIUS, rate_window)
     ldp_ok = vague_ldp_check(rfe, 1e-3)["holds"]
-    J = rfe.l0.with_label("J")
+    J = rfe.l0
     j_matches = abs(J.values[origin][0]) <= 1e-3 and bool(
         np.all(np.isposinf(J.values[~origin]))
     )

@@ -27,15 +27,15 @@ from ldpkit.pipeline import (
     _ArrayText,
     _json_pieces,
     _jsonify,
+    free_energy_report,
     golden_diff,
-    run_free_energy,
-    run_scenario,
+    scenario_report,
 )
 from ldpkit.free_energy import lambda_family_table
 from ldpkit.scenario import KNOWN_CHECKS, CheckParams, ScenarioError, load_scenario
 from ldpkit.tilts import TiltFunction, explicit_family
 
-from oracles import column_bits
+from oracles import column_bits, written_report
 
 
 def packaged_scenario(name):
@@ -308,6 +308,22 @@ class TestScenarioParsing:
         assert err.startswith("error: derivative-bound: slope ")
         assert err.endswith("lies outside the rate grid span: [x-grid] spans 0.017..0.983\n")
 
+    def test_improper_sub_L_names_the_check_and_keys(self, tmp_path, capsys):
+        # dem-zei's L diverges past |lambda| = 1, so it has no finite value on
+        # (1.2, 1.8): the error once named only a grid function 'L_sub'
+        text = resources.files("ldpkit").joinpath("data/scenarios/dem-zei.cfg").read_text()
+        grid, sub = "[lambda-grid]\nlo = -1.0\nhi = 1.0", "sub_lo = -0.5\nsub_hi = 0.5"
+        assert text.count(grid) == text.count(sub) == 1
+        text = text.replace(grid, "[lambda-grid]\nlo = -2.0\nhi = 2.0")
+        text = text.replace(sub, "sub_lo = 1.2\nsub_hi = 1.8")
+        path = tmp_path / "dem-zei.cfg"
+        path.write_text(text)
+        assert main(["run", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: gartner-ellis-b-sub: [checks] sub_lo, sub_hi: L is improper on (1.2, 1.8): "
+            "no finite value, or a -inf value, at the points of the [lambda-grid]\n"
+        )
+
     def test_two_slope_hi_alone_reaches_the_auxiliary_family(self, tmp_path, monkeypatch):
         # two_slope_hi without two_slope_lo was once dropped without a word
         path = tmp_path / "aux.cfg"
@@ -349,7 +365,7 @@ class TestRunScenario:
     def test_report_shape_and_files(self, mini_scenario, tmp_path):
         out = tmp_path / "out"
         sc = load_scenario(mini_scenario)
-        report, ok = run_scenario(sc, out_dir=str(out))
+        report, ok = scenario_report(sc, out_dir=str(out))
         assert ok
         assert list(report)[:2] == ["schema_version", "scenario"]
         for key in ("tables", "family", "checks", "verdict"):
@@ -363,22 +379,22 @@ class TestRunScenario:
     def test_csv_round_trip_precision(self, mini_scenario, tmp_path):
         out = tmp_path / "out"
         sc = load_scenario(mini_scenario)
-        report, _ = run_scenario(sc, out_dir=str(out))
+        report, _ = scenario_report(sc, out_dir=str(out))
         gf = load_grid_csv(out / "mini_L.csv")
-        want = np.array(report["tables"]["L"]["values"], dtype=float)
+        want = report["tables"]["L"]["values"]
         assert np.max(np.abs(gf.values - want)) <= 1e-12
 
     def test_reports_byte_identical(self, mini_scenario, tmp_path):
         sc = load_scenario(mini_scenario)
-        run_scenario(sc, out_dir=str(tmp_path / "a"))
-        run_scenario(sc, out_dir=str(tmp_path / "b"))
+        scenario_report(sc, out_dir=str(tmp_path / "a"))
+        scenario_report(sc, out_dir=str(tmp_path / "b"))
         a = (tmp_path / "a" / "mini_report.json").read_bytes()
         b = (tmp_path / "b" / "mini_report.json").read_bytes()
         assert a == b
 
     def test_free_energy_builds_no_conjugate_or_rate(self, mini_scenario, monkeypatch):
         sc = load_scenario(mini_scenario)
-        want = run_free_energy(sc)
+        want = written_report(free_energy_report(sc))
 
         def unused(*args, **kwargs):
             raise AssertionError("free-energy does not report this")
@@ -386,7 +402,7 @@ class TestRunScenario:
         # explicit_family builds only the single tilts (varadhan and linear:0)
         for name in ("rate_grid", "stable_abstract_lf", "lf_transform", "explicit_family"):
             monkeypatch.setattr(f"ldpkit.pipeline.{name}", unused)
-        assert run_free_energy(sc) == want
+        assert written_report(free_energy_report(sc)) == want
 
     def test_run_builds_no_tilt_object_per_member(self, monkeypatch):
         # ge-ex evaluates 61 + 1,681 + 4,900 slope-array members; only the
@@ -401,7 +417,7 @@ class TestRunScenario:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(TiltFunction, "__init__", counting_init)
-        run_scenario(sc)
+        scenario_report(sc)
         assert len(built) <= len(varadhan) + 1
 
     @pytest.mark.parametrize("name, windows", [("ge-ex", 2), ("cramer", 1)])
@@ -411,7 +427,7 @@ class TestRunScenario:
         nets = []
         build = pipeline.build_net
         monkeypatch.setattr(pipeline, "build_net", lambda sc: nets.append(build(sc)) or nets[-1])
-        run_scenario(packaged_scenario(name))
+        scenario_report(packaged_scenario(name))
         assert [len(net.windows) for net in nets] == [windows]
 
     @pytest.mark.parametrize("name", ["ge-ex", "dem-zei", "cramer"])
@@ -438,7 +454,7 @@ class TestRunScenario:
         ).replace("informational = gartner-ellis-a", "informational =")
         path = tmp_path / "empty.cfg"
         path.write_text(cfg)
-        report, ok = run_scenario(load_scenario(path), out_dir=None)
+        report, ok = scenario_report(load_scenario(path), out_dir=None)
         assert ok and report["checks"] == []
         assert "L" in report["tables"]
 
@@ -456,7 +472,8 @@ class TestRunScenario:
         )
         path = tmp_path / "all.cfg"
         path.write_text(cfg)
-        report, ok = run_scenario(load_scenario(path))
+        report, ok = scenario_report(load_scenario(path))
+        report = written_report(report)
         assert not ok
         assert [c["condition_id"] for c in report["checks"]] == list(KNOWN_CHECKS)
         fields = {
@@ -511,8 +528,7 @@ class TestRunScenario:
 
     def test_infinities_serialized_as_strings(self, mini_scenario):
         sc = load_scenario(mini_scenario)
-        report, _ = run_scenario(sc, out_dir=None)
-        vals = report["tables"]["J"]["values"]
+        vals = written_report(scenario_report(sc)[0])["tables"]["J"]["values"]
         assert "inf" in vals
 
     @pytest.mark.parametrize("arr", [
@@ -581,15 +597,15 @@ class TestJsonPieces:
     @pytest.mark.parametrize("name", ["ge-ex", "dem-zei", "cramer"])
     def test_packaged_reports(self, name):
         sc = packaged_scenario(name)
-        for report in (run_scenario(sc)[0], run_free_energy(sc)):
+        for report in (scenario_report(sc)[0], free_energy_report(sc)):
             got = "".join(_json_pieces(report, text=_ArrayText()))
-            assert got == json.dumps(report, indent=1)
+            assert got == json.dumps(_jsonify(report), indent=1)
 
 
 class TestWrittenFiles:
     """Each distinct value of a float array is formatted once per write; the
     files must read as ``json.dumps(indent=1)`` and ``repr`` lines of the
-    returned report."""
+    returned report's ``_jsonify`` copy."""
 
     @staticmethod
     def csv_lines(*columns):
@@ -602,8 +618,8 @@ class TestWrittenFiles:
     @pytest.mark.parametrize("name", ["ge-ex", "dem-zei", "cramer"])
     def test_packaged_outputs(self, name, tmp_path):
         sc = packaged_scenario(name)
-        report, _ = run_scenario(sc, out_dir=str(tmp_path / "run"))
-        free = run_free_energy(sc, out_dir=str(tmp_path / "fe"))
+        report = _jsonify(scenario_report(sc, out_dir=str(tmp_path / "run"))[0])
+        free = _jsonify(free_energy_report(sc, out_dir=str(tmp_path / "fe")))
         for out_dir, rep, json_name in (
             ("run", report, "report"), ("fe", free, "free_energy")
         ):
@@ -638,7 +654,7 @@ class TestWrittenFiles:
 
         monkeypatch.setattr(pipeline._ArrayText, "reprs", recorded)
         monkeypatch.setattr(convex, "repr", counted, raising=False)
-        run_scenario(packaged_scenario("ge-ex"), out_dir=str(tmp_path))
+        scenario_report(packaged_scenario("ge-ex"), out_dir=str(tmp_path))
         assert len(requests) >= len(arrays) + 5
         distinct = [np.unique(a.view(np.int64)) for a in arrays.values()]
         assert sum(d.size for d in distinct) < sum(a.size for a in arrays.values())
@@ -838,6 +854,23 @@ class TestCliCommands:
         golden = resources.files("ldpkit").joinpath("data/goldens/ge-ex.json")
         assert (tmp_path / "ge-ex_report.json").read_bytes() == golden.read_bytes()
 
+    def test_reproduce_reports_a_mismatch(self, monkeypatch, capsys):
+        # one L value of the report off by 1e-6, past rtol 1e-7: reproduce
+        # diffs the report's written text, which must carry it to its path
+        report_of = ldpkit.cli.scenario_report
+
+        def perturbed(*args, **kwargs):
+            report, ok = report_of(*args, **kwargs)
+            values = report["tables"]["L"]["values"] = report["tables"]["L"]["values"].copy()
+            values[3] += 1e-6
+            return report, ok
+
+        monkeypatch.setattr(ldpkit.cli, "scenario_report", perturbed)
+        assert main(["reproduce", "ge-ex"]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "golden mismatch for ge-ex (1 differences):"
+        assert out[1].startswith("  $.tables.L.values[3]: ") and len(out) == 2
+
     def test_reproduce_unknown_name(self, capsys):
         with pytest.raises(SystemExit):
             main(["reproduce", "unknown-example"])
@@ -1028,7 +1061,7 @@ import sys
 from importlib import resources
 
 import ldpkit, ldpkit.cli
-from ldpkit.pipeline import run_scenario
+from ldpkit.pipeline import scenario_report
 from ldpkit.scenario import load_scenario
 
 scenarios = resources.files("ldpkit").joinpath("data/scenarios")
@@ -1039,7 +1072,7 @@ for command, name in (("run", "ge-ex"), ("free-energy", "dem-zei")):
     with resources.as_file(scenarios.joinpath(name + ".cfg")) as path:
         ldpkit.cli.main([command, str(path), "--out-dir", sys.argv[1]])
 with resources.as_file(scenarios.joinpath("cramer.cfg")) as path:
-    run_scenario(load_scenario(path))
+    scenario_report(load_scenario(path))
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 

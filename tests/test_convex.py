@@ -33,19 +33,19 @@ from conftest import conjugate_dual_grid, random_convex_grid
 
 def abs_grid(n=61, span=3.0):
     xs = np.linspace(-span, span, n)
-    return GridFunction(xs, np.abs(xs), label="abs")
+    return GridFunction(xs, np.abs(xs))
 
 
 def parabola_grid(n=401, span=5.0):
     xs = np.linspace(-span, span, n)
-    return GridFunction(xs, xs**2 / 2, label="parabola")
+    return GridFunction(xs, xs**2 / 2)
 
 
 def flat_with_walls(n=241, wall=1.0, span=3.0):
     # n=241 on [-3,3] puts +-1.0 exactly on the grid
     xs = np.linspace(-span, span, n)
     vals = np.where(np.abs(xs) <= wall, 0.0, INF)
-    return GridFunction(xs, vals, label="flat")
+    return GridFunction(xs, vals)
 
 
 class TestGridFunction:

@@ -37,6 +37,7 @@ from ldpkit.tilts import (
 )
 
 from oracles import (
+    bernoulli_half,
     column_bits,
     custom_log_sums,
     estimate_limit,
@@ -51,13 +52,12 @@ TOL = 2e-2  # window bracket tolerance for the 1/k nets (spread ~ t_max*log 2)
 
 def oscillating_net(max_index=10_000):
     """Alternating Dirac at 0 / Dirac at 1: no free-energy limit for slope 1."""
-    d0 = FiniteSupportMeasure.dirac(0.0)
-    d1 = FiniteSupportMeasure.dirac(1.0)
+    d0 = FiniteSupportMeasure.from_atoms([(0.0, 1.0)])
+    d1 = FiniteSupportMeasure.from_atoms([(1.0, 1.0)])
     return ScaledMeasureNet(
         t_of=lambda k: 1.0 / k,
         measure_of=lambda k: d0 if k % 2 == 0 else d1,
         max_index=max_index,
-        label="oscillating",
     )
 
 
@@ -182,15 +182,15 @@ class TestLGrid:
         L = L_from_table(fam, lambda_family_table(iid_small_net, fam, w, 1e-6))
         assert L.values[2] == pytest.approx(0.0, abs=1e-12)
 
-    def test_meta_carries_the_table_brackets(self, demzei_net, main_window):
+    def test_meta_carries_the_convergence_flags(self, demzei_net, main_window):
+        # the report writes L's values and converged flags; the table keeps
+        # its liminf/limsup brackets
         fam = linear_family(-2, 2, 39)
         table = lambda_family_table(demzei_net, fam, main_window, TOL, 1e3)
-        L = L_from_table(fam, table, "L_wide")
-        assert L.label == "L_wide"
+        L = L_from_table(fam, table)
         assert L.xs.tobytes() == fam.lam.tobytes()
         assert L.values.tobytes() == table.value.tobytes()
-        for key in ("converged", "liminf", "limsup"):
-            assert L.meta[key] is getattr(table, key)
+        assert list(L.meta) == ["converged"] and L.meta["converged"] is table.converged
 
     def test_L_from_table_needs_linear_tilts(self, coin_net, main_window):
         fam = two_slope_family((-1, 1), (-1, 1), 3)
@@ -545,7 +545,17 @@ def all_tables(net, window):
 def small_iid_net():
     # iid laws differ in atom count from sample to sample; a fresh net holds
     # no window yet
-    return ldpkit.iid_mean_example_net(ldpkit.bernoulli_half_base(), 400)
+    return ldpkit.iid_mean_example_net(bernoulli_half(), 400)
+
+
+def packaged_window(name):
+    """A packaged scenario, its fresh net and its main window's spec."""
+    with resources.as_file(
+        resources.files("ldpkit").joinpath(f"data/scenarios/{name}.cfg")
+    ) as path:
+        scenario = load_scenario(path)
+    net, w = build_net(scenario), scenario.window
+    return scenario, net, window_for_t_range(net, w.t_max, w.t_min, w.samples)
 
 
 class TestWindowSums:
@@ -664,13 +674,7 @@ class TestWindowSums:
         # the scenario's qn tilts over its main window: each member is
         # evaluated once on the atoms of the window's distinct measures (one
         # coin of 2 atoms on ge-ex), and every sum keeps the one-pass bits
-        with resources.as_file(
-            resources.files("ldpkit").joinpath(f"data/scenarios/{name}.cfg")
-        ) as path:
-            scenario = load_scenario(path)
-        net = build_net(scenario)
-        w = scenario.window
-        spec = window_for_t_range(net, w.t_max, w.t_min, w.samples)
+        scenario, net, spec = packaged_window(name)
         members = [t for t in scenario.check_params.varadhan_tilts if t.kind == "custom"]
         evaluated = []
         eval_array = TiltFunction.eval_array
@@ -686,6 +690,23 @@ class TestWindowSums:
         assert len(members) >= 3 and (name != "ge-ex" or list(distinct.values()) == [2])
         want = np.array([custom_log_sums(members, m, t) for m, t in samples])
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name, rows", [("ge-ex", 1), ("dem-zei", 48)])
+    def test_side_stacks_hold_each_distinct_measure_once(self, name, rows):
+        # ge-ex's 48 main-window samples hold one coin, so each side stack is
+        # one row; dem-zei's measures differ.  Each sample sums on its
+        # measure's row, with the one-pass bits
+        scenario, net, spec = packaged_window(name)
+        window = free_energy.window_of(net, spec)
+        slopes = np.linspace(-2.5, 2.5, 11)
+        got = [window.slope_sums(side, slopes) for side in (0, 1)]
+        for stacks in window._sides:
+            assert [(s.size, locs.shape[0]) for s, _, locs, _ in stacks] == [(48, rows)]
+        for j, (m, t) in enumerate(window_samples(net, spec)):
+            left = m.locations <= 0.0
+            for side, part in ((0, left), (1, ~left)):
+                want = slope_log_sums(slopes, m.locations[part], m.log_masses[part], t)
+                assert got[side][j].tobytes() == want.tobytes(), (side, j)
 
     def test_every_slope_is_summed_once_per_op(self, monkeypatch):
         net = small_iid_net()
@@ -748,7 +769,7 @@ def cramer_slopes() -> np.ndarray:
 
 def binomial_side(n: int) -> FiniteSupportMeasure:
     """The iid Bernoulli(1/2) mean law of ``n`` draws, without its atom at 0."""
-    m = ldpkit.measures._iid_mean_law(ldpkit.bernoulli_half_base().normalized(), n)
+    m = ldpkit.measures._iid_mean_law(bernoulli_half().normalized(), n)
     return FiniteSupportMeasure(m.locations[1:], m.log_masses[1:])
 
 
@@ -770,7 +791,7 @@ class TestRunLogSums:
     the bits and warnings of the whole-row oracle ``slope_log_sums``."""
 
     def test_iid_laws_over_cramers_slopes(self, monkeypatch):
-        net = ldpkit.iid_mean_example_net(ldpkit.bernoulli_half_base(), 8192)
+        net = ldpkit.iid_mean_example_net(bernoulli_half(), 8192)
         spec = WindowSpec(4096, 8192, 2)
         window = free_energy.window_of(net, spec)
         slopes = cramer_slopes()

@@ -69,19 +69,17 @@ def escaping_net(max_index=100_000):
     """Unit mass walking to +infinity: exponential tightness must fail."""
     return ScaledMeasureNet(
         t_of=lambda k: 1.0 / k,
-        measure_of=lambda k: FiniteSupportMeasure.dirac(float(k)),
+        measure_of=lambda k: FiniteSupportMeasure.from_atoms([(float(k), 1.0)]),
         max_index=max_index,
-        label="escaping",
     )
 
 
 def dirac_net(max_index=1_000_000):
-    d = FiniteSupportMeasure.dirac(0.0)
+    d = FiniteSupportMeasure.from_atoms([(0.0, 1.0)])
     return ScaledMeasureNet(
         t_of=lambda k: 1.0 / k,
         measure_of=lambda k: d,
         max_index=max_index,
-        label="dirac",
     )
 
 
@@ -96,7 +94,7 @@ def coin_state(coin_net, main_window, rate_window):
     sc = stable_abstract_lf(coin_net, fam, table, xs, main_window, TOL)
     rfe = rate_grid(coin_net, xs, RADIUS, rate_window)
     assert vague_ldp_check(rfe, 1e-3)["holds"]
-    J = rfe.l0.with_label("J")
+    J = rfe.l0
     return dict(net=coin_net, xs=xs, L=L, L_star=L_star, sc=sc, rfe=rfe, J=J)
 
 
@@ -195,7 +193,7 @@ class TestVagueLdp:
         fake = RateFunctionEstimate(
             grid=rfe.grid,
             l0=rfe.l0,
-            l1=GridFunction(rfe.grid, bumped, label="l1"),
+            l1=GridFunction(rfe.grid, bumped),
             radius=rfe.radius,
         )
         assert not vague_ldp_check(fake, 1e-3)["holds"]
@@ -257,7 +255,7 @@ class TestExponentialTightness:
         # escaping masses exp(-k) at 3 and exp(-3k) at 10: each eps stops at its own R
         net = ScaledMeasureNet(
             t_of=lambda k: 1.0 / k,
-            measure_of=lambda k: FiniteSupportMeasure.from_log_atoms(
+            measure_of=lambda k: oracles.from_log_atoms(
                 [(0.0, math.log1p(-math.exp(-k) - math.exp(-3 * k))), (3.0, -k), (10.0, -3 * k)]
             ),
             max_index=10_000,
@@ -302,7 +300,7 @@ class TestLdpBounds:
 
     def test_empty_region(self, coin_state, rate_window):
         report = ldp_bounds_check(
-            coin_state["net"], coin_state["J"], [(RegionSet.empty(), "closed")],
+            coin_state["net"], coin_state["J"], [(RegionSet(()), "closed")],
             rate_window, 1e-9,
         )
         assert report["holds"] and report["regions"][0]["capacity"] == 0.0
@@ -353,8 +351,8 @@ class TestVaradhan:
 
     def test_non_converged_tilt_rejected(self):
         # alternating Dirac at 0 / Dirac at 1: no free-energy limit for h_1
-        d0 = FiniteSupportMeasure.dirac(0.0)
-        d1 = FiniteSupportMeasure.dirac(1.0)
+        d0 = FiniteSupportMeasure.from_atoms([(0.0, 1.0)])
+        d1 = FiniteSupportMeasure.from_atoms([(1.0, 1.0)])
         net = ScaledMeasureNet(
             t_of=lambda k: 1.0 / k,
             measure_of=lambda k: d0 if k % 2 == 0 else d1,
@@ -509,7 +507,7 @@ class TestRateComparison:
             demzei_net, fam, table, xs, main_window, TOL, divergence_threshold=1e3
         )
         rfe = rate_grid(demzei_net, xs, RADIUS, rate_window)
-        J = rfe.l0.with_label("J")
+        J = rfe.l0
         dom = np.isfinite(J.values)
         out = rate_comparison(J, L_star, sc, {"dom_J": dom}, 1e-3)
         assert out["holds"]  # J == L* == abstract on dom(J) = {0}
@@ -755,7 +753,7 @@ def pooled_nets(draw):
         locs = draw(st.lists(st.integers(-24, 24), min_size=1, max_size=10, unique=True))
         logm = np.array(draw(st.lists(st.floats(-800, 0), min_size=len(locs), max_size=len(locs))))
         logm = logm - np.logaddexp.reduce(logm)
-        pool.append(FiniteSupportMeasure.from_log_atoms(zip(np.array(locs) / 4.0, logm)))
+        pool.append(oracles.from_log_atoms(zip(np.array(locs) / 4.0, logm)))
     return ScaledMeasureNet(
         t_of=lambda k: 1.0 / k, measure_of=lambda k: pool[k % len(pool)], max_index=1000
     )
@@ -827,7 +825,7 @@ class TestBatchedMassQueries:
             )
         regions = list(params.regions) + [
             (RegionSet.complement_of_closed(-0.5, 0.5), "open"),
-            (RegionSet.empty(), "closed"),
+            (RegionSet(()), "closed"),
         ]
         args = (s.net, s.J, regions, s.rate_window, s.scenario.tolerances.bounds)
         assert repr(ldp_bounds_check(*args)) == repr(loop_ldp_bounds_check(*args))
@@ -852,7 +850,7 @@ class TestBatchedMassQueries:
         pool = [
             FiniteSupportMeasure.from_atoms([(-1.0, 0.5), (1.0, 0.5)]),
             FiniteSupportMeasure.from_atoms([(0.0, 0.25), (1.0, 0.75)]),
-            FiniteSupportMeasure.dirac(0.5),
+            FiniteSupportMeasure.from_atoms([(0.5, 1.0)]),
         ]
         net = ScaledMeasureNet(lambda k: 1.0 / k, lambda k: pool[k % 3], max_index=400)
         fetched = []
@@ -881,7 +879,7 @@ class TestBatchedMassQueries:
         net = make()
         w = ldpkit.window_for_t_range(net, 1e-2, 1e-4, 16)
         ends = [-1000.0, -100.0, 0.0, 100.0, 1000.0]
-        regions = [RegionSet.empty(), RegionSet.closed(-INF, INF)]
+        regions = [RegionSet(()), RegionSet.closed(-INF, INF)]
         for lo, hi in zip(ends, ends[1:]):
             regions += [RegionSet.closed(lo, hi), RegionSet.open(lo, hi),
                         RegionSet.complement_of_closed(lo, hi),
